@@ -5,7 +5,11 @@ The package is organized bottom-up:
 - :mod:`nicolai.fock`: exact CAR algebra on finite Fock spaces (integer
   sparse matrices, Jordan-Wigner signs from one canonical site order);
 - :mod:`nicolai.model`: the supercharge, the Hamiltonian ``H = {Q, Q*}`` and
-  its classical/hopping split, and the model symmetries;
+  its classical/hopping split, the model symmetries, and
+  :class:`~nicolai.model.ModelContext`, which builds each object of one model
+  (basis, Q, H, its split, ground configurations, spectrum) at most once;
+- :mod:`nicolai.grammar`: the forbidden-pattern rule shared by sequences and
+  configurations, its depth-first enumerator and its pair transfer matrix;
 - :mod:`nicolai.charges`: the permitted-sequence grammar and the local
   fermionic constants of motion it encodes;
 - :mod:`nicolai.groundstates`: the census of classical supersymmetric ground
@@ -32,6 +36,7 @@ from .fock import (
     parity_operator,
 )
 from .model import (
+    ModelContext,
     ModelSpec,
     OperatorSum,
     build_h_classical,
@@ -43,6 +48,7 @@ from .model import (
     charge_triples,
     local_charge_1d,
     local_charge_2d,
+    model_context,
     number_operator,
     particle_hole,
     translate2,

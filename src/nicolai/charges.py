@@ -11,7 +11,8 @@ monomial that commutes with the Hamiltonian exactly.  The boundary-pair
 constancy is what neutralizes the charge triples that straddle the edge of
 the support; dropping it generically breaks the conservation.
 
-The interval sets grow like ``2 * 3**(l-k-1)``; an independent transfer-matrix
+The pattern rule and its enumerator live in :mod:`nicolai.grammar`.  The
+interval sets grow like ``2 * 3**(l-k-1)``; an independent transfer-matrix
 counter over adjacent (even, odd) value pairs cross-checks every enumeration.
 """
 
@@ -24,6 +25,7 @@ from importlib import resources
 
 import numpy as np
 
+from . import grammar
 from .fock import (
     ANNIHILATE,
     CREATE,
@@ -32,18 +34,9 @@ from .fock import (
     SparseOperator,
     anticommutator,
     commutator,
-    enumerate_basis,
     monomial_to_sparse,
 )
-from .model import (
-    ModelSpec,
-    build_hamiltonian_susy,
-    build_supercharge,
-    charge_crosses,
-    charge_triples,
-    local_charge_1d,
-    local_charge_2d,
-)
+from .model import ModelSpec, charge_hoods, model_context
 
 __all__ = [
     "ConservedSequence",
@@ -64,7 +57,6 @@ __all__ = [
     "vanishing_triple_products",
     "independence_probe",
     "charge_algebra_report",
-    "sequence_transfer_matrix",
     "transfer_count_hat_xi",
     "transfer_count_ring_sequences",
     "rectangle_sites",
@@ -74,8 +66,6 @@ __all__ = [
     "reference_interval_tables",
     "sample_edge_violating_sequences",
 ]
-
-_FORBIDDEN_TRIPLES = ((-1, 1, -1), (1, -1, 1))
 
 
 @dataclass(frozen=True)
@@ -134,44 +124,33 @@ def _grid(seq: ConservedSequence) -> list:
     return [list(seq.values[i * ny : (i + 1) * ny]) for i in range(nx)]
 
 
+def _hoods(f: ConservedSequence) -> list:
+    """Neighbourhoods of the support as ``(center, *arms)`` positions: at even
+    sites in 1D, at even-even sites in 2D; open supports skip edge centers."""
+    n = len(f)
+    if f.shape is None:
+        return [
+            (p, (p - 1) % n, (p + 1) % n)
+            for p in range(n)
+            if f.sites[p] % 2 == 0 and (f.closed or 0 < p < n - 1)
+        ]
+    nx, ny = f.shape
+
+    def pos(i, j):
+        return (i % nx) * ny + j % ny
+
+    return [
+        (pos(i, j), pos(i - 1, j), pos(i + 1, j), pos(i, j - 1), pos(i, j + 1))
+        for i in range(nx)
+        for j in range(ny)
+        if not any(c % 2 for c in f.sites[pos(i, j)])
+        and (f.closed or (0 < i < nx - 1 and 0 < j < ny - 1))
+    ]
+
+
 def is_permitted(f: ConservedSequence) -> bool:
     """No forbidden even-centered triple (1D) or forbidden cross (2D)."""
-    if f.shape is not None:
-        return _is_permitted_2d(f)
-    n = len(f)
-    for p in range(n):
-        if f.sites[p] % 2:
-            continue
-        if not f.closed and (p == 0 or p == n - 1):
-            continue
-        triple = (f.values[(p - 1) % n], f.values[p], f.values[(p + 1) % n])
-        if triple in _FORBIDDEN_TRIPLES:
-            return False
-    return True
-
-
-def _is_permitted_2d(f: ConservedSequence) -> bool:
-    g = _grid(f)
-    nx, ny = f.shape
-    for i in range(nx):
-        for j in range(ny):
-            x, y = f.sites[i * ny + j]
-            if x % 2 or y % 2:
-                continue
-            if not f.closed and (i in (0, nx - 1) or j in (0, ny - 1)):
-                continue
-            center = g[i][j]
-            arms = (
-                g[(i - 1) % nx][j],
-                g[(i + 1) % nx][j],
-                g[i][(j - 1) % ny],
-                g[i][(j + 1) % ny],
-            )
-            if center == 1 and all(a == -1 for a in arms):
-                return False
-            if center == -1 and all(a == 1 for a in arms):
-                return False
-    return True
+    return grammar.permitted(f.values, _hoods(f))
 
 
 def has_edge_conditions(f: ConservedSequence) -> bool:
@@ -187,30 +166,11 @@ def has_edge_conditions(f: ConservedSequence) -> bool:
     return cols_ok and rows_ok
 
 
-def _enumerate_interval_values(n: int, require_edges: bool):
-    """All permitted value tuples on ``n`` positions (even positions are the
-    even sites), optionally with constant boundary pairs; lexicographic with
-    ``-1 < +1``."""
-    out = []
-    values = [0] * n
-
-    def extend(q):
-        if q == n:
-            out.append(tuple(values))
-            return
-        for v in (-1, 1):
-            if require_edges and q == 1 and v != values[0]:
-                continue
-            if require_edges and q == n - 1 and v != values[q - 1]:
-                continue
-            if q >= 2 and q % 2 == 1:
-                if (values[q - 2], values[q - 1], v) in _FORBIDDEN_TRIPLES:
-                    continue
-            values[q] = v
-            extend(q + 1)
-
-    extend(0)
-    return out
+def _interval_words(n: int) -> list:
+    """Permitted value tuples on ``n`` positions starting at an even site, with
+    both boundary pairs constant; lexicographic with ``-1 < +1``."""
+    hoods = [(p, p - 1, p + 1) for p in range(2, n - 1, 2)]
+    return grammar.permitted_words(n, hoods, (-1, 1), ties=((0, 1), (n - 2, n - 1)))
 
 
 def enumerate_hat_xi(k: int, l: int) -> list:
@@ -222,15 +182,10 @@ def enumerate_hat_xi(k: int, l: int) -> list:
     if k >= l:
         raise ValueError(f"need k < l, got k={k}, l={l}")
     sites = tuple(range(2 * k, 2 * l + 1))
-    return [
-        ConservedSequence(sites, v)
-        for v in _enumerate_interval_values(2 * (l - k) + 1, require_edges=True)
-    ]
+    return [ConservedSequence(sites, v) for v in _interval_words(len(sites))]
 
 
-def arc_sequences(lattice, start: int, d: int) -> list:
-    """Interval sequences embedded on the ring arc of ``2d+1`` sites from
-    the even site ``start``; the arc must be proper (shorter than the ring)."""
+def _arc_sites(lattice, start: int, d: int) -> tuple:
     if lattice.dimension != 1 or not lattice.periodic:
         raise ValueError("arcs are defined on rings")
     if start % 2:
@@ -238,20 +193,26 @@ def arc_sequences(lattice, start: int, d: int) -> list:
     length = 2 * d + 1
     if length >= lattice.nsites:
         raise ValueError("arc support must be a proper arc of the ring")
-    sites = tuple(lattice.wrap(start + j) for j in range(length))
-    return [
-        ConservedSequence(sites, v)
-        for v in _enumerate_interval_values(length, require_edges=True)
-    ]
+    return tuple(lattice.wrap(start + j) for j in range(length))
+
+
+def arc_sequences(lattice, start: int, d: int) -> list:
+    """Interval sequences embedded on the ring arc of ``2d+1`` sites from
+    the even site ``start``; the arc must be proper (shorter than the ring)."""
+    sites = _arc_sites(lattice, start, d)
+    return [ConservedSequence(sites, v) for v in _interval_words(len(sites))]
 
 
 def all_embeddable_sequences(lattice) -> list:
     """Every interval sequence that embeds in the ring as a proper arc."""
     n = lattice.nsites
+    starts = sorted(s for s in lattice.sites if s % 2 == 0)
     seqs = []
     for d in range(1, (n - 2) // 2 + 1):
-        for start in sorted(s for s in lattice.sites if s % 2 == 0):
-            seqs.extend(arc_sequences(lattice, start, d))
+        words = _interval_words(2 * d + 1)
+        for start in starts:
+            sites = _arc_sites(lattice, start, d)
+            seqs.extend(ConservedSequence(sites, v) for v in words)
     return seqs
 
 
@@ -263,30 +224,8 @@ def enumerate_ring_sequences(lattice) -> list:
     """
     if lattice.dimension != 1 or not lattice.periodic:
         raise ValueError("full-ring sequences require a periodic 1D lattice")
-    sites = lattice.sites
-    n = len(sites)
-    even_pos = [p for p in range(n) if sites[p] % 2 == 0]
-    boundary_pos = [p for p in even_pos if p == 0 or p == n - 1]
-    out = []
-    values = [0] * n
-
-    def extend(q):
-        if q == n:
-            for p in boundary_pos:
-                triple = (values[(p - 1) % n], values[p], values[(p + 1) % n])
-                if triple in _FORBIDDEN_TRIPLES:
-                    return
-            out.append(ConservedSequence(sites, tuple(values), closed=True))
-            return
-        for v in (-1, 1):
-            if q >= 2 and sites[q - 1] % 2 == 0:
-                if (values[q - 2], values[q - 1], v) in _FORBIDDEN_TRIPLES:
-                    continue
-            values[q] = v
-            extend(q + 1)
-
-    extend(0)
-    return out
+    words = grammar.permitted_words(lattice.nsites, charge_hoods(lattice), (-1, 1))
+    return [ConservedSequence(lattice.sites, v, closed=True) for v in words]
 
 
 def sequence_to_operator(f: ConservedSequence) -> FermionMonomial:
@@ -376,13 +315,11 @@ def conservation_check(
     Zero (exactly, in integer arithmetic) for every conserved sequence;
     generically nonzero when a boundary-pair condition is violated.
     """
-    lat = spec.lattice
-    _validate_support(f, lat)
-    if basis is None:
-        basis = enumerate_basis(lat)
+    _validate_support(f, spec.lattice)
+    ctx = model_context(spec).over(basis)
     if hamiltonian is None:
-        hamiltonian = build_hamiltonian_susy(build_supercharge(spec), basis)
-    qf = monomial_to_sparse(sequence_to_operator(f), basis)
+        hamiltonian = ctx.h
+    qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
     return commutator(hamiltonian, qf).max_abs()
 
 
@@ -395,28 +332,15 @@ def vanishing_triple_products(
     This is the local mechanism behind conservation: each such product is the
     zero operator, while disjoint charges anticommute with ``Q(f)``.
     """
-    lat = spec.lattice
-    _validate_support(f, lat)
-    if basis is None:
-        basis = enumerate_basis(lat)
-    qf = monomial_to_sparse(sequence_to_operator(f), basis)
+    _validate_support(f, spec.lattice)
+    ctx = model_context(spec).over(basis)
+    qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
     support = set(f.sites)
-    if spec.variant == "nicolai-1d":
-        charges = [
-            local_charge_1d(c // 2, lat)
-            for (l, c, r) in charge_triples(lat)
-            if {l, c, r} & support
-        ]
-    else:
-        charges = [
-            local_charge_2d(c[0] // 2, c[1] // 2, lat)
-            for cross in charge_crosses(lat)
-            for c in [cross[2]]
-            if set(cross) & support
-        ]
     worst = 0
-    for q in charges:
-        qm = monomial_to_sparse(q, basis)
+    for q in ctx.q_sum.terms:
+        if not q.support & support:
+            continue
+        qm = monomial_to_sparse(q, ctx.basis)
         for m in (qm, qm.adjoint()):
             worst = max(worst, (qf @ m).max_abs(), (m @ qf).max_abs())
     return worst
@@ -485,19 +409,16 @@ def charge_algebra_report(
     include_pairwise: bool = True,
 ) -> ChargeAlgebraReport:
     """Realize the given sequences as charges and verify their algebra."""
-    lat = spec.lattice
-    if basis is None:
-        basis = enumerate_basis(lat)
-    h = build_hamiltonian_susy(build_supercharge(spec), basis)
+    ctx = model_context(spec).over(basis)
     report = ChargeAlgebraReport()
     mats = []
     worst = 0
     for f in sequences:
         mono = sequence_to_operator(f)
         report.generators.append((f, mono))
-        qf = monomial_to_sparse(mono, basis)
+        qf = monomial_to_sparse(mono, ctx.basis)
         mats.append(qf)
-        worst = max(worst, commutator(h, qf).max_abs())
+        worst = max(worst, commutator(ctx.h, qf).max_abs())
     report.commutant_check = worst
     if include_pairwise:
         for i in range(len(mats)):
@@ -508,26 +429,11 @@ def charge_algebra_report(
     return report
 
 
-def sequence_transfer_matrix() -> np.ndarray:
-    """4x4 transfer matrix over adjacent (even-site, odd-site) value pairs.
-
-    Index ``2*a + b`` encodes the pair ``(v_even, v_odd)`` with ``-1 -> 0``
-    and ``+1 -> 1``; a transition is allowed unless the triple formed by the
-    previous odd value and the next pair alternates.
-    """
-    t = np.zeros((4, 4), dtype=np.int64)
-    vals = (-1, 1)
-    for x, y, u, v in itertools.product(range(2), repeat=4):
-        if (vals[y], vals[u], vals[v]) not in _FORBIDDEN_TRIPLES:
-            t[2 * x + y, 2 * u + v] = 1
-    return t
-
-
 def transfer_count_hat_xi(k: int, l: int) -> int:
     """Transfer-matrix count of the conserved sequences on ``[2k, 2l]``."""
     if k >= l:
         raise ValueError(f"need k < l, got k={k}, l={l}")
-    t = sequence_transfer_matrix()
+    t = grammar.pair_transfer_matrix()
     m = np.linalg.matrix_power(t, l - k - 1)
     # constant boundary pairs: start in (-,-) or (+,+); the final lone site
     # is pinned to its left neighbour, so it contributes no factor
@@ -539,7 +445,7 @@ def transfer_count_ring_sequences(lattice) -> int:
     if lattice.dimension != 1 or not lattice.periodic:
         raise ValueError("ring counting requires a periodic 1D lattice")
     nblocks = lattice.nsites // 2
-    t = sequence_transfer_matrix()
+    t = grammar.pair_transfer_matrix()
     return int(np.trace(np.linalg.matrix_power(t, nblocks)))
 
 

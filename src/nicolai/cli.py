@@ -22,21 +22,13 @@ import numpy as np
 from . import charges as ch
 from . import dynamics as dyn
 from . import groundstates as gs
-from .fock import (
-    SparseOperator,
-    anticommutator,
-    commutator,
-    enumerate_basis,
-    monomial_to_sparse,
-    parity_operator,
-)
+from .fock import anticommutator, commutator, parity_operator
+from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_bench.py
 from .model import (
+    ModelContext,
     ModelSpec,
-    build_h_classical,
-    build_h_hop,
     build_hamiltonian_explicit,
-    build_hamiltonian_susy,
-    build_supercharge,
+    model_context,
     number_operator,
     particle_hole,
     translate2,
@@ -88,13 +80,17 @@ def _render(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: str, text: str) -> None:
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def _emit(payload: dict, args) -> None:
     text = _render(payload, args.format)
     if args.output:
-        tmp = f"{args.output}.tmp-{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, args.output)
+        _write_atomic(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -130,13 +126,10 @@ def _check(name: str, passed: bool, detail=None) -> dict:
     return entry
 
 
-def _build_checks(spec: ModelSpec, seed: int) -> list:
-    lat = spec.lattice
-    basis = enumerate_basis(lat)
-    q = build_supercharge(spec)
-    qm = q.to_sparse(basis)
+def _build_checks(ctx: ModelContext, seed: int) -> list:
+    spec, lat, basis = ctx.spec, ctx.lattice, ctx.basis
+    q, qm, h = ctx.q_sum, ctx.q, ctx.h
     qd = qm.adjoint()
-    h = anticommutator(qm, qd)
     checks = [
         _check("q_squared_zero", (qm @ qm).is_zero()),
         _check("q_dagger_squared_zero", (qd @ qd).is_zero()),
@@ -153,21 +146,15 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
     checks.append(_check("h_quadratic_form", quad_ok))
     checks.append(_check("h_positive_semidefinite", psd_ok))
     if basis.dim <= 4096:
-        spectrum = dyn.diagonalize(h, workers=dyn.default_workers())
-        checks.append(
-            _check(
-                "h_min_eigenvalue_zero",
-                abs(float(spectrum.eigenvalues[0])) <= 1e-10,
-                float(spectrum.eigenvalues[0]),
-            )
-        )
+        e0 = float(ctx.spectrum.eigenvalues[0])
+        checks.append(_check("h_min_eigenvalue_zero", abs(e0) <= 1e-10, e0))
 
     if spec.variant == "nicolai-1d":
         hx = build_hamiltonian_explicit(spec).to_sparse(basis)
-        hc = build_h_classical(spec).to_sparse(basis)
-        hh = build_h_hop(spec).to_sparse(basis)
         checks.append(_check("h_susy_equals_explicit", h.equals(hx)))
-        checks.append(_check("h_equals_classical_plus_hop", h.equals(hc + hh)))
+        checks.append(
+            _check("h_equals_classical_plus_hop", h.equals(ctx.h_classical + ctx.h_hop))
+        )
 
     n_op = number_operator(lat, basis)
     checks.append(_check("commutes_with_number", commutator(h, n_op).is_zero()))
@@ -192,19 +179,18 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
 
 def cmd_build(args) -> int:
     spec = _resolve_spec(args)
-    basis = enumerate_basis(spec.lattice)
-    q = build_supercharge(spec)
+    ctx = model_context(spec)
     payload = {
         "schema": SCHEMA,
         "command": "build",
         "model": json.loads(spec.to_json()),
-        "supercharge_terms": len(q),
-        "dimension": basis.dim,
-        "supercharge_nnz": q.to_sparse(basis).nnz,
+        "supercharge_terms": len(ctx.q_sum),
+        "dimension": ctx.basis.dim,
+        "supercharge_nnz": ctx.q.nnz,
     }
     code = 0
     if args.verify:
-        checks = _build_checks(spec, args.seed)
+        checks = _build_checks(ctx, args.seed)
         payload["checks"] = checks
         payload["failures"] = sum(not c["passed"] for c in checks)
         if payload["failures"]:
@@ -268,11 +254,7 @@ def cmd_charges(args) -> int:
                     "--check embeds the interval in a Fock space; limited to l - k <= 7"
                 )
             spec = ModelSpec.chain(2 * k - 2, 2 * l + 2)
-            basis = enumerate_basis(spec.lattice)
-            h = build_hamiltonian_susy(build_supercharge(spec), basis)
-            residual = max(
-                int(ch.conservation_check(spec, f, basis, h)) for f in seqs
-            )
+            residual = max(int(ch.conservation_check(spec, f)) for f in seqs)
             payload["embedding_chain"] = [2 * k - 2, 2 * l + 2]
             payload["max_commutator_residual"] = residual
             if residual != 0:
@@ -291,12 +273,7 @@ def cmd_charges(args) -> int:
         if payload["full_ring_count"] != payload["full_ring_transfer_count"]:
             code = 3
         if args.check:
-            basis = enumerate_basis(lat)
-            h = build_hamiltonian_susy(build_supercharge(spec), basis)
-            residual = max(
-                int(ch.conservation_check(spec, f, basis, h))
-                for f in arcs + rings
-            )
+            residual = max(int(ch.conservation_check(spec, f)) for f in arcs + rings)
             payload["max_commutator_residual"] = residual
             if residual != 0:
                 code = 3
@@ -321,7 +298,7 @@ def cmd_groundstates(args) -> int:
         _emit(payload, args)
         return code
 
-    configs = gs.enumerate_ground_configs(lat)
+    configs = model_context(spec).ground_configs
     payload["count"] = len(configs)
     if lat.dimension == 1:
         payload["transfer_matrix_count"] = gs.transfer_count_ground_configs(lat)
@@ -333,17 +310,11 @@ def cmd_groundstates(args) -> int:
         payload["config_lines"] = [g.bitstring() for g in configs]
 
     if args.verify_susy:
-        if enumerate_basis(lat).dim > 4096:
+        if lat.nsites > 12:
             raise ValueError("--verify-susy is limited to lattices of <= 12 sites")
-        basis = enumerate_basis(lat)
-        q = build_supercharge(spec)
-        q_op = q.to_sparse(basis)
-        h_op = build_hamiltonian_susy(q, basis)
-        bad = []
-        for g in configs:
-            rep = gs.verify_susy_ground(g, spec, basis, q_op, h_op)
-            if not rep.annihilated:
-                bad.append(g.bitstring())
+        bad = [
+            g.bitstring() for g in configs if not gs.verify_susy_ground(g, spec).annihilated
+        ]
         payload["susy_failures"] = bad
         if bad:
             code = 3
@@ -351,11 +322,30 @@ def cmd_groundstates(args) -> int:
     return code
 
 
+def _ergodicity_dense_bytes(lat) -> int:
+    """Dense float64 bytes of the ergodicity report on a ring: one dim x dim
+    matrix per generator, the rank stack of generators plus identity, and
+    the eigenvectors.  Counts come from the transfer matrices, so nothing is
+    built."""
+    n = lat.nsites
+    arcs = sum(n // 2 * ch.transfer_count_hat_xi(0, d) for d in range(1, (n - 2) // 2 + 1))
+    generators = arcs + ch.transfer_count_ring_sequences(lat)
+    return (2 * generators + 2) * 8 * 4**n
+
+
 def cmd_ergodicity(args) -> int:
     spec = _resolve_spec(args)
-    report = dyn.ergodicity_report(
-        spec, betas=tuple(args.beta), workers=dyn.default_workers()
-    )
+    lat = spec.lattice
+    # remove once the report no longer densifies its generators
+    if lat.dimension == 1 and lat.periodic:
+        need = _ergodicity_dense_bytes(lat)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(
+                f"the ergodicity report needs ~{need / 2**30:.1f} GiB of dense "
+                f"matrices; this machine has {have / 2**30:.1f} GiB"
+            )
+    report = dyn.ergodicity_report(spec, betas=tuple(args.beta))
     payload = {
         "schema": SCHEMA,
         "command": "ergodicity",
@@ -371,17 +361,11 @@ def cmd_ergodicity(args) -> int:
     if not (gaps_ok and report.non_ergodic):
         code = 3
     if args.spectrum_csv:
-        basis = enumerate_basis(spec.lattice)
-        h = build_hamiltonian_susy(build_supercharge(spec), basis)
-        spectrum = dyn.diagonalize(h, workers=dyn.default_workers())
-        rows = dyn.spectrum_table(spectrum)
-        tmp = f"{args.spectrum_csv}.tmp-{os.getpid()}"
-        with open(tmp, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sector", "eigenvalue", "multiplicity"])
-            for sec, val, mult in rows:
-                writer.writerow([sec, f"{val:.15g}", mult])
-        os.replace(tmp, args.spectrum_csv)
+        table = {
+            "csv_header": ["sector", "eigenvalue", "multiplicity"],
+            "csv_rows": dyn.spectrum_table(model_context(spec).spectrum),
+        }
+        _write_atomic(args.spectrum_csv, _render(table, "csv"))
     _emit(payload, args)
     return code
 
@@ -389,77 +373,55 @@ def cmd_ergodicity(args) -> int:
 def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     lat = spec.lattice
-    checks = _build_checks(spec, args.seed)
-    basis = enumerate_basis(lat)
-    q = build_supercharge(spec)
-    qm = q.to_sparse(basis)
-    h = anticommutator(qm, qm.adjoint())
+    ctx = model_context(spec)
+    checks = _build_checks(ctx, args.seed)
+    one_d = spec.variant == "nicolai-1d"
 
-    if spec.variant == "nicolai-1d":
-        if lat.periodic:
-            seqs = ch.all_embeddable_sequences(lat) + ch.enumerate_ring_sequences(lat)
-        else:
-            lo, hi = lat.sites[0], lat.sites[-1]
-            seqs = [
-                f
-                for k in range(lo // 2, hi // 2)
-                for l in range(k + 1, hi // 2 + 1)
-                for f in ch.enumerate_hat_xi(k, l)
-            ]
-        residual = 0
-        for f in seqs:
-            qf = monomial_to_sparse(ch.sequence_to_operator(f), basis)
-            residual = max(residual, commutator(h, qf).max_abs())
-        checks.append(
-            _check("charges_conserved", residual == 0, {"count": len(seqs)})
-        )
+    if one_d and lat.periodic:
+        seqs = ch.all_embeddable_sequences(lat) + ch.enumerate_ring_sequences(lat)
+    elif one_d:
+        lo, hi = lat.sites[0], lat.sites[-1]
+        seqs = [
+            f
+            for k in range(lo // 2, hi // 2)
+            for l in range(k + 1, hi // 2 + 1)
+            for f in ch.enumerate_hat_xi(k, l)
+        ]
+    else:
+        w, hgt = lat.shape
+        rects = [
+            ch.rect_constant_sequence(lat, x0, y0, w - 1, hgt - 1, val)
+            for x0 in range(0, w, 2)
+            for y0 in range(0, hgt, 2)
+            for val in (-1, 1)
+        ]
+        seqs = rects + [ch.torus_constant_sequence(lat, val) for val in (-1, 1)]
+    residual = max((ch.conservation_check(spec, f) for f in seqs), default=0)
+    if one_d:
+        checks.append(_check("charges_conserved", residual == 0, {"count": len(seqs)}))
+    else:
+        # two per rectangle and one per torus constant, as the report defines it
+        count = len(seqs) + len(rects)
+        checks.append(_check("constants_conserved", residual == 0, {"count": count}))
 
-        mask = gs.ground_config_mask(lat, basis)
-        diag = build_h_classical(spec).to_sparse(basis).diagonal()
-        q_csc = qm.matrix.tocsc()
-        qd_csc = qm.adjoint().matrix.tocsc()
-        col_zero = (np.diff(q_csc.indptr) == 0) & (np.diff(qd_csc.indptr) == 0)
-        checks.append(
-            _check(
-                "ground_state_equivalence",
-                bool(np.array_equal(mask, diag == 0) and np.array_equal(mask, col_zero)),
-                {"count": int(mask.sum())},
-            )
-        )
-        census = gs.kernel_census(spec) if basis.dim <= 4096 else None
-        if census is not None:
+    mask = gs.ground_config_mask(lat, ctx.basis)
+    q_csc = ctx.q.matrix.tocsc()
+    qd_csc = ctx.q.adjoint().matrix.tocsc()
+    col_zero = (np.diff(q_csc.indptr) == 0) & (np.diff(qd_csc.indptr) == 0)
+    equivalent = np.array_equal(mask, col_zero)
+    if one_d:
+        equivalent = equivalent and np.array_equal(mask, ctx.h_classical.diagonal() == 0)
+    checks.append(
+        _check("ground_state_equivalence", bool(equivalent), {"count": int(mask.sum())})
+    )
+
+    if one_d:
+        if ctx.basis.dim <= 4096:
+            census = gs.kernel_census(spec)
             checks.append(_check("kernel_census", census.consistent, vars(census)))
         rep = dyn.no_resonance_check(spec)
         checks.append(
             _check("no_resonance", rep.max_residual == 0, {"grounds": rep.ground_count})
-        )
-    else:
-        w, hgt = lat.shape
-        residual = 0
-        count = 0
-        for x0 in range(0, w, 2):
-            for y0 in range(0, hgt, 2):
-                for val in (-1, 1):
-                    seq = ch.rect_constant_sequence(lat, x0, y0, w - 1, hgt - 1, val)
-                    residual = max(residual, ch.conservation_check(spec, seq, basis, h))
-                    count += 2
-        for val in (-1, 1):
-            seq = ch.torus_constant_sequence(lat, val)
-            qf = monomial_to_sparse(ch.sequence_to_operator(seq), basis)
-            residual = max(residual, commutator(h, qf).max_abs())
-        checks.append(
-            _check("constants_conserved", residual == 0, {"count": count + 2})
-        )
-        mask = gs.ground_config_mask(lat, basis)
-        q_csc = qm.matrix.tocsc()
-        qd_csc = qm.adjoint().matrix.tocsc()
-        col_zero = (np.diff(q_csc.indptr) == 0) & (np.diff(qd_csc.indptr) == 0)
-        checks.append(
-            _check(
-                "ground_state_equivalence",
-                bool(np.array_equal(mask, col_zero)),
-                {"count": int(mask.sum())},
-            )
         )
 
     payload = {
@@ -516,11 +478,15 @@ def main(argv=None) -> int:
         p_.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     args = parser.parse_args(argv)
+    model_context.cache_clear()
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # diagonalize: eigenpair residual above tolerance
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,19 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockBasis, SparseOperator, enumerate_basis
-from .groundstates import (
-    Configuration,
-    config_to_vector,
-    enumerate_ground_configs,
-    is_ground_config,
-)
-from .model import (
-    ModelSpec,
-    build_h_hop,
-    build_hamiltonian_susy,
-    build_supercharge,
-)
+from .fock import FockBasis, SparseOperator
+from .fock import enumerate_basis  # noqa: F401  alias read by bench/test_bench.py
+from .groundstates import Configuration, config_to_vector, is_ground_config
+from .model import ModelSpec, model_context
 
 __all__ = [
     "Spectrum",
@@ -380,14 +371,15 @@ def no_resonance_check(spec: ModelSpec) -> NoResonanceReport:
     if spec.variant != "nicolai-1d":
         raise ValueError("the hopping split is only available in 1D")
     lat = spec.lattice
-    basis = enumerate_basis(lat)
-    hop = build_h_hop(spec).to_sparse(basis).matrix.tocsc()
+    ctx = model_context(spec)
+    basis = ctx.basis
+    hop = ctx.h_hop.matrix.tocsc()
 
     def col_residual(state: int) -> int:
         col = hop[:, [basis.index_of(state)]]
         return int(np.abs(col.data).max()) if col.nnz else 0
 
-    configs = enumerate_ground_configs(lat)
+    configs = ctx.ground_configs
     worst = max((col_residual(g.state) for g in configs), default=0)
 
     # any state with a nonzero hop column is necessarily non-ground
@@ -432,7 +424,6 @@ def ergodicity_report(
     spec: ModelSpec,
     betas=(0.5, 1.0, 2.0),
     generators=None,
-    workers: int | None = None,
 ) -> ErgodicityReport:
     """Mazur gaps of every Hermitian charge ``Q(f) + Q(f)*`` on a ring.
 
@@ -453,9 +444,9 @@ def ergodicity_report(
     lat = spec.lattice
     if spec.variant != "nicolai-1d" or not lat.periodic:
         raise ValueError("the ergodicity report runs on rings")
-    basis = enumerate_basis(lat)
-    h = build_hamiltonian_susy(build_supercharge(spec), basis)
-    spectrum = diagonalize(h, workers=workers)
+    ctx = model_context(spec)
+    basis = ctx.basis
+    spectrum = ctx.spectrum
 
     if generators is None:
         sequences = all_embeddable_sequences(lat) + enumerate_ring_sequences(lat)
@@ -482,7 +473,7 @@ def ergodicity_report(
     report.invariant_dimension = int(np.linalg.matrix_rank(stack))
     report.non_ergodic = report.invariant_dimension >= 2
 
-    grounds = enumerate_ground_configs(lat)
+    grounds = ctx.ground_configs
     if len(grounds) >= 2:
         g0, g1 = grounds[0], grounds[1]
         v0 = config_to_vector(g0, basis)

@@ -198,13 +198,6 @@ class FockBasis:
             raise KeyError("some states are not in the basis (sector mismatch?)")
         return idx
 
-    def occupations(self, state: int) -> tuple:
-        """Occupation bits of ``state`` in site order."""
-        return tuple((state >> r) & 1 for r in range(self.lattice.nsites))
-
-    def state_from_occupations(self, bits) -> int:
-        return sum(1 << r for r, b in enumerate(bits) if b)
-
     def __eq__(self, other):
         return (
             isinstance(other, FockBasis)

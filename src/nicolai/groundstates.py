@@ -12,18 +12,19 @@ Configurations use the ``{0, 1}`` alphabet; conserved sequences use
 forbidden patterns of the two alphabets, but the types are kept distinct: a
 configuration labels a Fock product vector, a sequence labels an operator.
 
-The census degeneracy is extensive: counts grow like ``lambda**(n/2)`` with
+The pattern rule and its enumerator live in :mod:`nicolai.grammar`.  The
+census degeneracy is extensive: counts grow like ``lambda**(n/2)`` with
 ``lambda = 3`` the leading eigenvalue of the pair transfer matrix, an
 independent counting oracle for every enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import grammar
 from .charges import ConservedSequence
 from .fock import (
     CREATE,
@@ -33,16 +34,7 @@ from .fock import (
     apply_monomial,
     enumerate_basis,
 )
-from .model import (
-    ModelSpec,
-    build_h_classical,
-    build_hamiltonian_susy,
-    build_supercharge,
-    charge_crosses,
-    charge_triples,
-    local_charge_1d,
-    local_charge_2d,
-)
+from .model import ModelSpec, charge_hoods, model_context
 
 __all__ = [
     "Configuration",
@@ -52,15 +44,12 @@ __all__ = [
     "enumerate_ground_configs",
     "ground_config_mask",
     "transfer_count_ground_configs",
-    "config_transfer_matrix",
     "entropy_density",
     "config_to_vector",
     "occupation_monomial",
     "verify_susy_ground",
     "kernel_census",
 ]
-
-_FORBIDDEN_OCC = ((0, 1, 0), (1, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -116,22 +105,17 @@ class Configuration:
 
 
 def _violated_triples(g: Configuration) -> list:
-    """Centers of forbidden triples/crosses, with the pattern found."""
-    lat = g.lattice
+    """Centers of forbidden triples/crosses, with the pattern found: the
+    occupations ``(left, center, right)`` of a triple, a phrase for a cross."""
     bad = []
-    if lat.dimension == 1:
-        for (l, c, r) in charge_triples(lat):
-            pat = (g.value_at(l), g.value_at(c), g.value_at(r))
-            if pat in _FORBIDDEN_OCC:
-                bad.append((c, pat))
-    else:
-        for (xm, ym, c, xp, yp) in charge_crosses(lat):
-            center = g.value_at(c)
-            arms = [g.value_at(s) for s in (xm, ym, xp, yp)]
-            if center == 1 and all(a == 0 for a in arms):
-                bad.append((c, "center 1, arms 0"))
-            elif center == 0 and all(a == 1 for a in arms):
-                bad.append((c, "center 0, arms 1"))
+    for hood in charge_hoods(g.lattice):
+        center, *arms = (g.values[r] for r in hood)
+        if grammar.forbidden(center, arms):
+            c = g.lattice.sites[hood[0]]
+            if len(arms) == 2:
+                bad.append((c, (arms[0], center, arms[1])))
+            else:
+                bad.append((c, f"center {center}, arms {arms[0]}"))
     return bad
 
 
@@ -149,26 +133,10 @@ def ground_config_mask(lattice: Lattice, basis: FockBasis | None = None) -> np.n
         basis = enumerate_basis(lattice)
     if basis.sector is not None:
         raise ValueError("mask is defined over the full Fock basis")
-    states = basis.states
     ok = np.ones(basis.dim, dtype=bool)
-    if lattice.dimension == 1:
-        for (l, c, r) in charge_triples(lattice):
-            bl = (states >> lattice.rank(l)) & 1
-            bc = (states >> lattice.rank(c)) & 1
-            br = (states >> lattice.rank(r)) & 1
-            ok &= ~((bl == 0) & (bc == 1) & (br == 0))
-            ok &= ~((bl == 1) & (bc == 0) & (br == 1))
-    else:
-        for (xm, ym, c, xp, yp) in charge_crosses(lattice):
-            bc = (states >> lattice.rank(c)) & 1
-            arms = [(states >> lattice.rank(s)) & 1 for s in (xm, ym, xp, yp)]
-            arms_all0 = np.ones(basis.dim, dtype=bool)
-            arms_all1 = np.ones(basis.dim, dtype=bool)
-            for b in arms:
-                arms_all0 &= b == 0
-                arms_all1 &= b == 1
-            ok &= ~((bc == 1) & arms_all0)
-            ok &= ~((bc == 0) & arms_all1)
+    for hood in charge_hoods(lattice):
+        center, *arms = ((basis.states >> r) & 1 for r in hood)
+        ok &= ~grammar.forbidden(center, arms)
     return ok
 
 
@@ -186,48 +154,8 @@ def enumerate_ground_configs(
             f"{n} sites exceeds the exhaustive limit ({max_exhaustive}); "
             "use the transfer-matrix count instead"
         )
-    if lattice.dimension == 2:
-        out = [
-            g
-            for bits in itertools.product((0, 1), repeat=n)
-            for g in [Configuration(lattice, bits)]
-            if is_ground_config(g)
-        ]
-        return out
-
-    sites = lattice.sites
-    ranks_ready: list = [[] for _ in range(n)]
-    for (l, c, r) in charge_triples(lattice):
-        members = (lattice.rank(l), lattice.rank(c), lattice.rank(r))
-        ranks_ready[max(members)].append(members)
-    out = []
-    values = [0] * n
-
-    def extend(q):
-        if q == n:
-            out.append(Configuration(lattice, tuple(values)))
-            return
-        for v in (0, 1):
-            values[q] = v
-            bad = False
-            for (rl, rc, rr) in ranks_ready[q]:
-                if (values[rl], values[rc], values[rr]) in _FORBIDDEN_OCC:
-                    bad = True
-                    break
-            if not bad:
-                extend(q + 1)
-
-    extend(0)
-    return out
-
-
-def config_transfer_matrix() -> np.ndarray:
-    """4x4 transfer matrix over adjacent (even, odd) occupation pairs."""
-    t = np.zeros((4, 4), dtype=np.int64)
-    for x, y, u, v in itertools.product(range(2), repeat=4):
-        if (y, u, v) not in _FORBIDDEN_OCC:
-            t[2 * x + y, 2 * u + v] = 1
-    return t
+    words = grammar.permitted_words(n, charge_hoods(lattice), (0, 1))
+    return [Configuration(lattice, v) for v in words]
 
 
 def transfer_count_ground_configs(lattice: Lattice) -> int:
@@ -237,7 +165,7 @@ def transfer_count_ground_configs(lattice: Lattice) -> int:
     """
     if lattice.dimension != 1:
         raise ValueError("transfer-matrix counting is one-dimensional")
-    t = config_transfer_matrix()
+    t = grammar.pair_transfer_matrix()
     if lattice.periodic:
         return int(np.trace(np.linalg.matrix_power(t, lattice.nsites // 2)))
     lo, hi = lattice.sites[0], lattice.sites[-1]
@@ -250,7 +178,7 @@ def transfer_count_ground_configs(lattice: Lattice) -> int:
 
 def entropy_density(lattice: Lattice) -> float:
     """Ground-state entropy per site, ``log(lambda_max) / 2``."""
-    lam = np.linalg.eigvals(config_transfer_matrix().astype(float))
+    lam = np.linalg.eigvals(grammar.pair_transfer_matrix().astype(float))
     return float(np.log(np.max(np.abs(lam))) / 2.0)
 
 
@@ -320,26 +248,15 @@ def verify_susy_ground(
     lat = spec.lattice
     if g.lattice != lat:
         raise ValueError("configuration lives on a different lattice")
-    if basis is None:
-        basis = enumerate_basis(lat)
+    ctx = model_context(spec).over(basis)
     if q_op is None:
-        q_op = build_supercharge(spec).to_sparse(basis)
+        q_op = ctx.q
     if h_op is None:
-        h_op = build_hamiltonian_susy(build_supercharge(spec), basis)
+        h_op = ctx.h
     state = g.state
 
-    if spec.variant == "nicolai-1d":
-        charges = [
-            local_charge_1d(c // 2, lat) for (_, c, _) in charge_triples(lat)
-        ]
-    else:
-        charges = [
-            local_charge_2d(x // 2, y // 2, lat)
-            for (x, y) in (cross[2] for cross in charge_crosses(lat))
-        ]
-
     flips = []
-    for q in charges:
+    for q in ctx.q_sum.terms:
         center = q.factors[len(q.factors) // 2][0]
         res = apply_monomial(q, state, lat)
         if res is not None:
@@ -350,7 +267,7 @@ def verify_susy_ground(
             amp, out = res
             flips.append(("adjoint", center, amp, Configuration.from_state(out, lat)))
 
-    col = basis.index_of(state)
+    col = ctx.basis.index_of(state)
 
     def col_max(op) -> int:
         block = op.matrix[:, [col]]
@@ -389,24 +306,19 @@ class KernelCensus:
 
 def kernel_census(spec: ModelSpec, zero_tol: float = 1e-8) -> KernelCensus:
     """Count classical ground configurations against the operator kernels."""
-    from .dynamics import diagonalize  # deferred: dynamics builds on this module
-
     if spec.variant != "nicolai-1d":
         raise ValueError(
             "kernel census needs the classical/hopping split, available in 1D only"
         )
-    lat = spec.lattice
-    basis = enumerate_basis(lat)
-    classical_count = len(enumerate_ground_configs(lat))
+    ctx = model_context(spec)
+    classical_count = len(ctx.ground_configs)
 
-    h = build_hamiltonian_susy(build_supercharge(spec), basis)
-    spectrum = diagonalize(h)
-    eig = spectrum.eigenvalues
+    eig = ctx.spectrum.eigenvalues
     dim_ker_h = int(np.count_nonzero(np.abs(eig) <= zero_tol))
     positive = eig[eig > zero_tol]
     min_pos_h = float(positive.min()) if positive.size else float("nan")
 
-    diag = build_h_classical(spec).to_sparse(basis).diagonal()
+    diag = ctx.h_classical.diagonal()
     dim_ker_hcl = int(np.count_nonzero(diag == 0))
     pos = diag[diag > 0]
     min_pos_cl = float(pos.min()) if pos.size else float("nan")

@@ -20,12 +20,16 @@ a five-site cross centered at an even-even site and H is always derived as
 The model carries a global U(1) symmetry ([H, N] = 0), invariance under
 translation by two sites on rings, and a particle-hole transformation rho
 (swap every a and a*) with rho(Q) = -Q* and rho(H) = H.
+
+A :class:`ModelContext` holds the built objects of one model so that each is
+built at most once; :func:`model_context` shares one across callers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +42,7 @@ from .fock import (
     Lattice,
     SparseOperator,
     anticommutator,
+    enumerate_basis,
     monomial_to_sparse,
     normal_order,
 )
@@ -45,9 +50,12 @@ from .fock import (
 __all__ = [
     "OperatorSum",
     "ModelSpec",
+    "ModelContext",
+    "model_context",
     "charge_centers",
     "charge_triples",
     "charge_crosses",
+    "charge_hoods",
     "local_charge_1d",
     "local_charge_2d",
     "build_supercharge",
@@ -248,6 +256,16 @@ def charge_crosses(lattice: Lattice) -> list:
     return crosses
 
 
+def charge_hoods(lattice: Lattice) -> list:
+    """Charge neighbourhoods as site ranks ``(center, *arms)``: the
+    even-centered triples in 1D, the five-site crosses on tori."""
+    if lattice.dimension == 1:
+        hoods = [(c, l, r) for (l, c, r) in charge_triples(lattice)]
+    else:
+        hoods = [(c, xm, ym, xp, yp) for (xm, ym, c, xp, yp) in charge_crosses(lattice)]
+    return [tuple(map(lattice.rank, h)) for h in hoods]
+
+
 def local_charge_1d(i: int, lattice: Lattice) -> FermionMonomial:
     """The three-site charge ``a(2i+1) a*(2i) a(2i-1)`` centered at ``2i``."""
     left, center, right = (
@@ -410,7 +428,7 @@ def number_operator(lattice: Lattice, basis: FockBasis) -> SparseOperator:
     if basis.lattice != lattice:
         raise ValueError("basis does not live on the given lattice")
     return SparseOperator(
-        basis, sp.diags(basis.popcounts.astype(np.int64), format="csr")
+        basis, sp.diags(basis.popcounts, format="csr", dtype=np.int64)
     )
 
 
@@ -436,3 +454,68 @@ def translate2(a: OperatorSum, lattice: Lattice, axis: int = 0) -> OperatorSum:
 def particle_hole(a: OperatorSum) -> OperatorSum:
     """Swap creation and annihilation on every factor of every term."""
     return OperatorSum(tuple(t.particle_hole() for t in a.terms))
+
+
+class ModelContext:
+    """The objects of one model, each built on first use and then kept.
+
+    ``h_classical`` and ``h_hop`` exist in 1D only; ``spectrum`` is the
+    dense diagonalization of ``h``.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        self.lattice = spec.lattice
+
+    def over(self, basis: FockBasis | None) -> "ModelContext":
+        """This context, or a new one of the same model over ``basis``."""
+        if basis is None:
+            return self
+        ctx = ModelContext(self.spec)
+        ctx.basis = basis
+        return ctx
+
+    @cached_property
+    def basis(self) -> FockBasis:
+        return enumerate_basis(self.lattice)
+
+    @cached_property
+    def q_sum(self) -> OperatorSum:
+        return build_supercharge(self.spec)
+
+    @cached_property
+    def q(self) -> SparseOperator:
+        return self.q_sum.to_sparse(self.basis)
+
+    @cached_property
+    def h(self) -> SparseOperator:
+        return anticommutator(self.q, self.q.adjoint())
+
+    @cached_property
+    def h_classical(self) -> SparseOperator:
+        return build_h_classical(self.spec).to_sparse(self.basis)
+
+    @cached_property
+    def h_hop(self) -> SparseOperator:
+        return build_h_hop(self.spec).to_sparse(self.basis)
+
+    @cached_property
+    def ground_configs(self) -> list:
+        from .groundstates import enumerate_ground_configs  # deferred: builds on this module
+
+        return enumerate_ground_configs(self.lattice)
+
+    @cached_property
+    def spectrum(self):
+        from .dynamics import default_workers, diagonalize  # deferred: builds on this module
+
+        return diagonalize(self.h, workers=default_workers())
+
+
+@lru_cache(maxsize=1)
+def model_context(spec: ModelSpec) -> ModelContext:
+    """The context of ``spec`` behind the library defaults and the CLI.
+
+    Only the most recent spec is kept; the CLI clears it before each command.
+    """
+    return ModelContext(spec)

@@ -1,29 +1,6 @@
-from functools import cached_property
-
 import pytest
 
-from nicolai import (
-    ModelSpec,
-    anticommutator,
-    build_supercharge,
-    enumerate_basis,
-)
-
-
-class RingContext:
-    """Shared per-ring objects; the Hamiltonian is built on first use."""
-
-    def __init__(self, m):
-        self.m = m
-        self.spec = ModelSpec.ring(m)
-        self.lattice = self.spec.lattice
-        self.basis = enumerate_basis(self.lattice)
-        self.q_sum = build_supercharge(self.spec)
-        self.q = self.q_sum.to_sparse(self.basis)
-
-    @cached_property
-    def h(self):
-        return anticommutator(self.q, self.q.adjoint())
+from nicolai import ModelContext, ModelSpec
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +9,7 @@ def ring():
 
     def get(m):
         if m not in cache:
-            cache[m] = RingContext(m)
+            cache[m] = ModelContext(ModelSpec.ring(m))
         return cache[m]
 
     return get

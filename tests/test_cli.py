@@ -1,8 +1,11 @@
 import json
 import os
+import sys
+from collections import Counter
 
 import pytest
 
+import nicolai
 from nicolai import cli
 
 
@@ -149,3 +152,53 @@ def test_groundstates_text_lines(capsys):
     out = capsys.readouterr().out.splitlines()
     bitstrings = [l for l in out if set(l) <= {"0", "1"} and len(l) == 6]
     assert len(bitstrings) == 26
+
+
+def test_diagonalization_failure_exit_code(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("eigenpair residual 1.000e-03 exceeds tolerance")
+
+    monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
+    assert run(["verify", "--ring", "--m", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: eigenpair residual")
+
+
+def test_ergodicity_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the size guard must run before any diagonalization")
+
+    monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
+    assert run(["ergodicity", "--ring", "--m", "5"]) == 2
+    assert "GiB" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, builders):
+    """Wrap each ``(module, name)`` builder under every alias in the package."""
+    calls = Counter()
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "nicolai"]
+    for home, name in builders:
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_verify_builds_each_model_object_once(capsys, monkeypatch):
+    builders = [
+        (nicolai.fock, "enumerate_basis"),
+        (nicolai.model, "build_supercharge"),
+        (nicolai.model, "build_h_classical"),
+        (nicolai.model, "build_h_hop"),
+        (nicolai.groundstates, "enumerate_ground_configs"),
+        (nicolai.dynamics, "diagonalize"),
+    ]
+    calls = _count_calls(monkeypatch, builders)
+    assert run(["verify", "--ring", "--m", "2"]) == 0
+    assert dict(calls) == {name: 1 for _, name in builders}

@@ -1,0 +1,134 @@
+"""Every enumerator against an exhaustive filter with literal pattern tables.
+
+The tables below are written out by hand; the brute force shares no code
+with the enumerators, and each comparison is element for element, in order.
+"""
+
+import itertools
+
+import pytest
+
+from nicolai import (
+    Lattice,
+    all_embeddable_sequences,
+    enumerate_ground_configs,
+    enumerate_hat_xi,
+    enumerate_ring_sequences,
+)
+
+SEQUENCE_TRIPLES = {(-1, 1, -1), (1, -1, 1)}  # (left, center, right)
+OCCUPATION_TRIPLES = {(0, 1, 0), (1, 0, 1)}
+OCCUPATION_CROSSES = {(1, (0, 0, 0, 0)), (0, (1, 1, 1, 1))}  # (center, arms)
+
+
+def interval_words(n):
+    """Words on positions 0..n-1 (position 0 an even site), constant boundary
+    pairs, no forbidden triple centered at an interior even position."""
+    return [
+        w
+        for w in itertools.product((-1, 1), repeat=n)
+        if w[0] == w[1]
+        and w[-2] == w[-1]
+        and all(w[p - 1 : p + 2] not in SEQUENCE_TRIPLES for p in range(2, n - 1, 2))
+    ]
+
+
+def brute_hat_xi(l):
+    return [(tuple(range(2 * l + 1)), w) for w in interval_words(2 * l + 1)]
+
+
+def brute_arcs(lat):
+    n = lat.nsites
+    starts = sorted(s for s in lat.sites if s % 2 == 0)
+    return [
+        (tuple(lat.wrap(start + j) for j in range(length)), w)
+        for length in range(3, n, 2)
+        for start in starts
+        for w in interval_words(length)
+    ]
+
+
+def triples_1d(lat):
+    """Rank triples (left, center, right) at every even site whose
+    neighbours exist, wrapped on rings."""
+    n = lat.nsites
+    out = []
+    for p, c in enumerate(lat.sites):
+        if c % 2:
+            continue
+        if lat.periodic:
+            out.append(((p - 1) % n, p, (p + 1) % n))
+        elif 0 < p < n - 1:
+            out.append((p - 1, p, p + 1))
+    return out
+
+
+def brute_ring_sequences(lat):
+    triples = triples_1d(lat)
+    return [
+        (lat.sites, w)
+        for w in itertools.product((-1, 1), repeat=lat.nsites)
+        if all((w[a], w[b], w[c]) not in SEQUENCE_TRIPLES for a, b, c in triples)
+    ]
+
+
+def brute_ground_configs(lat):
+    words = itertools.product((0, 1), repeat=lat.nsites)
+    if lat.dimension == 1:
+        triples = triples_1d(lat)
+        return [
+            w for w in words
+            if all((w[a], w[b], w[c]) not in OCCUPATION_TRIPLES for a, b, c in triples)
+        ]
+    width, height = lat.shape
+
+    def rank(x, y):
+        return lat.rank((x % width, y % height))
+
+    crosses = [
+        (rank(x, y), (rank(x - 1, y), rank(x, y - 1), rank(x + 1, y), rank(x, y + 1)))
+        for x in range(0, width, 2)
+        for y in range(0, height, 2)
+    ]
+    return [
+        w for w in words
+        if all((w[c], tuple(w[a] for a in arms)) not in OCCUPATION_CROSSES for c, arms in crosses)
+    ]
+
+
+def sequences(seqs):
+    return [(s.sites, s.values) for s in seqs]
+
+
+ENUMERATORS = {
+    "hat_xi": (lambda l: sequences(enumerate_hat_xi(0, l)), brute_hat_xi),
+    "arcs": (lambda lat: sequences(all_embeddable_sequences(lat)), brute_arcs),
+    "ring_sequences": (lambda lat: sequences(enumerate_ring_sequences(lat)), brute_ring_sequences),
+    "ground_configs": (
+        lambda lat: [g.values for g in enumerate_ground_configs(lat)],
+        brute_ground_configs,
+    ),
+}
+RINGS = [(f"ring{m}", Lattice.ring(m)) for m in range(1, 6)]
+CHAINS = [
+    (f"chain[{lo},{hi}]", Lattice.chain(lo, hi))
+    for lo, hi in ((0, 2), (0, 10), (-4, 8), (1, 8))
+]
+CASES = (
+    [("hat_xi", f"[0,{2 * l}]", l) for l in range(1, 6)]
+    + [(kind, name, lat) for kind in ("arcs", "ring_sequences") for name, lat in RINGS]
+    + [
+        ("ground_configs", name, lat)
+        for name, lat in CHAINS + RINGS + [("torus4x4", Lattice.torus(4, 4))]
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "kind,arg", [(k, a) for k, _, a in CASES], ids=[f"{k}-{n}" for k, n, _ in CASES]
+)
+def test_enumerator_matches_brute_force(kind, arg):
+    enumerate_, brute = ENUMERATORS[kind]
+    expected = brute(arg)
+    assert expected
+    assert enumerate_(arg) == expected

@@ -248,3 +248,23 @@ def test_open_chain_truncation_edge_structure():
     spec = ModelSpec.chain(0, 8)
     assert len(build_supercharge(spec)) == 3
     assert len(build_h_hop(spec)) == 4  # two monomials per adjacent pair
+
+
+@pytest.mark.parametrize(
+    "spec", [ModelSpec.ring(2), ModelSpec.torus(4, 4)], ids=["ring2", "torus4x4"]
+)
+def test_integer_builders_stay_int64(spec):
+    lat = spec.lattice
+    basis = enumerate_basis(lat)
+    q = build_supercharge(spec)
+    ops = {
+        "supercharge": q.to_sparse(basis),
+        "h_susy": build_hamiltonian_susy(q, basis),
+        "number": number_operator(lat, basis),
+        "parity": parity_operator(basis),
+    }
+    if spec.variant == "nicolai-1d":
+        ops["h_explicit"] = build_hamiltonian_explicit(spec).to_sparse(basis)
+        ops["h_classical"] = build_h_classical(spec).to_sparse(basis)
+        ops["h_hop"] = build_h_hop(spec).to_sparse(basis)
+    assert {k: op.matrix.dtype for k, op in ops.items()} == {k: np.int64 for k in ops}
