@@ -10,10 +10,7 @@ import numpy as np
 
 from nicolai import (
     ModelSpec,
-    anticommutator,
-    build_supercharge,
     conservation_check,
-    enumerate_basis,
     enumerate_hat_xi,
     enumerate_ring_sequences,
     monomial_to_sparse,
@@ -41,23 +38,20 @@ print("\nadjoint sign exponents:", [sign_sigma(0, l) for l in (1, 2, 3)])
 
 # On a ring every embeddable interval sequence and every full-ring permitted
 # sequence commutes with H -- exactly, in integer arithmetic.
+# The spec builds its basis and H on first use and keeps them.
 spec = ModelSpec.ring(3)
 lattice = spec.lattice
-basis = enumerate_basis(lattice)
-h = anticommutator(
-    build_supercharge(spec).to_sparse(basis),
-    build_supercharge(spec).to_sparse(basis).adjoint(),
-)
+basis = spec.basis
 arcs = all_embeddable_sequences(lattice)
 rings = enumerate_ring_sequences(lattice)
-worst = max(conservation_check(spec, f, basis, h) for f in arcs + rings)
+worst = max(conservation_check(spec, f) for f in arcs + rings)
 print(f"\nring m=3: {len(arcs)} arc charges + {len(rings)} full-ring charges, "
       f"max |[H, Q(f)]| = {worst}")
 
 # Violating a boundary pair breaks conservation essentially always.
 rng = np.random.default_rng(1)
 violators = sample_edge_violating_sequences(lattice, 40, rng)
-nonzero = sum(1 for f in violators if conservation_check(spec, f, basis, h) != 0)
+nonzero = sum(1 for f in violators if conservation_check(spec, f) != 0)
 print(f"boundary-pair violations with nonzero commutator: {nonzero}/40")
 
 # Each charge is nilpotent and odd; squares vanish identically.

@@ -6,8 +6,9 @@ The package is organized bottom-up:
   sparse matrices, Jordan-Wigner signs from one canonical site order);
 - :mod:`nicolai.model`: the supercharge, the Hamiltonian ``H = {Q, Q*}`` and
   its classical/hopping split, the model symmetries, and
-  :class:`~nicolai.model.ModelContext`, which builds each object of one model
-  (basis, Q, H, its split, ground configurations, spectrum) at most once;
+  :class:`~nicolai.model.ModelSpec`, the model itself, which builds each of
+  its objects (basis, Q, Q*, H, its split, ground configurations, spectrum)
+  on first use and keeps it;
 - :mod:`nicolai.grammar`: the forbidden-pattern rule shared by sequences and
   configurations, its depth-first enumerator and its pair transfer matrix;
 - :mod:`nicolai.charges`: the permitted-sequence grammar and the local
@@ -36,7 +37,6 @@ from .fock import (
     parity_operator,
 )
 from .model import (
-    ModelContext,
     ModelSpec,
     OperatorSum,
     build_h_classical,
@@ -48,7 +48,6 @@ from .model import (
     charge_triples,
     local_charge_1d,
     local_charge_2d,
-    model_context,
     number_operator,
     particle_hole,
     translate2,

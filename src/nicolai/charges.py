@@ -31,12 +31,11 @@ from .fock import (
     CREATE,
     FermionMonomial,
     FockBasis,
-    SparseOperator,
     anticommutator,
     commutator,
     monomial_to_sparse,
 )
-from .model import ModelSpec, charge_hoods, model_context
+from .model import ModelSpec, charge_hoods
 
 __all__ = [
     "ConservedSequence",
@@ -304,28 +303,18 @@ def _validate_support(f: ConservedSequence, lattice):
             raise ValueError("rectangle must be proper in both directions")
 
 
-def conservation_check(
-    spec: ModelSpec,
-    f: ConservedSequence,
-    basis: FockBasis | None = None,
-    hamiltonian: SparseOperator | None = None,
-):
+def conservation_check(spec: ModelSpec, f: ConservedSequence):
     """Max-abs entry of ``[H, Q(f)]`` on the full Fock space.
 
     Zero (exactly, in integer arithmetic) for every conserved sequence;
     generically nonzero when a boundary-pair condition is violated.
     """
     _validate_support(f, spec.lattice)
-    ctx = model_context(spec).over(basis)
-    if hamiltonian is None:
-        hamiltonian = ctx.h
-    qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
-    return commutator(hamiltonian, qf).max_abs()
+    qf = monomial_to_sparse(sequence_to_operator(f), spec.basis)
+    return commutator(spec.h, qf).max_abs()
 
 
-def vanishing_triple_products(
-    spec: ModelSpec, f: ConservedSequence, basis: FockBasis | None = None
-):
+def vanishing_triple_products(spec: ModelSpec, f: ConservedSequence):
     """Max-abs entry over all products of ``Q(f)`` with the elementary charges
     whose support meets the support of ``f`` (both orders, charge and adjoint).
 
@@ -333,14 +322,13 @@ def vanishing_triple_products(
     zero operator, while disjoint charges anticommute with ``Q(f)``.
     """
     _validate_support(f, spec.lattice)
-    ctx = model_context(spec).over(basis)
-    qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
+    qf = monomial_to_sparse(sequence_to_operator(f), spec.basis)
     support = set(f.sites)
     worst = 0
-    for q in ctx.q_sum.terms:
+    for q in spec.q_sum.terms:
         if not q.support & support:
             continue
-        qm = monomial_to_sparse(q, ctx.basis)
+        qm = monomial_to_sparse(q, spec.basis)
         for m in (qm, qm.adjoint()):
             worst = max(worst, (qf @ m).max_abs(), (m @ qf).max_abs())
     return worst
@@ -402,30 +390,23 @@ class ChargeAlgebraReport:
         return self.commutant_check == 0
 
 
-def charge_algebra_report(
-    spec: ModelSpec,
-    sequences: list,
-    basis: FockBasis | None = None,
-    include_pairwise: bool = True,
-) -> ChargeAlgebraReport:
+def charge_algebra_report(spec: ModelSpec, sequences: list) -> ChargeAlgebraReport:
     """Realize the given sequences as charges and verify their algebra."""
-    ctx = model_context(spec).over(basis)
     report = ChargeAlgebraReport()
     mats = []
     worst = 0
     for f in sequences:
         mono = sequence_to_operator(f)
         report.generators.append((f, mono))
-        qf = monomial_to_sparse(mono, ctx.basis)
+        qf = monomial_to_sparse(mono, spec.basis)
         mats.append(qf)
-        worst = max(worst, commutator(ctx.h, qf).max_abs())
+        worst = max(worst, commutator(spec.h, qf).max_abs())
     report.commutant_check = worst
-    if include_pairwise:
-        for i in range(len(mats)):
-            for j in range(i, len(mats)):
-                report.pairwise_anticommutators[(i, j)] = anticommutator(
-                    mats[i], mats[j]
-                ).max_abs()
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            report.pairwise_anticommutators[(i, j)] = anticommutator(
+                mats[i], mats[j]
+            ).max_abs()
     return report
 
 

@@ -4,8 +4,10 @@ Subcommands: ``build``, ``charges``, ``groundstates``, ``ergodicity``,
 ``verify``.  Output is machine-readable JSON (``{"schema": 1, ...}``, floats
 at 15 significant digits, keys sorted) or plain text; identical configuration
 and seed produce byte-identical output.  Exit codes: 0 all pass, 2 bad
-configuration, 3 verification failure.  ``NICOLAI_THREADS`` caps the worker
-pool used for sector diagonalization.
+configuration (including a model too big to allocate), 3 verification
+failure.  Each command resolves one :class:`~nicolai.model.ModelSpec` and
+passes it everywhere, so the basis, Q, H and the spectrum are built once per
+command and freed when it returns.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from . import groundstates as gs
 from .fock import anticommutator, commutator, parity_operator
 from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_bench.py
 from .model import (
-    ModelContext,
     ModelSpec,
     build_hamiltonian_explicit,
-    model_context,
     number_operator,
     particle_hole,
     translate2,
@@ -126,10 +126,9 @@ def _check(name: str, passed: bool, detail=None) -> dict:
     return entry
 
 
-def _build_checks(ctx: ModelContext, seed: int) -> list:
-    spec, lat, basis = ctx.spec, ctx.lattice, ctx.basis
-    q, qm, h = ctx.q_sum, ctx.q, ctx.h
-    qd = qm.adjoint()
+def _build_checks(spec: ModelSpec, seed: int) -> list:
+    lat, basis = spec.lattice, spec.basis
+    q, qm, qd, h = spec.q_sum, spec.q, spec.q_dagger, spec.h
     checks = [
         _check("q_squared_zero", (qm @ qm).is_zero()),
         _check("q_dagger_squared_zero", (qd @ qd).is_zero()),
@@ -146,14 +145,14 @@ def _build_checks(ctx: ModelContext, seed: int) -> list:
     checks.append(_check("h_quadratic_form", quad_ok))
     checks.append(_check("h_positive_semidefinite", psd_ok))
     if basis.dim <= 4096:
-        e0 = float(ctx.spectrum.eigenvalues[0])
+        e0 = float(spec.spectrum.eigenvalues[0])
         checks.append(_check("h_min_eigenvalue_zero", abs(e0) <= 1e-10, e0))
 
     if spec.variant == "nicolai-1d":
         hx = build_hamiltonian_explicit(spec).to_sparse(basis)
         checks.append(_check("h_susy_equals_explicit", h.equals(hx)))
         checks.append(
-            _check("h_equals_classical_plus_hop", h.equals(ctx.h_classical + ctx.h_hop))
+            _check("h_equals_classical_plus_hop", h.equals(spec.h_classical + spec.h_hop))
         )
 
     n_op = number_operator(lat, basis)
@@ -179,18 +178,17 @@ def _build_checks(ctx: ModelContext, seed: int) -> list:
 
 def cmd_build(args) -> int:
     spec = _resolve_spec(args)
-    ctx = model_context(spec)
     payload = {
         "schema": SCHEMA,
         "command": "build",
         "model": json.loads(spec.to_json()),
-        "supercharge_terms": len(ctx.q_sum),
-        "dimension": ctx.basis.dim,
-        "supercharge_nnz": ctx.q.nnz,
+        "supercharge_terms": len(spec.q_sum),
+        "dimension": spec.basis.dim,
+        "supercharge_nnz": spec.q.nnz,
     }
     code = 0
     if args.verify:
-        checks = _build_checks(ctx, args.seed)
+        checks = _build_checks(spec, args.seed)
         payload["checks"] = checks
         payload["failures"] = sum(not c["passed"] for c in checks)
         if payload["failures"]:
@@ -298,7 +296,7 @@ def cmd_groundstates(args) -> int:
         _emit(payload, args)
         return code
 
-    configs = model_context(spec).ground_configs
+    configs = spec.ground_configs
     payload["count"] = len(configs)
     if lat.dimension == 1:
         payload["transfer_matrix_count"] = gs.transfer_count_ground_configs(lat)
@@ -334,6 +332,8 @@ def _ergodicity_dense_bytes(lat) -> int:
 
 
 def cmd_ergodicity(args) -> int:
+    if not np.isfinite(args.beta).all():
+        raise ValueError(f"--beta must be finite, got {args.beta}")
     spec = _resolve_spec(args)
     lat = spec.lattice
     # remove once the report no longer densifies its generators
@@ -363,7 +363,7 @@ def cmd_ergodicity(args) -> int:
     if args.spectrum_csv:
         table = {
             "csv_header": ["sector", "eigenvalue", "multiplicity"],
-            "csv_rows": dyn.spectrum_table(model_context(spec).spectrum),
+            "csv_rows": dyn.spectrum_table(spec.spectrum),
         }
         _write_atomic(args.spectrum_csv, _render(table, "csv"))
     _emit(payload, args)
@@ -373,8 +373,7 @@ def cmd_ergodicity(args) -> int:
 def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     lat = spec.lattice
-    ctx = model_context(spec)
-    checks = _build_checks(ctx, args.seed)
+    checks = _build_checks(spec, args.seed)
     one_d = spec.variant == "nicolai-1d"
 
     if one_d and lat.periodic:
@@ -404,19 +403,19 @@ def cmd_verify(args) -> int:
         count = len(seqs) + len(rects)
         checks.append(_check("constants_conserved", residual == 0, {"count": count}))
 
-    mask = gs.ground_config_mask(lat, ctx.basis)
-    q_csc = ctx.q.matrix.tocsc()
-    qd_csc = ctx.q.adjoint().matrix.tocsc()
+    mask = gs.ground_config_mask(lat, spec.basis)
+    q_csc = spec.q.matrix.tocsc()
+    qd_csc = spec.q_dagger.matrix.tocsc()
     col_zero = (np.diff(q_csc.indptr) == 0) & (np.diff(qd_csc.indptr) == 0)
     equivalent = np.array_equal(mask, col_zero)
     if one_d:
-        equivalent = equivalent and np.array_equal(mask, ctx.h_classical.diagonal() == 0)
+        equivalent = equivalent and np.array_equal(mask, spec.h_classical.diagonal() == 0)
     checks.append(
         _check("ground_state_equivalence", bool(equivalent), {"count": int(mask.sum())})
     )
 
     if one_d:
-        if ctx.basis.dim <= 4096:
+        if spec.basis.dim <= 4096:
             census = gs.kernel_census(spec)
             checks.append(_check("kernel_census", census.consistent, vars(census)))
         rep = dyn.no_resonance_check(spec)
@@ -478,10 +477,9 @@ def main(argv=None) -> int:
         p_.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     args = parser.parse_args(argv)
-    model_context.cache_clear()
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # diagonalize: eigenpair residual above tolerance

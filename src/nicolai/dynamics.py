@@ -23,8 +23,6 @@ states alike.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +30,7 @@ import numpy as np
 from .fock import FockBasis, SparseOperator
 from .fock import enumerate_basis  # noqa: F401  alias read by bench/test_bench.py
 from .groundstates import Configuration, config_to_vector, is_ground_config
-from .model import ModelSpec, model_context
+from .model import ModelSpec
 
 __all__ = [
     "Spectrum",
@@ -47,19 +45,10 @@ __all__ = [
     "ergodicity_report",
     "no_resonance_check",
     "spectrum_table",
-    "default_workers",
 ]
 
-
-def default_workers() -> int:
-    """Worker cap for sector diagonalization; NICOLAI_THREADS overrides."""
-    env = os.environ.get("NICOLAI_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+# eigenvalues closer than this, relative to max(1, ||H||), share a cluster
+_CLUSTER_TOLERANCE = 1e-8
 
 
 @dataclass
@@ -75,7 +64,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     clusters: list
-    cluster_tolerance: float
     basis: FockBasis
     sectors: np.ndarray
     residual: float
@@ -117,11 +105,7 @@ def _sector_groups(h: SparseOperator):
     return groups, True
 
 
-def diagonalize(
-    h: SparseOperator,
-    cluster_tolerance: float = 1e-8,
-    workers: int | None = None,
-) -> Spectrum:
+def diagonalize(h: SparseOperator) -> Spectrum:
     """Dense symmetric eigendecomposition, per particle-number sector.
 
     Raises if the input is not symmetric.  Eigenpair residuals are checked
@@ -137,23 +121,13 @@ def diagonalize(
     dim = h.dim
     groups, sector_resolved = _sector_groups(h)
 
-    def solve(idx):
-        sub = md[idx][:, idx].toarray()
-        return np.linalg.eigh(sub)
-
-    nworkers = workers if workers is not None else 1
-    if nworkers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(solve, groups))
-    else:
-        results = [solve(idx) for idx in groups]
-
     all_w = np.empty(dim)
     all_sector = np.full(dim, -1, dtype=np.int64)
     vectors = np.zeros((dim, dim))
     pos = 0
     pops = h.basis.popcounts
-    for idx, (w, v) in zip(groups, results):
+    for idx in groups:
+        w, v = np.linalg.eigh(md[idx][:, idx].toarray())
         k = idx.size
         all_w[pos : pos + k] = w
         if sector_resolved:
@@ -172,7 +146,7 @@ def diagonalize(
     if residual > 1e-8 * max(norm, 1e-12):
         raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
 
-    tol = cluster_tolerance * max(1.0, norm)
+    tol = _CLUSTER_TOLERANCE * max(1.0, norm)
     clusters = []
     start = 0
     for i in range(1, dim):
@@ -196,7 +170,6 @@ def diagonalize(
         eigenvalues=eigenvalues,
         vectors=vectors,
         clusters=clusters,
-        cluster_tolerance=cluster_tolerance,
         basis=h.basis,
         sectors=sectors,
         residual=residual,
@@ -371,15 +344,14 @@ def no_resonance_check(spec: ModelSpec) -> NoResonanceReport:
     if spec.variant != "nicolai-1d":
         raise ValueError("the hopping split is only available in 1D")
     lat = spec.lattice
-    ctx = model_context(spec)
-    basis = ctx.basis
-    hop = ctx.h_hop.matrix.tocsc()
+    basis = spec.basis
+    hop = spec.h_hop.matrix.tocsc()
 
     def col_residual(state: int) -> int:
         col = hop[:, [basis.index_of(state)]]
         return int(np.abs(col.data).max()) if col.nnz else 0
 
-    configs = ctx.ground_configs
+    configs = spec.ground_configs
     worst = max((col_residual(g.state) for g in configs), default=0)
 
     # any state with a nonzero hop column is necessarily non-ground
@@ -423,7 +395,6 @@ class ErgodicityReport:
 def ergodicity_report(
     spec: ModelSpec,
     betas=(0.5, 1.0, 2.0),
-    generators=None,
 ) -> ErgodicityReport:
     """Mazur gaps of every Hermitian charge ``Q(f) + Q(f)*`` on a ring.
 
@@ -444,16 +415,13 @@ def ergodicity_report(
     lat = spec.lattice
     if spec.variant != "nicolai-1d" or not lat.periodic:
         raise ValueError("the ergodicity report runs on rings")
-    ctx = model_context(spec)
-    basis = ctx.basis
-    spectrum = ctx.spectrum
+    basis = spec.basis
+    spectrum = spec.spectrum
 
-    if generators is None:
-        sequences = all_embeddable_sequences(lat) + enumerate_ring_sequences(lat)
-        generators = []
-        for f in sequences:
-            qf = monomial_to_sparse(sequence_to_operator(f), basis)
-            generators.append((f.label(), (qf + qf.adjoint()).to_dense()))
+    generators = []
+    for f in all_embeddable_sequences(lat) + enumerate_ring_sequences(lat):
+        qf = monomial_to_sparse(sequence_to_operator(f), basis)
+        generators.append((f.label(), (qf + qf.adjoint()).to_dense()))
 
     report = ErgodicityReport()
     report.generator_labels = [lbl for lbl, _ in generators]
@@ -473,7 +441,7 @@ def ergodicity_report(
     report.invariant_dimension = int(np.linalg.matrix_rank(stack))
     report.non_ergodic = report.invariant_dimension >= 2
 
-    grounds = ctx.ground_configs
+    grounds = spec.ground_configs
     if len(grounds) >= 2:
         g0, g1 = grounds[0], grounds[1]
         v0 = config_to_vector(g0, basis)

@@ -34,7 +34,7 @@ from .fock import (
     apply_monomial,
     enumerate_basis,
 )
-from .model import ModelSpec, charge_hoods, model_context
+from .model import ModelSpec, charge_hoods
 
 __all__ = [
     "Configuration",
@@ -50,6 +50,11 @@ __all__ = [
     "verify_susy_ground",
     "kernel_census",
 ]
+
+# exhaustive enumeration limit; larger lattices are counted by transfer matrix
+_MAX_EXHAUSTIVE = 24
+# eigenvalues of H at most this far from zero count as kernel
+_ZERO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -140,18 +145,16 @@ def ground_config_mask(lattice: Lattice, basis: FockBasis | None = None) -> np.n
     return ok
 
 
-def enumerate_ground_configs(
-    lattice: Lattice, max_exhaustive: int = 24
-) -> list:
+def enumerate_ground_configs(lattice: Lattice) -> list:
     """All ground-state configurations in lexicographic site order.
 
-    Raises for lattices beyond ``max_exhaustive`` sites; use
+    Raises for lattices beyond ``_MAX_EXHAUSTIVE`` sites; use
     :func:`transfer_count_ground_configs` to count larger systems.
     """
     n = lattice.nsites
-    if n > max_exhaustive:
+    if n > _MAX_EXHAUSTIVE:
         raise ValueError(
-            f"{n} sites exceeds the exhaustive limit ({max_exhaustive}); "
+            f"{n} sites exceeds the exhaustive limit ({_MAX_EXHAUSTIVE}); "
             "use the transfer-matrix count instead"
         )
     words = grammar.permitted_words(n, charge_hoods(lattice), (0, 1))
@@ -230,33 +233,21 @@ class GroundStateReport:
         )
 
 
-def verify_susy_ground(
-    g: Configuration,
-    spec: ModelSpec,
-    basis: FockBasis | None = None,
-    q_op=None,
-    h_op=None,
-) -> GroundStateReport:
+def verify_susy_ground(g: Configuration, spec: ModelSpec) -> GroundStateReport:
     """Check ``Q|g> = Q*|g> = H|g> = 0`` triple by triple.
 
     For ground configurations every elementary charge (and its adjoint) kills
     the vector.  For others, each violated "1,0,1" triple is flipped to
     "0,1,0" by the local charge (and back by its adjoint), with the fermionic
-    sign recorded.  Pass precomputed ``basis``/``q_op``/``h_op`` when sweeping
-    many configurations.
+    sign recorded.
     """
     lat = spec.lattice
     if g.lattice != lat:
         raise ValueError("configuration lives on a different lattice")
-    ctx = model_context(spec).over(basis)
-    if q_op is None:
-        q_op = ctx.q
-    if h_op is None:
-        h_op = ctx.h
     state = g.state
 
     flips = []
-    for q in ctx.q_sum.terms:
+    for q in spec.q_sum.terms:
         center = q.factors[len(q.factors) // 2][0]
         res = apply_monomial(q, state, lat)
         if res is not None:
@@ -267,7 +258,7 @@ def verify_susy_ground(
             amp, out = res
             flips.append(("adjoint", center, amp, Configuration.from_state(out, lat)))
 
-    col = ctx.basis.index_of(state)
+    col = spec.basis.index_of(state)
 
     def col_max(op) -> int:
         block = op.matrix[:, [col]]
@@ -276,9 +267,9 @@ def verify_susy_ground(
     return GroundStateReport(
         config=g,
         is_ground=is_ground_config(g),
-        q_residual=col_max(q_op),
-        q_dagger_residual=col_max(q_op.adjoint()),
-        h_residual=col_max(h_op),
+        q_residual=col_max(spec.q),
+        q_dagger_residual=col_max(spec.q_dagger),
+        h_residual=col_max(spec.h),
         violated_triples=_violated_triples(g),
         flip_actions=flips,
     )
@@ -304,21 +295,20 @@ class KernelCensus:
         )
 
 
-def kernel_census(spec: ModelSpec, zero_tol: float = 1e-8) -> KernelCensus:
+def kernel_census(spec: ModelSpec) -> KernelCensus:
     """Count classical ground configurations against the operator kernels."""
     if spec.variant != "nicolai-1d":
         raise ValueError(
             "kernel census needs the classical/hopping split, available in 1D only"
         )
-    ctx = model_context(spec)
-    classical_count = len(ctx.ground_configs)
+    classical_count = len(spec.ground_configs)
 
-    eig = ctx.spectrum.eigenvalues
-    dim_ker_h = int(np.count_nonzero(np.abs(eig) <= zero_tol))
-    positive = eig[eig > zero_tol]
+    eig = spec.spectrum.eigenvalues
+    dim_ker_h = int(np.count_nonzero(np.abs(eig) <= _ZERO_TOL))
+    positive = eig[eig > _ZERO_TOL]
     min_pos_h = float(positive.min()) if positive.size else float("nan")
 
-    diag = ctx.h_classical.diagonal()
+    diag = spec.h_classical.diagonal()
     dim_ker_hcl = int(np.count_nonzero(diag == 0))
     pos = diag[diag > 0]
     min_pos_cl = float(pos.min()) if pos.size else float("nan")

@@ -21,15 +21,16 @@ The model carries a global U(1) symmetry ([H, N] = 0), invariance under
 translation by two sites on rings, and a particle-hole transformation rho
 (swap every a and a*) with rho(Q) = -Q* and rho(H) = H.
 
-A :class:`ModelContext` holds the built objects of one model so that each is
-built at most once; :func:`model_context` shares one across callers.
+A :class:`ModelSpec` is the model: it names the lattice and builds each of
+its objects (basis, Q, Q*, H, the classical/hopping split, the ground
+configurations, the spectrum) on first use and keeps it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,8 +51,6 @@ from .fock import (
 __all__ = [
     "OperatorSum",
     "ModelSpec",
-    "ModelContext",
-    "model_context",
     "charge_centers",
     "charge_triples",
     "charge_crosses",
@@ -80,10 +79,6 @@ class OperatorSum:
         object.__setattr__(
             self, "terms", tuple(t for t in self.terms if not t.is_zero)
         )
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset().union(*(t.support for t in self.terms)) if self.terms else frozenset()
 
     def to_sparse(self, basis: FockBasis) -> SparseOperator:
         if not self.terms:
@@ -123,7 +118,12 @@ class OperatorSum:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which lattice the model lives on, plus the variant tag."""
+    """The model on one lattice: the lattice, the variant tag, and the
+    objects built from them, each on first use and then kept.
+
+    ``h_classical`` and ``h_hop`` exist in 1D only; ``spectrum`` is the
+    dense diagonalization of ``h``.
+    """
 
     lattice: Lattice
     variant: str
@@ -208,6 +208,46 @@ class ModelSpec:
             else:
                 lat = Lattice.rectangle(x1 + 1, y1 + 1)
         return cls(lat, d["variant"])
+
+    @cached_property
+    def basis(self) -> FockBasis:
+        return enumerate_basis(self.lattice)
+
+    @cached_property
+    def q_sum(self) -> OperatorSum:
+        return build_supercharge(self)
+
+    @cached_property
+    def q(self) -> SparseOperator:
+        return self.q_sum.to_sparse(self.basis)
+
+    @cached_property
+    def q_dagger(self) -> SparseOperator:
+        return self.q.adjoint()
+
+    @cached_property
+    def h(self) -> SparseOperator:
+        return anticommutator(self.q, self.q_dagger)
+
+    @cached_property
+    def h_classical(self) -> SparseOperator:
+        return build_h_classical(self).to_sparse(self.basis)
+
+    @cached_property
+    def h_hop(self) -> SparseOperator:
+        return build_h_hop(self).to_sparse(self.basis)
+
+    @cached_property
+    def ground_configs(self) -> list:
+        from .groundstates import enumerate_ground_configs  # deferred: builds on this module
+
+        return enumerate_ground_configs(self.lattice)
+
+    @cached_property
+    def spectrum(self):
+        from .dynamics import diagonalize  # deferred: builds on this module
+
+        return diagonalize(self.h)
 
 
 def charge_centers(lattice: Lattice) -> list:
@@ -454,68 +494,3 @@ def translate2(a: OperatorSum, lattice: Lattice, axis: int = 0) -> OperatorSum:
 def particle_hole(a: OperatorSum) -> OperatorSum:
     """Swap creation and annihilation on every factor of every term."""
     return OperatorSum(tuple(t.particle_hole() for t in a.terms))
-
-
-class ModelContext:
-    """The objects of one model, each built on first use and then kept.
-
-    ``h_classical`` and ``h_hop`` exist in 1D only; ``spectrum`` is the
-    dense diagonalization of ``h``.
-    """
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.lattice = spec.lattice
-
-    def over(self, basis: FockBasis | None) -> "ModelContext":
-        """This context, or a new one of the same model over ``basis``."""
-        if basis is None:
-            return self
-        ctx = ModelContext(self.spec)
-        ctx.basis = basis
-        return ctx
-
-    @cached_property
-    def basis(self) -> FockBasis:
-        return enumerate_basis(self.lattice)
-
-    @cached_property
-    def q_sum(self) -> OperatorSum:
-        return build_supercharge(self.spec)
-
-    @cached_property
-    def q(self) -> SparseOperator:
-        return self.q_sum.to_sparse(self.basis)
-
-    @cached_property
-    def h(self) -> SparseOperator:
-        return anticommutator(self.q, self.q.adjoint())
-
-    @cached_property
-    def h_classical(self) -> SparseOperator:
-        return build_h_classical(self.spec).to_sparse(self.basis)
-
-    @cached_property
-    def h_hop(self) -> SparseOperator:
-        return build_h_hop(self.spec).to_sparse(self.basis)
-
-    @cached_property
-    def ground_configs(self) -> list:
-        from .groundstates import enumerate_ground_configs  # deferred: builds on this module
-
-        return enumerate_ground_configs(self.lattice)
-
-    @cached_property
-    def spectrum(self):
-        from .dynamics import default_workers, diagonalize  # deferred: builds on this module
-
-        return diagonalize(self.h, workers=default_workers())
-
-
-@lru_cache(maxsize=1)
-def model_context(spec: ModelSpec) -> ModelContext:
-    """The context of ``spec`` behind the library defaults and the CLI.
-
-    Only the most recent spec is kept; the CLI clears it before each command.
-    """
-    return ModelContext(spec)

@@ -1,6 +1,6 @@
 import pytest
 
-from nicolai import ModelContext, ModelSpec
+from nicolai import ModelSpec
 
 
 @pytest.fixture(scope="session")
@@ -9,7 +9,7 @@ def ring():
 
     def get(m):
         if m not in cache:
-            cache[m] = ModelContext(ModelSpec.ring(m))
+            cache[m] = ModelSpec.ring(m)
         return cache[m]
 
     return get

@@ -81,9 +81,9 @@ def test_criterion_03_hamiltonian_consistency(ring):
     ok = True
     for m in (2, 4):
         ctx = ring(m)
-        hx = build_hamiltonian_explicit(ctx.spec).to_sparse(ctx.basis)
-        hc = build_h_classical(ctx.spec).to_sparse(ctx.basis)
-        hh = build_h_hop(ctx.spec).to_sparse(ctx.basis)
+        hx = build_hamiltonian_explicit(ctx).to_sparse(ctx.basis)
+        hc = build_h_classical(ctx).to_sparse(ctx.basis)
+        hh = build_h_hop(ctx).to_sparse(ctx.basis)
         ok &= ctx.h.equals(hx) and ctx.h.equals(hc + hh)
     _criterion(3, "{Q,Q*} = H_explicit = H_classical + H_hop on rings {2,4}", ok)
 
@@ -106,7 +106,7 @@ def test_criterion_04_conservation(ring):
         ctx = ring(m)
         for f in sample_edge_violating_sequences(ctx.lattice, 50, rng):
             total += 1
-            if conservation_check(ctx.spec, f, ctx.basis, ctx.h) != 0:
+            if conservation_check(ctx, f) != 0:
                 hits += 1
     necessity = hits / total >= 0.95
     _criterion(
@@ -132,7 +132,7 @@ def test_criterion_06_ground_state_equivalence(ring):
     for m in (2, 3, 4):
         ctx = ring(m)
         mask_pattern = ground_config_mask(ctx.lattice, ctx.basis)
-        diag = build_h_classical(ctx.spec).to_sparse(ctx.basis).diagonal()
+        diag = build_h_classical(ctx).to_sparse(ctx.basis).diagonal()
         mask_classical = diag == 0
         q_csc = ctx.q.matrix.tocsc()
         qd_csc = ctx.q.adjoint().matrix.tocsc()
@@ -156,7 +156,7 @@ def test_criterion_07_positivity_and_kernel(ring):
         classical = len(enumerate_ground_configs(ctx.lattice))
         min_eig = float(spectrum.eigenvalues[0])
         zero_mult = int(np.count_nonzero(np.abs(spectrum.eigenvalues) <= 1e-8))
-        diag = build_h_classical(ctx.spec).to_sparse(ctx.basis).diagonal()
+        diag = build_h_classical(ctx).to_sparse(ctx.basis).diagonal()
         ok &= abs(min_eig) <= 1e-10
         ok &= zero_mult >= classical
         ok &= int(np.count_nonzero(diag == 0)) == classical
@@ -168,7 +168,7 @@ def test_criterion_08_no_resonance(ring):
     ok = True
     for m in (2, 3, 4):
         ctx = ring(m)
-        hop = build_h_hop(ctx.spec).to_sparse(ctx.basis).matrix.tocsc()
+        hop = build_h_hop(ctx).to_sparse(ctx.basis).matrix.tocsc()
         for g in enumerate_ground_configs(ctx.lattice):
             col = hop[:, [ctx.basis.index_of(g.state)]]
             ok &= col.nnz == 0 or int(np.abs(col.data).max()) == 0

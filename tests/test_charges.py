@@ -245,8 +245,8 @@ def test_conservation_exact_on_rings(m, ring):
     ctx = ring(m)
     seqs = all_embeddable_sequences(ctx.lattice) + enumerate_ring_sequences(ctx.lattice)
     for f in seqs:
-        assert conservation_check(ctx.spec, f, ctx.basis, ctx.h) == 0
-        assert vanishing_triple_products(ctx.spec, f, ctx.basis) == 0
+        assert conservation_check(ctx, f) == 0
+        assert vanishing_triple_products(ctx, f) == 0
 
 
 def test_ring_sequences_anticommute_with_supercharge(ring):
@@ -264,7 +264,7 @@ def test_edge_condition_violations_break_conservation(ring):
         rng = np.random.default_rng(7)
         for f in sample_edge_violating_sequences(ctx.lattice, 60, rng):
             total += 1
-            if conservation_check(ctx.spec, f, ctx.basis, ctx.h) != 0:
+            if conservation_check(ctx, f) != 0:
                 hits += 1
     assert hits / total >= 0.95
 
@@ -273,14 +273,14 @@ def test_conservation_check_rejects_bad_supports(ring):
     ctx = ring(2)
     # not an arc of this ring
     with pytest.raises(ValueError):
-        conservation_check(ctx.spec, ConservedSequence((0, 1, 9), (1, 1, 1)), ctx.basis, ctx.h)
+        conservation_check(ctx, ConservedSequence((0, 1, 9), (1, 1, 1)))
     # odd endpoints
     with pytest.raises(ValueError):
-        conservation_check(ctx.spec, ConservedSequence((-1, 0, 1), (1, 1, 1)), ctx.basis, ctx.h)
+        conservation_check(ctx, ConservedSequence((-1, 0, 1), (1, 1, 1)))
     # support as long as the whole ring but marked open
     with pytest.raises(ValueError):
         conservation_check(
-            ctx.spec, ConservedSequence(ctx.lattice.sites, (1,) * 6), ctx.basis, ctx.h
+            ctx, ConservedSequence(ctx.lattice.sites, (1,) * 6)
         )
 
 
@@ -327,7 +327,7 @@ def test_independence_products_become_dependent():
 def test_charge_algebra_report(ring):
     ctx = ring(2)
     seqs = arc_sequences(ctx.lattice, 0, 1) + arc_sequences(ctx.lattice, -2, 1)
-    report = charge_algebra_report(ctx.spec, seqs, ctx.basis)
+    report = charge_algebra_report(ctx, seqs)
     assert report.commutant_check == 0
     assert report.all_conserved
     for (i, j), value in report.pairwise_anticommutators.items():
@@ -351,7 +351,7 @@ def test_2d_constants_conserved_on_torus():
     for x0, y0 in ((0, 0), (0, 2), (2, 0), (2, 2)):
         for val in (-1, 1):
             seq = rect_constant_sequence(spec.lattice, x0, y0, 3, 3, val)
-            assert conservation_check(spec, seq, basis, h) == 0
+            assert conservation_check(spec, seq) == 0
     from nicolai.fock import commutator
 
     for val in (-1, 1):

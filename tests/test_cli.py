@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -170,6 +171,40 @@ def test_ergodicity_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
     monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
     assert run(["ergodicity", "--ring", "--m", "5"]) == 2
     assert "GiB" in capsys.readouterr().err
+
+
+def test_model_too_big_to_allocate_is_a_configuration_error(capsys):
+    # 42 sites: the 2**42-state basis alone is 32 TiB, so numpy refuses it at once
+    assert run(["build", "--ring", "--m", "20"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("beta", ["inf", "nan"])
+def test_ergodicity_refuses_a_non_finite_beta(capsys, monkeypatch, beta):
+    def fail(*args, **kwargs):
+        raise AssertionError("--beta must be checked before any diagonalization")
+
+    monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
+    assert run(["ergodicity", "--ring", "--m", "2", "--beta", beta]) == 2
+    assert capsys.readouterr().err.startswith("error: --beta must be finite")
+
+
+# stdout sha256 of commands whose output holds no eigensolver-derived floats
+GOLDEN_STDOUT = {
+    "charges --tables": "809db86735ad5148eaa51c124d1d817a71dbd9681480c7641228d95ae74c6aac",
+    "charges --interval 0 4 --check": "09e35e42d85eb39ec6d4c53f14a7c72509ebcffec39d743af593f08082edaad0",
+    "groundstates --ring --m 4 --verify-susy": "6331e246d61f53c467f8ea88a5479d185969f06319ed76ff332abd206ef950bb",
+    "groundstates --torus 4x4": "e11ac93cef780e210e099571bea122b7e0572dd24d60c0df3f978cb981ce15be",
+    "groundstates --chain 29 --transfer-matrix": "d5bcc7a4a081a243705d77e00d935f975ebbbb7958d5b4c35a520f25f0c1c6f2",
+}
+
+
+def test_golden_stdout(capsys):
+    got = {}
+    for command in GOLDEN_STDOUT:
+        assert run(command.split()) == 0
+        got[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_STDOUT
 
 
 def _count_calls(monkeypatch, builders):

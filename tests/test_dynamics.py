@@ -21,7 +21,7 @@ from nicolai import (
     time_averaged_autocorrelation,
 )
 from nicolai.charges import arc_sequences
-from nicolai.dynamics import ThermalState, default_workers, spectrum_table
+from nicolai.dynamics import ThermalState, spectrum_table
 
 
 def hermitian_charge(ctx, f):
@@ -208,7 +208,7 @@ def test_evolve_fixes_charges(ring):
 
 def test_ergodicity_report(ring):
     ctx = ring(2)
-    report = ergodicity_report(ctx.spec, betas=(0.5, 1.0, 2.0))
+    report = ergodicity_report(ctx, betas=(0.5, 1.0, 2.0))
     assert set(report.gaps) == {
         "trace",
         "gibbs(beta=0.5)",
@@ -247,19 +247,3 @@ def test_spectrum_table(ring):
     assert rows == sorted(rows)
     assert sum(mult for _, _, mult in rows) == ctx.basis.dim
     assert all(0 <= sec <= 6 for sec, _, _ in rows)
-
-
-def test_workers_env(monkeypatch):
-    monkeypatch.setenv("NICOLAI_THREADS", "2")
-    assert default_workers() == 2
-    monkeypatch.setenv("NICOLAI_THREADS", "bogus")
-    assert default_workers() >= 1
-    monkeypatch.delenv("NICOLAI_THREADS")
-    assert default_workers() >= 1
-
-
-def test_diagonalize_parallel_matches_serial(ring):
-    ctx = ring(3)
-    s1 = diagonalize(ctx.h, workers=1)
-    s2 = diagonalize(ctx.h, workers=4)
-    assert np.allclose(s1.eigenvalues, s2.eigenvalues, atol=1e-10)

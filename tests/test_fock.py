@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicolai import (
     ANNIHILATE,
@@ -257,3 +259,30 @@ def test_torus_row_major_order():
     assert lat.sites[1] == (0, 1)
     assert lat.rank((1, 0)) == 4
     assert lat.wrap((4, -1)) == (0, 3)
+
+
+_PROPERTY_LATTICES = (Lattice.chain(0, 4), Lattice.ring(2), Lattice.torus(2, 2))
+
+
+@st.composite
+def _monomials(draw):
+    lat = draw(st.sampled_from(_PROPERTY_LATTICES))
+    factor = st.tuples(st.sampled_from(lat.sites), st.sampled_from((CREATE, ANNIHILATE)))
+    factors = draw(st.lists(factor, max_size=7))
+    coefficient = draw(st.sampled_from((-2, -1, 1, 2)))
+    return lat, FermionMonomial(coefficient, tuple(factors))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_monomials())
+def test_monomial_to_sparse_columns_match_apply_monomial(case):
+    lat, m = case
+    basis = enumerate_basis(lat)
+    dense = monomial_to_sparse(m, basis).to_dense()
+    for col, state in enumerate(basis.states):
+        expected = np.zeros(basis.dim, dtype=dense.dtype)
+        res = apply_monomial(m, int(state), lat)
+        if res is not None:
+            amp, out = res
+            expected[basis.index_of(out)] = amp
+        assert np.array_equal(dense[:, col], expected)

@@ -151,9 +151,8 @@ def test_occupation_monomial_gives_plus_sign():
 
 def test_verify_susy_ground_on_ground_configs(ring):
     ctx = ring(2)
-    q_op = ctx.q
     for g in enumerate_ground_configs(ctx.lattice):
-        rep = verify_susy_ground(g, ctx.spec, ctx.basis, q_op, ctx.h)
+        rep = verify_susy_ground(g, ctx)
         assert rep.is_ground and rep.annihilated
         assert rep.violated_triples == []
         assert rep.flip_actions == []
@@ -167,7 +166,7 @@ def test_verify_susy_flip_action(ring):
     values[lat.rank(-1)] = 1
     values[lat.rank(1)] = 1
     g = Configuration(lat, tuple(values))
-    rep = verify_susy_ground(g, ctx.spec, ctx.basis, ctx.q, ctx.h)
+    rep = verify_susy_ground(g, ctx)
     assert not rep.is_ground
     assert rep.q_residual != 0
     charge_flips = [f for f in rep.flip_actions if f[0] == "charge"]
@@ -176,7 +175,7 @@ def test_verify_susy_flip_action(ring):
     assert center == 0 and amp in (-1, 1)
     assert image.value_at(-1) == 0 and image.value_at(0) == 1 and image.value_at(1) == 0
     # the adjoint maps the image back
-    rep_back = verify_susy_ground(image, ctx.spec, ctx.basis, ctx.q, ctx.h)
+    rep_back = verify_susy_ground(image, ctx)
     back = [f for f in rep_back.flip_actions if f[0] == "adjoint" and f[1] == 0]
     assert len(back) == 1 and back[0][3].values == g.values
 
@@ -203,7 +202,7 @@ def test_ground_configs_lie_in_classical_kernel(ring):
     ctx = ring(2)
     from nicolai.model import build_h_classical
 
-    diag = build_h_classical(ctx.spec).to_sparse(ctx.basis).diagonal()
+    diag = build_h_classical(ctx).to_sparse(ctx.basis).diagonal()
     for g in enumerate_ground_configs(ctx.lattice):
         assert diag[ctx.basis.index_of(g.state)] == 0
 

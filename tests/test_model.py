@@ -81,9 +81,9 @@ def test_nilpotency_torus():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_hamiltonian_consistency_rings(m, ring):
     ctx = ring(m)
-    hx = build_hamiltonian_explicit(ctx.spec).to_sparse(ctx.basis)
-    hc = build_h_classical(ctx.spec).to_sparse(ctx.basis)
-    hh = build_h_hop(ctx.spec).to_sparse(ctx.basis)
+    hx = build_hamiltonian_explicit(ctx).to_sparse(ctx.basis)
+    hc = build_h_classical(ctx).to_sparse(ctx.basis)
+    hh = build_h_hop(ctx).to_sparse(ctx.basis)
     assert ctx.h.equals(hx)
     assert ctx.h.equals(hc + hh)
     assert ctx.h.dtype == np.int64
@@ -102,14 +102,14 @@ def test_hamiltonian_consistency_chains(nsites):
 
 def test_explicit_equals_split_termwise(ring):
     ctx = ring(2)
-    lhs = build_hamiltonian_explicit(ctx.spec).normal_form(ctx.lattice)
-    rhs = (build_h_classical(ctx.spec) + build_h_hop(ctx.spec)).normal_form(ctx.lattice)
+    lhs = build_hamiltonian_explicit(ctx).normal_form(ctx.lattice)
+    rhs = (build_h_classical(ctx) + build_h_hop(ctx)).normal_form(ctx.lattice)
     assert lhs == rhs
 
 
 def test_classical_part_is_diagonal(ring):
     ctx = ring(3)
-    hc = build_h_classical(ctx.spec).to_sparse(ctx.basis)
+    hc = build_h_classical(ctx).to_sparse(ctx.basis)
     assert hc.nnz == np.count_nonzero(hc.diagonal())
     diag = hc.diagonal()
     assert diag.min() >= 0
@@ -159,7 +159,7 @@ def test_translation_by_two_fixes_h(ring):
     ctx = ring(2)
     shifted = translate2(ctx.q_sum, ctx.lattice).to_sparse(ctx.basis)
     assert anticommutator(shifted, shifted.adjoint()).equals(ctx.h)
-    hx = build_hamiltonian_explicit(ctx.spec)
+    hx = build_hamiltonian_explicit(ctx)
     assert translate2(hx, ctx.lattice).to_sparse(ctx.basis).equals(ctx.h)
 
 
