@@ -321,14 +321,18 @@ def cmd_groundstates(args) -> int:
 
 
 def _ergodicity_dense_bytes(lat) -> int:
-    """Dense float64 bytes of the ergodicity report on a ring: one dim x dim
-    matrix per generator, the rank stack of generators plus identity, and
-    the eigenvectors.  Counts come from the transfer matrices, so nothing is
-    built."""
+    """Peak dense bytes of the ergodicity report on a ring: the eigenvectors
+    plus at most six more dim x dim float64 arrays at once (the residual check
+    in ``diagonalize``, then the dense dephasing of the ground-state witness
+    or of the cross-checked generator), two generators x dim arrays of
+    per-eigenvector moments for the Gibbs gaps, and the Gram matrix with its
+    float copy and SVD workspace.  Counts come from the transfer matrices, so
+    nothing is built."""
     n = lat.nsites
     arcs = sum(n // 2 * ch.transfer_count_hat_xi(0, d) for d in range(1, (n - 2) // 2 + 1))
     generators = arcs + ch.transfer_count_ring_sequences(lat)
-    return (2 * generators + 2) * 8 * 4**n
+    dim = 2**n
+    return 8 * (7 * dim * dim + 2 * generators * dim + 3 * (generators + 1) ** 2)
 
 
 def cmd_ergodicity(args) -> int:
@@ -336,7 +340,6 @@ def cmd_ergodicity(args) -> int:
         raise ValueError(f"--beta must be finite, got {args.beta}")
     spec = _resolve_spec(args)
     lat = spec.lattice
-    # remove once the report no longer densifies its generators
     if lat.dimension == 1 and lat.periodic:
         need = _ergodicity_dense_bytes(lat)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -19,6 +19,17 @@ its adjoint gives such an A, and the flip operator between two degenerate
 classical ground vectors gives one for ground states, so ergodicity breaks
 for the trace state, for every Gibbs state, and for the classical ground
 states alike.
+
+:func:`mazur_gap` is the general path: it dephases any dense observable in
+O(dim^3), and it is the oracle for the closed forms below.
+:func:`ergodicity_report` never dephases a charge.  It keeps each generator
+as an int64 sparse matrix and first certifies ``[H, A] = 0`` exactly, so
+``dephase(A) = A``.  The trace-state gap is then an exact integer expression
+of ``||A||_F^2`` and ``Tr A``, and the Gibbs gaps are weighted sums of
+``||A v_n||^2`` and ``v_n.A v_n`` over the eigenvectors.  The number of
+independent invariant operators is the rank of the integer Hilbert-Schmidt
+Gram matrix of the generators and the identity.  One dense ``mazur_gap``
+per run cross-checks the closed form.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import FockBasis, SparseOperator
 from .fock import enumerate_basis  # noqa: F401  alias read by bench/test_bench.py
@@ -199,6 +211,14 @@ def dephase(a, spectrum: Spectrum) -> np.ndarray:
     return v @ out @ v.T
 
 
+def _gibbs_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
+    """Boltzmann weights ``exp(-beta E) / Z``, shifted by the largest exponent
+    so that neither sign of ``beta`` overflows."""
+    x = -beta * eigenvalues
+    p = np.exp(x - x.max())
+    return p / p.sum()
+
+
 @dataclass
 class ThermalState:
     """Invariant state: normalized trace, Gibbs, or a classical ground vector."""
@@ -215,9 +235,7 @@ class ThermalState:
 
     @classmethod
     def gibbs(cls, spectrum: Spectrum, beta: float) -> "ThermalState":
-        w = spectrum.eigenvalues
-        weights = np.exp(-beta * (w - w.min()))
-        weights /= weights.sum()
+        weights = _gibbs_weights(spectrum.eigenvalues, beta)
         v = spectrum.vectors
         rho = (v * weights[None, :]) @ v.T
         return cls(kind="gibbs", beta=beta, rho=rho, dim=spectrum.dim)
@@ -392,16 +410,63 @@ class ErgodicityReport:
         }
 
 
+def _trace_gap(a: SparseOperator) -> float:
+    """Trace-state Mazur gap of an integer operator that commutes with H:
+    ``(dim ||A||_F^2 - (Tr A)^2) / dim^2`` in Python integers, so the one
+    final division is the only rounding."""
+    dim = a.dim
+    fro2 = sum(x * x for x in a.matrix.data.tolist())
+    tr = sum(a.diagonal().tolist())
+    return (dim * fro2 - tr * tr) / (dim * dim)
+
+
+def _gibbs_gaps(generators: list, spectrum: Spectrum, betas) -> dict:
+    """Gibbs-state Mazur gaps of symmetric operators that commute with H.
+
+    ``sum_n p_n ||A v_n||^2 - (sum_n p_n v_n.A v_n)^2`` over the eigenvectors
+    ``v_n`` with Boltzmann weights ``p_n``: one product ``A V``, restricted to
+    A's support, serves every beta.  Keyed by the Gibbs state's label.
+    """
+    v = spectrum.vectors
+    norms = np.empty((len(generators), spectrum.dim))  # ||A v_n||^2
+    means = np.empty_like(norms)  # v_n . A v_n
+    for i, a in enumerate(generators):
+        rows = np.flatnonzero(np.diff(a.matrix.indptr))  # = nonzero columns: A = A^T
+        vr = v[rows]
+        av = a.matrix[rows][:, rows] @ vr
+        norms[i] = (av * av).sum(axis=0)
+        means[i] = (vr * av).sum(axis=0)
+    gaps = {}
+    for beta in betas:
+        p = _gibbs_weights(spectrum.eigenvalues, beta)
+        label = ThermalState(kind="gibbs", beta=beta).label()
+        gaps[label] = (norms @ p - (means @ p) ** 2).tolist()
+    return gaps
+
+
+def _span_dimension(operators: list) -> int:
+    """Dimension of the span of integer operators: the rank of their exact
+    Hilbert-Schmidt Gram matrix ``G_ij = sum_kl A_i[k, l] A_j[k, l]``, each
+    operator a sparse row of length dim^2."""
+    dim = operators[0].dim
+    stack = sp.vstack([op.matrix.reshape(1, dim * dim) for op in operators], format="csr")
+    gram = (stack @ stack.T).toarray()
+    return int(np.linalg.matrix_rank(gram.astype(np.float64)))
+
+
 def ergodicity_report(
     spec: ModelSpec,
     betas=(0.5, 1.0, 2.0),
 ) -> ErgodicityReport:
-    """Mazur gaps of every Hermitian charge ``Q(f) + Q(f)*`` on a ring.
+    """Mazur gaps of every Hermitian charge ``A = Q(f) + Q(f)*`` on a ring.
 
     Gaps are reported for the trace state and for Gibbs states at the given
-    inverse temperatures; the dimension of the span of the invariant
-    operators found (including the identity) is the finite-volume stand-in
-    for the invariant-projection criterion: more than one dimension means
+    inverse temperatures, in closed form (see the module docstring).  Raises
+    ``RuntimeError`` if some generator does not commute with H exactly, or if
+    the closed form disagrees with the dense :func:`mazur_gap` on the first
+    generator.  The dimension of the span of the invariant operators found
+    (including the identity) is the finite-volume stand-in for the
+    invariant-projection criterion: more than one dimension means
     non-ergodic.  When degenerate classical ground states exist, the flip
     operator between two of them witnesses the breaking for ground states.
     """
@@ -410,7 +475,7 @@ def ergodicity_report(
         enumerate_ring_sequences,
         sequence_to_operator,
     )
-    from .fock import monomial_to_sparse
+    from .fock import commutator, monomial_to_sparse
 
     lat = spec.lattice
     if spec.variant != "nicolai-1d" or not lat.periodic:
@@ -418,27 +483,29 @@ def ergodicity_report(
     basis = spec.basis
     spectrum = spec.spectrum
 
+    report = ErgodicityReport()
     generators = []
     for f in all_embeddable_sequences(lat) + enumerate_ring_sequences(lat):
         qf = monomial_to_sparse(sequence_to_operator(f), basis)
-        generators.append((f.label(), (qf + qf.adjoint()).to_dense()))
+        a = qf + qf.adjoint()
+        if not commutator(spec.h, a).is_zero():
+            raise RuntimeError(f"charge {f.label()} does not commute with H")
+        report.generator_labels.append(f.label())
+        generators.append(a)
 
-    report = ErgodicityReport()
-    report.generator_labels = [lbl for lbl, _ in generators]
-
-    states = [ThermalState.trace(basis)]
-    states += [ThermalState.gibbs(spectrum, b) for b in betas]
-    for st in states:
-        report.gaps[st.label()] = [
-            mazur_gap(a, st, spectrum) for _, a in generators
-        ]
-
-    dim = basis.dim
-    stack = np.empty((len(generators) + 1, dim * dim))
-    stack[0] = np.eye(dim).ravel()
-    for i, (_, a) in enumerate(generators):
-        stack[i + 1] = np.asarray(a, dtype=np.float64).ravel()
-    report.invariant_dimension = int(np.linalg.matrix_rank(stack))
+    report.gaps["trace"] = [_trace_gap(a) for a in generators]
+    if generators:
+        closed = report.gaps["trace"][0]
+        dense = mazur_gap(generators[0], ThermalState.trace(basis), spectrum)
+        if abs(dense - closed) > 1e-9 * max(1.0, abs(closed)):
+            raise RuntimeError(
+                f"closed-form trace gap {closed!r} disagrees with the dense "
+                f"Mazur gap {dense!r}"
+            )
+    report.gaps.update(_gibbs_gaps(generators, spectrum, betas))
+    report.invariant_dimension = _span_dimension(
+        [SparseOperator.identity(basis)] + generators
+    )
     report.non_ergodic = report.invariant_dimension >= 2
 
     grounds = spec.ground_configs

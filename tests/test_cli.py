@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import os
 import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -169,8 +171,38 @@ def test_ergodicity_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
         raise AssertionError("the size guard must run before any diagonalization")
 
     monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
-    assert run(["ergodicity", "--ring", "--m", "5"]) == 2
+    assert run(["ergodicity", "--ring", "--m", "6"]) == 2
     assert "GiB" in capsys.readouterr().err
+
+
+def test_ergodicity_admits_ring_m4_past_the_memory_guard(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(nicolai.dynamics, "diagonalize", reached)
+    with pytest.raises(Reached):
+        run(["ergodicity", "--ring", "--m", "4"])
+
+
+def test_ergodicity_at_large_negative_beta(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["ergodicity", "--ring", "--m", "2", "--beta", "-1000"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    payload = json.loads(capsys.readouterr().out)
+    gaps = [g for gs_ in payload["report"]["gaps"].values() for g in gs_]
+    assert all(isinstance(g, float) and math.isfinite(g) for g in gaps)
+    assert code == (0 if payload["all_gaps_positive"] else 3)
+
+
+def test_ergodicity_exits_3_on_a_non_conserved_generator(capsys, monkeypatch):
+    density = nicolai.FermionMonomial.number(nicolai.Lattice.ring(2).sites[0])
+    monkeypatch.setattr("nicolai.charges.sequence_to_operator", lambda f: density)
+    assert run(["ergodicity", "--ring", "--m", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: charge ")
 
 
 def test_model_too_big_to_allocate_is_a_configuration_error(capsys):

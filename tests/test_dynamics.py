@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from nicolai import (
     Configuration,
+    FermionMonomial,
     Lattice,
     ModelSpec,
     SparseOperator,
@@ -20,8 +23,12 @@ from nicolai import (
     sequence_to_operator,
     time_averaged_autocorrelation,
 )
-from nicolai.charges import arc_sequences
-from nicolai.dynamics import ThermalState, spectrum_table
+from nicolai.charges import (
+    all_embeddable_sequences,
+    arc_sequences,
+    enumerate_ring_sequences,
+)
+from nicolai.dynamics import ThermalState, _gibbs_gaps, _trace_gap, spectrum_table
 
 
 def hermitian_charge(ctx, f):
@@ -154,6 +161,15 @@ def test_gibbs_state_invariant(ring):
         assert np.abs(st.rho @ h - h @ st.rho).max() <= 1e-12 * max(1.0, np.abs(h).max())
 
 
+def test_gibbs_state_at_large_negative_beta(ring):
+    s = ring(2).spectrum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = ThermalState.gibbs(s, -1000.0)
+    assert np.isfinite(st.rho).all()
+    assert abs(np.trace(st.rho) - 1.0) <= 1e-12
+
+
 def test_non_invariant_state_rejected(ring):
     ctx = ring(2)
     s = diagonalize(ctx.h)
@@ -222,6 +238,54 @@ def test_ergodicity_report(ring):
     assert report.non_ergodic
     assert report.classical_witness is not None
     assert report.classical_witness["gap"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_ergodicity_report_matches_dense_mazur_gap(ring):
+    ctx = ring(2)
+    betas = (0.5, 1.0, 2.0)
+    report = ergodicity_report(ctx, betas=betas)
+    seqs = all_embeddable_sequences(ctx.lattice) + enumerate_ring_sequences(ctx.lattice)
+    assert report.generator_labels == [f.label() for f in seqs]
+    charges = [hermitian_charge(ctx, f) for f in seqs]
+    states = [ThermalState.trace(ctx.basis)]
+    states += [ThermalState.gibbs(ctx.spectrum, b) for b in betas]
+    assert list(report.gaps) == [st.label() for st in states]
+    for st in states:
+        dense = [mazur_gap(a, st, ctx.spectrum) for a in charges]
+        assert np.abs(np.array(report.gaps[st.label()]) - dense).max() <= 1e-12
+    stack = np.array([np.eye(ctx.basis.dim).ravel()] + [a.ravel() for a in charges])
+    assert len(charges) == 50
+    assert report.invariant_dimension == np.linalg.matrix_rank(stack) == 26
+
+
+def test_closed_form_gaps_with_a_nonzero_mean(ring):
+    # the charges are odd, so Tr(rho A) = 0 for them; N and H are even,
+    # conserved, and exercise the squared-mean terms of the closed forms
+    ctx = ring(2)
+    ops = [number_operator(ctx.lattice, ctx.basis), ctx.h]
+    betas = (-1.0, 0.5, 2.0)
+    gibbs = _gibbs_gaps(ops, ctx.spectrum, betas)
+    for i, op in enumerate(ops):
+        dense = op.to_dense().astype(np.float64)
+        trace = mazur_gap(dense, ThermalState.trace(ctx.basis), ctx.spectrum)
+        assert abs(_trace_gap(op) - trace) <= 1e-12
+        for beta in betas:
+            st = ThermalState.gibbs(ctx.spectrum, beta)
+            assert abs(gibbs[st.label()][i] - mazur_gap(dense, st, ctx.spectrum)) <= 1e-12
+
+
+def test_ergodicity_report_ring3_invariant_dimension(ring):
+    report = ergodicity_report(ring(3))
+    assert len(report.generator_labels) == 186
+    assert report.invariant_dimension == 94
+
+
+def test_ergodicity_report_rejects_a_non_conserved_generator(monkeypatch):
+    spec = ModelSpec.ring(2)
+    density = FermionMonomial.number(spec.lattice.sites[0])
+    monkeypatch.setattr("nicolai.charges.sequence_to_operator", lambda f: density)
+    with pytest.raises(RuntimeError, match="does not commute with H"):
+        ergodicity_report(spec)
 
 
 def test_ergodicity_requires_ring():

@@ -286,3 +286,16 @@ def test_monomial_to_sparse_columns_match_apply_monomial(case):
             amp, out = res
             expected[basis.index_of(out)] = amp
         assert np.array_equal(dense[:, col], expected)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_monomials())
+def test_normal_order_terms_sum_to_the_monomial_matrix(case):
+    lat, m = case
+    basis = enumerate_basis(lat)
+    target = monomial_to_sparse(m, basis)
+    acc = SparseOperator.zero(basis)
+    for factors, coeff in normal_order(m, lat).items():
+        acc = acc + monomial_to_sparse(FermionMonomial(coeff, factors), basis)
+    assert target.dtype == acc.dtype == np.int64
+    assert acc.equals(target)
