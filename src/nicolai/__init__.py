@@ -63,6 +63,7 @@ from .charges import (
     enumerate_ring_sequences,
     independence_probe,
     is_permitted,
+    lattice_sequences,
     reference_interval_tables,
     sequence_to_operator,
     sign_sigma,

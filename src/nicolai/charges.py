@@ -47,6 +47,7 @@ __all__ = [
     "arc_sequences",
     "all_embeddable_sequences",
     "enumerate_ring_sequences",
+    "lattice_sequences",
     "sequence_to_operator",
     "sign_sigma",
     "adjoint_identity_check",
@@ -86,7 +87,7 @@ class ConservedSequence:
     def __post_init__(self):
         if len(self.sites) != len(self.values):
             raise ValueError("support and values have different lengths")
-        if any(v not in (-1, 1) for v in self.values):
+        if self.values.count(-1) + self.values.count(1) != len(self.values):
             raise ValueError("sequence values must be -1 or +1")
         if self.shape is not None and self.shape[0] * self.shape[1] != len(self.sites):
             raise ValueError("shape does not match support size")
@@ -225,6 +226,36 @@ def enumerate_ring_sequences(lattice) -> list:
         raise ValueError("full-ring sequences require a periodic 1D lattice")
     words = grammar.permitted_words(lattice.nsites, charge_hoods(lattice), (-1, 1))
     return [ConservedSequence(lattice.sites, v, closed=True) for v in words]
+
+
+def lattice_sequences(lattice) -> list:
+    """The conserved sequences the model on ``lattice`` carries.
+
+    On a ring, every proper arc and then every full-ring sequence; on an open
+    chain, every interval sequence inside it; on a torus, the two constant
+    sequences on each even-origin ``(w-1) x (h-1)`` rectangle and then the two
+    torus constants.
+    """
+    if lattice.dimension == 2:
+        if not lattice.periodic:
+            raise ValueError("2D constants are defined on tori")
+        w, h = lattice.shape
+        rects = [
+            rect_constant_sequence(lattice, x0, y0, w - 1, h - 1, val)
+            for x0 in range(0, w, 2)
+            for y0 in range(0, h, 2)
+            for val in (-1, 1)
+        ]
+        return rects + [torus_constant_sequence(lattice, val) for val in (-1, 1)]
+    if lattice.periodic:
+        return all_embeddable_sequences(lattice) + enumerate_ring_sequences(lattice)
+    lo, hi = lattice.sites[0], lattice.sites[-1]
+    return [
+        f
+        for k in range(lo // 2, hi // 2)
+        for l in range(k + 1, hi // 2 + 1)
+        for f in enumerate_hat_xi(k, l)
+    ]
 
 
 def sequence_to_operator(f: ConservedSequence) -> FermionMonomial:

@@ -55,29 +55,26 @@ def _round15(obj):
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_round15(payload), sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        rows = payload.get("csv_rows")
-        if rows is None:
-            raise ValueError("this command has no CSV representation")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(payload["csv_header"])
-        for row in rows:
-            writer.writerow(
-                [f"{v:.15g}" if isinstance(v, float) else v for v in row]
-            )
-        return buf.getvalue()
     lines = [f"# {payload['command']}"]
     for check in payload.get("checks", []):
         lines.append(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}")
     for key, value in payload.items():
-        if key in ("command", "checks", "schema", "csv_rows", "csv_header"):
+        if key in ("command", "checks", "schema"):
             continue
         if key == "config_lines":
             lines.extend(value)
             continue
         lines.append(f"{key}: {json.dumps(_round15(value), sort_keys=True)}")
     return "\n".join(lines) + "\n"
+
+
+def _csv_text(header: list, rows: list) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -323,8 +320,8 @@ def cmd_groundstates(args) -> int:
 def _ergodicity_dense_bytes(lat) -> int:
     """Peak dense bytes of the ergodicity report on a ring: the eigenvectors
     plus at most six more dim x dim float64 arrays at once (the residual check
-    in ``diagonalize``, then the dense dephasing of the ground-state witness
-    or of the cross-checked generator), two generators x dim arrays of
+    in ``diagonalize``, then the dense dephasing of the cross-checked
+    generator, the report's only one), two generators x dim arrays of
     per-eigenvector moments for the Gibbs gaps, and the Gram matrix with its
     float copy and SVD workspace.  Counts come from the transfer matrices, so
     nothing is built."""
@@ -364,11 +361,10 @@ def cmd_ergodicity(args) -> int:
     if not (gaps_ok and report.non_ergodic):
         code = 3
     if args.spectrum_csv:
-        table = {
-            "csv_header": ["sector", "eigenvalue", "multiplicity"],
-            "csv_rows": dyn.spectrum_table(spec.spectrum),
-        }
-        _write_atomic(args.spectrum_csv, _render(table, "csv"))
+        rows = dyn.spectrum_table(spec.spectrum)
+        _write_atomic(
+            args.spectrum_csv, _csv_text(["sector", "eigenvalue", "multiplicity"], rows)
+        )
     _emit(payload, args)
     return code
 
@@ -379,31 +375,13 @@ def cmd_verify(args) -> int:
     checks = _build_checks(spec, args.seed)
     one_d = spec.variant == "nicolai-1d"
 
-    if one_d and lat.periodic:
-        seqs = ch.all_embeddable_sequences(lat) + ch.enumerate_ring_sequences(lat)
-    elif one_d:
-        lo, hi = lat.sites[0], lat.sites[-1]
-        seqs = [
-            f
-            for k in range(lo // 2, hi // 2)
-            for l in range(k + 1, hi // 2 + 1)
-            for f in ch.enumerate_hat_xi(k, l)
-        ]
-    else:
-        w, hgt = lat.shape
-        rects = [
-            ch.rect_constant_sequence(lat, x0, y0, w - 1, hgt - 1, val)
-            for x0 in range(0, w, 2)
-            for y0 in range(0, hgt, 2)
-            for val in (-1, 1)
-        ]
-        seqs = rects + [ch.torus_constant_sequence(lat, val) for val in (-1, 1)]
+    seqs = ch.lattice_sequences(lat)
     residual = max((ch.conservation_check(spec, f) for f in seqs), default=0)
     if one_d:
         checks.append(_check("charges_conserved", residual == 0, {"count": len(seqs)}))
     else:
         # two per rectangle and one per torus constant, as the report defines it
-        count = len(seqs) + len(rects)
+        count = len(seqs) + sum(not f.closed for f in seqs)
         checks.append(_check("constants_conserved", residual == 0, {"count": count}))
 
     mask = gs.ground_config_mask(lat, spec.basis)
@@ -476,7 +454,7 @@ def main(argv=None) -> int:
 
     for p_ in sub.choices.values():
         p_.add_argument("--output", metavar="PATH", help="write the report to PATH")
-        p_.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p_.add_argument("--format", choices=("json", "text"), default="json")
         p_.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     args = parser.parse_args(argv)

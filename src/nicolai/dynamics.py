@@ -28,8 +28,10 @@ as an int64 sparse matrix and first certifies ``[H, A] = 0`` exactly, so
 of ``||A||_F^2`` and ``Tr A``, and the Gibbs gaps are weighted sums of
 ``||A v_n||^2`` and ``v_n.A v_n`` over the eigenvectors.  The number of
 independent invariant operators is the rank of the integer Hilbert-Schmidt
-Gram matrix of the generators and the identity.  One dense ``mazur_gap``
-per run cross-checks the closed form.
+Gram matrix of the generators and the identity.  The ground-state witness
+is certified by two zero columns of H, after which its gap is exactly 1.
+One dense ``mazur_gap`` per run cross-checks the closed form; it is the
+report's only dense dephasing.
 """
 
 from __future__ import annotations
@@ -468,13 +470,11 @@ def ergodicity_report(
     (including the identity) is the finite-volume stand-in for the
     invariant-projection criterion: more than one dimension means
     non-ergodic.  When degenerate classical ground states exist, the flip
-    operator between two of them witnesses the breaking for ground states.
+    operator between two of them witnesses the breaking for ground states:
+    once both are certified to be annihilated by H exactly (``RuntimeError``
+    otherwise), its gap under the first is exactly 1.
     """
-    from .charges import (
-        all_embeddable_sequences,
-        enumerate_ring_sequences,
-        sequence_to_operator,
-    )
+    from .charges import lattice_sequences, sequence_to_operator
     from .fock import commutator, monomial_to_sparse
 
     lat = spec.lattice
@@ -485,7 +485,7 @@ def ergodicity_report(
 
     report = ErgodicityReport()
     generators = []
-    for f in all_embeddable_sequences(lat) + enumerate_ring_sequences(lat):
+    for f in lattice_sequences(lat):
         qf = monomial_to_sparse(sequence_to_operator(f), basis)
         a = qf + qf.adjoint()
         if not commutator(spec.h, a).is_zero():
@@ -511,14 +511,19 @@ def ergodicity_report(
     grounds = spec.ground_configs
     if len(grounds) >= 2:
         g0, g1 = grounds[0], grounds[1]
-        v0 = config_to_vector(g0, basis)
-        v1 = config_to_vector(g1, basis)
-        flip = np.outer(v0, v1) + np.outer(v1, v0)
-        st = ThermalState.classical_ground(g0, basis)
+        # H = {Q, Q*} is symmetric, so a zero column of H is a zero row too:
+        # H|g> = 0 and <g|H = 0 for both, hence F = |g0><g1| + |g1><g0|
+        # commutes with H, dephase(F) = F, and the gap under |g0> is
+        # <g0|F^2|g0> - <g0|F|g0>^2 = 1 - 0.
+        for g in (g0, g1):
+            if spec.h.matrix[:, [basis.index_of(g.state)]].count_nonzero():
+                raise RuntimeError(
+                    f"configuration {g.bitstring()} is not annihilated by H"
+                )
         report.classical_witness = {
             "state": g0.bitstring(),
             "partner": g1.bitstring(),
-            "gap": mazur_gap(flip, st, spectrum),
+            "gap": 1.0,
         }
     return report
 

@@ -11,7 +11,8 @@ factor acts.
 
 Operators enter as :class:`FermionMonomial`, an ordered product of creation
 and annihilation factors scaled by a real coefficient, and are realized as
-sparse matrices over a :class:`FockBasis`.  Monomials with integer
+sparse matrices over a :class:`FockBasis`, the full space of ``2**n`` states,
+where a state is its own row and column index.  Monomials with integer
 coefficients produce ``int64`` matrices, so anticommutation relations,
 nilpotency and commutant statements are certified exactly, with no
 floating-point tolerance.
@@ -19,7 +20,6 @@ floating-point tolerance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -147,32 +147,16 @@ class Lattice:
 
 
 class FockBasis:
-    """Ordered Fock basis over a lattice, optionally restricted to a sector.
+    """The full Fock space over a lattice.
 
-    States are stored as ascending integers; bit ``r`` of a state is the
-    occupation of ``lattice.sites[r]``.  With ``sector=N`` only the states of
-    particle number ``N`` are kept.
+    ``states`` is ``arange(2**nsites)``: bit ``r`` of a state is the
+    occupation of ``lattice.sites[r]``, and a state is its own index.
     """
 
-    def __init__(self, lattice: Lattice, sector: int | None = None):
-        n = lattice.nsites
-        if sector is not None and not 0 <= sector <= n:
-            raise ValueError(f"sector {sector} outside [0, {n}]")
-        if sector is None:
-            states = np.arange(1 << n, dtype=np.int64)
-        else:
-            states = np.sort(
-                np.fromiter(
-                    (
-                        sum(1 << r for r in combo)
-                        for combo in itertools.combinations(range(n), sector)
-                    ),
-                    dtype=np.int64,
-                )
-            )
+    def __init__(self, lattice: Lattice):
+        states = np.arange(1 << lattice.nsites, dtype=np.int64)
         states.flags.writeable = False
         self.lattice = lattice
-        self.sector = sector
         self.states = states
 
     @property
@@ -186,35 +170,23 @@ class FockBasis:
         return counts
 
     def index_of(self, state: int) -> int:
-        i = int(np.searchsorted(self.states, state))
-        if i >= self.dim or self.states[i] != state:
+        if not 0 <= state < self.dim:
             raise KeyError(f"state {state} not in basis")
-        return i
-
-    def index_of_array(self, states: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.states, states)
-        ok = (idx < self.dim) & (self.states[np.minimum(idx, self.dim - 1)] == states)
-        if not ok.all():
-            raise KeyError("some states are not in the basis (sector mismatch?)")
-        return idx
+        return int(state)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FockBasis)
-            and self.lattice == other.lattice
-            and self.sector == other.sector
-        )
+        return isinstance(other, FockBasis) and self.lattice == other.lattice
 
     def __hash__(self):
-        return hash((self.lattice, self.sector))
+        return hash(self.lattice)
 
     def __repr__(self):
-        return f"FockBasis(nsites={self.lattice.nsites}, sector={self.sector}, dim={self.dim})"
+        return f"FockBasis(nsites={self.lattice.nsites}, dim={self.dim})"
 
 
-def enumerate_basis(lattice: Lattice, sector: int | None = None) -> FockBasis:
-    """Fock basis over ``lattice``: the full space, or one particle-number sector."""
-    return FockBasis(lattice, sector)
+def enumerate_basis(lattice: Lattice) -> FockBasis:
+    """The full Fock basis over ``lattice``."""
+    return FockBasis(lattice)
 
 
 def _is_integral(x) -> bool:
@@ -451,8 +423,7 @@ def _check_same_basis(a: SparseOperator, b: SparseOperator):
 def monomial_to_sparse(m: FermionMonomial, basis: FockBasis) -> SparseOperator:
     """Matrix of a monomial over ``basis``; at most one entry per column.
 
-    Raises ``KeyError`` if the monomial maps some basis state outside the
-    basis (a non-number-conserving monomial on a sector basis).
+    The image state of a surviving column is its row index.
     """
     for site, _ in m.factors:
         if not basis.lattice.contains(site):
@@ -464,7 +435,7 @@ def monomial_to_sparse(m: FermionMonomial, basis: FockBasis) -> SparseOperator:
         return SparseOperator.zero(basis, dtype)
     alive, out, signs = apply_monomial_to_basis(m, basis)
     cols = np.nonzero(alive)[0]
-    rows = basis.index_of_array(out[cols])
+    rows = out[cols]
     coeff = int(m.coefficient) if integral else m.coefficient
     data = (signs[cols] * coeff).astype(dtype)
     mat = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()

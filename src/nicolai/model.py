@@ -21,9 +21,10 @@ The model carries a global U(1) symmetry ([H, N] = 0), invariance under
 translation by two sites on rings, and a particle-hole transformation rho
 (swap every a and a*) with rho(Q) = -Q* and rho(H) = H.
 
-A :class:`ModelSpec` is the model: it names the lattice and builds each of
-its objects (basis, Q, Q*, H, the classical/hopping split, the ground
-configurations, the spectrum) on first use and keeps it.
+A :class:`ModelSpec` is the model: the lattice is its only setting (the
+1D or 2D form follows from the lattice dimension), and it builds each of its
+objects (the full Fock basis, Q, Q*, H, the classical/hopping split, the
+ground configurations, the spectrum) on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -118,33 +119,27 @@ class OperatorSum:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The model on one lattice: the lattice, the variant tag, and the
-    objects built from them, each on first use and then kept.
+    """The model on one lattice: the lattice and the objects built from it,
+    each on first use and then kept.
 
     ``h_classical`` and ``h_hop`` exist in 1D only; ``spectrum`` is the
     dense diagonalization of ``h``.
     """
 
     lattice: Lattice
-    variant: str
 
     def __post_init__(self):
         lat = self.lattice
-        if self.variant not in ("nicolai-1d", "nicolai-2d"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "nicolai-1d":
-            if lat.dimension != 1:
-                raise ValueError("nicolai-1d requires a 1D lattice")
-            if lat.boundary == "open":
-                lo, hi = lat.sites[0], lat.sites[-1]
-                if lo % 2 or hi % 2:
-                    raise ValueError(
-                        "open chains need even endpoints (odd site count) "
-                        f"so charge triples align; got [{lo}, {hi}]"
-                    )
+        if lat.dimension == 1:
+            lo, hi = lat.sites[0], lat.sites[-1]
+            if not lat.periodic and (lo % 2 or hi % 2):
+                raise ValueError(
+                    "open chains need even endpoints (odd site count) "
+                    f"so charge triples align; got [{lo}, {hi}]"
+                )
+        elif not lat.periodic:
+            raise ValueError("the 2D model requires a periodic lattice")
         else:
-            if lat.dimension != 2 or not lat.periodic:
-                raise ValueError("nicolai-2d requires a periodic 2D lattice")
             w, h = lat.shape
             if w % 2 or h % 2 or w < 4 or h < 4:
                 raise ValueError(
@@ -152,13 +147,18 @@ class ModelSpec:
                     f"cross has distinct sites; got {w}x{h}"
                 )
 
+    @property
+    def variant(self) -> str:
+        """``"nicolai-1d"`` or ``"nicolai-2d"``, after the lattice dimension."""
+        return f"nicolai-{self.lattice.dimension}d"
+
     @classmethod
     def ring(cls, m: int) -> "ModelSpec":
-        return cls(Lattice.ring(m), "nicolai-1d")
+        return cls(Lattice.ring(m))
 
     @classmethod
     def chain(cls, lo: int, hi: int) -> "ModelSpec":
-        return cls(Lattice.chain(lo, hi), "nicolai-1d")
+        return cls(Lattice.chain(lo, hi))
 
     @classmethod
     def chain_sites(cls, nsites: int) -> "ModelSpec":
@@ -169,7 +169,7 @@ class ModelSpec:
 
     @classmethod
     def torus(cls, width: int, height: int) -> "ModelSpec":
-        return cls(Lattice.torus(width, height), "nicolai-2d")
+        return cls(Lattice.torus(width, height))
 
     def to_json(self) -> str:
         lat = self.lattice
@@ -207,7 +207,10 @@ class ModelSpec:
                 lat = Lattice.torus(x1 + 1, y1 + 1)
             else:
                 lat = Lattice.rectangle(x1 + 1, y1 + 1)
-        return cls(lat, d["variant"])
+        spec = cls(lat)
+        if d["variant"] != spec.variant:
+            raise ValueError(f"variant {d['variant']!r} does not fit this lattice")
+        return spec
 
     @cached_property
     def basis(self) -> FockBasis:
@@ -472,16 +475,16 @@ def number_operator(lattice: Lattice, basis: FockBasis) -> SparseOperator:
     )
 
 
-def translate2(a: OperatorSum, lattice: Lattice, axis: int = 0) -> OperatorSum:
-    """Shift every factor site by two lattice units (periodic lattices only)."""
+def translate2(a: OperatorSum, lattice: Lattice) -> OperatorSum:
+    """Shift every factor site by two lattice units, along x in 2D (periodic
+    lattices only)."""
     if not lattice.periodic:
         raise ValueError("translation by two is a symmetry of periodic lattices only")
 
     def shift(site):
         if lattice.dimension == 1:
             return lattice.wrap(site + 2)
-        delta = (2, 0) if axis == 0 else (0, 2)
-        return lattice.wrap((site[0] + delta[0], site[1] + delta[1]))
+        return lattice.wrap((site[0] + 2, site[1]))
 
     return OperatorSum(
         tuple(

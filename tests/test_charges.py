@@ -21,6 +21,7 @@ from nicolai import (
     enumerate_ring_sequences,
     independence_probe,
     is_permitted,
+    lattice_sequences,
     monomial_to_sparse,
     reference_interval_tables,
     sequence_to_operator,
@@ -380,3 +381,51 @@ def test_sequence_serialization():
     lat = Lattice.torus(4, 4)
     r = rect_constant_sequence(lat, 0, 0, 3, 3, -1)
     assert r.to_json_obj()[0] == {"site": [0, 0], "value": -1}
+
+
+def test_lattice_sequences_catalogue():
+    ring = Lattice.ring(2)
+    assert lattice_sequences(ring) == all_embeddable_sequences(ring) + enumerate_ring_sequences(
+        ring
+    )
+    assert len(lattice_sequences(Lattice.ring(5))) == 2182
+    chain = Lattice.chain(0, 6)
+    assert lattice_sequences(chain) == [
+        f for k in range(3) for l in range(k + 1, 4) for f in enumerate_hat_xi(k, l)
+    ]
+    torus = Lattice.torus(4, 4)
+    rects = [
+        rect_constant_sequence(torus, x0, y0, 3, 3, val)
+        for x0, y0 in ((0, 0), (0, 2), (2, 0), (2, 2))
+        for val in (-1, 1)
+    ]
+    assert lattice_sequences(torus) == rects + [
+        torus_constant_sequence(torus, val) for val in (-1, 1)
+    ]
+    with pytest.raises(ValueError):
+        lattice_sequences(Lattice.rectangle(4, 4))
+
+
+@pytest.mark.parametrize(
+    "letter, accepted",
+    [
+        (-1, True),
+        (1, True),
+        (True, True),
+        (-1.0, True),
+        (1.0, True),
+        (np.int64(-1), True),
+        (0, False),
+        (2, False),
+        (0.5, False),
+        (float("nan"), False),
+        ("1", False),
+        (None, False),
+    ],
+)
+def test_sequence_letters(letter, accepted):
+    if accepted:
+        assert ConservedSequence((0, 1, 2), (1, letter, 1)).values[1] == letter
+    else:
+        with pytest.raises(ValueError):
+            ConservedSequence((0, 1, 2), (1, letter, 1))

@@ -127,6 +127,13 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     assert run(["charges", "--interval", "0", "1", "--check"]) == 3
 
 
+def test_csv_format_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["build", "--ring", "--m", "2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 def test_no_partial_file_on_config_error(tmp_path):
     out = tmp_path / "report.json"
     assert run(["build", "--output", str(out)]) == 2
@@ -228,6 +235,8 @@ GOLDEN_STDOUT = {
     "groundstates --ring --m 4 --verify-susy": "6331e246d61f53c467f8ea88a5479d185969f06319ed76ff332abd206ef950bb",
     "groundstates --torus 4x4": "e11ac93cef780e210e099571bea122b7e0572dd24d60c0df3f978cb981ce15be",
     "groundstates --chain 29 --transfer-matrix": "d5bcc7a4a081a243705d77e00d935f975ebbbb7958d5b4c35a520f25f0c1c6f2",
+    "verify --torus 4x4": "61837192fc019e03ae9dd6738cd93064476166cbb4fa3ddfd2ace45d1f9d1658",
+    "charges --ring --m 4 --check": "8f5a586c15728d6454d3ecc3a1d2ce08d3d29c3b8b91bce4431334efe5715141",
 }
 
 

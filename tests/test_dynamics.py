@@ -10,12 +10,14 @@ from nicolai import (
     Lattice,
     ModelSpec,
     SparseOperator,
+    config_to_vector,
     dephase,
     diagonalize,
     enumerate_basis,
     enumerate_ground_configs,
     ergodicity_report,
     evolve,
+    is_ground_config,
     mazur_gap,
     monomial_to_sparse,
     no_resonance_check,
@@ -285,6 +287,28 @@ def test_ergodicity_report_rejects_a_non_conserved_generator(monkeypatch):
     density = FermionMonomial.number(spec.lattice.sites[0])
     monkeypatch.setattr("nicolai.charges.sequence_to_operator", lambda f: density)
     with pytest.raises(RuntimeError, match="does not commute with H"):
+        ergodicity_report(spec)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_classical_witness_matches_dense_mazur_gap(ring, m):
+    ctx = ring(m)
+    witness = ergodicity_report(ctx).classical_witness
+    g0, g1 = ctx.ground_configs[:2]
+    assert (witness["state"], witness["partner"]) == (g0.bitstring(), g1.bitstring())
+    v0, v1 = config_to_vector(g0, ctx.basis), config_to_vector(g1, ctx.basis)
+    flip = np.outer(v0, v1) + np.outer(v1, v0)
+    dense = mazur_gap(flip, ThermalState.classical_ground(g0, ctx.basis), ctx.spectrum)
+    assert abs(witness["gap"] - dense) <= 1e-12
+
+
+def test_ergodicity_report_rejects_a_non_ground_witness():
+    spec = ModelSpec.ring(2)
+    lat = spec.lattice
+    lone = Configuration.from_state(1 << lat.rank(0), lat)  # "0,1,0" around site 0
+    assert not is_ground_config(lone)
+    spec.__dict__["ground_configs"] = [lone] + spec.ground_configs
+    with pytest.raises(RuntimeError, match="not annihilated by H"):
         ergodicity_report(spec)
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,20 +27,14 @@ n_op = FermionMonomial.number
 def test_enumerate_basis_full_and_sector_counts():
     lat = Lattice.chain(0, 2)
     assert enumerate_basis(lat).dim == 8
-    assert enumerate_basis(lat, sector=1).dim == 3
-    ring = Lattice.ring(2)
-    assert enumerate_basis(ring, sector=3).dim == math.comb(6, 3)
 
 
 def test_basis_states_ascending():
-    b = enumerate_basis(Lattice.chain(0, 3), sector=2)
-    assert list(b.states) == sorted(b.states)
-    assert all(bin(s).count("1") == 2 for s in b.states)
-
-
-def test_sector_out_of_range():
-    with pytest.raises(ValueError):
-        enumerate_basis(Lattice.chain(0, 2), sector=4)
+    b = enumerate_basis(Lattice.chain(0, 3))
+    assert np.array_equal(b.states, np.arange(2**4))
+    assert all(b.index_of(s) == s for s in range(2**4))
+    with pytest.raises(KeyError):
+        b.index_of(2**4)
 
 
 def test_apply_annihilation_no_sign():
@@ -168,18 +160,6 @@ def test_number_conserving_monomial_respects_sectors():
     pops = full.popcounts
     rows, cols = mat.matrix.nonzero()
     assert np.array_equal(pops[rows], pops[cols])
-    # the same monomial realizes consistently on one sector
-    sec = enumerate_basis(lat, sector=2)
-    sec_mat = monomial_to_sparse(m, sec)
-    idx = [full.index_of(int(s)) for s in sec.states]
-    assert np.array_equal(sec_mat.to_dense(), mat.to_dense()[np.ix_(idx, idx)])
-
-
-def test_non_conserving_monomial_fails_on_sector():
-    lat = Lattice.chain(0, 3)
-    sec = enumerate_basis(lat, sector=2)
-    with pytest.raises(KeyError):
-        monomial_to_sparse(a(0), sec)
 
 
 def test_gamma_locality_disjoint_supports():

@@ -243,3 +243,30 @@ def test_torus_ground_vectors_annihilated():
     qd_csc = q.adjoint().matrix.tocsc()
     col_zero = (np.diff(q_csc.indptr) == 0) & (np.diff(qd_csc.indptr) == 0)
     assert np.array_equal(mask, col_zero)
+
+
+@pytest.mark.parametrize(
+    "letter, accepted",
+    [
+        (0, True),
+        (1, True),
+        (False, True),
+        (True, True),
+        (0.0, True),
+        (1.0, True),
+        (np.int64(1), True),
+        (-1, False),
+        (2, False),
+        (0.5, False),
+        (float("nan"), False),
+        ("0", False),
+        (None, False),
+    ],
+)
+def test_configuration_letters(letter, accepted):
+    lat = Lattice.chain(0, 2)
+    if accepted:
+        assert Configuration(lat, (0, letter, 1)).values[1] == letter
+    else:
+        with pytest.raises(ValueError):
+            Configuration(lat, (0, letter, 1))

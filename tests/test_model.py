@@ -225,7 +225,19 @@ def test_modelspec_validation():
     with pytest.raises(ValueError):
         ModelSpec.torus(4, 5)
     with pytest.raises(ValueError):
-        ModelSpec(Lattice.ring(2), "nicolai-2d")
+        ModelSpec.from_json(ModelSpec.ring(2).to_json().replace("nicolai-1d", "nicolai-2d"))
+
+
+def test_modelspec_is_its_lattice():
+    assert ModelSpec(Lattice.ring(2)) == ModelSpec.ring(2)
+    assert ModelSpec.ring(2).variant == ModelSpec.chain(0, 4).variant == "nicolai-1d"
+    assert ModelSpec.torus(4, 4).variant == "nicolai-2d"
+    with pytest.raises(ValueError):
+        ModelSpec(Lattice.rectangle(4, 4))  # the 2D model lives on tori
+    blob = json.loads(ModelSpec.torus(4, 4).to_json())
+    for variant in ("nicolai-1d", "nicolai-3d"):
+        with pytest.raises(ValueError):
+            ModelSpec.from_json(json.dumps({**blob, "variant": variant}))
 
 
 def test_modelspec_json_roundtrip():
