@@ -1,10 +1,13 @@
 """Spectral analysis and ergodicity diagnostics.
 
-The Hamiltonian conserves particle number, so diagonalization proceeds
-per-sector with dense symmetric solvers and the sector blocks are merged into
-one ascending spectrum.  Degenerate eigenvalues are grouped into clusters
-(the spectrum is massively degenerate) and the cluster projectors define the
-dephasing map
+H is a sum of Fock-basis hops, so its sparsity graph splits into small
+connected components, the fragments (each classical ground state is a 1 x 1
+fragment of its own).  :func:`diagonalize` finds them, diagonalizes all
+fragments of one size with one stacked dense solver, and merges the blocks
+into one ascending spectrum whose eigenvectors are kept as a sparse matrix,
+one fragment per column.  Degenerate eigenvalues are grouped into clusters
+(the spectrum is massively degenerate, across fragments too) and the
+cluster projectors define the dephasing map
 
     A  ->  sum_E  P_E A P_E,
 
@@ -21,17 +24,18 @@ for the trace state, for every Gibbs state, and for the classical ground
 states alike.
 
 :func:`mazur_gap` is the general path: it dephases any dense observable in
-O(dim^3), and it is the oracle for the closed forms below.
-:func:`ergodicity_report` never dephases a charge.  It keeps each generator
-as an int64 sparse matrix and first certifies ``[H, A] = 0`` exactly, so
-``dephase(A) = A``.  The trace-state gap is then an exact integer expression
-of ``||A||_F^2`` and ``Tr A``, and the Gibbs gaps are weighted sums of
-``||A v_n||^2`` and ``v_n.A v_n`` over the eigenvectors.  The number of
-independent invariant operators is the rank of the integer Hilbert-Schmidt
-Gram matrix of the generators and the identity.  The ground-state witness
-is certified by two zero columns of H, after which its gap is exactly 1.
-One dense ``mazur_gap`` per run cross-checks the closed form; it is the
-report's only dense dephasing.
+O(dim^3) on a dense copy of the eigenvectors, and it is the oracle for the
+closed forms below.  :func:`ergodicity_report` never dephases a charge.  It
+keeps each generator as an int64 sparse matrix and first certifies
+``[H, A] = 0`` exactly, so ``dephase(A) = A``.  The trace-state gap is then
+an exact integer expression of ``||A||_F^2`` and ``Tr A``, and the Gibbs
+gaps are weighted sums of ``||A v_n||^2`` and ``v_n.A v_n`` over the
+eigenvectors, from one sparse product ``A V``.  The number of independent
+invariant operators is the rank of the integer Hilbert-Schmidt Gram matrix
+of the generators and the identity.  The ground-state witness is certified
+by two zero columns of H, after which its gap is exactly 1.  One dense
+``mazur_gap`` per run cross-checks the closed form; it is the report's only
+dense dephasing.
 """
 
 from __future__ import annotations
@@ -69,14 +73,16 @@ _CLUSTER_TOLERANCE = 1e-8
 class Spectrum:
     """Merged eigendecomposition with degeneracy clusters.
 
-    ``vectors`` holds orthonormal eigenvectors as columns, aligned with the
-    ascending ``eigenvalues``; ``clusters`` are half-open index ranges of
-    (near-)degenerate groups, and ``sectors`` records the particle number of
-    each eigenvector (or -1 when the operator mixes sectors).
+    ``vectors`` is a sparse ``dim x dim`` matrix of orthonormal eigenvectors
+    as columns, aligned with the ascending ``eigenvalues``; each column lives
+    on one fragment of H, so it holds one nonzero per state of that fragment.
+    ``clusters`` are half-open index ranges of (near-)degenerate groups, and
+    ``sectors`` records the particle number of each eigenvector's fragment
+    (or -1 when the fragment mixes particle numbers).
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: sp.csc_matrix
     clusters: list
     basis: FockBasis
     sectors: np.ndarray
@@ -101,29 +107,42 @@ class Spectrum:
 
     def projector(self, i: int) -> np.ndarray:
         s, e = self.clusters[i]
-        block = self.vectors[:, s:e]
+        block = self.vectors[:, s:e].toarray()
         return block @ block.T
 
 
-def _sector_groups(h: SparseOperator):
-    basis = h.basis
-    pops = basis.popcounts
-    coo = h.matrix.tocoo()
-    if coo.nnz and not np.array_equal(pops[coo.row], pops[coo.col]):
-        return [np.arange(basis.dim)], False
-    groups = []
-    for k in range(int(pops.min()), int(pops.max()) + 1):
-        idx = np.nonzero(pops == k)[0]
-        if idx.size:
-            groups.append(idx)
-    return groups, True
+def _fragment_labels(row: np.ndarray, col: np.ndarray, n: int) -> np.ndarray:
+    """Connected components of the undirected graph on ``range(n)`` whose
+    edges are the pairs ``(row[i], col[i])``: ``labels[v]`` is the smallest
+    vertex of v's component.
+
+    ``labels`` is a forest whose parents are never larger than their
+    children.  Each round hooks the root of both ends of every edge under
+    the smaller of the two roots, then jumps pointers until every tree is a
+    star; it stops when every edge joins equal labels.
+    """
+    labels = np.arange(n)
+    while True:
+        lr, lc = labels[row], labels[col]
+        if np.array_equal(lr, lc):
+            return labels
+        lo = np.minimum(lr, lc)
+        np.minimum.at(labels, lr, lo)
+        np.minimum.at(labels, lc, lo)
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
 
 
 def diagonalize(h: SparseOperator) -> Spectrum:
-    """Dense symmetric eigendecomposition, per particle-number sector.
+    """Eigendecomposition of a symmetric operator, one fragment at a time.
 
-    Raises if the input is not symmetric.  Eigenpair residuals are checked
-    against ``1e-8 * ||H||`` after merging.
+    The fragments are the connected components of H's sparsity graph.  Those
+    of equal size k are scattered into one ``(n_blocks, k, k)`` stack and
+    diagonalized by one stacked dense ``eigh``; the eigenvalues are merged
+    into one ascending spectrum.  Raises ``ValueError`` if the input is not
+    symmetric and ``RuntimeError`` if an eigenpair residual, checked block by
+    block, exceeds ``1e-8 * ||H||``.
     """
     m = h.matrix
     asym = m - m.T
@@ -131,55 +150,68 @@ def diagonalize(h: SparseOperator) -> Spectrum:
     if asym.nnz and float(np.abs(asym.data).max()) > 1e-12 * scale:
         raise ValueError("diagonalize expects a symmetric operator")
 
-    md = m.astype(np.float64).tocsr()
+    coo = m.astype(np.float64).tocoo()
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
     dim = h.dim
-    groups, sector_resolved = _sector_groups(h)
+    fragment = np.unique(_fragment_labels(coo.row, coo.col, dim), return_inverse=True)[1]
+    size = np.bincount(fragment)[fragment]
+    # slots: states grouped by fragment size, then by fragment; a fragment of
+    # size k at slots off + b*k .. off + b*k + k - 1 is block b of its stack,
+    # and its j-th eigenpair takes slot off + b*k + j
+    order = np.lexsort((fragment, size))
+    slot = np.empty(dim, dtype=np.int64)
+    slot[order] = np.arange(dim)
+    entry_size = size[coo.row]
+    pops = h.basis.popcounts
 
     all_w = np.empty(dim)
-    all_sector = np.full(dim, -1, dtype=np.int64)
-    vectors = np.zeros((dim, dim))
-    pos = 0
-    pops = h.basis.popcounts
-    for idx in groups:
-        w, v = np.linalg.eigh(md[idx][:, idx].toarray())
-        k = idx.size
-        all_w[pos : pos + k] = w
-        if sector_resolved:
-            all_sector[pos : pos + k] = pops[idx[0]]
-        vectors[idx, pos : pos + k] = v
-        pos += k
+    all_sector = np.empty(dim, dtype=np.int64)
+    rows, slots, values = [], [], []
+    residual = 0.0
+    classes = np.unique(size[order], return_index=True, return_counts=True)
+    for k, off, count in zip(*(c.tolist() for c in classes)):
+        end = off + count
+        states = order[off:end].reshape(-1, k)
+        nb = len(states)
+        stack = np.zeros((nb, k, k))
+        sel = entry_size == k
+        r, c = slot[coo.row[sel]] - off, slot[coo.col[sel]] - off
+        stack[r // k, r % k, c % k] = coo.data[sel]
+        w, v = np.linalg.eigh(stack)
+        res = stack @ v - v * w[:, None, :]
+        residual = max(residual, float(np.sqrt((res * res).sum(axis=1)).max()))
 
-    order = np.argsort(all_w, kind="stable")
-    eigenvalues = all_w[order]
-    vectors = vectors[:, order]
-    sectors = all_sector[order]
+        all_w[off:end] = w.ravel()
+        pop = pops[states]
+        mixed = (pop != pop[:, :1]).any(axis=1)
+        all_sector[off:end] = np.repeat(np.where(mixed, -1, pop[:, 0]), k)
+        # entry (b, i, j) of the stack: state states[b, i], eigenpair slot off + b*k + j
+        rows.append(np.broadcast_to(states[:, :, None], (nb, k, k)).ravel())
+        slots.append(np.broadcast_to(np.arange(off, end).reshape(nb, 1, k), (nb, k, k)).ravel())
+        values.append(v.ravel())
 
-    norm = float(np.abs(eigenvalues).max()) if dim else 0.0
-    r = md @ vectors - vectors * eigenvalues[None, :]
-    residual = float(np.sqrt((r * r).sum(axis=0)).max()) if dim else 0.0
+    perm = np.argsort(all_w, kind="stable")
+    eigenvalues = all_w[perm]
+    sectors = all_sector[perm]
+    column = np.empty(dim, dtype=np.int64)
+    column[perm] = np.arange(dim)
+    vectors = sp.csc_matrix(
+        (np.concatenate(values), (np.concatenate(rows), column[np.concatenate(slots)])),
+        shape=(dim, dim),
+    )
+
+    norm = float(np.abs(eigenvalues).max())
     if residual > 1e-8 * max(norm, 1e-12):
         raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
 
     tol = _CLUSTER_TOLERANCE * max(1.0, norm)
-    clusters = []
-    start = 0
-    for i in range(1, dim):
-        if eigenvalues[i] - eigenvalues[i - 1] > tol:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, dim))
-
-    intra = max(
-        (float(eigenvalues[e - 1] - eigenvalues[s]) for s, e in clusters),
-        default=0.0,
-    )
-    inter = min(
-        (
-            float(eigenvalues[clusters[i + 1][0]] - eigenvalues[clusters[i][1] - 1])
-            for i in range(len(clusters) - 1)
-        ),
-        default=float("inf"),
-    )
+    bounds = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol) + 1).tolist(), dim]
+    clusters = list(zip(bounds[:-1], bounds[1:]))
+    starts, ends = np.array(bounds[:-1]), np.array(bounds[1:])
+    intra = float((eigenvalues[ends - 1] - eigenvalues[starts]).max())
+    gaps = eigenvalues[starts[1:]] - eigenvalues[ends[:-1] - 1]
+    inter = float(gaps.min()) if gaps.size else float("inf")
     return Spectrum(
         eigenvalues=eigenvalues,
         vectors=vectors,
@@ -195,6 +227,8 @@ def diagonalize(h: SparseOperator) -> Spectrum:
 def _dense(a) -> np.ndarray:
     if isinstance(a, SparseOperator):
         return a.to_dense().astype(np.float64)
+    if sp.issparse(a):
+        return a.toarray()
     return np.asarray(a)
 
 
@@ -205,7 +239,7 @@ def dephase(a, spectrum: Spectrum) -> np.ndarray:
     average of the Heisenberg evolution of ``a``.
     """
     ad = _dense(a)
-    v = spectrum.vectors
+    v = _dense(spectrum.vectors)
     at = v.T @ ad @ v
     out = np.zeros_like(at)
     for s, e in spectrum.clusters:
@@ -238,7 +272,7 @@ class ThermalState:
     @classmethod
     def gibbs(cls, spectrum: Spectrum, beta: float) -> "ThermalState":
         weights = _gibbs_weights(spectrum.eigenvalues, beta)
-        v = spectrum.vectors
+        v = _dense(spectrum.vectors)
         rho = (v * weights[None, :]) @ v.T
         return cls(kind="gibbs", beta=beta, rho=rho, dim=spectrum.dim)
 
@@ -264,11 +298,11 @@ class ThermalState:
 
 
 def _check_invariant(state: ThermalState, spectrum: Spectrum):
-    w = spectrum.eigenvalues
-    v = spectrum.vectors
-    scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
     if state.kind == "trace":
         return
+    w = spectrum.eigenvalues
+    v = _dense(spectrum.vectors)
+    scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
     if state.vector is not None:
         hv = v @ (w * (v.T @ state.vector))
         mean = state.vector @ hv
@@ -311,7 +345,7 @@ def time_averaged_autocorrelation(
     _check_invariant(state, spectrum)
     ad = _dense(a)
     w = spectrum.eigenvalues
-    v = spectrum.vectors
+    v = _dense(spectrum.vectors)
     at = v.T @ ad @ v
     if state.vector is not None:
         vt = v.T @ state.vector
@@ -339,7 +373,7 @@ def evolve(a, spectrum: Spectrum, t: float) -> np.ndarray:
     """Heisenberg evolution ``exp(iHt) A exp(-iHt)`` in eigenbasis arithmetic."""
     ad = _dense(a)
     w = spectrum.eigenvalues
-    v = spectrum.vectors
+    v = _dense(spectrum.vectors)
     at = v.T @ ad @ v
     phase = np.exp(1j * w * t)
     return (v * phase[None, :]) @ at @ (v * phase[None, :]).conj().T
@@ -364,25 +398,24 @@ def no_resonance_check(spec: ModelSpec) -> NoResonanceReport:
     if spec.variant != "nicolai-1d":
         raise ValueError("the hopping split is only available in 1D")
     lat = spec.lattice
-    basis = spec.basis
-    hop = spec.h_hop.matrix.tocsc()
+    hop = abs(spec.h_hop.matrix.tocsc())
 
-    def col_residual(state: int) -> int:
-        col = hop[:, [basis.index_of(state)]]
-        return int(np.abs(col.data).max()) if col.nnz else 0
+    def max_residual(states) -> int:
+        # a state is its own index in the full Fock basis
+        cols = hop[:, states]
+        return int(cols.max()) if cols.nnz else 0
 
     configs = spec.ground_configs
-    worst = max((col_residual(g.state) for g in configs), default=0)
+    worst = max_residual(np.array([g.state for g in configs], dtype=np.int64))
 
     # any state with a nonzero hop column is necessarily non-ground
     example = None
-    nnz_per_col = np.diff(hop.indptr)
-    hit = np.nonzero(nnz_per_col)[0]
+    hit = np.flatnonzero(np.diff(hop.indptr))
     if hit.size:
-        state = int(basis.states[hit[0]])
+        state = int(hit[0])
         g = Configuration.from_state(state, lat)
         assert not is_ground_config(g)
-        example = (g.bitstring(), col_residual(state))
+        example = (g.bitstring(), max_residual([state]))
 
     return NoResonanceReport(
         ground_count=len(configs),
@@ -426,18 +459,20 @@ def _gibbs_gaps(generators: list, spectrum: Spectrum, betas) -> dict:
     """Gibbs-state Mazur gaps of symmetric operators that commute with H.
 
     ``sum_n p_n ||A v_n||^2 - (sum_n p_n v_n.A v_n)^2`` over the eigenvectors
-    ``v_n`` with Boltzmann weights ``p_n``: one product ``A V``, restricted to
-    A's support, serves every beta.  Keyed by the Gibbs state's label.
+    ``v_n`` with Boltzmann weights ``p_n``: one sparse product of the stacked
+    generators with V serves every generator and every beta.  Keyed by the
+    Gibbs state's label.
     """
-    v = spectrum.vectors
-    norms = np.empty((len(generators), spectrum.dim))  # ||A v_n||^2
-    means = np.empty_like(norms)  # v_n . A v_n
-    for i, a in enumerate(generators):
-        rows = np.flatnonzero(np.diff(a.matrix.indptr))  # = nonzero columns: A = A^T
-        vr = v[rows]
-        av = a.matrix[rows][:, rows] @ vr
-        norms[i] = (av * av).sum(axis=0)
-        means[i] = (vr * av).sum(axis=0)
+    dim = spectrum.dim
+    v = spectrum.vectors.tocsr()
+    stacked = sp.vstack([a.matrix for a in generators], format="csr")
+    av = (stacked @ v).tocoo()  # entry (g*dim + r, n): (A_g V)[r, n]
+    g, r = np.divmod(av.row.astype(np.int64), dim)
+    slot = g * dim + av.col
+    vr = np.asarray(v[r, av.col]).ravel()  # V[r, n] at the same entries
+    size = len(generators) * dim
+    norms = np.bincount(slot, av.data * av.data, size).reshape(-1, dim)  # ||A v_n||^2
+    means = np.bincount(slot, av.data * vr, size).reshape(-1, dim)  # v_n . A v_n
     gaps = {}
     for beta in betas:
         p = _gibbs_weights(spectrum.eigenvalues, beta)

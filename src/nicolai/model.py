@@ -123,7 +123,8 @@ class ModelSpec:
     each on first use and then kept.
 
     ``h_classical`` and ``h_hop`` exist in 1D only; ``spectrum`` is the
-    dense diagonalization of ``h``.
+    diagonalization of ``h`` fragment by fragment (the connected components
+    of its sparsity graph), with sparse eigenvectors.
     """
 
     lattice: Lattice

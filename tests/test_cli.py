@@ -235,7 +235,6 @@ GOLDEN_STDOUT = {
     "groundstates --ring --m 4 --verify-susy": "6331e246d61f53c467f8ea88a5479d185969f06319ed76ff332abd206ef950bb",
     "groundstates --torus 4x4": "e11ac93cef780e210e099571bea122b7e0572dd24d60c0df3f978cb981ce15be",
     "groundstates --chain 29 --transfer-matrix": "d5bcc7a4a081a243705d77e00d935f975ebbbb7958d5b4c35a520f25f0c1c6f2",
-    "verify --torus 4x4": "61837192fc019e03ae9dd6738cd93064476166cbb4fa3ddfd2ace45d1f9d1658",
     "charges --ring --m 4 --check": "8f5a586c15728d6454d3ecc3a1d2ce08d3d29c3b8b91bce4431334efe5715141",
 }
 
@@ -246,6 +245,30 @@ def test_golden_stdout(capsys):
         assert run(command.split()) == 0
         got[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == GOLDEN_STDOUT
+
+
+def test_verify_torus_pin(capsys):
+    # the torus payload now holds one eigensolver float, the lowest eigenvalue
+    # of H; without that check it is byte-identical to its pinned stdout
+    assert run(["verify", "--torus", "4x4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (e0,) = [c for c in payload["checks"] if c["name"] == "h_min_eigenvalue_zero"]
+    assert e0["passed"] and abs(e0["detail"]) <= 1e-10
+    payload["checks"].remove(e0)
+    text = cli._render(payload, "json")
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "61837192fc019e03ae9dd6738cd93064476166cbb4fa3ddfd2ace45d1f9d1658"
+    )
+
+
+def test_verify_runs_every_check_above_4096_states(capsys):
+    assert run(["verify", "--chain", "13"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    names = [c["name"] for c in payload["checks"]]
+    assert len(names) == 15
+    assert "h_min_eigenvalue_zero" in names and "kernel_census" in names
+    assert payload["failures"] == 0
 
 
 def _count_calls(monkeypatch, builders):

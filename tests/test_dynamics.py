@@ -328,6 +328,19 @@ def test_no_resonance(m):
     assert residual != 0
 
 
+def test_no_resonance_reports_a_non_ground_column():
+    # the vectorized column maximum against one column at a time
+    spec = ModelSpec.ring(2)
+    hop = spec.h_hop.matrix.tocsc()
+    state = int(np.flatnonzero(np.diff(hop.indptr))[-1])  # a state the hops move
+    g = Configuration.from_state(state, spec.lattice)
+    spec.__dict__["ground_configs"] = spec.ground_configs + [g]
+    rep = no_resonance_check(spec)
+    assert rep.max_residual == int(abs(hop[:, [state]]).max()) > 0
+    assert not rep.powers_vanish
+    assert rep.ground_count == 27
+
+
 def test_spectrum_table(ring):
     ctx = ring(2)
     s = diagonalize(ctx.h)
