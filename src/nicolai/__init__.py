@@ -59,6 +59,7 @@ from .charges import (
     arc_sequences,
     all_embeddable_sequences,
     conservation_check,
+    conservation_sweep,
     enumerate_hat_xi,
     enumerate_ring_sequences,
     independence_probe,

@@ -54,6 +54,8 @@ __all__ = [
     "anticommute_check",
     "overlap_allows_nonzero",
     "conservation_check",
+    "shift2_representative",
+    "conservation_sweep",
     "vanishing_triple_products",
     "independence_probe",
     "charge_algebra_report",
@@ -343,6 +345,48 @@ def conservation_check(spec: ModelSpec, f: ConservedSequence):
     _validate_support(f, spec.lattice)
     qf = monomial_to_sparse(sequence_to_operator(f), spec.basis)
     return commutator(spec.h, qf).max_abs()
+
+
+def shift2_representative(f: ConservedSequence, lattice) -> ConservedSequence:
+    """The member of the shift-by-2 orbit of ``f`` that stands for the orbit:
+    an arc moved to the lowest even start of the ring, a closed sequence at
+    the least of its value rotations by two.  ``f`` itself when it is
+    neither an arc from an even site nor a closed sequence in ring order."""
+    if f.closed:
+        if f.sites != lattice.sites:
+            return f
+        v = f.values
+        return ConservedSequence(
+            f.sites, min(v[k:] + v[:k] for k in range(0, len(v), 2)), closed=True
+        )
+    lo = lattice.sites[lattice.sites[0] % 2]
+    delta = f.sites[0] - lo
+    if f.shape is not None or delta % 2 or delta == 0:
+        return f
+    return ConservedSequence(tuple(lattice.wrap(s - delta) for s in f.sites), f.values)
+
+
+def conservation_sweep(spec: ModelSpec, sequences: list):
+    """Largest max-abs entry of ``[H, Q(f)]`` over the list ``sequences``.
+
+    On a ring whose H passes the exact translation certificate
+    (``spec.h_translation2_invariant``: ``{TQ, (TQ)*} == H`` for the shift T
+    by two sites), one :func:`conservation_check` per shift-by-2 orbit
+    certifies every member.  The shift is the CAR automorphism
+    ``a_x -> a_(x+2)``, implemented by a unitary U that permutes the Fock
+    basis up to signs; the certificate says ``U H U* == H``, and
+    ``U Q(f) U* == Q(Tf)`` (for a closed sequence the two factors that wrap
+    move past the other ``n - 2``, an even number of odd swaps), so
+    ``[H, Q(Tf)] == U [H, Q(f)] U*`` has the same max-abs entry.  Every
+    sequence is validated; only the representatives are checked.  Without
+    the certificate, and on chains and tori, every sequence is checked.
+    """
+    lat = spec.lattice
+    for f in sequences:
+        _validate_support(f, lat)
+    if lat.dimension == 1 and lat.periodic and spec.h_translation2_invariant:
+        sequences = dict.fromkeys(shift2_representative(f, lat) for f in sequences)
+    return max((conservation_check(spec, f) for f in sequences), default=0)
 
 
 def vanishing_triple_products(spec: ModelSpec, f: ConservedSequence):

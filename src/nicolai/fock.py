@@ -307,7 +307,39 @@ def apply_monomial_to_basis(m: FermionMonomial, basis: FockBasis):
     Returns ``(alive, out_states, signs)``: a boolean survival mask, the image
     states, and the ``+-1`` fermionic signs (meaningful where ``alive``).  The
     caller multiplies in the coefficient.
+
+    When the factors sit on distinct sites, no factor sees a bit another one
+    flipped, so the action has a closed form in three masks over the ranks
+    ``r_i`` of the factors: the support ``S``, the annihilation mask ``P``
+    and the string mask ``M``, the XOR of the below-rank masks
+    ``2**r_i - 1``.  A state ``s`` survives iff ``s & S == P``, its image is
+    ``s ^ S``, and its sign is ``(-1)**(popcount(s & M) + c)``: the
+    Jordan-Wigner parities of the factors add up to ``popcount(s & M)`` on
+    the input state, and ``c`` counts the pairs in which the factor that acts
+    first has the lower rank, one flipped bit below the later factor each.
+    Repeated sites take the per-factor loop, which stays the oracle of the
+    closed form.
     """
+    ranks = [basis.lattice.rank(site) for site, _ in m.factors]
+    if len(set(ranks)) < len(ranks):
+        return _apply_factor_by_factor(m, basis)
+    support = annihilated = string = crossings = 0
+    for i, ((_, kind), r) in enumerate(zip(m.factors, ranks)):
+        support |= 1 << r
+        if kind == ANNIHILATE:
+            annihilated |= 1 << r
+        string ^= (1 << r) - 1
+        crossings += sum(later < r for later in ranks[i + 1 :])
+    states = basis.states
+    parity = np.bitwise_count(states & string) & 1
+    signs = np.where(parity != crossings % 2, -1, 1)
+    return (states & support) == annihilated, states ^ support, signs
+
+
+def _apply_factor_by_factor(m: FermionMonomial, basis: FockBasis):
+    """:func:`apply_monomial_to_basis` one factor at a time, right to left,
+    each factor taking its parity on the intermediate states; valid for any
+    monomial, repeated sites included."""
     lat = basis.lattice
     states = basis.states.copy()
     n = states.shape[0]
@@ -423,7 +455,10 @@ def _check_same_basis(a: SparseOperator, b: SparseOperator):
 def monomial_to_sparse(m: FermionMonomial, basis: FockBasis) -> SparseOperator:
     """Matrix of a monomial over ``basis``; at most one entry per column.
 
-    The image state of a surviving column is its row index.
+    The image state of a surviving column is its row index.  Every factor
+    maps distinct states to distinct states, so a row holds at most one
+    entry too, and the CSR arrays come from scattering each surviving
+    column to its image row, with no sort.
     """
     for site, _ in m.factors:
         if not basis.lattice.contains(site):
@@ -434,11 +469,14 @@ def monomial_to_sparse(m: FermionMonomial, basis: FockBasis) -> SparseOperator:
     if m.is_zero:
         return SparseOperator.zero(basis, dtype)
     alive, out, signs = apply_monomial_to_basis(m, basis)
-    cols = np.nonzero(alive)[0]
-    rows = out[cols]
+    col_of_row = np.full(dim, -1)
+    col_of_row[out[alive]] = np.flatnonzero(alive)
+    hit = col_of_row >= 0
+    cols = col_of_row[hit]
+    indptr = np.concatenate(([0], np.cumsum(hit)))
     coeff = int(m.coefficient) if integral else m.coefficient
     data = (signs[cols] * coeff).astype(dtype)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+    mat = sp.csr_matrix((data, cols, indptr), shape=(dim, dim))
     return SparseOperator(basis, mat)
 
 

@@ -24,7 +24,8 @@ translation by two sites on rings, and a particle-hole transformation rho
 A :class:`ModelSpec` is the model: the lattice is its only setting (the
 1D or 2D form follows from the lattice dimension), and it builds each of its
 objects (the full Fock basis, Q, Q*, H, the classical/hopping split, the
-ground configurations, the spectrum) on first use and keeps it.
+ground configurations, the spectrum, the exact translation certificate) on
+first use and keeps it.
 """
 
 from __future__ import annotations
@@ -240,6 +241,18 @@ class ModelSpec:
     @cached_property
     def h_hop(self) -> SparseOperator:
         return build_h_hop(self).to_sparse(self.basis)
+
+    @cached_property
+    def h_translation2_invariant(self) -> bool:
+        """Whether ``{TQ, (TQ)*} == H`` exactly, in int64, for the shift
+        ``T`` by two sites (along x in 2D); periodic lattices only.
+
+        ``TQ`` is the image of Q under the CAR automorphism
+        ``a_x -> a_(x+2)``, which a unitary U implements, so the identity
+        certifies ``U H U* == H``.
+        """
+        tq = translate2(self.q_sum, self.lattice).to_sparse(self.basis)
+        return anticommutator(tq, tq.adjoint()).equals(self.h)
 
     @cached_property
     def ground_configs(self) -> list:

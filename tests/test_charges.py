@@ -29,17 +29,21 @@ from nicolai import (
     transfer_count_hat_xi,
     transfer_count_ring_sequences,
 )
+from nicolai import charges as ch
 from nicolai.charges import (
     anticommute_check,
     charge_algebra_report,
+    conservation_sweep,
     enumerate_rectangle_sequences,
     has_edge_conditions,
     overlap_allows_nonzero,
     rect_constant_sequence,
     sample_edge_violating_sequences,
+    shift2_representative,
     torus_constant_sequence,
     vanishing_triple_products,
 )
+from nicolai.model import OperatorSum, translate2
 
 
 def brute_force_interval_count(n):
@@ -429,3 +433,115 @@ def test_sequence_letters(letter, accepted):
     else:
         with pytest.raises(ValueError):
             ConservedSequence((0, 1, 2), (1, letter, 1))
+
+
+def shift2(f, lat):
+    """``f`` moved two sites along the ring: the value at ``x`` goes to
+    ``x + 2``; a closed sequence keeps the ring's sites and rotates."""
+    if f.closed:
+        return ConservedSequence(f.sites, f.values[-2:] + f.values[:-2], closed=True)
+    return ConservedSequence(tuple(lat.wrap(s + 2) for s in f.sites), f.values)
+
+
+def _shift2_orbit(f, lat):
+    orbit = [f]
+    while (g := shift2(orbit[-1], lat)) != f:
+        orbit.append(g)
+    return orbit
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_shift2_orbits_of_representatives_reproduce_the_catalogue(m):
+    lat = Lattice.ring(m)
+    catalogue = lattice_sequences(lat)
+    reps = dict.fromkeys(shift2_representative(f, lat) for f in catalogue)
+    assert all(shift2_representative(r, lat) == r for r in reps)
+    orbits = [g for r in reps for g in _shift2_orbit(r, lat)]
+    assert len(orbits) == len(set(orbits)) == len(set(catalogue)) == len(catalogue)
+    assert set(orbits) == set(catalogue)
+    if m == 5:
+        assert len(reps) == 372
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_shift2_is_the_translation_of_the_charge(m):
+    # Q(Tf) is the image of Q(f) under a_x -> a_(x+2), with no extra sign
+    lat = Lattice.ring(m)
+    basis = enumerate_basis(lat)
+    for f in lattice_sequences(lat):
+        moved = translate2(OperatorSum((sequence_to_operator(f),)), lat)
+        assert moved.to_sparse(basis).equals(
+            monomial_to_sparse(sequence_to_operator(shift2(f, lat)), basis)
+        )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_orbit_sweep_agrees_with_the_full_sweep(m, ring):
+    spec = ring(m)
+    assert spec.h_translation2_invariant
+    catalogue = lattice_sequences(spec.lattice)
+    assert conservation_sweep(spec, catalogue) == 0
+    assert max(conservation_check(spec, f) for f in catalogue) == 0
+    # on violating charges the residual is a property of the orbit
+    rng = np.random.default_rng(11)
+    for f in sample_edge_violating_sequences(spec.lattice, 20, rng):
+        residual = conservation_check(spec, f)
+        assert conservation_check(spec, shift2_representative(f, spec.lattice)) == residual
+        assert conservation_sweep(spec, catalogue + [f]) == residual
+
+
+def _count_checks(monkeypatch):
+    calls = []
+    check = ch.conservation_check
+
+    def counted(spec, f):
+        calls.append(f)
+        return check(spec, f)
+
+    monkeypatch.setattr(ch, "conservation_check", counted)
+    return calls
+
+
+def test_sweep_checks_one_sequence_per_orbit(monkeypatch):
+    spec = ModelSpec.ring(3)
+    catalogue = lattice_sequences(spec.lattice)
+    calls = _count_checks(monkeypatch)
+    assert conservation_sweep(spec, catalogue) == 0
+    assert len(calls) == len(set(calls)) == 50
+
+
+def test_sweep_without_the_translation_certificate_checks_every_sequence(monkeypatch):
+    spec = ModelSpec.ring(3)
+    monkeypatch.setattr(ModelSpec, "h_translation2_invariant", False)
+    catalogue = lattice_sequences(spec.lattice)
+    lo = spec.lattice.sites[spec.lattice.sites[0] % 2]
+    planted = next(
+        f
+        for f in sample_edge_violating_sequences(spec.lattice, 50, np.random.default_rng(3))
+        if f.sites[0] != lo and conservation_check(spec, f) != 0
+    )
+    calls = _count_checks(monkeypatch)
+    assert conservation_sweep(spec, catalogue + [planted]) != 0
+    assert calls == catalogue + [planted]
+
+
+@pytest.mark.parametrize("lattice", [Lattice.chain(0, 8), Lattice.torus(4, 4)])
+def test_sweep_keeps_the_full_sweep_on_chains_and_tori(lattice, monkeypatch):
+    spec = ModelSpec(lattice)
+    catalogue = lattice_sequences(lattice)
+    calls = _count_checks(monkeypatch)
+    assert conservation_sweep(spec, catalogue) == 0
+    assert calls == catalogue
+
+
+def test_sweep_validates_every_sequence(ring):
+    spec = ring(2)
+    catalogue = lattice_sequences(spec.lattice)
+    # the translate of a valid arc by an odd amount, and an arc whose sites
+    # leave the lattice: no orbit representative may stand in for either
+    for bad in (
+        ConservedSequence((-1, 0, 1), (1, 1, 1)),
+        ConservedSequence((2, 3, 4), (1, 1, 1)),
+    ):
+        with pytest.raises(ValueError):
+            conservation_sweep(spec, catalogue + [bad])

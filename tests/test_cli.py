@@ -236,6 +236,7 @@ GOLDEN_STDOUT = {
     "groundstates --torus 4x4": "e11ac93cef780e210e099571bea122b7e0572dd24d60c0df3f978cb981ce15be",
     "groundstates --chain 29 --transfer-matrix": "d5bcc7a4a081a243705d77e00d935f975ebbbb7958d5b4c35a520f25f0c1c6f2",
     "charges --ring --m 4 --check": "8f5a586c15728d6454d3ecc3a1d2ce08d3d29c3b8b91bce4431334efe5715141",
+    "charges --ring --m 5 --check": "6b8c916573ec24c7469bea7cf7322fdb397713c62ad1936e72ba3e86b01a78b9",
 }
 
 
@@ -301,3 +302,20 @@ def test_verify_builds_each_model_object_once(capsys, monkeypatch):
     calls = _count_calls(monkeypatch, builders)
     assert run(["verify", "--ring", "--m", "2"]) == 0
     assert dict(calls) == {name: 1 for _, name in builders}
+
+
+def test_verify_builds_the_translation_certificate_once(capsys, monkeypatch):
+    # translation2_h and the orbit sweep of charges_conserved read one
+    # certificate from the model
+    calls = _count_calls(monkeypatch, [(nicolai.model, "translate2")])
+    assert run(["verify", "--ring", "--m", "2"]) == 0
+    assert dict(calls) == {"translate2": 1}
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["passed"] for c in checks}["translation2_h"]
+
+
+def test_verify_certifies_the_whole_catalogue_by_orbits(capsys):
+    assert run(["verify", "--ring", "--m", "5"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    (conserved,) = [c for c in checks if c["name"] == "charges_conserved"]
+    assert conserved["passed"] and conserved["detail"] == {"count": 2182}

@@ -18,6 +18,7 @@ from nicolai import (
     normal_order,
     parity_operator,
 )
+from nicolai.fock import _apply_factor_by_factor, apply_monomial_to_basis
 
 a = FermionMonomial.annihilation
 adag = FermionMonomial.creation
@@ -279,3 +280,40 @@ def test_normal_order_terms_sum_to_the_monomial_matrix(case):
         acc = acc + monomial_to_sparse(FermionMonomial(coeff, factors), basis)
     assert target.dtype == acc.dtype == np.int64
     assert acc.equals(target)
+
+
+@st.composite
+def _distinct_site_monomials(draw):
+    lat = draw(st.sampled_from(_PROPERTY_LATTICES))
+    sites = draw(st.permutations(lat.sites))[: draw(st.integers(0, lat.nsites))]
+    kinds = draw(
+        st.lists(
+            st.sampled_from((CREATE, ANNIHILATE)), min_size=len(sites), max_size=len(sites)
+        )
+    )
+    return lat, FermionMonomial(1, tuple(zip(sites, kinds)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_distinct_site_monomials())
+def test_closed_form_masks_match_the_factor_loop(case):
+    lat, m = case
+    basis = enumerate_basis(lat)
+    alive, out, signs = apply_monomial_to_basis(m, basis)
+    alive_ref, out_ref, signs_ref = _apply_factor_by_factor(m, basis)
+    assert np.array_equal(alive, alive_ref)
+    assert np.array_equal(out[alive], out_ref[alive])
+    assert np.array_equal(signs[alive], signs_ref[alive])
+
+
+def test_repeated_sites_take_the_factor_loop():
+    lat = Lattice.ring(2)
+    basis = enumerate_basis(lat)
+    # n_0 a_1* n_0: the second n_0 sees the bit the first one left, so site
+    # 0 ends occupied, where the distinct-site masks would flip it
+    m = n_op(0) * adag(1) * n_op(0)
+    got = apply_monomial_to_basis(m, basis)
+    ref = _apply_factor_by_factor(m, basis)
+    for x, y in zip(got, ref):
+        assert np.array_equal(x, y)
+    assert got[0].sum() == basis.dim // 4
