@@ -10,7 +10,8 @@ The package is organized bottom-up:
   its objects (basis, Q, Q*, H, its split, ground configurations, spectrum)
   on first use and keeps it;
 - :mod:`nicolai.grammar`: the forbidden-pattern rule shared by sequences and
-  configurations, its depth-first enumerator and its pair transfer matrix;
+  configurations, its breadth-first array enumerator and its pair transfer
+  matrix;
 - :mod:`nicolai.charges`: the permitted-sequence grammar and the local
   fermionic constants of motion it encodes;
 - :mod:`nicolai.groundstates`: the census of classical supersymmetric ground

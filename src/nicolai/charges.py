@@ -34,6 +34,7 @@ from .fock import (
     anticommutator,
     commutator,
     monomial_to_sparse,
+    span_dimension,
 )
 from .model import ModelSpec, charge_hoods
 
@@ -168,11 +169,15 @@ def has_edge_conditions(f: ConservedSequence) -> bool:
     return cols_ok and rows_ok
 
 
-def _interval_words(n: int) -> list:
-    """Permitted value tuples on ``n`` positions starting at an even site, with
+def _interval_words(n: int) -> np.ndarray:
+    """Permitted value rows on ``n`` positions starting at an even site, with
     both boundary pairs constant; lexicographic with ``-1 < +1``."""
     hoods = [(p, p - 1, p + 1) for p in range(2, n - 1, 2)]
     return grammar.permitted_words(n, hoods, (-1, 1), ties=((0, 1), (n - 2, n - 1)))
+
+
+def _sequences(sites: tuple, words: np.ndarray, closed: bool = False) -> list:
+    return [ConservedSequence(sites, v, closed) for v in map(tuple, words.tolist())]
 
 
 def enumerate_hat_xi(k: int, l: int) -> list:
@@ -184,7 +189,7 @@ def enumerate_hat_xi(k: int, l: int) -> list:
     if k >= l:
         raise ValueError(f"need k < l, got k={k}, l={l}")
     sites = tuple(range(2 * k, 2 * l + 1))
-    return [ConservedSequence(sites, v) for v in _interval_words(len(sites))]
+    return _sequences(sites, _interval_words(len(sites)))
 
 
 def _arc_sites(lattice, start: int, d: int) -> tuple:
@@ -202,20 +207,34 @@ def arc_sequences(lattice, start: int, d: int) -> list:
     """Interval sequences embedded on the ring arc of ``2d+1`` sites from
     the even site ``start``; the arc must be proper (shorter than the ring)."""
     sites = _arc_sites(lattice, start, d)
-    return [ConservedSequence(sites, v) for v in _interval_words(len(sites))]
+    return _sequences(sites, _interval_words(len(sites)))
+
+
+def _arc_words(lattice) -> tuple:
+    """The even starts of the proper arcs of a ring and, for ``d = 1, 2,
+    ...``, the interval words of the ``2d+1``-site arcs, shared by every
+    start."""
+    starts = sorted(s for s in lattice.sites if s % 2 == 0)
+    words = [_interval_words(2 * d + 1) for d in range(1, (lattice.nsites - 2) // 2 + 1)]
+    return starts, words
 
 
 def all_embeddable_sequences(lattice) -> list:
     """Every interval sequence that embeds in the ring as a proper arc."""
-    n = lattice.nsites
-    starts = sorted(s for s in lattice.sites if s % 2 == 0)
+    starts, words = _arc_words(lattice)
     seqs = []
-    for d in range(1, (n - 2) // 2 + 1):
-        words = _interval_words(2 * d + 1)
+    for d, w in enumerate(words, 1):
+        values = list(map(tuple, w.tolist()))
         for start in starts:
             sites = _arc_sites(lattice, start, d)
-            seqs.extend(ConservedSequence(sites, v) for v in words)
+            seqs.extend(ConservedSequence(sites, v) for v in values)
     return seqs
+
+
+def _ring_words(lattice) -> np.ndarray:
+    if lattice.dimension != 1 or not lattice.periodic:
+        raise ValueError("full-ring sequences require a periodic 1D lattice")
+    return grammar.permitted_words(lattice.nsites, charge_hoods(lattice), (-1, 1))
 
 
 def enumerate_ring_sequences(lattice) -> list:
@@ -224,10 +243,7 @@ def enumerate_ring_sequences(lattice) -> list:
     No boundary-pair condition applies: the ring has no edges.  Lexicographic
     order over the ring traversal.
     """
-    if lattice.dimension != 1 or not lattice.periodic:
-        raise ValueError("full-ring sequences require a periodic 1D lattice")
-    words = grammar.permitted_words(lattice.nsites, charge_hoods(lattice), (-1, 1))
-    return [ConservedSequence(lattice.sites, v, closed=True) for v in words]
+    return _sequences(lattice.sites, _ring_words(lattice), closed=True)
 
 
 def lattice_sequences(lattice) -> list:
@@ -427,28 +443,27 @@ class IndependenceReport:
 def independence_probe(
     operators: list, max_degree: int = 2
 ) -> IndependenceReport:
-    """Numeric rank of the span of all ordered products of the generators up
-    to ``max_degree`` factors, as a proxy for algebraic independence."""
+    """Rank of the span of all ordered products of the generators up to
+    ``max_degree`` factors, as a proxy for algebraic independence.
+
+    The products stay int64 sparse operators, and both ranks come from their
+    exact integer Hilbert-Schmidt Gram matrix (:func:`span_dimension`).
+    """
     if not operators:
         raise ValueError("need at least one generator")
-    dim = operators[0].dim
-    if dim > 4096:
+    if operators[0].dim > 4096:
         raise ValueError("independence probe is restricted to small spaces")
-    mats = [op.to_dense().astype(np.float64) for op in operators]
-    gen_stack = np.stack([m.ravel() for m in mats])
-    generator_rank = int(np.linalg.matrix_rank(gen_stack))
-    products = list(mats)
-    level = list(mats)
+    products = list(operators)
+    level = list(operators)
     for _ in range(2, max_degree + 1):
-        level = [prev @ m for prev in level for m in mats]
+        level = [prev @ m for prev in level for m in operators]
         products.extend(level)
-    stack = np.stack([m.ravel() for m in products])
     return IndependenceReport(
         generator_count=len(operators),
-        generator_rank=generator_rank,
+        generator_rank=span_dimension(operators),
         max_degree=max_degree,
         product_count=len(products),
-        product_rank=int(np.linalg.matrix_rank(stack)),
+        product_rank=span_dimension(products),
     )
 
 

@@ -256,16 +256,16 @@ def cmd_charges(args) -> int:
         if spec.variant != "nicolai-1d" or not spec.lattice.periodic:
             raise ValueError("charge listings need --interval or --ring")
         lat = spec.lattice
-        arcs = ch.all_embeddable_sequences(lat)
-        rings = ch.enumerate_ring_sequences(lat)
+        # counted from the word arrays; the sequences are built only to check
+        starts, arc_words = ch._arc_words(lat)
         payload["model"] = json.loads(spec.to_json())
-        payload["embeddable_count"] = len(arcs)
-        payload["full_ring_count"] = len(rings)
+        payload["embeddable_count"] = len(starts) * sum(len(w) for w in arc_words)
+        payload["full_ring_count"] = len(ch._ring_words(lat))
         payload["full_ring_transfer_count"] = ch.transfer_count_ring_sequences(lat)
         if payload["full_ring_count"] != payload["full_ring_transfer_count"]:
             code = 3
         if args.check:
-            residual = int(ch.conservation_sweep(spec, arcs + rings))
+            residual = int(ch.conservation_sweep(spec, ch.lattice_sequences(lat)))
             payload["max_commutator_residual"] = residual
             if residual != 0:
                 code = 3
@@ -290,14 +290,16 @@ def cmd_groundstates(args) -> int:
         _emit(payload, args)
         return code
 
-    configs = spec.ground_configs
-    payload["count"] = len(configs)
+    # counted from the word array; configurations are built only to list them
+    payload["count"] = len(gs._ground_words(lat))
     if lat.dimension == 1:
         payload["transfer_matrix_count"] = gs.transfer_count_ground_configs(lat)
         payload["entropy_density"] = gs.entropy_density(lat)
         if payload["count"] != payload["transfer_matrix_count"]:
             code = 3
-    if len(configs) <= 10000:
+    listed = payload["count"] <= 10000
+    configs = spec.ground_configs if listed or args.verify_susy else []
+    if listed:
         payload["configs"] = [g.bitstring() for g in configs]
         payload["config_lines"] = [g.bitstring() for g in configs]
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, SparseOperator
+from .fock import FockBasis, SparseOperator, span_dimension
 from .fock import enumerate_basis  # noqa: F401  alias read by bench/test_bench.py
 from .groundstates import Configuration, config_to_vector, is_ground_config
 from .model import ModelSpec
@@ -481,16 +481,6 @@ def _gibbs_gaps(generators: list, spectrum: Spectrum, betas) -> dict:
     return gaps
 
 
-def _span_dimension(operators: list) -> int:
-    """Dimension of the span of integer operators: the rank of their exact
-    Hilbert-Schmidt Gram matrix ``G_ij = sum_kl A_i[k, l] A_j[k, l]``, each
-    operator a sparse row of length dim^2."""
-    dim = operators[0].dim
-    stack = sp.vstack([op.matrix.reshape(1, dim * dim) for op in operators], format="csr")
-    gram = (stack @ stack.T).toarray()
-    return int(np.linalg.matrix_rank(gram.astype(np.float64)))
-
-
 def ergodicity_report(
     spec: ModelSpec,
     betas=(0.5, 1.0, 2.0),
@@ -538,7 +528,7 @@ def ergodicity_report(
                 f"Mazur gap {dense!r}"
             )
     report.gaps.update(_gibbs_gaps(generators, spectrum, betas))
-    report.invariant_dimension = _span_dimension(
+    report.invariant_dimension = span_dimension(
         [SparseOperator.identity(basis)] + generators
     )
     report.non_ergodic = report.invariant_dimension >= 2

@@ -44,6 +44,8 @@ __all__ = [
     "anticommutator",
     "commutator",
     "graded_commutator",
+    "hilbert_schmidt_gram",
+    "span_dimension",
     "normal_order",
     "parity_operator",
 ]
@@ -499,6 +501,34 @@ def graded_commutator(
     if parity_a % 2 and parity_b % 2:
         return anticommutator(a, b)
     return commutator(a, b)
+
+
+def hilbert_schmidt_gram(operators: list) -> np.ndarray:
+    """Gram matrix ``G_ij = sum_kl A_i[k, l] A_j[k, l]`` of operators on one
+    basis, each a sparse row of length dim^2; exact for integer operators."""
+    dim = operators[0].dim
+    mats = [op.matrix for op in operators]
+    row_start = np.arange(dim, dtype=np.int64) * dim
+    flat = [np.repeat(row_start, np.diff(m.indptr)) + m.indices for m in mats]
+    stack = sp.csr_matrix(
+        (
+            np.concatenate([m.data for m in mats]),
+            np.concatenate(flat),
+            np.concatenate([[0], np.cumsum([m.nnz for m in mats])]),
+        ),
+        shape=(len(mats), dim * dim),
+    )
+    return (stack @ stack.T).toarray()
+
+
+def span_dimension(operators: list) -> int:
+    """Dimension of the span of integer operators: the rank of their exact
+    Hilbert-Schmidt Gram matrix, which equals the rank of the operators
+    flattened into rows, from a matrix only as wide as their count.  The
+    Gram matrix is symmetric, so its singular values are the moduli of its
+    eigenvalues (``hermitian=True``)."""
+    gram = hilbert_schmidt_gram(operators).astype(np.float64)
+    return int(np.linalg.matrix_rank(gram, hermitian=True))
 
 
 def parity_operator(basis: FockBasis) -> SparseOperator:

@@ -6,13 +6,18 @@ alphabet, ``{0, 1}`` for occupations or ``{-1, +1}`` for sequences, this is
 exactly the alternating triple ("0,1,0" / "1,0,1") of an even-centered
 triple and, on tori, a cross whose center is opposite all four arms.  A word
 is *permitted* when none of its neighbourhoods is forbidden.
+
+:func:`permitted_words` is the one enumerator.  It works breadth-first on a
+numpy array, one position per step, and returns the words as the rows of an
+int8 array, so a caller that only needs the count reads the number of rows
+and builds no per-word object (the ``charges --ring`` and ``groundstates``
+listings do this).  Callers that return objects build them from
+``words.tolist()``.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -35,48 +40,43 @@ def permitted(word, hoods) -> bool:
     return not any(forbidden(word[c], [word[p] for p in arms]) for c, *arms in hoods)
 
 
-@lru_cache(maxsize=None)
-def _forbidden_letters(size: int, alphabet: tuple) -> frozenset:
-    return frozenset(
-        w for w in itertools.product(alphabet, repeat=size) if forbidden(w[0], w[1:])
-    )
+def permitted_words(n: int, hoods, alphabet: tuple, ties=()) -> np.ndarray:
+    """Every permitted word of length ``n`` as the rows of an int8 array of
+    shape ``(count, n)``, in lexicographic order.
 
-
-def permitted_words(n: int, hoods, alphabet: tuple, ties=()) -> list:
-    """Every permitted word of length ``n``, in lexicographic order.
-
-    ``alphabet`` lists the letters in ascending order.  Each neighbourhood is
-    checked once, when its last position is assigned.  A tie ``(p, q)`` with
-    ``p < q`` forces ``w[q] == w[p]`` (the boundary-pair condition).
+    ``alphabet`` lists the letters in ascending order.  The words grow one
+    position at a time: every row takes every letter (``np.repeat`` of the
+    rows against ``np.tile`` of the letters keeps lexicographic order), then
+    the rows that a neighbourhood closing at that position forbids are
+    dropped.  A tie ``(p, q)`` with ``p < q`` forces ``w[q] == w[p]`` (the
+    boundary-pair condition): position ``q`` copies column ``p`` instead of
+    taking every letter, and a further tie onto the same ``q`` is checked as
+    the two-position neighbourhood ``(q, p)``.
     """
-    checks = [[] for _ in range(n)]
-    for hood in hoods:
-        checks[max(hood)].append(
-            (itemgetter(*hood), _forbidden_letters(len(hood), tuple(alphabet)))
-        )
-    pinned = [None] * n
+    letters = np.asarray(alphabet, dtype=np.int8)
+    copies = {}
+    closing = [[] for _ in range(n)]
     for p, q in ties:
         if not p < q:
             raise ValueError(f"tie {(p, q)} must point backwards")
-        pinned[q] = p
-    out = []
-    w = [None] * n
-
-    def extend(q):
-        if q == n:
-            out.append(tuple(w))
-            return
-        p = pinned[q]
-        for v in alphabet if p is None else (w[p],):
-            w[q] = v
-            for letters, bad in checks[q]:
-                if letters(w) in bad:
-                    break
-            else:
-                extend(q + 1)
-
-    extend(0)
-    return out
+        if copies.setdefault(q, p) != p:
+            closing[q].append((q, p))
+    for hood in hoods:
+        closing[max(hood)].append(hood)
+    words = np.zeros((1, n), dtype=np.int8)
+    for q in range(n):
+        if q in copies:
+            words[:, q] = words[:, copies[q]]
+        else:
+            rows = len(words)
+            words = np.repeat(words, len(letters), axis=0)
+            words[:, q] = np.tile(letters, rows)
+        if closing[q]:
+            bad = np.zeros(len(words), dtype=bool)
+            for center, *arms in closing[q]:
+                bad |= forbidden(words[:, center], [words[:, a] for a in arms])
+            words = words[~bad]
+    return words
 
 
 def pair_transfer_matrix() -> np.ndarray:

@@ -132,7 +132,8 @@ def is_ground_config(g: Configuration) -> bool:
 def ground_config_mask(lattice: Lattice, basis: FockBasis | None = None) -> np.ndarray:
     """Boolean mask over the full basis marking ground-state configurations.
 
-    Vectorized bit arithmetic, independent of the depth-first enumeration.
+    Vectorized bit arithmetic over Fock states, independent of the word
+    enumeration.
     """
     if basis is None:
         basis = enumerate_basis(lattice)
@@ -143,20 +144,25 @@ def ground_config_mask(lattice: Lattice, basis: FockBasis | None = None) -> np.n
     return ok
 
 
-def enumerate_ground_configs(lattice: Lattice) -> list:
-    """All ground-state configurations in lexicographic site order.
-
-    Raises for lattices beyond ``_MAX_EXHAUSTIVE`` sites; use
-    :func:`transfer_count_ground_configs` to count larger systems.
-    """
+def _ground_words(lattice: Lattice) -> np.ndarray:
+    """The ground-state configurations as the rows of an int8 array, in
+    lexicographic site order; raises beyond ``_MAX_EXHAUSTIVE`` sites."""
     n = lattice.nsites
     if n > _MAX_EXHAUSTIVE:
         raise ValueError(
             f"{n} sites exceeds the exhaustive limit ({_MAX_EXHAUSTIVE}); "
             "use the transfer-matrix count instead"
         )
-    words = grammar.permitted_words(n, charge_hoods(lattice), (0, 1))
-    return [Configuration(lattice, v) for v in words]
+    return grammar.permitted_words(n, charge_hoods(lattice), (0, 1))
+
+
+def enumerate_ground_configs(lattice: Lattice) -> list:
+    """All ground-state configurations in lexicographic site order.
+
+    Raises for lattices beyond ``_MAX_EXHAUSTIVE`` sites; use
+    :func:`transfer_count_ground_configs` to count larger systems.
+    """
+    return [Configuration(lattice, v) for v in map(tuple, _ground_words(lattice).tolist())]
 
 
 def transfer_count_ground_configs(lattice: Lattice) -> int:

@@ -56,6 +56,32 @@ def test_charges_ring_check(capsys):
     assert payload["max_commutator_residual"] == 0
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_listing_counts_equal_the_object_enumerators(capsys, m):
+    lat = nicolai.Lattice.ring(m)
+    assert run(["charges", "--ring", "--m", str(m)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["embeddable_count"] == len(nicolai.all_embeddable_sequences(lat))
+    assert payload["full_ring_count"] == len(nicolai.enumerate_ring_sequences(lat))
+    assert run(["groundstates", "--ring", "--m", str(m)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == len(nicolai.enumerate_ground_configs(lat))
+
+
+def test_listings_count_without_building_objects(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(nicolai.ConservedSequence, "__post_init__", refuse)
+    monkeypatch.setattr(nicolai.Configuration, "__post_init__", refuse)
+    assert run(["charges", "--ring", "--m", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["embeddable_count"] == 5096
+    # 19682 configurations on 18 sites: counted, not listed
+    assert run(["groundstates", "--ring", "--m", "8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 19682 and "configs" not in payload
+
+
 def test_charges_tables(capsys):
     assert run(["charges", "--tables"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -237,6 +263,8 @@ GOLDEN_STDOUT = {
     "groundstates --chain 29 --transfer-matrix": "d5bcc7a4a081a243705d77e00d935f975ebbbb7958d5b4c35a520f25f0c1c6f2",
     "charges --ring --m 4 --check": "8f5a586c15728d6454d3ecc3a1d2ce08d3d29c3b8b91bce4431334efe5715141",
     "charges --ring --m 5 --check": "6b8c916573ec24c7469bea7cf7322fdb397713c62ad1936e72ba3e86b01a78b9",
+    "charges --ring --m 10": "660fe07566e04ca4b2c6d5677374195b42b16ecb55d46379d4978120edc94373",
+    "groundstates --ring --m 10": "303d19c9ff6506195664221ebc94b098dc25b8708774111434fd7093311e5a8a",
 }
 
 
@@ -270,6 +298,20 @@ def test_verify_runs_every_check_above_4096_states(capsys):
     assert len(names) == 15
     assert "h_min_eigenvalue_zero" in names and "kernel_census" in names
     assert payload["failures"] == 0
+
+
+def test_groundstates_guard_fires_before_enumerating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the exhaustive limit")
+
+    monkeypatch.setattr(nicolai.grammar, "permitted_words", refuse)
+    assert run(["groundstates", "--ring", "--m", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 26 sites exceeds the exhaustive limit (24); "
+        "use the transfer-matrix count instead\n"
+    )
 
 
 def _count_calls(monkeypatch, builders):

@@ -29,7 +29,9 @@ from nicolai.charges import (
     all_embeddable_sequences,
     arc_sequences,
     enumerate_ring_sequences,
+    lattice_sequences,
 )
+from nicolai.fock import hilbert_schmidt_gram, span_dimension
 from nicolai.dynamics import ThermalState, _gibbs_gaps, _trace_gap, spectrum_table
 
 
@@ -280,6 +282,44 @@ def test_ergodicity_report_ring3_invariant_dimension(ring):
     report = ergodicity_report(ring(3))
     assert len(report.generator_labels) == 186
     assert report.invariant_dimension == 94
+
+
+def rank_mod_p(matrix, p=2**31 - 1):
+    """Rank of an integer matrix over GF(p) by row elimination.  Entries stay
+    in [0, p) and p**2 < 2**63, so every int64 product is exact."""
+    a = np.mod(matrix, p).astype(np.int64)
+    rank = 0
+    for col in range(a.shape[1]):
+        nz = rank + np.flatnonzero(a[rank:, col])
+        if not len(nz):
+            continue
+        a[[rank, nz[0]]] = a[[nz[0], rank]]  # the old row `rank` is zero in col
+        a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
+        rest = nz[1:]
+        a[rest] = (a[rest] - a[rest, col, None] * a[rank] % p) % p
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_on_small_matrices():
+    assert rank_mod_p(np.array([[2, 4], [1, 2]])) == 1
+    assert rank_mod_p(np.array([[0, 1], [1, 0], [1, 1]])) == 2
+    assert rank_mod_p(np.zeros((3, 2), dtype=np.int64)) == 0
+    assert rank_mod_p(np.array([[3]]), p=3) == 0
+
+
+@pytest.mark.parametrize("m,rank", [(2, 26), (3, 94), (4, 322)])
+def test_invariant_rank_equals_the_exact_rank_mod_p(ring, m, rank):
+    # the float rank of the integer Gram matrix against its exact rank over
+    # GF(2**31 - 1), which can only fall below the rational rank
+    ctx = ring(m)
+    operators = [SparseOperator.identity(ctx.basis)]
+    for f in lattice_sequences(ctx.lattice):
+        qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
+        operators.append(qf + qf.adjoint())
+    gram = hilbert_schmidt_gram(operators)
+    assert gram.dtype == np.int64
+    assert span_dimension(operators) == rank_mod_p(gram) == rank
 
 
 def test_ergodicity_report_rejects_a_non_conserved_generator(monkeypatch):

@@ -2,11 +2,16 @@
 
 The tables below are written out by hand; the brute force shares no code
 with the enumerators, and each comparison is element for element, in order.
+The word enumerator itself is checked on random neighbourhoods and ties
+against a filter of every word through the scalar rule.
 """
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicolai import (
     Lattice,
@@ -14,6 +19,7 @@ from nicolai import (
     enumerate_ground_configs,
     enumerate_hat_xi,
     enumerate_ring_sequences,
+    grammar,
 )
 
 SEQUENCE_TRIPLES = {(-1, 1, -1), (1, -1, 1)}  # (left, center, right)
@@ -132,3 +138,49 @@ def test_enumerator_matches_brute_force(kind, arg):
     expected = brute(arg)
     assert expected
     assert enumerate_(arg) == expected
+
+
+@st.composite
+def _grammars(draw):
+    """Length, 3- and 5-position neighbourhoods, backward ties, alphabet."""
+    n = draw(st.integers(0, 10))
+    hoods, ties = [], []
+    if n:
+        position = st.integers(0, n - 1)
+        hood = st.one_of(st.tuples(*[position] * 3), st.tuples(*[position] * 5))
+        hoods = draw(st.lists(hood, max_size=8))
+    if n > 1:
+        tie = st.integers(1, n - 1).flatmap(
+            lambda q: st.tuples(st.integers(0, q - 1), st.just(q))
+        )
+        ties = draw(st.lists(tie, max_size=4))
+    return n, hoods, ties, draw(st.sampled_from(((0, 1), (-1, 1))))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_grammars())
+def test_permitted_words_match_a_filter_of_every_word(case):
+    n, hoods, ties, alphabet = case
+    expected = [
+        w
+        for w in itertools.product(alphabet, repeat=n)
+        if grammar.permitted(w, hoods) and all(w[p] == w[q] for p, q in ties)
+    ]
+    words = grammar.permitted_words(n, hoods, alphabet, ties)
+    assert words.dtype == np.int8
+    assert words.shape == (len(expected), n)
+    assert list(map(tuple, words.tolist())) == expected
+
+
+def test_permitted_words_edge_shapes():
+    # the empty word is the one word of length 0
+    assert grammar.permitted_words(0, [], (0, 1)).shape == (1, 0)
+    # only an empty alphabet leaves nothing: a constant word breaks no rule
+    empty = grammar.permitted_words(3, [(1, 0, 2)], ())
+    assert empty.shape == (0, 3) and empty.dtype == np.int8
+
+
+@pytest.mark.parametrize("tie", [(1, 0), (2, 2)])
+def test_permitted_words_refuses_a_forward_tie(tie):
+    with pytest.raises(ValueError, match="must point backwards"):
+        grammar.permitted_words(3, [], (-1, 1), ties=[tie])
