@@ -18,7 +18,6 @@ counter over adjacent (even, odd) value pairs cross-checks every enumeration.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -122,58 +121,24 @@ class ConservedSequence:
         ]
 
 
-def _grid(seq: ConservedSequence) -> list:
-    nx, ny = seq.shape
-    return [list(seq.values[i * ny : (i + 1) * ny]) for i in range(nx)]
-
-
-def _hoods(f: ConservedSequence) -> list:
-    """Neighbourhoods of the support as ``(center, *arms)`` positions: at even
-    sites in 1D, at even-even sites in 2D; open supports skip edge centers."""
-    n = len(f)
-    if f.shape is None:
-        return [
-            (p, (p - 1) % n, (p + 1) % n)
-            for p in range(n)
-            if f.sites[p] % 2 == 0 and (f.closed or 0 < p < n - 1)
-        ]
-    nx, ny = f.shape
-
-    def pos(i, j):
-        return (i % nx) * ny + j % ny
-
-    return [
-        (pos(i, j), pos(i - 1, j), pos(i + 1, j), pos(i, j - 1), pos(i, j + 1))
-        for i in range(nx)
-        for j in range(ny)
-        if not any(c % 2 for c in f.sites[pos(i, j)])
-        and (f.closed or (0 < i < nx - 1 and 0 < j < ny - 1))
-    ]
-
-
 def is_permitted(f: ConservedSequence) -> bool:
     """No forbidden even-centered triple (1D) or forbidden cross (2D)."""
-    return grammar.permitted(f.values, _hoods(f))
+    return grammar.permitted(f.values, grammar.hoods(f.sites, f.closed, f.shape))
 
 
 def has_edge_conditions(f: ConservedSequence) -> bool:
     """Constant boundary pairs: both ends in 1D, all four pair-lines in 2D."""
     if f.closed:
         raise ValueError("edge conditions apply to open supports only")
-    if f.shape is None:
-        return f.values[0] == f.values[1] and f.values[-1] == f.values[-2]
-    g = _grid(f)
-    nx, ny = f.shape
-    cols_ok = all(g[0][j] == g[1][j] and g[nx - 1][j] == g[nx - 2][j] for j in range(ny))
-    rows_ok = all(g[i][0] == g[i][1] and g[i][ny - 1] == g[i][ny - 2] for i in range(nx))
-    return cols_ok and rows_ok
+    v = f.values
+    return all(v[p] == v[q] for p, q in grammar.edge_ties(len(f), f.shape))
 
 
 def _interval_words(n: int) -> np.ndarray:
     """Permitted value rows on ``n`` positions starting at an even site, with
     both boundary pairs constant; lexicographic with ``-1 < +1``."""
-    hoods = [(p, p - 1, p + 1) for p in range(2, n - 1, 2)]
-    return grammar.permitted_words(n, hoods, (-1, 1), ties=((0, 1), (n - 2, n - 1)))
+    hoods = grammar.hoods(range(n), closed=False)
+    return grammar.permitted_words(n, hoods, (-1, 1), ties=grammar.edge_ties(n))
 
 
 def _sequences(sites: tuple, words: np.ndarray, closed: bool = False) -> list:
@@ -504,20 +469,16 @@ def transfer_count_hat_xi(k: int, l: int) -> int:
     """Transfer-matrix count of the conserved sequences on ``[2k, 2l]``."""
     if k >= l:
         raise ValueError(f"need k < l, got k={k}, l={l}")
-    t = grammar.pair_transfer_matrix()
-    m = np.linalg.matrix_power(t, l - k - 1)
     # constant boundary pairs: start in (-,-) or (+,+); the final lone site
     # is pinned to its left neighbour, so it contributes no factor
-    return int(m[[0, 3], :].sum())
+    return int(grammar.transfer_power(l - k - 1)[[0, 3], :].sum())
 
 
 def transfer_count_ring_sequences(lattice) -> int:
     """Transfer-matrix count of permitted sequences on the full ring."""
     if lattice.dimension != 1 or not lattice.periodic:
         raise ValueError("ring counting requires a periodic 1D lattice")
-    nblocks = lattice.nsites // 2
-    t = grammar.pair_transfer_matrix()
-    return int(np.trace(np.linalg.matrix_power(t, nblocks)))
+    return int(np.trace(grammar.transfer_power(lattice.nsites // 2)))
 
 
 def rectangle_sites(lattice, x0: int, y0: int, nx: int, ny: int) -> tuple:
@@ -550,16 +511,15 @@ def torus_constant_sequence(lattice, value: int) -> ConservedSequence:
 
 
 def enumerate_rectangle_sequences(lattice, x0, y0, nx, ny) -> list:
-    """All permitted rectangle sequences with constant boundary pair-lines."""
+    """All permitted rectangle sequences with constant boundary pair-lines,
+    in lexicographic row-major order with ``-1 < +1``."""
     sites = rectangle_sites(lattice, x0, y0, nx, ny)
     if nx * ny > 16:
         raise ValueError("exhaustive rectangle enumeration capped at 16 sites")
-    out = []
-    for bits in itertools.product((-1, 1), repeat=nx * ny):
-        seq = ConservedSequence(sites, bits, shape=(nx, ny))
-        if is_permitted(seq) and has_edge_conditions(seq):
-            out.append(seq)
-    return out
+    shape = (nx, ny)
+    hoods, ties = grammar.hoods(sites, False, shape), grammar.edge_ties(nx * ny, shape)
+    words = grammar.permitted_words(nx * ny, hoods, (-1, 1), ties)
+    return [ConservedSequence(sites, v, shape=shape) for v in map(tuple, words.tolist())]
 
 
 def reference_interval_tables() -> dict:
@@ -590,9 +550,8 @@ def sample_edge_violating_sequences(lattice, count: int, rng) -> list:
     while len(out) < count:
         d = ds[rng.integers(len(ds))]
         start = evens[rng.integers(len(evens))]
-        length = 2 * d + 1
-        sites = tuple(lattice.wrap(start + j) for j in range(length))
-        values = tuple(rng.choice((-1, 1)) for _ in range(length))
+        sites = _arc_sites(lattice, start, d)
+        values = tuple(rng.choice((-1, 1)) for _ in sites)
         seq = ConservedSequence(sites, values)
         if is_permitted(seq) and not has_edge_conditions(seq):
             out.append(seq)

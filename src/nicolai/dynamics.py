@@ -395,7 +395,7 @@ def no_resonance_check(spec: ModelSpec) -> NoResonanceReport:
     All powers of the perturbation then annihilate the vector as well, so no
     matrix element connects it to anything at any perturbative order.
     """
-    if spec.variant != "nicolai-1d":
+    if spec.lattice.dimension != 1:
         raise ValueError("the hopping split is only available in 1D")
     lat = spec.lattice
     hop = abs(spec.h_hop.matrix.tocsc())
@@ -491,32 +491,38 @@ def ergodicity_report(
     inverse temperatures, in closed form (see the module docstring).  Raises
     ``RuntimeError`` if some generator does not commute with H exactly, or if
     the closed form disagrees with the dense :func:`mazur_gap` on the first
-    generator.  The dimension of the span of the invariant operators found
-    (including the identity) is the finite-volume stand-in for the
-    invariant-projection criterion: more than one dimension means
-    non-ergodic.  When degenerate classical ground states exist, the flip
-    operator between two of them witnesses the breaking for ground states:
-    once both are certified to be annihilated by H exactly (``RuntimeError``
-    otherwise), its gap under the first is exactly 1.
+    generator.  The generators are certified by the orbit-reduced
+    :func:`~nicolai.charges.conservation_sweep` of ``[H, Q(f)]``.  That also
+    certifies ``A``: H = QQ* + Q*Q is exactly symmetric in int64, so
+    ``[H, Q(f)*] = -[H, Q(f)]^T`` vanishes with ``[H, Q(f)]``.
+
+    The dimension of the span of the invariant operators found (including
+    the identity) is the finite-volume stand-in for the invariant-projection
+    criterion: more than one dimension means non-ergodic.  When degenerate
+    classical ground states exist, the flip operator between two of them
+    witnesses the breaking for ground states: once both are certified to be
+    annihilated by H exactly (``RuntimeError`` otherwise), its gap under the
+    first is exactly 1.
     """
-    from .charges import lattice_sequences, sequence_to_operator
-    from .fock import commutator, monomial_to_sparse
+    from .charges import conservation_sweep, lattice_sequences, sequence_to_operator
+    from .fock import monomial_to_sparse
 
     lat = spec.lattice
-    if spec.variant != "nicolai-1d" or not lat.periodic:
+    if lat.dimension != 1 or not lat.periodic:
         raise ValueError("the ergodicity report runs on rings")
     basis = spec.basis
     spectrum = spec.spectrum
 
+    seqs = lattice_sequences(lat)
+    residual = conservation_sweep(spec, seqs)
+    if residual:
+        raise RuntimeError(f"charge catalogue does not commute with H (residual {residual})")
     report = ErgodicityReport()
     generators = []
-    for f in lattice_sequences(lat):
+    for f in seqs:
         qf = monomial_to_sparse(sequence_to_operator(f), basis)
-        a = qf + qf.adjoint()
-        if not commutator(spec.h, a).is_zero():
-            raise RuntimeError(f"charge {f.label()} does not commute with H")
         report.generator_labels.append(f.label())
-        generators.append(a)
+        generators.append(qf + qf.adjoint())
 
     report.gaps["trace"] = [_trace_gap(a) for a in generators]
     if generators:

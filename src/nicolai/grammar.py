@@ -7,21 +7,30 @@ exactly the alternating triple ("0,1,0" / "1,0,1") of an even-centered
 triple and, on tori, a cross whose center is opposite all four arms.  A word
 is *permitted* when none of its neighbourhoods is forbidden.
 
-:func:`permitted_words` is the one enumerator.  It works breadth-first on a
-numpy array, one position per step, and returns the words as the rows of an
-int8 array, so a caller that only needs the count reads the number of rows
-and builds no per-word object (the ``charges --ring`` and ``groundstates``
-listings do this).  Callers that return objects build them from
-``words.tolist()``.
+:func:`hoods` is the geometry: centers at even sites in 1D and at even-even
+sites in 2D, arms along each axis, wrapped on closed supports and kept off
+the edge of open ones.  :func:`edge_ties` is the boundary-pair condition of
+open supports, as ties ``w[p] == w[q]``.  :func:`permitted_words` is the one
+enumerator: it grows every word breadth-first on a numpy array and returns
+the words as the rows of an int8 array, so a caller that only needs the count
+reads the number of rows (the ``charges --ring`` and ``groundstates``
+listings do this).  :func:`transfer_power` counts 1D words exactly, as a
+power of the 4x4 pair transfer matrix in Python integers.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-__all__ = ["forbidden", "permitted", "permitted_words", "pair_transfer_matrix"]
+__all__ = [
+    "forbidden",
+    "permitted",
+    "hoods",
+    "edge_ties",
+    "permitted_words",
+    "pair_transfer_matrix",
+    "transfer_power",
+]
 
 
 def forbidden(center, arms):
@@ -38,6 +47,44 @@ def forbidden(center, arms):
 def permitted(word, hoods) -> bool:
     """No neighbourhood of ``word`` is forbidden."""
     return not any(forbidden(word[c], [word[p] for p in arms]) for c, *arms in hoods)
+
+
+def hoods(sites, closed: bool, shape=None) -> list:
+    """Neighbourhoods ``(center, *arms)`` of a support, as word positions.
+
+    ``sites`` lists the support in word order, row-major over ``shape`` in
+    2D.  Arms are ``(left, right)`` in 1D and ``(x-1, y-1, x+1, y+1)`` in 2D.
+    """
+    n = len(sites)
+    if shape is None:
+        return [
+            (p, (p - 1) % n, (p + 1) % n)
+            for p in range(n)
+            if sites[p] % 2 == 0 and (closed or 0 < p < n - 1)
+        ]
+    nx, ny = shape
+
+    def pos(i, j):
+        return (i % nx) * ny + j % ny
+
+    return [
+        (pos(i, j), pos(i - 1, j), pos(i, j - 1), pos(i + 1, j), pos(i, j + 1))
+        for i in range(nx)
+        for j in range(ny)
+        if not any(c % 2 for c in sites[pos(i, j)])
+        and (closed or (0 < i < nx - 1 and 0 < j < ny - 1))
+    ]
+
+
+def edge_ties(n: int, shape=None) -> list:
+    """Ties ``(p, q)`` that make both end pairs constant in 1D, and the first
+    and last pair of every row and column of ``shape`` in 2D."""
+    if shape is None:
+        return [(0, 1), (n - 2, n - 1)]
+    nx, ny = shape
+    rows = [(i * ny + a, i * ny + a + 1) for i in range(nx) for a in (0, ny - 2)]
+    cols = [(a * ny + j, (a + 1) * ny + j) for j in range(ny) for a in (0, nx - 2)]
+    return rows + cols
 
 
 def permitted_words(n: int, hoods, alphabet: tuple, ties=()) -> np.ndarray:
@@ -86,8 +133,12 @@ def pair_transfer_matrix() -> np.ndarray:
     ``{0, 1}``; the step from ``(x, y)`` to ``(u, v)`` is allowed unless the
     triple ``y, u, v`` centered at the even position is forbidden.
     """
-    t = np.zeros((4, 4), dtype=np.int64)
-    for x, y, u, v in itertools.product(range(2), repeat=4):
-        if not forbidden(u, (y, v)):
-            t[2 * x + y, 2 * u + v] = 1
-    return t
+    y = (np.arange(4) % 2)[:, None]
+    u, v = np.divmod(np.arange(4), 2)
+    return (~forbidden(u, (y, v))).astype(np.int64)
+
+
+def transfer_power(p: int) -> np.ndarray:
+    """``pair_transfer_matrix() ** p`` with Python-integer (object) entries,
+    exact at every size: the counts pass 2**63 from about 80 sites on."""
+    return np.linalg.matrix_power(pair_transfer_matrix().astype(object), p)

@@ -102,7 +102,7 @@ class Configuration:
             self.lattice.sites,
             tuple(2 * v - 1 for v in self.values),
             closed=self.lattice.periodic,
-            shape=self.lattice.shape if self.lattice.dimension == 2 else None,
+            shape=self.lattice.shape,
         )
 
     def bitstring(self) -> str:
@@ -172,15 +172,15 @@ def transfer_count_ground_configs(lattice: Lattice) -> int:
     """
     if lattice.dimension != 1:
         raise ValueError("transfer-matrix counting is one-dimensional")
-    t = grammar.pair_transfer_matrix()
     if lattice.periodic:
-        return int(np.trace(np.linalg.matrix_power(t, lattice.nsites // 2)))
+        return int(np.trace(grammar.transfer_power(lattice.nsites // 2)))
     lo, hi = lattice.sites[0], lattice.sites[-1]
     if lo % 2 or hi % 2:
         raise ValueError("chain counting needs even endpoints")
     nblocks = (hi - lo) // 2  # pairs (2i, 2i+1); the final even site is free
-    m = np.linalg.matrix_power(t, nblocks - 1)
-    return int(m.sum()) * 2 if nblocks >= 1 else 2
+    if nblocks < 1:
+        return 2
+    return int(grammar.transfer_power(nblocks - 1).sum()) * 2
 
 
 def entropy_density(lattice: Lattice) -> float:
@@ -301,7 +301,7 @@ class KernelCensus:
 
 def kernel_census(spec: ModelSpec) -> KernelCensus:
     """Count classical ground configurations against the operator kernels."""
-    if spec.variant != "nicolai-1d":
+    if spec.lattice.dimension != 1:
         raise ValueError(
             "kernel census needs the classical/hopping split, available in 1D only"
         )

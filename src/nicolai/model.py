@@ -37,6 +37,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from . import grammar
 from .fock import (
     ANNIHILATE,
     CREATE,
@@ -267,60 +268,38 @@ class ModelSpec:
         return diagonalize(self.h)
 
 
+def charge_hoods(lattice: Lattice) -> list:
+    """Charge neighbourhoods as site ranks ``(center, *arms)``: the
+    even-centered triples ``(center, left, right)`` in 1D, the five-site
+    crosses ``(center, xminus, yminus, xplus, yplus)`` on tori."""
+    if lattice.dimension == 2 and not lattice.periodic:
+        raise ValueError("2D charges are defined on tori")
+    return grammar.hoods(lattice.sites, lattice.periodic, lattice.shape)
+
+
 def charge_centers(lattice: Lattice) -> list:
     """Centers of the elementary charges the lattice supports.
 
     1D: even sites whose triple fits (all of them on a ring).  2D periodic:
     all even-even sites.
     """
-    if lattice.dimension == 1:
-        centers = []
-        for c in lattice.sites:
-            if c % 2:
-                continue
-            if lattice.periodic or (
-                lattice.contains(c - 1) and lattice.contains(c + 1)
-            ):
-                centers.append(c)
-        return centers
-    if not lattice.periodic:
-        raise ValueError("2D charges are defined on tori")
-    return [(x, y) for (x, y) in lattice.sites if x % 2 == 0 and y % 2 == 0]
+    return [lattice.sites[c] for c, *_ in charge_hoods(lattice)]
 
 
 def charge_triples(lattice: Lattice) -> list:
     """Even-centered triples ``(left, center, right)``, wrapped on rings."""
     if lattice.dimension != 1:
         raise ValueError("charge triples are one-dimensional")
-    return [
-        (lattice.wrap(c - 1), c, lattice.wrap(c + 1)) for c in charge_centers(lattice)
-    ]
+    s = lattice.sites
+    return [(s[l], s[c], s[r]) for c, l, r in charge_hoods(lattice)]
 
 
 def charge_crosses(lattice: Lattice) -> list:
     """Five-site crosses ``(xminus, yminus, center, xplus, yplus)`` on a torus."""
-    crosses = []
-    for (x, y) in charge_centers(lattice):
-        crosses.append(
-            (
-                lattice.wrap((x - 1, y)),
-                lattice.wrap((x, y - 1)),
-                (x, y),
-                lattice.wrap((x + 1, y)),
-                lattice.wrap((x, y + 1)),
-            )
-        )
-    return crosses
-
-
-def charge_hoods(lattice: Lattice) -> list:
-    """Charge neighbourhoods as site ranks ``(center, *arms)``: the
-    even-centered triples in 1D, the five-site crosses on tori."""
-    if lattice.dimension == 1:
-        hoods = [(c, l, r) for (l, c, r) in charge_triples(lattice)]
-    else:
-        hoods = [(c, xm, ym, xp, yp) for (xm, ym, c, xp, yp) in charge_crosses(lattice)]
-    return [tuple(map(lattice.rank, h)) for h in hoods]
+    s = lattice.sites
+    return [
+        (s[xm], s[ym], s[c], s[xp], s[yp]) for c, xm, ym, xp, yp in charge_hoods(lattice)
+    ]
 
 
 def local_charge_1d(i: int, lattice: Lattice) -> FermionMonomial:
@@ -371,7 +350,7 @@ def local_charge_2d(i: int, j: int, lattice: Lattice) -> FermionMonomial:
 def build_supercharge(spec: ModelSpec) -> OperatorSum:
     """Sum of the local charges over every triple/cross the lattice supports."""
     lat = spec.lattice
-    if spec.variant == "nicolai-1d":
+    if spec.lattice.dimension == 1:
         terms = [local_charge_1d(c // 2, lat) for c in charge_centers(lat)]
     else:
         terms = [
@@ -427,7 +406,7 @@ def build_hamiltonian_explicit(spec: ModelSpec) -> OperatorSum:
     terms of :func:`build_h_hop`.  On open chains this truncation reproduces
     {Q_truncated, Q_truncated*} exactly.
     """
-    if spec.variant != "nicolai-1d":
+    if spec.lattice.dimension != 1:
         raise ValueError("explicit expansion is only available in 1D; use {Q, Q*}")
     lat = spec.lattice
     terms = []
@@ -448,7 +427,7 @@ def build_hamiltonian_explicit(spec: ModelSpec) -> OperatorSum:
 
 def build_h_classical(spec: ModelSpec) -> OperatorSum:
     """Diagonal part: per triple ``n_c - n_l n_c - n_c n_r + n_l n_r``."""
-    if spec.variant != "nicolai-1d":
+    if spec.lattice.dimension != 1:
         raise ValueError("the classical/hopping split is only available in 1D")
     terms = []
     for (l, c, r) in charge_triples(spec.lattice):
@@ -472,7 +451,7 @@ def forbidden_triple_projector(l, c, r) -> OperatorSum:
 
 def build_h_hop(spec: ModelSpec) -> OperatorSum:
     """Pair-hopping part: two terms per pair of neighbouring centers."""
-    if spec.variant != "nicolai-1d":
+    if spec.lattice.dimension != 1:
         raise ValueError("the classical/hopping split is only available in 1D")
     terms = []
     for (c, _c2) in _adjacent_center_pairs(spec.lattice):

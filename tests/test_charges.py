@@ -158,6 +158,12 @@ def test_ring_sequence_counts_closed_form(m, ring):
     assert transfer_count_ring_sequences(lat) == 3**b + (-1) ** b
 
 
+def test_transfer_counts_stay_exact_past_int64():
+    # 2 * 3**44 and 3**40 + 1 both exceed 2**63
+    assert transfer_count_hat_xi(0, 45) == 2 * 3**44
+    assert transfer_count_ring_sequences(Lattice.ring(39)) == 3**40 + 1
+
+
 def test_sequence_to_operator_examples():
     f = enumerate_hat_xi(0, 1)[0]  # all -1
     assert sequence_to_operator(f).factors == (

@@ -314,6 +314,35 @@ def test_groundstates_guard_fires_before_enumerating(capsys, monkeypatch):
     )
 
 
+def test_groundstates_transfer_count_is_exact_past_int64(capsys):
+    assert run(["groundstates", "--ring", "--m", "39", "--transfer-matrix"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 3**40 + 1
+
+
+def test_charges_ring_guard_fires_before_enumerating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the memory guard")
+
+    monkeypatch.setattr(nicolai.grammar, "permitted_words", refuse)
+    assert run(["charges", "--ring", "--m", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the charge listing needs ~")
+    assert "GiB of word arrays" in captured.err
+
+
+def test_charges_ring_m13_gets_past_the_memory_guard(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(nicolai.grammar, "permitted_words", reached)
+    with pytest.raises(Reached):
+        run(["charges", "--ring", "--m", "13"])
+
+
 def _count_calls(monkeypatch, builders):
     """Wrap each ``(module, name)`` builder under every alias in the package."""
     calls = Counter()

@@ -3,7 +3,8 @@
 The tables below are written out by hand; the brute force shares no code
 with the enumerators, and each comparison is element for element, in order.
 The word enumerator itself is checked on random neighbourhoods and ties
-against a filter of every word through the scalar rule.
+against a filter of every word through the scalar rule, and the
+boundary-pair predicate against its literal definition on random words.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicolai import (
+    ConservedSequence,
     Lattice,
     all_embeddable_sequences,
     enumerate_ground_configs,
@@ -21,10 +23,12 @@ from nicolai import (
     enumerate_ring_sequences,
     grammar,
 )
+from nicolai.charges import enumerate_rectangle_sequences, has_edge_conditions
 
 SEQUENCE_TRIPLES = {(-1, 1, -1), (1, -1, 1)}  # (left, center, right)
 OCCUPATION_TRIPLES = {(0, 1, 0), (1, 0, 1)}
 OCCUPATION_CROSSES = {(1, (0, 0, 0, 0)), (0, (1, 1, 1, 1))}  # (center, arms)
+SEQUENCE_CROSSES = {(1, (-1, -1, -1, -1)), (-1, (1, 1, 1, 1))}
 
 
 def interval_words(n):
@@ -102,6 +106,29 @@ def brute_ground_configs(lat):
     ]
 
 
+def brute_rectangle(lat, x0, y0, nx, ny):
+    """Row-major words on an even-aligned ``nx x ny`` rectangle with constant
+    first and last pairs in every row and column and no forbidden cross at
+    an interior even-even site."""
+    sites = tuple(lat.wrap((x0 + i, y0 + j)) for i in range(nx) for j in range(ny))
+    crosses = [
+        (i * ny + j, ((i - 1) * ny + j, i * ny + j - 1, (i + 1) * ny + j, i * ny + j + 1))
+        for i in range(2, nx - 1, 2)
+        for j in range(2, ny - 1, 2)
+    ]
+
+    def grid(w):
+        return [w[i * ny : (i + 1) * ny] for i in range(nx)]
+
+    return [
+        (sites, w)
+        for w in itertools.product((-1, 1), repeat=nx * ny)
+        if all(r[0] == r[1] and r[-2] == r[-1] for r in grid(w))
+        and all(c[0] == c[1] and c[-2] == c[-1] for c in zip(*grid(w)))
+        and all((w[c], tuple(w[a] for a in arms)) not in SEQUENCE_CROSSES for c, arms in crosses)
+    ]
+
+
 def sequences(seqs):
     return [(s.sites, s.values) for s in seqs]
 
@@ -110,6 +137,10 @@ ENUMERATORS = {
     "hat_xi": (lambda l: sequences(enumerate_hat_xi(0, l)), brute_hat_xi),
     "arcs": (lambda lat: sequences(all_embeddable_sequences(lat)), brute_arcs),
     "ring_sequences": (lambda lat: sequences(enumerate_ring_sequences(lat)), brute_ring_sequences),
+    "rectangles": (
+        lambda args: sequences(enumerate_rectangle_sequences(*args)),
+        lambda args: brute_rectangle(*args),
+    ),
     "ground_configs": (
         lambda lat: [g.values for g in enumerate_ground_configs(lat)],
         brute_ground_configs,
@@ -123,6 +154,10 @@ CHAINS = [
 CASES = (
     [("hat_xi", f"[0,{2 * l}]", l) for l in range(1, 6)]
     + [(kind, name, lat) for kind in ("arcs", "ring_sequences") for name, lat in RINGS]
+    + [
+        ("rectangles", f"{nx}x{ny}@{x0},{y0}", (Lattice.torus(6, 6), x0, y0, nx, ny))
+        for nx, ny, x0, y0 in ((3, 3, 0, 0), (3, 5, 0, 2), (5, 3, 4, 0), (3, 3, 4, 4))
+    ]
     + [
         ("ground_configs", name, lat)
         for name, lat in CHAINS + RINGS + [("torus4x4", Lattice.torus(4, 4))]
@@ -184,3 +219,31 @@ def test_permitted_words_edge_shapes():
 def test_permitted_words_refuses_a_forward_tie(tie):
     with pytest.raises(ValueError, match="must point backwards"):
         grammar.permitted_words(3, [], (-1, 1), ties=[tie])
+
+
+@st.composite
+def _open_words(draw):
+    """A ``{-1, +1}`` word on an open interval or rectangle support."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 12))
+        values = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+        return ConservedSequence(tuple(range(n)), tuple(values))
+    nx, ny = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    values = draw(st.lists(st.sampled_from((-1, 1)), min_size=nx * ny, max_size=nx * ny))
+    sites = tuple((i, j) for i in range(nx) for j in range(ny))
+    return ConservedSequence(sites, tuple(values), shape=(nx, ny))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_open_words())
+def test_edge_conditions_match_their_literal_definition(f):
+    v = f.values
+    if f.shape is None:
+        expected = v[0] == v[1] and v[-2] == v[-1]
+    else:
+        nx, ny = f.shape
+        rows = [v[i * ny : (i + 1) * ny] for i in range(nx)]
+        expected = all(r[0] == r[1] and r[-2] == r[-1] for r in rows) and all(
+            c[0] == c[1] and c[-2] == c[-1] for c in zip(*rows)
+        )
+    assert has_edge_conditions(f) == expected

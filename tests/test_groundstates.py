@@ -80,7 +80,7 @@ def test_ring_census_against_oracles(m):
     assert states == set(np.nonzero(mask)[0].tolist())
 
 
-@pytest.mark.parametrize("nsites", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("nsites", [1, 3, 5, 7, 9, 11])
 def test_chain_census_against_oracles(nsites):
     lat = Lattice.chain(0, nsites - 1)
     configs = enumerate_ground_configs(lat)
