@@ -32,6 +32,7 @@ from .fock import (
     FockBasis,
     anticommutator,
     commutator,
+    jordan_wigner_masks,
     monomial_to_sparse,
     span_dimension,
 )
@@ -321,7 +322,10 @@ def conservation_check(spec: ModelSpec, f: ConservedSequence):
     """Max-abs entry of ``[H, Q(f)]`` on the full Fock space.
 
     Zero (exactly, in integer arithmetic) for every conserved sequence;
-    generically nonzero when a boundary-pair condition is violated.
+    generically nonzero when a boundary-pair condition is violated.  Two
+    scipy products of H with the matrix of ``Q(f)``: the oracle of the
+    batched kernel behind :func:`conservation_sweep`, and its fallback for a
+    support that repeats a site.
     """
     _validate_support(f, spec.lattice)
     qf = monomial_to_sparse(sequence_to_operator(f), spec.basis)
@@ -352,22 +356,138 @@ def conservation_sweep(spec: ModelSpec, sequences: list):
 
     On a ring whose H passes the exact translation certificate
     (``spec.h_translation2_invariant``: ``{TQ, (TQ)*} == H`` for the shift T
-    by two sites), one :func:`conservation_check` per shift-by-2 orbit
-    certifies every member.  The shift is the CAR automorphism
-    ``a_x -> a_(x+2)``, implemented by a unitary U that permutes the Fock
-    basis up to signs; the certificate says ``U H U* == H``, and
-    ``U Q(f) U* == Q(Tf)`` (for a closed sequence the two factors that wrap
-    move past the other ``n - 2``, an even number of odd swaps), so
-    ``[H, Q(Tf)] == U [H, Q(f)] U*`` has the same max-abs entry.  Every
-    sequence is validated; only the representatives are checked.  Without
-    the certificate, and on chains and tori, every sequence is checked.
+    by two sites), one residual per shift-by-2 orbit certifies every
+    member.  The shift is the CAR automorphism ``a_x -> a_(x+2)``,
+    implemented by a unitary U that permutes the Fock basis up to signs; the
+    certificate says ``U H U* == H``, and ``U Q(f) U* == Q(Tf)`` (for a
+    closed sequence the two factors that wrap move past the other ``n - 2``,
+    an even number of odd swaps), so ``[H, Q(Tf)] == U [H, Q(f)] U*`` has
+    the same max-abs entry.  Every sequence is validated; only the
+    representatives are checked.  Without the certificate, and on chains and
+    tori, every sequence is checked.  The residuals come from one batched
+    int64 kernel over H's CSR arrays (:func:`_commutator_residuals`), which
+    equals :func:`conservation_check` sequence by sequence.
     """
     lat = spec.lattice
     for f in sequences:
         _validate_support(f, lat)
     if lat.dimension == 1 and lat.periodic and spec.h_translation2_invariant:
-        sequences = dict.fromkeys(shift2_representative(f, lat) for f in sequences)
-    return max((conservation_check(spec, f) for f in sequences), default=0)
+        sequences = list(dict.fromkeys(shift2_representative(f, lat) for f in sequences))
+    return _commutator_residuals(spec, sequences).max(initial=0)
+
+
+# Gathered (sequence, row, column) entries per chunk of the batched
+# commutator: at a handful of int64 arrays of this length (keys, values,
+# gather positions, sort order) a chunk's temporaries stay at a few MB.  A
+# sequence larger than this is a chunk of its own.
+_CHUNK_ENTRIES = 1 << 17
+
+
+def _max_chunk_sequences(dim: int) -> int:
+    """Most sequences one chunk may hold: the packed key
+    ``(local id * dim + row) * dim + col`` stays below ``k * dim**2``,
+    which must fit in int64."""
+    k = int(np.iinfo(np.int64).max) // (dim * dim)
+    if k < 1:
+        raise OverflowError(f"packed keys of dimension {dim} do not fit in int64")
+    return k
+
+
+def _chunks(sizes: list, dim: int):
+    """Consecutive ``(start, stop)`` runs of sequences whose bounded entry
+    counts sum to at most ``_CHUNK_ENTRIES`` (one sequence at least) and
+    whose packed keys fit in int64."""
+    most = _max_chunk_sequences(dim)
+    start = total = 0
+    for q, size in enumerate(sizes):
+        if q > start and (total + size > _CHUNK_ENTRIES or q - start == most):
+            yield start, q
+            start, total = q, 0
+        total += size
+    yield start, len(sizes)
+
+
+def _row_entries(m, rows: np.ndarray):
+    """For the CSR rows ``rows`` of ``m``: the index into ``rows`` that owns
+    each stored entry, and that entry's position in ``m.indices``/``m.data``."""
+    first = m.indptr[rows]
+    count = m.indptr[rows + 1] - first
+    owner = np.repeat(np.arange(len(rows)), count)
+    skip = np.repeat(first - (np.cumsum(count) - count), count)
+    return owner, np.arange(len(owner)) + skip
+
+
+def _states_off(mask: int, n: int) -> np.ndarray:
+    """Every ``n``-bit state with no bit of ``mask`` set."""
+    states = np.zeros(1, dtype=np.int64)
+    for r in range(n):
+        if not mask >> r & 1:
+            states = np.concatenate((states, states | 1 << r))
+    return states
+
+
+def _commutator_residuals(spec: ModelSpec, sequences: list) -> np.ndarray:
+    """Max-abs entry of ``[H, Q(f)]`` for each of the (validated)
+    ``sequences``, exact in H's dtype, without building any ``Q(f)``.
+
+    ``Q(f)`` is a signed partial permutation (:func:`jordan_wigner_masks`):
+    column ``j`` survives iff ``j & S == P``, lands on row ``j ^ S`` with
+    sign ``s(j) = (-1)**(popcount(j & M) + c)``.  Hence
+
+        [H, Q](i, j) = s(j) H[i, j^S] [j alive] - s(i^S) H[i^S, j] [i^S alive]
+
+    The first term reads column ``j ^ S`` of H (a row of its transpose,
+    built once), the second row ``r = i ^ S`` of H, both for every alive
+    state.  A chunk of sequences gathers all these entries, packs (local
+    sequence, row, column) into int64 keys, sums equal keys after one sort
+    and takes the largest magnitude per sequence.  A support that repeats a
+    site falls back to :func:`conservation_check`.
+    """
+    lat = spec.lattice
+    h = spec.h.matrix
+    ht = h.T.tocsr()
+    dim, n = h.shape[0], lat.nsites
+    out = np.zeros(len(sequences), dtype=h.dtype)
+    batch, masks = [], []
+    for q, f in enumerate(sequences):
+        jw = jordan_wigner_masks(sequence_to_operator(f), lat)
+        if jw is None:
+            out[q] = conservation_check(spec, f)
+        else:
+            batch.append(q)
+            masks.append(jw)
+    if not batch:
+        return out
+    widest = int(np.diff(h.indptr).max(initial=0) + np.diff(ht.indptr).max(initial=0))
+    free = {s: _states_off(s, n) for s in {s for s, *_ in masks}}
+    sizes = [len(free[s]) * widest for s, *_ in masks]
+    for start, stop in _chunks(sizes, dim):
+        part = masks[start:stop]
+        alive = np.concatenate([free[s] | p for s, p, _, _ in part])
+        seq = np.repeat(np.arange(len(part)), [len(free[s]) for s, *_ in part])
+        support, _, string, crossings = (np.array(c, dtype=np.int64)[seq] for c in zip(*part))
+        image = alive ^ support
+        sign = 1 - 2 * ((np.bitwise_count(alive & string) + crossings) & 1)
+        # s(j) H[i, j^S]: row j^S of H^T holds column j^S of H
+        own_a, pos_a = _row_entries(ht, image)
+        # -s(r) H[r, j] lands on row r^S
+        own_b, pos_b = _row_entries(h, alive)
+        keys = np.concatenate((
+            (seq[own_a] * dim + ht.indices[pos_a]) * dim + alive[own_a],
+            (seq[own_b] * dim + image[own_b]) * dim + h.indices[pos_b],
+        ))
+        if not len(keys):
+            continue
+        values = np.concatenate((sign[own_a] * ht.data[pos_a], -sign[own_b] * h.data[pos_b]))
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        sums = np.add.reduceat(values[order], first)
+        hit = sums != 0
+        np.maximum.at(
+            out, np.asarray(batch[start:stop])[keys[first[hit]] // (dim * dim)], np.abs(sums[hit])
+        )
+    return out
 
 
 def vanishing_triple_products(spec: ModelSpec, f: ConservedSequence):

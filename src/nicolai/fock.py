@@ -39,6 +39,7 @@ __all__ = [
     "SparseOperator",
     "enumerate_basis",
     "apply_monomial",
+    "jordan_wigner_masks",
     "apply_monomial_to_basis",
     "monomial_to_sparse",
     "anticommutator",
@@ -303,12 +304,9 @@ def apply_monomial(m: FermionMonomial, state: int, lattice: Lattice):
     return m.coefficient * sign, s
 
 
-def apply_monomial_to_basis(m: FermionMonomial, basis: FockBasis):
-    """Vectorized action of ``m`` on every state of ``basis``.
-
-    Returns ``(alive, out_states, signs)``: a boolean survival mask, the image
-    states, and the ``+-1`` fermionic signs (meaningful where ``alive``).  The
-    caller multiplies in the coefficient.
+def jordan_wigner_masks(m: FermionMonomial, lattice: Lattice):
+    """Closed form ``(S, P, M, c)`` of a monomial on distinct sites, or
+    ``None`` when a site repeats.
 
     When the factors sit on distinct sites, no factor sees a bit another one
     flipped, so the action has a closed form in three masks over the ranks
@@ -317,14 +315,13 @@ def apply_monomial_to_basis(m: FermionMonomial, basis: FockBasis):
     ``2**r_i - 1``.  A state ``s`` survives iff ``s & S == P``, its image is
     ``s ^ S``, and its sign is ``(-1)**(popcount(s & M) + c)``: the
     Jordan-Wigner parities of the factors add up to ``popcount(s & M)`` on
-    the input state, and ``c`` counts the pairs in which the factor that acts
-    first has the lower rank, one flipped bit below the later factor each.
-    Repeated sites take the per-factor loop, which stays the oracle of the
-    closed form.
+    the input state, and ``c`` (returned mod 2) counts the pairs in which the
+    factor that acts first has the lower rank, one flipped bit below the
+    later factor each.
     """
-    ranks = [basis.lattice.rank(site) for site, _ in m.factors]
+    ranks = [lattice.rank(site) for site, _ in m.factors]
     if len(set(ranks)) < len(ranks):
-        return _apply_factor_by_factor(m, basis)
+        return None
     support = annihilated = string = crossings = 0
     for i, ((_, kind), r) in enumerate(zip(m.factors, ranks)):
         support |= 1 << r
@@ -332,9 +329,25 @@ def apply_monomial_to_basis(m: FermionMonomial, basis: FockBasis):
             annihilated |= 1 << r
         string ^= (1 << r) - 1
         crossings += sum(later < r for later in ranks[i + 1 :])
+    return support, annihilated, string, crossings % 2
+
+
+def apply_monomial_to_basis(m: FermionMonomial, basis: FockBasis):
+    """Vectorized action of ``m`` on every state of ``basis``.
+
+    Returns ``(alive, out_states, signs)``: a boolean survival mask, the image
+    states, and the ``+-1`` fermionic signs (meaningful where ``alive``).  The
+    caller multiplies in the coefficient.  Monomials on distinct sites act
+    through :func:`jordan_wigner_masks`; repeated sites take the per-factor
+    loop, which stays the oracle of the closed form.
+    """
+    masks = jordan_wigner_masks(m, basis.lattice)
+    if masks is None:
+        return _apply_factor_by_factor(m, basis)
+    support, annihilated, string, crossings = masks
     states = basis.states
     parity = np.bitwise_count(states & string) & 1
-    signs = np.where(parity != crossings % 2, -1, 1)
+    signs = np.where(parity != crossings, -1, 1)
     return (states & support) == annihilated, states ^ support, signs
 
 

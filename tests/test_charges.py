@@ -498,13 +498,13 @@ def test_orbit_sweep_agrees_with_the_full_sweep(m, ring):
 
 def _count_checks(monkeypatch):
     calls = []
-    check = ch.conservation_check
+    kernel = ch._commutator_residuals
 
-    def counted(spec, f):
-        calls.append(f)
-        return check(spec, f)
+    def counted(spec, sequences):
+        calls.extend(sequences)
+        return kernel(spec, sequences)
 
-    monkeypatch.setattr(ch, "conservation_check", counted)
+    monkeypatch.setattr(ch, "_commutator_residuals", counted)
     return calls
 
 
@@ -551,3 +551,60 @@ def test_sweep_validates_every_sequence(ring):
     ):
         with pytest.raises(ValueError):
             conservation_sweep(spec, catalogue + [bad])
+
+
+def _oracle_cases():
+    for m in (1, 2, 3, 4):
+        lat = Lattice.ring(m)
+        violating = sample_edge_violating_sequences(lat, 20, np.random.default_rng(m))
+        # a closed support that repeats a site passes validation and takes
+        # the fallback through conservation_check
+        repeated = [
+            ConservedSequence(lat.sites + lat.sites[:1], (1,) * lat.nsites + (v,), closed=True)
+            for v in (-1, 1)
+        ]
+        yield ModelSpec.ring(m), lattice_sequences(lat) + violating + repeated
+    for lat in (Lattice.chain(0, 8), Lattice.torus(4, 4)):
+        yield ModelSpec(lat), lattice_sequences(lat)
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 1 << 62], ids=["one-per-chunk", "one-chunk"])
+def test_batched_commutator_equals_the_oracle_sequence_by_sequence(chunk_entries, monkeypatch):
+    monkeypatch.setattr(ch, "_CHUNK_ENTRIES", chunk_entries)
+    runs = []
+    chunks = ch._chunks
+
+    def recorded(sizes, dim):
+        out = list(chunks(sizes, dim))
+        runs.append((len(sizes), out))
+        return out
+
+    monkeypatch.setattr(ch, "_chunks", recorded)
+    nonzero = 0
+    for spec, sequences in _oracle_cases():
+        got = ch._commutator_residuals(spec, sequences)
+        want = [conservation_check(spec, f) for f in sequences]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert conservation_sweep(spec, sequences) == max(want)
+        nonzero += sum(w != 0 for w in want)
+    assert nonzero >= 80
+    for count, out in runs:
+        if chunk_entries == 1:
+            assert out == [(q, q + 1) for q in range(count)]
+        else:
+            assert out == [(0, count)]
+
+
+def test_packed_keys_fit_in_int64_at_the_largest_verify_dimension():
+    # verify peaks at 188 / 657 MB on 2**18 / 2**20 states (ring m=8 / 9),
+    # ~3.5x per factor 4, so 2**23 states (a 23-site chain, ~5 GB) is the
+    # largest it builds in 7.8 GB; a full chunk's largest key fits in int64
+    for dim in (1 << 22, 1 << 23):
+        k = ch._max_chunk_sequences(dim)
+        top = ((k - 1) * dim + dim - 1) * dim + dim - 1
+        assert top <= np.iinfo(np.int64).max
+        packed = (np.int64(k - 1) * dim + np.int64(dim - 1)) * dim + np.int64(dim - 1)
+        assert int(packed) == top
+    with pytest.raises(OverflowError):
+        ch._max_chunk_sequences(1 << 32)

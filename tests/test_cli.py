@@ -6,6 +6,7 @@ import sys
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import nicolai
@@ -149,7 +150,9 @@ def test_bad_config_exit_codes(capsys):
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli.ch, "conservation_check", lambda *a, **k: 1)
+    monkeypatch.setattr(
+        cli.ch, "_commutator_residuals", lambda spec, seqs: np.ones(len(seqs), dtype=np.int64)
+    )
     assert run(["charges", "--interval", "0", "1", "--check"]) == 3
 
 
@@ -263,6 +266,7 @@ GOLDEN_STDOUT = {
     "groundstates --chain 29 --transfer-matrix": "d5bcc7a4a081a243705d77e00d935f975ebbbb7958d5b4c35a520f25f0c1c6f2",
     "charges --ring --m 4 --check": "8f5a586c15728d6454d3ecc3a1d2ce08d3d29c3b8b91bce4431334efe5715141",
     "charges --ring --m 5 --check": "6b8c916573ec24c7469bea7cf7322fdb397713c62ad1936e72ba3e86b01a78b9",
+    "charges --ring --m 6 --check": "7b044ec74231602064f526819636fa3dd1319bb9429a3267add27d7b2ae2621a",
     "charges --ring --m 10": "660fe07566e04ca4b2c6d5677374195b42b16ecb55d46379d4978120edc94373",
     "groundstates --ring --m 10": "303d19c9ff6506195664221ebc94b098dc25b8708774111434fd7093311e5a8a",
 }
