@@ -393,14 +393,15 @@ def _max_chunk_sequences(dim: int) -> int:
     return k
 
 
-def _chunks(sizes: list, dim: int):
+def _chunks(sizes: list, dim: int, budget: int | None = None):
     """Consecutive ``(start, stop)`` runs of sequences whose bounded entry
-    counts sum to at most ``_CHUNK_ENTRIES`` (one sequence at least) and
-    whose packed keys fit in int64."""
+    counts sum to at most ``budget`` (``_CHUNK_ENTRIES`` by default; one
+    sequence at least) and whose packed keys fit in int64."""
+    budget = _CHUNK_ENTRIES if budget is None else budget
     most = _max_chunk_sequences(dim)
     start = total = 0
     for q, size in enumerate(sizes):
-        if q > start and (total + size > _CHUNK_ENTRIES or q - start == most):
+        if q > start and (total + size > budget or q - start == most):
             yield start, q
             start, total = q, 0
         total += size
@@ -424,6 +425,19 @@ def _states_off(mask: int, n: int) -> np.ndarray:
         if not mask >> r & 1:
             states = np.concatenate((states, states | 1 << r))
     return states
+
+
+def _signed_images(masks: list, free: dict):
+    """Every surviving column of the ``Q(f)`` given by ``masks``, a list of
+    :func:`jordan_wigner_masks` tuples ``(S, P, M, c)``: the index into
+    ``masks`` that owns it, the alive state ``j``, its image ``j ^ S`` and
+    the sign ``s(j) = (-1)**(popcount(j & M) + c)``.  ``free[S]`` holds the
+    states with no bit of ``S`` set (:func:`_states_off`)."""
+    alive = np.concatenate([free[s] | p for s, p, _, _ in masks])
+    owner = np.repeat(np.arange(len(masks)), [len(free[s]) for s, *_ in masks])
+    support, _, string, crossings = (np.array(c, dtype=np.int64)[owner] for c in zip(*masks))
+    sign = 1 - 2 * ((np.bitwise_count(alive & string) + crossings) & 1)
+    return owner, alive, alive ^ support, sign
 
 
 def _commutator_residuals(spec: ModelSpec, sequences: list) -> np.ndarray:
@@ -462,12 +476,7 @@ def _commutator_residuals(spec: ModelSpec, sequences: list) -> np.ndarray:
     free = {s: _states_off(s, n) for s in {s for s, *_ in masks}}
     sizes = [len(free[s]) * widest for s, *_ in masks]
     for start, stop in _chunks(sizes, dim):
-        part = masks[start:stop]
-        alive = np.concatenate([free[s] | p for s, p, _, _ in part])
-        seq = np.repeat(np.arange(len(part)), [len(free[s]) for s, *_ in part])
-        support, _, string, crossings = (np.array(c, dtype=np.int64)[seq] for c in zip(*part))
-        image = alive ^ support
-        sign = 1 - 2 * ((np.bitwise_count(alive & string) + crossings) & 1)
+        seq, alive, image, sign = _signed_images(masks[start:stop], free)
         # s(j) H[i, j^S]: row j^S of H^T holds column j^S of H
         own_a, pos_a = _row_entries(ht, image)
         # -s(r) H[r, j] lands on row r^S

@@ -341,22 +341,32 @@ def cmd_groundstates(args) -> int:
     return code
 
 
-def _ergodicity_dense_bytes(lat) -> int:
-    """Peak bytes of the ergodicity report's dense float64 arrays on a ring.
+def _ergodicity_bytes(lat) -> int:
+    """Estimated peak bytes of the ergodicity report on a ring.
 
-    The one dense ``mazur_gap`` cross-check holds six dim x dim arrays at
-    once: the cross-checked generator, the densified eigenvectors V, and
-    inside ``dephase`` the rotated ``V^T A V``, its cluster-block copy, the
-    product of V with that copy and the dephased result.  Added to them: two
-    generators x dim arrays of per-eigenvector moments for the Gibbs gaps,
-    and the Gram matrix with its float copy and SVD workspace.  The fragment
-    blocks of ``diagonalize`` and the sparse V are far smaller and are not
-    counted.  Counts come from the transfer matrices, so nothing is built."""
-    n = lat.nsites
+    The report holds no dense dim x dim array.  What grows with the ring:
+    - per Fock state, 512 bytes: the basis, H in int64 CSR with the copies
+      the conservation sweep and ``diagonalize`` make of it, the fragment
+      arrays and eigenpair lists of ``diagonalize`` and the sparse V (H
+      holds fewer than 2 entries per row and V fewer than 4 up to m = 7);
+    - per generator, 2 KiB: its sequence, label, masks and four gaps, and
+      its line of the JSON payload;
+    - one chunk of generator rows times V, at 64 bytes per stored entry
+      (the product in CSR and COO, its row split, gathered V entries and
+      squares) and dim entries of moments per generator.  A chunk holds
+      ``dynamics._GENERATOR_CHUNK_ENTRIES`` entries, or one generator
+      alone: at most ``2 (dim / 8) F + dim`` for a three-site arc, where
+      F, the largest fragment of H, is taken as ``1.6**m`` (it is 9, 14,
+      20, 30, 50 and 77 at m = 5..10).
+    Measured peaks above start-up at m = 5, 6, 7, 8 (43, 51, 75 and 170 MB)
+    stay below it (74, 90, 150 and 492 MB).  Counts come from the transfer
+    matrices, so nothing is built."""
+    n, m = lat.nsites, lat.ring_m
     arcs = sum(n // 2 * ch.transfer_count_hat_xi(0, d) for d in range(1, (n - 2) // 2 + 1))
     generators = arcs + ch.transfer_count_ring_sequences(lat)
     dim = 2**n
-    return 8 * (6 * dim * dim + 2 * generators * dim + 3 * (generators + 1) ** 2)
+    chunk = max(dyn._GENERATOR_CHUNK_ENTRIES, int(2 * dim // 8 * 1.6**m) + dim)
+    return 512 * dim + 2048 * generators + 64 * chunk
 
 
 def cmd_ergodicity(args) -> int:
@@ -365,7 +375,7 @@ def cmd_ergodicity(args) -> int:
     spec = _resolve_spec(args)
     lat = spec.lattice
     if lat.dimension == 1 and lat.periodic:
-        _require_memory(_ergodicity_dense_bytes(lat), "the ergodicity report", "dense matrices")
+        _require_memory(_ergodicity_bytes(lat), "the ergodicity report", "sparse matrices")
     report = dyn.ergodicity_report(spec, betas=tuple(args.beta))
     payload = {
         "schema": SCHEMA,

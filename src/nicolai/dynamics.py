@@ -25,17 +25,23 @@ states alike.
 
 :func:`mazur_gap` is the general path: it dephases any dense observable in
 O(dim^3) on a dense copy of the eigenvectors, and it is the oracle for the
-closed forms below.  :func:`ergodicity_report` never dephases a charge.  It
-keeps each generator as an int64 sparse matrix and first certifies
-``[H, A] = 0`` exactly, so ``dephase(A) = A``.  The trace-state gap is then
-an exact integer expression of ``||A||_F^2`` and ``Tr A``, and the Gibbs
-gaps are weighted sums of ``||A v_n||^2`` and ``v_n.A v_n`` over the
-eigenvectors, from one sparse product ``A V``.  The number of independent
-invariant operators is the rank of the integer Hilbert-Schmidt Gram matrix
-of the generators and the identity.  The ground-state witness is certified
-by two zero columns of H, after which its gap is exactly 1.  One dense
-``mazur_gap`` per run cross-checks the closed form; it is the report's only
-dense dephasing.
+closed forms below.  :func:`ergodicity_report` never dephases a charge and
+holds no dim x dim dense array.  It certifies ``[H, Q(f)] = 0`` exactly for
+the whole catalogue, so ``dephase(A) = A`` for ``A = Q(f) + Q(f)*``, and
+then works from the Jordan-Wigner masks ``(S, P, M, c)`` of each ``Q(f)``
+(:func:`~nicolai.fock.jordan_wigner_masks`): A has one ``+-1`` per row r
+with ``r & S`` in ``{P, S ^ P}``, at column ``r ^ S``.  The trace-state gap
+is then exactly ``2**(1 - |S|)``; the Gibbs gaps are weighted sums of
+``||A v_n||^2`` and ``v_n.A v_n`` over the eigenvectors, from the generator
+rows, built from the masks one chunk of generators at a time, times the
+sparse V; and the number of independent invariant operators is one plus
+the number of distinct keys ``(S, min(P, S ^ P))``, because generators
+with different keys are orthogonal.  The first generator is dephased
+through the sparse eigenvectors on every run to cross-check the closed
+form.  The ground-state witness is certified by two zero columns of H,
+after which its gap is exactly 1.  :func:`_trace_gap`, :func:`_gibbs_gaps`
+and :func:`~nicolai.fock.span_dimension` on sparse matrices remain the
+path of a generator without masks and the oracles of the closed forms.
 """
 
 from __future__ import annotations
@@ -104,11 +110,6 @@ class Spectrum:
         if self.max_intra_spread == 0.0:
             return True
         return self.min_inter_gap >= 1e3 * self.max_intra_spread
-
-    def projector(self, i: int) -> np.ndarray:
-        s, e = self.clusters[i]
-        block = self.vectors[:, s:e].toarray()
-        return block @ block.T
 
 
 def _fragment_labels(row: np.ndarray, col: np.ndarray, n: int) -> np.ndarray:
@@ -455,6 +456,45 @@ def _trace_gap(a: SparseOperator) -> float:
     return (dim * fro2 - tr * tr) / (dim * dim)
 
 
+def _dephased_trace_gap(a, spectrum: Spectrum) -> float:
+    """Trace-state Mazur gap of a real sparse matrix ``a`` through the sparse
+    eigenvectors, for any ``a``: ``Tr(A^T dephase(A)) / dim`` is the sum of
+    ``(V^T A V)[i, j]**2`` over the pairs ``i, j`` in one degeneracy
+    cluster, divided by dim; ``(Tr A / dim)**2`` is subtracted.  Equal to
+    :func:`mazur_gap` under the trace state, with no dim x dim dense array."""
+    dim = spectrum.dim
+    v = spectrum.vectors
+    rotated = (v.T @ a @ v).tocoo()
+    sizes = [e - s for s, e in spectrum.clusters]
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    same = rotated.data[cluster[rotated.row] == cluster[rotated.col]]
+    return float((same * same).sum()) / dim - (float(a.diagonal().sum()) / dim) ** 2
+
+
+def _gibbs_moments(stacked, v, count: int):
+    """``||A v_n||^2`` and ``v_n.A v_n`` for each of ``count`` operators
+    stacked as row blocks of ``stacked`` and each eigenvector ``v_n``, a
+    column of the CSR matrix ``v``: two ``count x dim`` arrays from one
+    sparse product."""
+    dim = v.shape[0]
+    av = (stacked @ v).tocoo()  # entry (g*dim + r, n): (A_g V)[r, n]
+    g, r = np.divmod(av.row.astype(np.int64), dim)
+    slot = g * dim + av.col
+    vr = np.asarray(v[r, av.col]).ravel()  # V[r, n] at the same entries
+    size = count * dim
+    norms = np.bincount(slot, av.data * av.data, size).reshape(-1, dim)
+    means = np.bincount(slot, av.data * vr, size).reshape(-1, dim)
+    return norms, means
+
+
+def _gibbs_weights_by_label(spectrum: Spectrum, betas) -> dict:
+    """Boltzmann weights per beta, keyed by the Gibbs state's label."""
+    return {
+        ThermalState(kind="gibbs", beta=b).label(): _gibbs_weights(spectrum.eigenvalues, b)
+        for b in betas
+    }
+
+
 def _gibbs_gaps(generators: list, spectrum: Spectrum, betas) -> dict:
     """Gibbs-state Mazur gaps of symmetric operators that commute with H.
 
@@ -463,22 +503,36 @@ def _gibbs_gaps(generators: list, spectrum: Spectrum, betas) -> dict:
     generators with V serves every generator and every beta.  Keyed by the
     Gibbs state's label.
     """
-    dim = spectrum.dim
-    v = spectrum.vectors.tocsr()
     stacked = sp.vstack([a.matrix for a in generators], format="csr")
-    av = (stacked @ v).tocoo()  # entry (g*dim + r, n): (A_g V)[r, n]
-    g, r = np.divmod(av.row.astype(np.int64), dim)
-    slot = g * dim + av.col
-    vr = np.asarray(v[r, av.col]).ravel()  # V[r, n] at the same entries
-    size = len(generators) * dim
-    norms = np.bincount(slot, av.data * av.data, size).reshape(-1, dim)  # ||A v_n||^2
-    means = np.bincount(slot, av.data * vr, size).reshape(-1, dim)  # v_n . A v_n
-    gaps = {}
-    for beta in betas:
-        p = _gibbs_weights(spectrum.eigenvalues, beta)
-        label = ThermalState(kind="gibbs", beta=beta).label()
-        gaps[label] = (norms @ p - (means @ p) ** 2).tolist()
-    return gaps
+    norms, means = _gibbs_moments(stacked, spectrum.vectors.tocsr(), len(generators))
+    return {
+        label: (norms @ p - (means @ p) ** 2).tolist()
+        for label, p in _gibbs_weights_by_label(spectrum, betas).items()
+    }
+
+
+# Stored entries of one chunk of generators in the ergodicity report: the
+# products of their rows with V, plus dim per generator for the moments.
+_GENERATOR_CHUNK_ENTRIES = 1 << 20
+
+
+def _mask_rows(masks: list, free: dict, dim: int):
+    """The generators ``A = Q(f) + Q(f)*`` of a list of ``Q(f)`` masks
+    ``(S, P, M, c)``, stacked as ``dim``-row blocks of one int64 CSR matrix.
+
+    ``Q(f)`` moves each alive state j (``j & S == P``) to ``j ^ S`` with sign
+    ``s(j)``, so A holds ``s(j)`` at ``(j ^ S, j)`` and at ``(j, j ^ S)``:
+    one entry in each row r with ``r & S`` in ``{P, S ^ P}``, at column
+    ``r ^ S``."""
+    from .charges import _signed_images
+
+    owner, alive, image, sign = _signed_images(masks, free)
+    block = np.tile(owner * dim, 2)
+    rows = block + np.concatenate((image, alive))
+    cols = np.concatenate((alive, image))
+    return sp.csr_matrix(
+        (np.tile(sign, 2), (rows, cols)), shape=(len(masks) * dim, dim)
+    )
 
 
 def ergodicity_report(
@@ -488,55 +542,113 @@ def ergodicity_report(
     """Mazur gaps of every Hermitian charge ``A = Q(f) + Q(f)*`` on a ring.
 
     Gaps are reported for the trace state and for Gibbs states at the given
-    inverse temperatures, in closed form (see the module docstring).  Raises
-    ``RuntimeError`` if some generator does not commute with H exactly, or if
-    the closed form disagrees with the dense :func:`mazur_gap` on the first
-    generator.  The generators are certified by the orbit-reduced
-    :func:`~nicolai.charges.conservation_sweep` of ``[H, Q(f)]``.  That also
+    inverse temperatures, in closed form.  The generators are certified by
+    the orbit-reduced :func:`~nicolai.charges.conservation_sweep` of
+    ``[H, Q(f)]`` (``RuntimeError`` on a nonzero residual).  That also
     certifies ``A``: H = QQ* + Q*Q is exactly symmetric in int64, so
-    ``[H, Q(f)*] = -[H, Q(f)]^T`` vanishes with ``[H, Q(f)]``.
+    ``[H, Q(f)*] = -[H, Q(f)]^T`` vanishes with ``[H, Q(f)]``, and
+    ``dephase(A) = A``.
+
+    Each ``Q(f)`` on distinct sites is the signed partial permutation of its
+    :func:`~nicolai.fock.jordan_wigner_masks` ``(S, P, M, c)``, so A holds
+    one ``+-1`` in each row r with ``r & S`` in ``{P, S ^ P}``, at column
+    ``r ^ S``, and none on the diagonal.  Hence ``||A||_F^2 = 2 dim / 2**|S|``
+    and ``Tr A = 0``, and the trace-state gap ``||A||_F^2 / dim`` is exactly
+    ``2**(1 - |S|)``.  The Gibbs gaps (:func:`_gibbs_gaps` arithmetic) come
+    from the generator rows times V, built from the masks one chunk of
+    generators at a time.  A monomial without masks (a repeated site, a
+    coefficient other than 1, no factor) takes :func:`_trace_gap` and
+    :func:`_gibbs_gaps` on its sparse matrix.
 
     The dimension of the span of the invariant operators found (including
     the identity) is the finite-volume stand-in for the invariant-projection
-    criterion: more than one dimension means non-ergodic.  When degenerate
-    classical ground states exist, the flip operator between two of them
-    witnesses the breaking for ground states: once both are certified to be
-    annihilated by H exactly (``RuntimeError`` otherwise), its gap under the
-    first is exactly 1.
+    criterion: more than one dimension means non-ergodic.  It is
+    ``1 + #{(S, min(P, S ^ P))}``.  Generators with equal keys are equal up
+    to sign (``A_(-f) = +-A_f``: flipping every value swaps P and S ^ P).
+    Generators with different keys store entries at disjoint positions (the
+    column is ``r ^ S`` and ``r & S`` picks the key), so they are orthogonal
+    in the Hilbert-Schmidt product, and traceless, so orthogonal to the
+    identity: nonzero and pairwise orthogonal, they are independent.  With
+    a maskless generator the dimension is :func:`~nicolai.fock.span_dimension`
+    of the identity, one generator per key and the maskless ones.
+
+    Two certificates run on every report.  The first generator is dephased
+    through the sparse eigenvectors (:func:`_dephased_trace_gap`), and its
+    gap must match the closed form within ``1e-9`` (``RuntimeError``
+    otherwise).  When degenerate classical ground states exist, the flip
+    operator between two of them witnesses the breaking for ground states:
+    once both are certified to be annihilated by H exactly
+    (``RuntimeError`` otherwise), its gap under the first is exactly 1.
     """
-    from .charges import conservation_sweep, lattice_sequences, sequence_to_operator
-    from .fock import monomial_to_sparse
+    from .charges import (
+        _chunks,
+        _states_off,
+        conservation_sweep,
+        lattice_sequences,
+        sequence_to_operator,
+    )
+    from .fock import jordan_wigner_masks, monomial_to_sparse
 
     lat = spec.lattice
     if lat.dimension != 1 or not lat.periodic:
         raise ValueError("the ergodicity report runs on rings")
     basis = spec.basis
     spectrum = spec.spectrum
+    dim = basis.dim
 
     seqs = lattice_sequences(lat)
     residual = conservation_sweep(spec, seqs)
     if residual:
         raise RuntimeError(f"charge catalogue does not commute with H (residual {residual})")
-    report = ErgodicityReport()
-    generators = []
-    for f in seqs:
-        qf = monomial_to_sparse(sequence_to_operator(f), basis)
-        report.generator_labels.append(f.label())
-        generators.append(qf + qf.adjoint())
+    report = ErgodicityReport(generator_labels=[f.label() for f in seqs])
+    masked, masks, maskless = [], [], {}
+    for i, f in enumerate(seqs):
+        mono = sequence_to_operator(f)
+        jw = jordan_wigner_masks(mono, lat) if mono.coefficient == 1 and mono.factors else None
+        if jw is None:
+            qf = monomial_to_sparse(mono, basis)
+            maskless[i] = qf + qf.adjoint()
+        else:
+            masked.append(i)
+            masks.append(jw)
 
-    report.gaps["trace"] = [_trace_gap(a) for a in generators]
-    if generators:
+    weights = _gibbs_weights_by_label(spectrum, betas)
+    gaps = {label: np.empty(len(seqs)) for label in ("trace", *weights)}
+    free = {s: _states_off(s, lat.nsites) for s in {s for s, *_ in masks}}
+    gaps["trace"][masked] = [2.0 ** (1 - s.bit_count()) for s, *_ in masks]
+    v = spectrum.vectors.tocsr()
+    widest = int(np.diff(v.indptr).max(initial=0))
+    sizes = [2 * len(free[s]) * widest + dim for s, *_ in masks]
+    for start, stop in _chunks(sizes, dim, _GENERATOR_CHUNK_ENTRIES):
+        norms, means = _gibbs_moments(_mask_rows(masks[start:stop], free, dim), v, stop - start)
+        for label, p in weights.items():
+            gaps[label][masked[start:stop]] = norms @ p - (means @ p) ** 2
+    if maskless:
+        index = list(maskless)
+        gaps["trace"][index] = [_trace_gap(a) for a in maskless.values()]
+        for label, values in _gibbs_gaps(list(maskless.values()), spectrum, betas).items():
+            gaps[label][index] = values
+    report.gaps = {label: values.tolist() for label, values in gaps.items()}
+
+    if seqs:
+        first = maskless[0].matrix if 0 in maskless else _mask_rows(masks[:1], free, dim)
         closed = report.gaps["trace"][0]
-        dense = mazur_gap(generators[0], ThermalState.trace(basis), spectrum)
-        if abs(dense - closed) > 1e-9 * max(1.0, abs(closed)):
+        sparse = _dephased_trace_gap(first, spectrum)
+        if abs(sparse - closed) > 1e-9 * max(1.0, abs(closed)):
             raise RuntimeError(
-                f"closed-form trace gap {closed!r} disagrees with the dense "
-                f"Mazur gap {dense!r}"
+                f"closed-form trace gap {closed!r} disagrees with the dephased "
+                f"Mazur gap {sparse!r}"
             )
-    report.gaps.update(_gibbs_gaps(generators, spectrum, betas))
-    report.invariant_dimension = span_dimension(
-        [SparseOperator.identity(basis)] + generators
-    )
+    keys = {}
+    for m in masks:
+        keys.setdefault((m[0], min(m[1], m[0] ^ m[1])), m)
+    report.invariant_dimension = 1 + len(keys)
+    if maskless:
+        report.invariant_dimension = span_dimension(
+            [SparseOperator.identity(basis)]
+            + [SparseOperator(basis, _mask_rows([m], free, dim)) for m in keys.values()]
+            + list(maskless.values())
+        )
     report.non_ergodic = report.invariant_dimension >= 2
 
     grounds = spec.ground_configs

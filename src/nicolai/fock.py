@@ -328,7 +328,7 @@ def jordan_wigner_masks(m: FermionMonomial, lattice: Lattice):
         if kind == ANNIHILATE:
             annihilated |= 1 << r
         string ^= (1 << r) - 1
-        crossings += sum(later < r for later in ranks[i + 1 :])
+        crossings += sum(map(r.__gt__, ranks[i + 1 :]))
     return support, annihilated, string, crossings % 2
 
 
@@ -338,17 +338,45 @@ def apply_monomial_to_basis(m: FermionMonomial, basis: FockBasis):
     Returns ``(alive, out_states, signs)``: a boolean survival mask, the image
     states, and the ``+-1`` fermionic signs (meaningful where ``alive``).  The
     caller multiplies in the coefficient.  Monomials on distinct sites act
-    through :func:`jordan_wigner_masks`; repeated sites take the per-factor
-    loop, which stays the oracle of the closed form.
+    through :func:`jordan_wigner_masks`, products of occupation factors
+    through :func:`_occupation_masks`; other repeated sites take the
+    per-factor loop, which stays the oracle of both closed forms.
     """
+    states = basis.states
     masks = jordan_wigner_masks(m, basis.lattice)
     if masks is None:
-        return _apply_factor_by_factor(m, basis)
+        occupation = _occupation_masks(m, basis.lattice)
+        if occupation is None:
+            return _apply_factor_by_factor(m, basis)
+        filled, touched = occupation
+        return (states & touched) == filled, states, np.ones(len(states), dtype=np.int64)
     support, annihilated, string, crossings = masks
-    states = basis.states
     parity = np.bitwise_count(states & string) & 1
     signs = np.where(parity != crossings, -1, 1)
     return (states & support) == annihilated, states ^ support, signs
+
+
+def _occupation_masks(m: FermionMonomial, lattice: Lattice):
+    """Closed form ``(F, T)`` of a product of occupation factors, or ``None``.
+
+    A monomial whose factors pair up, in order, as ``(a_i*, a_i) = n_i`` or
+    ``(a_i, a_i*) = 1 - n_i`` on distinct sites is diagonal: each pair
+    restores the state it acts on, and its two Jordan-Wigner parities are
+    equal, so the sign is +1.  A state survives iff its bits on the touched
+    ranks ``T`` equal the filled mask ``F`` (the ranks of the ``n_i``).
+    """
+    factors = m.factors
+    if 2 * len({s for s, _ in factors}) != len(factors):
+        return None
+    filled = touched = 0
+    for (site, kind), (partner, other) in zip(factors[::2], factors[1::2]):
+        if partner != site or other == kind:
+            return None
+        bit = 1 << lattice.rank(site)
+        touched |= bit
+        if kind == CREATE:
+            filled |= bit
+    return filled, touched
 
 
 def _apply_factor_by_factor(m: FermionMonomial, basis: FockBasis):

@@ -207,11 +207,11 @@ def test_ergodicity_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
         raise AssertionError("the size guard must run before any diagonalization")
 
     monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
-    assert run(["ergodicity", "--ring", "--m", "6"]) == 2
+    assert run(["ergodicity", "--ring", "--m", "10"]) == 2
     assert "GiB" in capsys.readouterr().err
 
 
-def test_ergodicity_admits_ring_m4_past_the_memory_guard(monkeypatch):
+def test_ergodicity_admits_ring_m7_past_the_memory_guard(monkeypatch):
     class Reached(Exception):
         pass
 
@@ -220,7 +220,15 @@ def test_ergodicity_admits_ring_m4_past_the_memory_guard(monkeypatch):
 
     monkeypatch.setattr(nicolai.dynamics, "diagonalize", reached)
     with pytest.raises(Reached):
-        run(["ergodicity", "--ring", "--m", "4"])
+        run(["ergodicity", "--ring", "--m", "7"])
+
+
+def test_ergodicity_ring_m5(capsys):
+    assert run(["ergodicity", "--ring", "--m", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["report"]["generators"]) == 2182
+    assert payload["report"]["invariant_dimension"] == 1092
+    assert payload["all_gaps_positive"] and payload["report"]["non_ergodic"]
 
 
 def test_ergodicity_at_large_negative_beta(capsys):

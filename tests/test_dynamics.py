@@ -32,12 +32,27 @@ from nicolai.charges import (
     lattice_sequences,
 )
 from nicolai.fock import hilbert_schmidt_gram, span_dimension
-from nicolai.dynamics import ThermalState, _gibbs_gaps, _trace_gap, spectrum_table
+from nicolai.charges import _states_off
+from nicolai.dynamics import (
+    ThermalState,
+    _dephased_trace_gap,
+    _gibbs_gaps,
+    _mask_rows,
+    _trace_gap,
+    spectrum_table,
+)
+from nicolai.fock import jordan_wigner_masks
 
 
 def hermitian_charge(ctx, f):
     qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
     return (qf + qf.adjoint()).to_dense().astype(np.float64)
+
+
+def cluster_projector(spectrum, i):
+    s, e = spectrum.clusters[i]
+    block = spectrum.vectors[:, s:e].toarray()
+    return block @ block.T
 
 
 def test_diagonalize_zero_hamiltonian():
@@ -46,7 +61,7 @@ def test_diagonalize_zero_hamiltonian():
     s = diagonalize(h)
     assert s.n_clusters == 1
     assert np.allclose(s.eigenvalues, 0.0)
-    assert np.allclose(s.projector(0), np.eye(4), atol=1e-12)
+    assert np.allclose(cluster_projector(s, 0), np.eye(4), atol=1e-12)
 
 
 def test_diagonalize_rejects_asymmetric():
@@ -68,12 +83,13 @@ def test_spectrum_invariants(ring):
     # projectors: idempotent, orthogonal, resolving the identity
     total = np.zeros((ctx.basis.dim, ctx.basis.dim))
     for i in range(s.n_clusters):
-        p = s.projector(i)
+        p = cluster_projector(s, i)
         assert np.allclose(p @ p, p, atol=1e-10)
         total += p
     assert np.allclose(total, np.eye(ctx.basis.dim), atol=1e-10)
     for i in range(s.n_clusters - 1):
-        assert np.allclose(s.projector(i) @ s.projector(i + 1), 0.0, atol=1e-10)
+        p, q = cluster_projector(s, i), cluster_projector(s, i + 1)
+        assert np.allclose(p @ q, 0.0, atol=1e-10)
 
 
 def test_spectrum_particle_hole_symmetric(ring):
@@ -320,6 +336,74 @@ def test_invariant_rank_equals_the_exact_rank_mod_p(ring, m, rank):
     gram = hilbert_schmidt_gram(operators)
     assert gram.dtype == np.int64
     assert span_dimension(operators) == rank_mod_p(gram) == rank
+    assert ergodicity_report(ctx).invariant_dimension == rank
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_mask_rows_equal_the_sparse_generators(ring, m):
+    ctx = ring(m)
+    lat, dim = ctx.lattice, ctx.basis.dim
+    seqs = lattice_sequences(lat)
+    masks = [jordan_wigner_masks(sequence_to_operator(f), lat) for f in seqs]
+    free = {s: _states_off(s, lat.nsites) for s, *_ in masks}
+    stacked = _mask_rows(masks, free, dim)
+    assert stacked.dtype == np.int64
+    assert stacked.shape == (len(seqs) * dim, dim)
+    for g, f in enumerate(seqs):
+        qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
+        want = (qf + qf.adjoint()).matrix
+        got = stacked[g * dim : (g + 1) * dim]
+        assert want.dtype == np.int64
+        assert (got != want).nnz == 0
+        assert got.nnz == want.nnz == 2 * dim >> len(f)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dephased_trace_gap_equals_the_dense_mazur_gap(ring, m):
+    ctx = ring(m)
+    s, dim = ctx.spectrum, ctx.basis.dim
+    trace = ThermalState.trace(ctx.basis)
+    seqs = lattice_sequences(ctx.lattice)
+    ops = [number_operator(ctx.lattice, ctx.basis).matrix, ctx.h.matrix]
+    for f in seqs[:: max(1, len(seqs) // 6)]:
+        qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
+        ops.append((qf + qf.adjoint()).matrix)
+    rng = np.random.default_rng(m)
+    x = sp.random(dim, dim, density=4 / dim, random_state=rng)
+    ops.append(x + x.T)  # commutes with nothing
+    for a in ops:
+        dense = mazur_gap(a.toarray().astype(np.float64), trace, s)
+        assert abs(_dephased_trace_gap(a, s) - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def test_ergodicity_report_rejects_a_wrong_trace_gap(monkeypatch):
+    import nicolai.dynamics
+
+    right = nicolai.dynamics._dephased_trace_gap
+    monkeypatch.setattr(
+        nicolai.dynamics, "_dephased_trace_gap", lambda a, s: right(a, s) * (1 + 1e-8)
+    )
+    with pytest.raises(RuntimeError, match="disagrees with the dephased Mazur gap"):
+        ergodicity_report(ModelSpec.ring(2))
+
+
+def test_maskless_generators_take_the_general_path(monkeypatch):
+    # 2 Q(f) has a coefficient the masks cannot carry: the closed sequences
+    # take _trace_gap, _gibbs_gaps and span_dimension on their matrices
+    spec = ModelSpec.ring(2)
+    plain = ergodicity_report(spec)
+    one = sequence_to_operator
+    monkeypatch.setattr(
+        "nicolai.charges.sequence_to_operator",
+        lambda f: one(f).scaled(2) if f.closed else one(f),
+    )
+    doubled = ergodicity_report(spec)
+    closed = [label.startswith("ring:") for label in plain.generator_labels]
+    assert 0 < sum(closed) < len(closed)
+    for label, gaps in plain.gaps.items():
+        for g, (want, got) in enumerate(zip(gaps, doubled.gaps[label])):
+            assert got == pytest.approx(4 * want if closed[g] else want, rel=1e-12)
+    assert doubled.invariant_dimension == plain.invariant_dimension == 26
 
 
 def test_ergodicity_report_rejects_a_non_conserved_generator(monkeypatch):

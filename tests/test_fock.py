@@ -18,7 +18,7 @@ from nicolai import (
     normal_order,
     parity_operator,
 )
-from nicolai.fock import _apply_factor_by_factor, apply_monomial_to_basis
+from nicolai.fock import _apply_factor_by_factor, _occupation_masks, apply_monomial_to_basis
 
 a = FermionMonomial.annihilation
 adag = FermionMonomial.creation
@@ -304,6 +304,44 @@ def test_closed_form_masks_match_the_factor_loop(case):
     assert np.array_equal(alive, alive_ref)
     assert np.array_equal(out[alive], out_ref[alive])
     assert np.array_equal(signs[alive], signs_ref[alive])
+
+
+@st.composite
+def _occupation_monomials(draw):
+    lat = draw(st.sampled_from(_PROPERTY_LATTICES))
+    sites = draw(st.permutations(lat.sites))[: draw(st.integers(1, lat.nsites))]
+    filled = draw(st.lists(st.booleans(), min_size=len(sites), max_size=len(sites)))
+    factors = ()
+    for site, f in zip(sites, filled):
+        pair = ((site, CREATE), (site, ANNIHILATE))  # n_i, else 1 - n_i
+        factors += pair if f else pair[::-1]
+    return lat, FermionMonomial(1, factors)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_occupation_monomials())
+def test_occupation_closed_form_matches_the_factor_loop(case):
+    lat, m = case
+    basis = enumerate_basis(lat)
+    assert _occupation_masks(m, lat) is not None
+    alive, out, signs = apply_monomial_to_basis(m, basis)
+    alive_ref, out_ref, signs_ref = _apply_factor_by_factor(m, basis)
+    assert np.array_equal(alive, alive_ref)
+    assert np.array_equal(out[alive], out_ref[alive])
+    assert np.array_equal(signs[alive], signs_ref[alive])
+    assert (signs[alive] == 1).all()
+    assert np.array_equal(out[alive], basis.states[alive])
+
+
+def test_occupation_masks_reject_other_repeated_sites():
+    lat = Lattice.ring(2)
+    assert _occupation_masks(n_op(0) * n_op(0), lat) is None  # one site twice
+    assert _occupation_masks(a(0) * a(0), lat) is None
+    assert _occupation_masks(n_op(0) * adag(1) * n_op(0), lat) is None
+    assert _occupation_masks(n_op(0) * a(1) * adag(1), lat) == (
+        1 << lat.rank(0),
+        1 << lat.rank(0) | 1 << lat.rank(1),
+    )
 
 
 def test_repeated_sites_take_the_factor_loop():
