@@ -36,12 +36,13 @@ is then exactly ``2**(1 - |S|)``; the Gibbs gaps are weighted sums of
 rows, built from the masks one chunk of generators at a time, times the
 sparse V; and the number of independent invariant operators is one plus
 the number of distinct keys ``(S, min(P, S ^ P))``, because generators
-with different keys are orthogonal.  The first generator is dephased
-through the sparse eigenvectors on every run to cross-check the closed
-form.  The ground-state witness is certified by two zero columns of H,
-after which its gap is exactly 1.  :func:`_trace_gap`, :func:`_gibbs_gaps`
-and :func:`~nicolai.fock.span_dimension` on sparse matrices remain the
-path of a generator without masks and the oracles of the closed forms.
+with different keys are orthogonal.  The first generator, built as a
+sparse matrix independently of the masks, is dephased through the sparse
+eigenvectors on every run to cross-check the closed form.  The
+ground-state witness is certified by two zero columns of H, after which
+its gap is exactly 1.  :func:`_trace_gap`, :func:`_gibbs_gaps` and
+:func:`~nicolai.fock.span_dimension` on sparse matrices remain the
+oracles of the closed forms.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, SparseOperator, span_dimension
+from .fock import FockBasis, SparseOperator
 from .fock import enumerate_basis  # noqa: F401  alias read by bench/test_bench.py
 from .groundstates import Configuration, config_to_vector, is_ground_config
 from .model import ModelSpec
@@ -556,9 +557,12 @@ def ergodicity_report(
     and ``Tr A = 0``, and the trace-state gap ``||A||_F^2 / dim`` is exactly
     ``2**(1 - |S|)``.  The Gibbs gaps (:func:`_gibbs_gaps` arithmetic) come
     from the generator rows times V, built from the masks one chunk of
-    generators at a time.  A monomial without masks (a repeated site, a
-    coefficient other than 1, no factor) takes :func:`_trace_gap` and
-    :func:`_gibbs_gaps` on its sparse matrix.
+    generators at a time.  Every charge of
+    :func:`~nicolai.charges.lattice_sequences` is a product of creation and
+    annihilation factors on distinct sites with coefficient 1, so it has
+    masks; a catalogue entry without them raises ``ValueError``.
+    :func:`_trace_gap` and :func:`_gibbs_gaps` compute the same gaps from
+    an explicit sparse matrix and stay as their oracles.
 
     The dimension of the span of the invariant operators found (including
     the identity) is the finite-volume stand-in for the invariant-projection
@@ -568,14 +572,13 @@ def ergodicity_report(
     Generators with different keys store entries at disjoint positions (the
     column is ``r ^ S`` and ``r & S`` picks the key), so they are orthogonal
     in the Hilbert-Schmidt product, and traceless, so orthogonal to the
-    identity: nonzero and pairwise orthogonal, they are independent.  With
-    a maskless generator the dimension is :func:`~nicolai.fock.span_dimension`
-    of the identity, one generator per key and the maskless ones.
+    identity: nonzero and pairwise orthogonal, they are independent.
 
-    Two certificates run on every report.  The first generator is dephased
-    through the sparse eigenvectors (:func:`_dephased_trace_gap`), and its
-    gap must match the closed form within ``1e-9`` (``RuntimeError``
-    otherwise).  When degenerate classical ground states exist, the flip
+    Two certificates run on every report.  The first generator, built
+    independently of the masks by :func:`~nicolai.fock.monomial_to_sparse`,
+    is dephased through the sparse eigenvectors
+    (:func:`_dephased_trace_gap`), and its gap must match the closed form
+    within ``1e-9`` (``RuntimeError`` otherwise).  When degenerate classical ground states exist, the flip
     operator between two of them witnesses the breaking for ground states:
     once both are certified to be annihilated by H exactly
     (``RuntimeError`` otherwise), its gap under the first is exactly 1.
@@ -601,54 +604,37 @@ def ergodicity_report(
     if residual:
         raise RuntimeError(f"charge catalogue does not commute with H (residual {residual})")
     report = ErgodicityReport(generator_labels=[f.label() for f in seqs])
-    masked, masks, maskless = [], [], {}
-    for i, f in enumerate(seqs):
+    masks = []
+    for f in seqs:
         mono = sequence_to_operator(f)
-        jw = jordan_wigner_masks(mono, lat) if mono.coefficient == 1 and mono.factors else None
-        if jw is None:
-            qf = monomial_to_sparse(mono, basis)
-            maskless[i] = qf + qf.adjoint()
-        else:
-            masked.append(i)
-            masks.append(jw)
+        jw = jordan_wigner_masks(mono, lat)
+        if jw is None or mono.coefficient != 1 or not mono.factors:
+            raise ValueError(f"charge {f.label()} is not a unit monomial on distinct sites")
+        masks.append(jw)
 
     weights = _gibbs_weights_by_label(spectrum, betas)
     gaps = {label: np.empty(len(seqs)) for label in ("trace", *weights)}
     free = {s: _states_off(s, lat.nsites) for s in {s for s, *_ in masks}}
-    gaps["trace"][masked] = [2.0 ** (1 - s.bit_count()) for s, *_ in masks]
+    gaps["trace"][:] = [2.0 ** (1 - s.bit_count()) for s, *_ in masks]
     v = spectrum.vectors.tocsr()
     widest = int(np.diff(v.indptr).max(initial=0))
     sizes = [2 * len(free[s]) * widest + dim for s, *_ in masks]
     for start, stop in _chunks(sizes, dim, _GENERATOR_CHUNK_ENTRIES):
         norms, means = _gibbs_moments(_mask_rows(masks[start:stop], free, dim), v, stop - start)
         for label, p in weights.items():
-            gaps[label][masked[start:stop]] = norms @ p - (means @ p) ** 2
-    if maskless:
-        index = list(maskless)
-        gaps["trace"][index] = [_trace_gap(a) for a in maskless.values()]
-        for label, values in _gibbs_gaps(list(maskless.values()), spectrum, betas).items():
-            gaps[label][index] = values
+            gaps[label][start:stop] = norms @ p - (means @ p) ** 2
     report.gaps = {label: values.tolist() for label, values in gaps.items()}
 
     if seqs:
-        first = maskless[0].matrix if 0 in maskless else _mask_rows(masks[:1], free, dim)
+        qf = monomial_to_sparse(sequence_to_operator(seqs[0]), basis)
         closed = report.gaps["trace"][0]
-        sparse = _dephased_trace_gap(first, spectrum)
+        sparse = _dephased_trace_gap((qf + qf.adjoint()).matrix, spectrum)
         if abs(sparse - closed) > 1e-9 * max(1.0, abs(closed)):
             raise RuntimeError(
                 f"closed-form trace gap {closed!r} disagrees with the dephased "
                 f"Mazur gap {sparse!r}"
             )
-    keys = {}
-    for m in masks:
-        keys.setdefault((m[0], min(m[1], m[0] ^ m[1])), m)
-    report.invariant_dimension = 1 + len(keys)
-    if maskless:
-        report.invariant_dimension = span_dimension(
-            [SparseOperator.identity(basis)]
-            + [SparseOperator(basis, _mask_rows([m], free, dim)) for m in keys.values()]
-            + list(maskless.values())
-        )
+    report.invariant_dimension = 1 + len({(s, min(p, s ^ p)) for s, p, *_ in masks})
     report.non_ergodic = report.invariant_dimension >= 2
 
     grounds = spec.ground_configs

@@ -207,6 +207,9 @@ def test_ergodicity_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
         raise AssertionError("the size guard must run before any diagonalization")
 
     monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
+    # an 8 GiB machine, whatever this one has: 4 KiB pages, 2**21 of them
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert run(["ergodicity", "--ring", "--m", "10"]) == 2
     assert "GiB" in capsys.readouterr().err
 

@@ -387,23 +387,12 @@ def test_ergodicity_report_rejects_a_wrong_trace_gap(monkeypatch):
         ergodicity_report(ModelSpec.ring(2))
 
 
-def test_maskless_generators_take_the_general_path(monkeypatch):
-    # 2 Q(f) has a coefficient the masks cannot carry: the closed sequences
-    # take _trace_gap, _gibbs_gaps and span_dimension on their matrices
-    spec = ModelSpec.ring(2)
-    plain = ergodicity_report(spec)
+def test_ergodicity_report_rejects_a_charge_without_masks(monkeypatch):
+    # 2 Q(f) still commutes with H, but its coefficient is not in the masks
     one = sequence_to_operator
-    monkeypatch.setattr(
-        "nicolai.charges.sequence_to_operator",
-        lambda f: one(f).scaled(2) if f.closed else one(f),
-    )
-    doubled = ergodicity_report(spec)
-    closed = [label.startswith("ring:") for label in plain.generator_labels]
-    assert 0 < sum(closed) < len(closed)
-    for label, gaps in plain.gaps.items():
-        for g, (want, got) in enumerate(zip(gaps, doubled.gaps[label])):
-            assert got == pytest.approx(4 * want if closed[g] else want, rel=1e-12)
-    assert doubled.invariant_dimension == plain.invariant_dimension == 26
+    monkeypatch.setattr("nicolai.charges.sequence_to_operator", lambda f: one(f).scaled(2))
+    with pytest.raises(ValueError, match="not a unit monomial on distinct sites"):
+        ergodicity_report(ModelSpec.ring(2))
 
 
 def test_ergodicity_report_rejects_a_non_conserved_generator(monkeypatch):
