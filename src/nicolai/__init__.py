@@ -66,6 +66,7 @@ from .charges import (
     independence_probe,
     is_permitted,
     lattice_sequences,
+    lattice_sweep,
     reference_interval_tables,
     sequence_to_operator,
     sign_sigma,

@@ -14,6 +14,17 @@ the support; dropping it generically breaks the conservation.
 The pattern rule and its enumerator live in :mod:`nicolai.grammar`.  The
 interval sets grow like ``2 * 3**(l-k-1)``; an independent transfer-matrix
 counter over adjacent (even, odd) value pairs cross-checks every enumeration.
+
+A ring's catalogue has an array form: the even starts and, per arc length,
+the interval words every start shares (:func:`_arc_words`), plus the
+full-ring rows (:func:`_ring_words`).  :func:`lattice_sweep` certifies the
+whole catalogue on these rows: one vectorized validation, orbit reduction
+under the shift by two on the arrays, and the Jordan-Wigner masks of the
+representatives read off the words, with no Python object per charge.
+:func:`conservation_sweep` certifies a list of sequence objects, one
+:func:`~nicolai.fock.jordan_wigner_masks` call each.  Both feed the masks to
+one int64 kernel, :func:`_mask_residuals`, and :func:`conservation_check`
+(two scipy products per charge) is its oracle.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ __all__ = [
     "conservation_check",
     "shift2_representative",
     "conservation_sweep",
+    "lattice_sweep",
     "vanishing_triple_products",
     "independence_probe",
     "charge_algebra_report",
@@ -351,6 +363,13 @@ def shift2_representative(f: ConservedSequence, lattice) -> ConservedSequence:
     return ConservedSequence(tuple(lattice.wrap(s - delta) for s in f.sites), f.values)
 
 
+def _orbits_certified(spec: ModelSpec) -> bool:
+    """Whether one residual per shift-by-2 orbit certifies the orbit: on a
+    ring whose H passes the exact translation certificate."""
+    lat = spec.lattice
+    return lat.dimension == 1 and lat.periodic and spec.h_translation2_invariant
+
+
 def conservation_sweep(spec: ModelSpec, sequences: list):
     """Largest max-abs entry of ``[H, Q(f)]`` over the list ``sequences``.
 
@@ -364,16 +383,116 @@ def conservation_sweep(spec: ModelSpec, sequences: list):
     an even number of odd swaps), so ``[H, Q(Tf)] == U [H, Q(f)] U*`` has
     the same max-abs entry.  Every sequence is validated; only the
     representatives are checked.  Without the certificate, and on chains and
-    tori, every sequence is checked.  The residuals come from one batched
-    int64 kernel over H's CSR arrays (:func:`_commutator_residuals`), which
-    equals :func:`conservation_check` sequence by sequence.
+    tori, every sequence is checked.
+
+    This is the object path, for any list of sequences and the oracle of
+    :func:`lattice_sweep`'s array path: the masks come from one
+    :func:`~nicolai.fock.jordan_wigner_masks` call per sequence
+    (:func:`_commutator_residuals`), and the residuals from the one int64
+    kernel :func:`_mask_residuals`, which equals :func:`conservation_check`
+    sequence by sequence.
     """
     lat = spec.lattice
     for f in sequences:
         _validate_support(f, lat)
-    if lat.dimension == 1 and lat.periodic and spec.h_translation2_invariant:
+    if _orbits_certified(spec):
         sequences = list(dict.fromkeys(shift2_representative(f, lat) for f in sequences))
     return _commutator_residuals(spec, sequences).max(initial=0)
+
+
+def lattice_sweep(spec: ModelSpec) -> tuple:
+    """Largest max-abs entry of ``[H, Q(f)]`` over every ``f`` of
+    ``lattice_sequences(spec.lattice)``, and the number of those sequences.
+
+    On a ring with the translation certificate (see
+    :func:`conservation_sweep`) this is the array path: the catalogue stays
+    the word rows of :func:`_arc_words` and :func:`_ring_words`, is
+    validated in one vectorized pass (:func:`_validate_rows`), reduced to
+    one row per shift-by-2 orbit and turned into masks
+    (:func:`_orbit_masks`), with no Python object per charge.  Everywhere
+    else it is :func:`conservation_sweep` on the sequence objects.
+    """
+    lat = spec.lattice
+    if not _orbits_certified(spec):
+        seqs = lattice_sequences(lat)
+        return conservation_sweep(spec, seqs), len(seqs)
+    starts, arc_words = _arc_words(lat)
+    ring_words = _ring_words(lat)
+    _validate_rows(lat, starts, arc_words, ring_words)
+    count = len(starts) * sum(map(len, arc_words)) + len(ring_words)
+    masks = _orbit_masks(lat, starts, arc_words, ring_words)
+    return _mask_residuals(spec, masks).max(initial=0), count
+
+
+def _validate_rows(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> None:
+    """Reject (``ValueError``) a ring catalogue in array form that is not
+    made of conserved sequences, with the checks of :func:`_validate_support`
+    and of the grammar: even starts on the ring, arcs of ``2d+1 < n`` sites
+    for ``d = 1, 2, ...``, values ``+-1``, no forbidden neighbourhood
+    (wrapped on the full ring) and both boundary pairs of every arc
+    constant.  Every start carries the same words and puts even sites at
+    the same word positions, so the arc rows are checked once, on the arc
+    from the lowest even start."""
+    if not all(lattice.contains(s) and s % 2 == 0 for s in starts):
+        raise ValueError("arcs start on even sites of the ring")
+    supports = [
+        (words, _arc_sites(lattice, min(starts), d), grammar.edge_ties(2 * d + 1))
+        for d, words in enumerate(arc_words, 1)
+    ]
+    for words, sites, ties in supports + [(ring_words, lattice.sites, ())]:
+        if words.shape[1:] != (len(sites),):
+            raise ValueError(f"rows of {words.shape[1:]} values on {len(sites)} sites")
+        if not np.isin(words, (-1, 1)).all():
+            raise ValueError("sequence values must be -1 or +1")
+        closed = len(sites) == lattice.nsites
+        center, *arms = np.array(grammar.hoods(sites, closed), dtype=np.intp).reshape(-1, 3).T
+        if grammar.forbidden(words[:, center], [words[:, a] for a in arms]).any():
+            raise ValueError("a catalogue row has a forbidden triple")
+        if any((words[:, p] != words[:, q]).any() for p, q in ties):
+            raise ValueError("a catalogue arc breaks a boundary-pair condition")
+
+
+def _least_rotations(words: np.ndarray) -> np.ndarray:
+    """One row per class of the closed ``words`` under rotation by two: the
+    least rotation (lexicographic, ``-1 < +1``), in ascending order.
+
+    A row is the integer key with bit ``n-1-i`` set where position ``i``
+    holds ``+1``, so key order is row order, and a rotation left by ``k``
+    positions (``v[k:] + v[:k]``) is a rotation of the key's ``n`` bits."""
+    n = words.shape[1]
+    full = (1 << n) - 1
+    key = np.where(words > 0, 1 << np.arange(n - 1, -1, -1, dtype=np.int64), 0).sum(axis=1)
+    least = key.copy()
+    for k in range(2, n, 2):
+        np.minimum(least, (key << k) & full | key >> (n - k), out=least)
+    bits = np.unique(least)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
+def _row_masks(lattice, sites: tuple, rows: np.ndarray) -> np.ndarray:
+    """The masks ``(S, P, M, c)`` of ``Q(f)`` for each value row on the
+    ordered support ``sites``, as an int64 array of shape ``(rows, 4)``.
+    ``S``, ``M`` and ``c`` depend on the support alone, so one
+    :func:`~nicolai.fock.jordan_wigner_masks` call on its all-annihilation
+    monomial gives them; ``P`` collects the ranks that hold ``-1``."""
+    mono = FermionMonomial(1, tuple((s, ANNIHILATE) for s in sites))
+    support, _, string, crossings = jordan_wigner_masks(mono, lattice)
+    weights = 1 << np.array([lattice.rank(s) for s in sites], dtype=np.int64)
+    masks = np.empty((len(rows), 4), dtype=np.int64)
+    masks[:, 0], masks[:, 2], masks[:, 3] = support, string, crossings
+    masks[:, 1] = np.where(rows < 0, weights, 0).sum(axis=1)
+    return masks
+
+
+def _orbit_masks(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> np.ndarray:
+    """Masks of one representative per shift-by-2 orbit of the ring
+    catalogue, the set :func:`shift2_representative` picks: every arc word
+    at the lowest even start, then the least rotation by two of each closed
+    word."""
+    lo = min(starts)
+    arcs = [_row_masks(lattice, _arc_sites(lattice, lo, d), w) for d, w in enumerate(arc_words, 1)]
+    closed = _row_masks(lattice, lattice.sites, _least_rotations(ring_words))
+    return np.concatenate(arcs + [closed])
 
 
 # Gathered (sequence, row, column) entries per chunk of the batched
@@ -427,22 +546,50 @@ def _states_off(mask: int, n: int) -> np.ndarray:
     return states
 
 
-def _signed_images(masks: list, free: dict):
-    """Every surviving column of the ``Q(f)`` given by ``masks``, a list of
-    :func:`jordan_wigner_masks` tuples ``(S, P, M, c)``: the index into
-    ``masks`` that owns it, the alive state ``j``, its image ``j ^ S`` and
-    the sign ``s(j) = (-1)**(popcount(j & M) + c)``.  ``free[S]`` holds the
-    states with no bit of ``S`` set (:func:`_states_off`)."""
-    alive = np.concatenate([free[s] | p for s, p, _, _ in masks])
-    owner = np.repeat(np.arange(len(masks)), [len(free[s]) for s, *_ in masks])
-    support, _, string, crossings = (np.array(c, dtype=np.int64)[owner] for c in zip(*masks))
-    sign = 1 - 2 * ((np.bitwise_count(alive & string) + crossings) & 1)
-    return owner, alive, alive ^ support, sign
+def _signed_images(masks, free: dict):
+    """Every surviving column of the ``Q(f)`` given by ``masks``, rows of
+    :func:`jordan_wigner_masks` tuples ``(S, P, M, c)`` (a list of tuples or
+    an int64 array of shape ``(k, 4)``): the index into ``masks`` that owns
+    it, the alive state ``j``, its image ``j ^ S`` and the sign
+    ``s(j) = (-1)**(popcount(j & M) + c)``.  ``free[S]`` holds the states
+    with no bit of ``S`` set (:func:`_states_off`); each run of rows that
+    share ``S`` takes its alive states in one broadcast."""
+    support, annihilated, string, crossings = np.asarray(masks, dtype=np.int64).reshape(-1, 4).T
+    cut = np.flatnonzero(np.diff(support)) + 1
+    first, last = np.concatenate(([0], cut)), np.append(cut, len(support))
+    blocks = [free[s] for s in support[first].tolist()]
+    alive = np.concatenate(
+        [(annihilated[a:b, None] | block).ravel() for a, b, block in zip(first, last, blocks)]
+    )
+    owner = np.repeat(np.arange(len(support)), np.repeat(list(map(len, blocks)), last - first))
+    sign = 1 - 2 * ((np.bitwise_count(alive & string[owner]) + crossings[owner]) & 1)
+    return owner, alive, alive ^ support[owner], sign
 
 
 def _commutator_residuals(spec: ModelSpec, sequences: list) -> np.ndarray:
     """Max-abs entry of ``[H, Q(f)]`` for each of the (validated)
-    ``sequences``, exact in H's dtype, without building any ``Q(f)``.
+    ``sequences``: the object producer of :func:`_mask_residuals`, with one
+    :func:`jordan_wigner_masks` call per sequence.  A support that repeats a
+    site has no masks and falls back to :func:`conservation_check`."""
+    lat = spec.lattice
+    out = np.zeros(len(sequences), dtype=spec.h.matrix.dtype)
+    batch, masks = [], []
+    for q, f in enumerate(sequences):
+        jw = jordan_wigner_masks(sequence_to_operator(f), lat)
+        if jw is None:
+            out[q] = conservation_check(spec, f)
+        else:
+            batch.append(q)
+            masks.append(jw)
+    if batch:
+        out[batch] = _mask_residuals(spec, masks)
+    return out
+
+
+def _mask_residuals(spec: ModelSpec, masks) -> np.ndarray:
+    """Max-abs entry of ``[H, Q(f)]`` for each ``Q(f)`` given by its masks
+    (``(S, P, M, c)`` rows, see :func:`_signed_images`), exact in H's dtype,
+    without building any ``Q(f)``: the one int64 kernel behind both sweeps.
 
     ``Q(f)`` is a signed partial permutation (:func:`jordan_wigner_masks`):
     column ``j`` survives iff ``j & S == P``, lands on row ``j ^ S`` with
@@ -452,29 +599,18 @@ def _commutator_residuals(spec: ModelSpec, sequences: list) -> np.ndarray:
 
     The first term reads column ``j ^ S`` of H (a row of its transpose,
     built once), the second row ``r = i ^ S`` of H, both for every alive
-    state.  A chunk of sequences gathers all these entries, packs (local
-    sequence, row, column) into int64 keys, sums equal keys after one sort
-    and takes the largest magnitude per sequence.  A support that repeats a
-    site falls back to :func:`conservation_check`.
+    state.  A chunk of rows gathers all these entries, packs (local row,
+    row of H, column) into int64 keys, sums equal keys after one sort and
+    takes the largest magnitude per row.
     """
-    lat = spec.lattice
     h = spec.h.matrix
     ht = h.T.tocsr()
-    dim, n = h.shape[0], lat.nsites
-    out = np.zeros(len(sequences), dtype=h.dtype)
-    batch, masks = [], []
-    for q, f in enumerate(sequences):
-        jw = jordan_wigner_masks(sequence_to_operator(f), lat)
-        if jw is None:
-            out[q] = conservation_check(spec, f)
-        else:
-            batch.append(q)
-            masks.append(jw)
-    if not batch:
-        return out
+    dim, n = h.shape[0], spec.lattice.nsites
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1, 4)
+    out = np.zeros(len(masks), dtype=h.dtype)
     widest = int(np.diff(h.indptr).max(initial=0) + np.diff(ht.indptr).max(initial=0))
-    free = {s: _states_off(s, n) for s in {s for s, *_ in masks}}
-    sizes = [len(free[s]) * widest for s, *_ in masks]
+    free = {s: _states_off(s, n) for s in np.unique(masks[:, 0]).tolist()}
+    sizes = (widest << (n - np.bitwise_count(masks[:, 0]).astype(np.int64))).tolist()
     for start, stop in _chunks(sizes, dim):
         seq, alive, image, sign = _signed_images(masks[start:stop], free)
         # s(j) H[i, j^S]: row j^S of H^T holds column j^S of H
@@ -493,9 +629,7 @@ def _commutator_residuals(spec: ModelSpec, sequences: list) -> np.ndarray:
         first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         sums = np.add.reduceat(values[order], first)
         hit = sums != 0
-        np.maximum.at(
-            out, np.asarray(batch[start:stop])[keys[first[hit]] // (dim * dim)], np.abs(sums[hit])
-        )
+        np.maximum.at(out, start + keys[first[hit]] // (dim * dim), np.abs(sums[hit]))
     return out
 
 

@@ -170,8 +170,21 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
     return checks
 
 
+def _verify_bytes(lat) -> int:
+    """Estimated peak bytes of ``verify`` and ``build --verify``: 768 per
+    Fock state, for the basis, Q, Q*, H and the operators the checks build
+    next to them (each int64 CSR), the fragment arrays of ``diagonalize``
+    and its sparse eigenvectors.  Measured peaks above start-up of
+    ``verify --ring`` at m = 5..9 (4, 10, 37, 136 and 604 MB) are 565, 519
+    and 576 bytes per state at m = 7, 8 and 9; ``--chain 19`` takes 477 and
+    ``--torus 4x4`` 275."""
+    return 768 << lat.nsites
+
+
 def cmd_build(args) -> int:
     spec = _resolve_spec(args)
+    if args.verify:
+        _require_memory(_verify_bytes(spec.lattice), "the verify run", "sparse matrices")
     payload = {
         "schema": SCHEMA,
         "command": "build",
@@ -276,7 +289,7 @@ def cmd_charges(args) -> int:
         if payload["full_ring_count"] != payload["full_ring_transfer_count"]:
             code = 3
         if args.check:
-            residual = int(ch.conservation_sweep(spec, ch.lattice_sequences(lat)))
+            residual = int(ch.lattice_sweep(spec)[0])
             payload["max_commutator_residual"] = residual
             if residual != 0:
                 code = 3
@@ -403,14 +416,16 @@ def cmd_ergodicity(args) -> int:
 def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     lat = spec.lattice
+    _require_memory(_verify_bytes(lat), "the verify run", "sparse matrices")
     checks = _build_checks(spec, args.seed)
     one_d = lat.dimension == 1
 
-    seqs = ch.lattice_sequences(lat)
-    residual = ch.conservation_sweep(spec, seqs)
     if one_d:
-        checks.append(_check("charges_conserved", residual == 0, {"count": len(seqs)}))
+        residual, count = ch.lattice_sweep(spec)
+        checks.append(_check("charges_conserved", residual == 0, {"count": count}))
     else:
+        seqs = ch.lattice_sequences(lat)
+        residual = ch.conservation_sweep(spec, seqs)
         # two per rectangle and one per torus constant, as the report defines it
         count = len(seqs) + sum(not f.closed for f in seqs)
         checks.append(_check("constants_conserved", residual == 0, {"count": count}))

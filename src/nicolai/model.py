@@ -64,6 +64,7 @@ __all__ = [
     "build_hamiltonian_susy",
     "build_hamiltonian_explicit",
     "build_h_classical",
+    "build_h_classical_diagonal",
     "build_h_hop",
     "forbidden_triple_projector",
     "number_operator",
@@ -237,7 +238,7 @@ class ModelSpec:
 
     @cached_property
     def h_classical(self) -> SparseOperator:
-        return build_h_classical(self).to_sparse(self.basis)
+        return build_h_classical_diagonal(self)
 
     @cached_property
     def h_hop(self) -> SparseOperator:
@@ -433,6 +434,23 @@ def build_h_classical(spec: ModelSpec) -> OperatorSum:
     for (l, c, r) in charge_triples(spec.lattice):
         terms.extend(forbidden_triple_projector(l, c, r).terms)
     return OperatorSum(tuple(terms))
+
+
+def build_h_classical_diagonal(spec: ModelSpec) -> SparseOperator:
+    """The classical part as one sparse diagonal, from bit operations on
+    the Fock states: the number of even-centered triples whose occupations
+    are forbidden ("0,1,0" or "1,0,1").  Equal to :func:`build_h_classical`
+    as a matrix, which stays its oracle."""
+    if spec.lattice.dimension != 1:
+        raise ValueError("the classical/hopping split is only available in 1D")
+    states = spec.basis.states
+    counts = np.zeros(len(states), dtype=np.int64)
+    for hood in charge_hoods(spec.lattice):
+        center, *arms = (states >> r & 1 for r in hood)
+        counts += grammar.forbidden(center, arms)
+    diag = sp.diags(counts, format="csr", dtype=np.int64)
+    diag.eliminate_zeros()
+    return SparseOperator(spec.basis, diag)
 
 
 def forbidden_triple_projector(l, c, r) -> OperatorSum:

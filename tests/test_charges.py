@@ -43,6 +43,7 @@ from nicolai.charges import (
     torus_constant_sequence,
     vanishing_triple_products,
 )
+from nicolai.fock import jordan_wigner_masks
 from nicolai.model import OperatorSum, translate2
 
 
@@ -608,3 +609,97 @@ def test_packed_keys_fit_in_int64_at_the_largest_verify_dimension():
         assert int(packed) == top
     with pytest.raises(OverflowError):
         ch._max_chunk_sequences(1 << 32)
+
+
+def _catalogue(lat):
+    starts, arc_words = ch._arc_words(lat)
+    return starts, arc_words, ch._ring_words(lat)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_catalogue_rows_expand_to_the_lattice_sequences(m):
+    lat = Lattice.ring(m)
+    starts, arc_words, ring_words = _catalogue(lat)
+    ch._validate_rows(lat, starts, arc_words, ring_words)
+    expanded = [
+        ConservedSequence(tuple(lat.wrap(s + j) for j in range(2 * d + 1)), tuple(v))
+        for d, words in enumerate(arc_words, 1)
+        for s in starts
+        for v in words.tolist()
+    ] + [ConservedSequence(lat.sites, tuple(v), closed=True) for v in ring_words.tolist()]
+    assert expanded == lattice_sequences(lat)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
+def test_catalogue_masks_are_the_masks_of_the_orbit_representatives(m):
+    # even m puts the first site of the ring on an odd label (m=6: -7)
+    lat = Lattice.ring(m)
+    assert lat.sites[0] % 2 == (m + 1) % 2
+    got = ch._orbit_masks(lat, *_catalogue(lat))
+    assert got.dtype == np.int64
+    want = {
+        jordan_wigner_masks(sequence_to_operator(shift2_representative(f, lat)), lat)
+        for f in lattice_sequences(lat)
+    }
+    assert len(got) == len(want)
+    assert set(map(tuple, got.tolist())) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_catalogue_residual_equals_the_oracle(m, ring):
+    spec = ring(m)
+    catalogue = lattice_sequences(spec.lattice)
+    want = max(conservation_check(spec, f) for f in catalogue)
+    assert ch.lattice_sweep(spec) == (want, len(catalogue)) == (0, len(catalogue))
+    # the array producer on rows that break a boundary pair: nonzero
+    # residuals, each equal to the oracle's
+    violating = sample_edge_violating_sequences(spec.lattice, 20, np.random.default_rng(m))
+    for f in violating:
+        masks = ch._row_masks(spec.lattice, f.sites, np.array([f.values], dtype=np.int8))
+        assert ch._mask_residuals(spec, masks).tolist() == [conservation_check(spec, f)]
+    assert any(conservation_check(spec, f) for f in violating)
+
+
+def test_lattice_sweep_keeps_the_object_path_off_the_certified_ring(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    want = []
+    for spec in (ModelSpec.chain(0, 8), ModelSpec.torus(4, 4)):
+        catalogue = lattice_sequences(spec.lattice)
+        assert ch.lattice_sweep(spec) == (0, len(catalogue))
+        want += catalogue
+    monkeypatch.setattr(ModelSpec, "h_translation2_invariant", False)
+    catalogue = lattice_sequences(Lattice.ring(3))
+    assert ch.lattice_sweep(ModelSpec.ring(3)) == (0, len(catalogue))
+    assert calls == want + catalogue
+
+
+def _planted(rows, index, row):
+    rows = rows.copy()
+    rows[index] = row
+    return rows
+
+
+def test_vectorized_validation_rejects_planted_rows():
+    lat = Lattice.ring(3)
+    starts, arc_words, ring_words = _catalogue(lat)
+    d2 = arc_words[1]
+    # permitted, but the right boundary pair is not constant
+    tie = (-1, -1, -1, -1, 1)
+    # the even-centered triple at word positions 1..3 reads + - +
+    triple = (-1, 1, -1, 1, 1)
+    # the wrapped triple (last, first, second) of the full ring reads + - +
+    wrapped = (-1, 1, 1, 1, 1, 1, 1, 1)
+    cases = [
+        ("boundary-pair", [arc_words[0], _planted(d2, 0, tie)], ring_words),
+        ("forbidden triple", [arc_words[0], _planted(d2, 3, triple)], ring_words),
+        ("forbidden triple", arc_words, _planted(ring_words, 0, wrapped)),
+        ("-1 or \\+1", [arc_words[0], _planted(d2, 0, (0, 0, 1, 1, 1))], ring_words),
+        ("values on", [arc_words[1], arc_words[0]], ring_words),
+    ]
+    for match, arcs, rows in cases:
+        with pytest.raises(ValueError, match=match):
+            ch._validate_rows(lat, starts, arcs, rows)
+    with pytest.raises(ValueError, match="even sites"):
+        ch._validate_rows(lat, [s + 1 for s in starts], arc_words, ring_words)
+    assert is_permitted(ConservedSequence(tuple(range(5)), tie))
+    assert not has_edge_conditions(ConservedSequence(tuple(range(5)), tie))

@@ -226,6 +226,42 @@ def test_ergodicity_admits_ring_m7_past_the_memory_guard(monkeypatch):
         run(["ergodicity", "--ring", "--m", "7"])
 
 
+def _refuse_building(monkeypatch, error):
+    def refuse(*args, **kwargs):
+        raise error
+
+    for name in ("enumerate_basis", "build_supercharge"):
+        monkeypatch.setattr(nicolai.model, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--ring", "--m", "11"], ["build", "--ring", "--m", "11", "--verify"]]
+)
+def test_verify_refuses_a_ring_too_big_for_memory(argv, capsys, monkeypatch):
+    _refuse_building(monkeypatch, AssertionError("the size guard must run before any operator"))
+    # an 8 GiB machine, whatever this one has: 4 KiB pages, 2**21 of them
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the verify run needs ~12.0 GiB")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--ring", "--m", "10"], ["build", "--ring", "--m", "10", "--verify"]]
+)
+def test_verify_admits_ring_m10_past_the_memory_guard(argv, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    _refuse_building(monkeypatch, Reached())
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(Reached):
+        run(argv)
+
+
 def test_ergodicity_ring_m5(capsys):
     assert run(["ergodicity", "--ring", "--m", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -376,18 +412,62 @@ def _count_calls(monkeypatch, builders):
     return calls
 
 
-def test_verify_builds_each_model_object_once(capsys, monkeypatch):
+def test_verify_calls_each_model_builder_once(capsys, monkeypatch):
     builders = [
         (nicolai.fock, "enumerate_basis"),
         (nicolai.model, "build_supercharge"),
-        (nicolai.model, "build_h_classical"),
+        (nicolai.model, "build_h_classical_diagonal"),
         (nicolai.model, "build_h_hop"),
         (nicolai.groundstates, "enumerate_ground_configs"),
         (nicolai.dynamics, "diagonalize"),
     ]
-    calls = _count_calls(monkeypatch, builders)
+    # the monomial sum of the classical part is the test oracle of the
+    # bit-operation diagonal, off the verify path
+    calls = _count_calls(monkeypatch, builders + [(nicolai.model, "build_h_classical")])
     assert run(["verify", "--ring", "--m", "2"]) == 0
     assert dict(calls) == {name: 1 for _, name in builders}
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--ring", "--m", "4"], ["charges", "--ring", "--m", "4", "--check"]]
+)
+def test_ring_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
+    calls = _count_calls(
+        monkeypatch,
+        [(nicolai.charges, "_validate_support"), (nicolai.charges, "shift2_representative")],
+    )
+    post_init = nicolai.charges.ConservedSequence.__post_init__
+
+    def counted(self):
+        calls["ConservedSequence"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(nicolai.charges.ConservedSequence, "__post_init__", counted)
+    assert run(argv) == 0
+    assert dict(calls) == {}
+    payload = json.loads(capsys.readouterr().out)
+    if argv[0] == "verify":
+        (conserved,) = [c for c in payload["checks"] if c["name"] == "charges_conserved"]
+        assert conserved["passed"] and conserved["detail"] == {"count": 642}
+    else:
+        assert payload["max_commutator_residual"] == 0
+
+
+def test_verify_ring_m5_pin(capsys):
+    # as the torus pin: the one eigensolver float is dropped, the rest hashed
+    assert run(["verify", "--ring", "--m", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (e0,) = [c for c in payload["checks"] if c["name"] == "h_min_eigenvalue_zero"]
+    assert e0["passed"] and abs(e0["detail"]) <= 1e-10
+    payload["checks"].remove(e0)
+    (conserved,) = [c for c in payload["checks"] if c["name"] == "charges_conserved"]
+    assert conserved["detail"] == {"count": 2182}
+    assert payload["failures"] == 0
+    text = cli._render(payload, "json")
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "5a47d586a0307706212cd96b768e6c989a2274e5a59aa4b9c287e206a39ebe36"
+    )
 
 
 def test_verify_builds_the_translation_certificate_once(capsys, monkeypatch):

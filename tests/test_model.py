@@ -24,7 +24,7 @@ from nicolai import (
     parity_operator,
     translate2,
 )
-from nicolai.model import forbidden_triple_projector
+from nicolai.model import build_h_classical_diagonal, forbidden_triple_projector
 
 
 def test_local_charge_factor_order():
@@ -98,6 +98,26 @@ def test_hamiltonian_consistency_chains(nsites):
     hc = build_h_classical(spec).to_sparse(basis)
     hh = build_h_hop(spec).to_sparse(basis)
     assert h.equals(hc + hh)
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [Lattice.ring(m) for m in range(1, 7)] + [Lattice.chain(0, n - 1) for n in (5, 9, 13)],
+    ids=lambda lat: f"{lat.boundary}{lat.nsites}",
+)
+def test_h_classical_from_bits_equals_the_monomial_sum(lattice):
+    spec = ModelSpec(lattice)
+    want = build_h_classical(spec).to_sparse(spec.basis)
+    got = build_h_classical_diagonal(spec)
+    assert got.dtype == want.dtype == np.int64
+    assert got.equals(want)
+    assert got.nnz == want.nnz == np.count_nonzero(want.diagonal())
+    assert spec.h_classical.equals(want)
+
+
+def test_h_classical_from_bits_is_one_dimensional():
+    with pytest.raises(ValueError):
+        build_h_classical_diagonal(ModelSpec.torus(4, 4))
 
 
 def test_explicit_equals_split_termwise(ring):
