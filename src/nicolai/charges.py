@@ -15,13 +15,16 @@ The pattern rule and its enumerator live in :mod:`nicolai.grammar`.  The
 interval sets grow like ``2 * 3**(l-k-1)``; an independent transfer-matrix
 counter over adjacent (even, odd) value pairs cross-checks every enumeration.
 
-A ring's catalogue has an array form: the even starts and, per arc length,
-the interval words every start shares (:func:`_arc_words`), plus the
-full-ring rows (:func:`_ring_words`).  :func:`lattice_sweep` certifies the
-whole catalogue on these rows: one vectorized validation, orbit reduction
-under the shift by two on the arrays, and the Jordan-Wigner masks of the
-representatives read off the words, with no Python object per charge.
-:func:`conservation_sweep` certifies a list of sequence objects, one
+A ring's catalogue is held only as word rows: the even starts and, per arc
+length, the interval words every start shares (:func:`_arc_words`), plus
+the full-ring rows (:func:`_ring_words`), built and validated once by
+:func:`_ring_catalogue`.  The masks and labels of every member are read off
+the rows (:func:`_member_masks`, :func:`_member_labels`), with no Python
+object per charge; the same rows at the lowest start and at the least
+rotations give one member per shift-by-2 orbit, which is what
+:func:`_catalogue_residual` certifies.  :func:`lattice_sweep` and the
+ergodicity report take this path on every ring.  :func:`conservation_sweep`
+certifies a list of sequence objects (chains, tori, user-given lists), one
 :func:`~nicolai.fock.jordan_wigner_masks` call each.  Both feed the masks to
 one int64 kernel, :func:`_mask_residuals`, and :func:`conservation_check`
 (two scipy products per charge) is its oracle.
@@ -200,13 +203,8 @@ def _arc_words(lattice) -> tuple:
 def all_embeddable_sequences(lattice) -> list:
     """Every interval sequence that embeds in the ring as a proper arc."""
     starts, words = _arc_words(lattice)
-    seqs = []
-    for d, w in enumerate(words, 1):
-        values = list(map(tuple, w.tolist()))
-        for start in starts:
-            sites = _arc_sites(lattice, start, d)
-            seqs.extend(ConservedSequence(sites, v) for v in values)
-    return seqs
+    arcs = [(_arc_sites(lattice, s, d), w) for d, w in enumerate(words, 1) for s in starts]
+    return [f for sites, w in arcs for f in _sequences(sites, w)]
 
 
 def _ring_words(lattice) -> np.ndarray:
@@ -363,40 +361,16 @@ def shift2_representative(f: ConservedSequence, lattice) -> ConservedSequence:
     return ConservedSequence(tuple(lattice.wrap(s - delta) for s in f.sites), f.values)
 
 
-def _orbits_certified(spec: ModelSpec) -> bool:
-    """Whether one residual per shift-by-2 orbit certifies the orbit: on a
-    ring whose H passes the exact translation certificate."""
-    lat = spec.lattice
-    return lat.dimension == 1 and lat.periodic and spec.h_translation2_invariant
-
-
 def conservation_sweep(spec: ModelSpec, sequences: list):
     """Largest max-abs entry of ``[H, Q(f)]`` over the list ``sequences``.
 
-    On a ring whose H passes the exact translation certificate
-    (``spec.h_translation2_invariant``: ``{TQ, (TQ)*} == H`` for the shift T
-    by two sites), one residual per shift-by-2 orbit certifies every
-    member.  The shift is the CAR automorphism ``a_x -> a_(x+2)``,
-    implemented by a unitary U that permutes the Fock basis up to signs; the
-    certificate says ``U H U* == H``, and ``U Q(f) U* == Q(Tf)`` (for a
-    closed sequence the two factors that wrap move past the other ``n - 2``,
-    an even number of odd swaps), so ``[H, Q(Tf)] == U [H, Q(f)] U*`` has
-    the same max-abs entry.  Every sequence is validated; only the
-    representatives are checked.  Without the certificate, and on chains and
-    tori, every sequence is checked.
-
-    This is the object path, for any list of sequences and the oracle of
-    :func:`lattice_sweep`'s array path: the masks come from one
-    :func:`~nicolai.fock.jordan_wigner_masks` call per sequence
-    (:func:`_commutator_residuals`), and the residuals from the one int64
-    kernel :func:`_mask_residuals`, which equals :func:`conservation_check`
-    sequence by sequence.
+    The object path (chains, tori, user-given lists; the oracle of
+    :func:`_catalogue_residual`): every sequence is validated and checked,
+    with one :func:`jordan_wigner_masks` call each and the int64 kernel
+    (:func:`_commutator_residuals`).
     """
-    lat = spec.lattice
     for f in sequences:
-        _validate_support(f, lat)
-    if _orbits_certified(spec):
-        sequences = list(dict.fromkeys(shift2_representative(f, lat) for f in sequences))
+        _validate_support(f, spec.lattice)
     return _commutator_residuals(spec, sequences).max(initial=0)
 
 
@@ -404,24 +378,23 @@ def lattice_sweep(spec: ModelSpec) -> tuple:
     """Largest max-abs entry of ``[H, Q(f)]`` over every ``f`` of
     ``lattice_sequences(spec.lattice)``, and the number of those sequences.
 
-    On a ring with the translation certificate (see
-    :func:`conservation_sweep`) this is the array path: the catalogue stays
-    the word rows of :func:`_arc_words` and :func:`_ring_words`, is
-    validated in one vectorized pass (:func:`_validate_rows`), reduced to
-    one row per shift-by-2 orbit and turned into masks
-    (:func:`_orbit_masks`), with no Python object per charge.  Everywhere
-    else it is :func:`conservation_sweep` on the sequence objects.
+    Rings take the word rows (:func:`_catalogue_residual`), chains and tori
+    :func:`conservation_sweep` on the sequence objects.
     """
     lat = spec.lattice
-    if not _orbits_certified(spec):
+    if lat.dimension != 1 or not lat.periodic:
         seqs = lattice_sequences(lat)
         return conservation_sweep(spec, seqs), len(seqs)
-    starts, arc_words = _arc_words(lat)
-    ring_words = _ring_words(lat)
-    _validate_rows(lat, starts, arc_words, ring_words)
+    starts, arc_words, ring_words = rows = _ring_catalogue(lat)
     count = len(starts) * sum(map(len, arc_words)) + len(ring_words)
-    masks = _orbit_masks(lat, starts, arc_words, ring_words)
-    return _mask_residuals(spec, masks).max(initial=0), count
+    return _catalogue_residual(spec, *rows), count
+
+
+def _ring_catalogue(lattice) -> tuple:
+    """``(starts, arc_words, ring_words)`` of a ring, validated once."""
+    rows = (*_arc_words(lattice), _ring_words(lattice))
+    _validate_rows(lattice, *rows)
+    return rows
 
 
 def _validate_rows(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> None:
@@ -484,15 +457,53 @@ def _row_masks(lattice, sites: tuple, rows: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _orbit_masks(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> np.ndarray:
-    """Masks of one representative per shift-by-2 orbit of the ring
-    catalogue, the set :func:`shift2_representative` picks: every arc word
-    at the lowest even start, then the least rotation by two of each closed
-    word."""
-    lo = min(starts)
-    arcs = [_row_masks(lattice, _arc_sites(lattice, lo, d), w) for d, w in enumerate(arc_words, 1)]
-    closed = _row_masks(lattice, lattice.sites, _least_rotations(ring_words))
-    return np.concatenate(arcs + [closed])
+def _member_masks(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> np.ndarray:
+    """The masks of every member of a ring catalogue in array form, in
+    :func:`lattice_sequences` order.  With ``[min(starts)]`` and
+    :func:`_least_rotations` of the closed rows: one member per shift-by-2
+    orbit, the set :func:`shift2_representative` picks."""
+    arcs = [
+        _row_masks(lattice, _arc_sites(lattice, s, d), words)
+        for d, words in enumerate(arc_words, 1)
+        for s in starts
+    ]
+    return np.concatenate(arcs + [_row_masks(lattice, lattice.sites, ring_words)])
+
+
+def _patterns(words: np.ndarray) -> list:
+    """The ``+``/``-`` pattern of each value row."""
+    return np.where(words > 0, "+", "-").view(f"U{words.shape[1]}").ravel().tolist()
+
+
+def _member_labels(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> list:
+    """:meth:`ConservedSequence.label` of every member, in
+    :func:`_member_masks` order."""
+    labels = []
+    for d, words in enumerate(arc_words, 1):
+        patterns = _patterns(words)
+        for s in starts:
+            a, *_, b = _arc_sites(lattice, s, d)
+            labels += [f"[{a},{b}]:{p}" for p in patterns]
+    return labels + [f"ring:{p}" for p in _patterns(ring_words)]
+
+
+def _catalogue_residual(spec: ModelSpec, starts: list, arc_words: list, ring_words: np.ndarray):
+    """Largest max-abs entry of ``[H, Q(f)]`` over the members of a
+    (validated) ring catalogue in array form.  When H passes the exact
+    translation certificate (``spec.h_translation2_invariant``:
+    ``{TQ, (TQ)*} == H`` for the shift T by two sites), one residual per
+    shift-by-2 orbit certifies every member, so only the rows at the lowest
+    even start and the least rotations of the closed rows are checked.  The
+    shift is the CAR automorphism ``a_x -> a_(x+2)``, implemented by a
+    unitary U that permutes the Fock basis up to signs; the certificate says
+    ``U H U* == H``, and ``U Q(f) U* == Q(Tf)`` (for a closed sequence the
+    two factors that wrap move past the other ``n - 2``, an even number of
+    odd swaps), so ``[H, Q(Tf)] == U [H, Q(f)] U*`` has the same max-abs
+    entry.  Without the certificate every member row is checked."""
+    if spec.h_translation2_invariant:
+        starts, ring_words = [min(starts)], _least_rotations(ring_words)
+    masks = _member_masks(spec.lattice, starts, arc_words, ring_words)
+    return _mask_residuals(spec, masks).max(initial=0)
 
 
 # Gathered (sequence, row, column) entries per chunk of the batched

@@ -214,10 +214,6 @@ def _require_memory(need: int, what: str, held: str) -> None:
         )
 
 
-def _sequence_rows(seqs) -> list:
-    return [s.to_json_obj() for s in seqs]
-
-
 def cmd_charges(args) -> int:
     payload = {"schema": SCHEMA, "command": "charges"}
     code = 0
@@ -258,7 +254,7 @@ def cmd_charges(args) -> int:
         payload["interval"] = [2 * k, 2 * l]
         payload["count"] = len(seqs)
         payload["transfer_matrix_count"] = ch.transfer_count_hat_xi(k, l)
-        payload["sequences"] = _sequence_rows(seqs)
+        payload["sequences"] = [s.to_json_obj() for s in seqs]
         if payload["count"] != payload["transfer_matrix_count"]:
             code = 3
         if args.check:
@@ -280,7 +276,9 @@ def cmd_charges(args) -> int:
         if lat.dimension != 1 or not lat.periodic:
             raise ValueError("charge listings need --interval or --ring")
         _require_memory(_ring_listing_bytes(lat), "the charge listing", "word arrays")
-        # counted from the word arrays; the sequences are built only to check
+        if args.check:
+            _require_memory(_check_bytes(lat), "the charge check", "sparse matrices")
+        # counted and checked on the word arrays; no sequence object is built
         starts, arc_words = ch._arc_words(lat)
         payload["model"] = json.loads(spec.to_json())
         payload["embeddable_count"] = len(starts) * sum(len(w) for w in arc_words)
@@ -303,12 +301,20 @@ def _ring_listing_bytes(lat) -> int:
     The arc words of every length stay alive while the full-ring words are
     grown, and each growth step holds the rows repeated once per letter next
     to the filtered rows, so the estimate is four times the bytes of all
-    those words.  Measured peaks above start-up
-    at m = 11, 12, 13 (45, 123 and 460 MB) stay below it (64, 207 and 669
-    MB).  Counts come from the transfer matrices, so nothing is built."""
+    those words.  Measured peaks above start-up at m = 11, 12, 13 (45, 123
+    and 460 MB) stay below it (64, 207 and 669 MB).  Counts come from the
+    transfer matrices, so nothing is built."""
     n = lat.nsites
     arcs = sum((2 * d + 1) * ch.transfer_count_hat_xi(0, d) for d in range(1, (n - 2) // 2 + 1))
     return 4 * (arcs + n * ch.transfer_count_ring_sequences(lat))
+
+
+def _check_bytes(lat) -> int:
+    """Estimated peak bytes of ``charges --ring --check``: 256 per Fock
+    state, for the basis, Q, Q*, H and its transpose (int64 CSR) and the
+    kernel's chunks.  Measured peaks above start-up at m = 7, 8 and 9 (12,
+    56 and 230 MB) are 183, 213 and 219 bytes per state."""
+    return 256 << lat.nsites
 
 
 def cmd_groundstates(args) -> int:
@@ -355,25 +361,20 @@ def cmd_groundstates(args) -> int:
 
 
 def _ergodicity_bytes(lat) -> int:
-    """Estimated peak bytes of the ergodicity report on a ring.
-
-    The report holds no dense dim x dim array.  What grows with the ring:
-    - per Fock state, 512 bytes: the basis, H in int64 CSR with the copies
-      the conservation sweep and ``diagonalize`` make of it, the fragment
-      arrays and eigenpair lists of ``diagonalize`` and the sparse V (H
-      holds fewer than 2 entries per row and V fewer than 4 up to m = 7);
-    - per generator, 2 KiB: its sequence, label, masks and four gaps, and
-      its line of the JSON payload;
-    - one chunk of generator rows times V, at 64 bytes per stored entry
-      (the product in CSR and COO, its row split, gathered V entries and
-      squares) and dim entries of moments per generator.  A chunk holds
-      ``dynamics._GENERATOR_CHUNK_ENTRIES`` entries, or one generator
-      alone: at most ``2 (dim / 8) F + dim`` for a three-site arc, where
-      F, the largest fragment of H, is taken as ``1.6**m`` (it is 9, 14,
-      20, 30, 50 and 77 at m = 5..10).
-    Measured peaks above start-up at m = 5, 6, 7, 8 (43, 51, 75 and 170 MB)
-    stay below it (74, 90, 150 and 492 MB).  Counts come from the transfer
-    matrices, so nothing is built."""
+    """Estimated peak bytes of the ergodicity report on a ring, from
+    transfer-matrix counts: 512 per Fock state (the basis, H in int64 CSR
+    with the copies the row certificate and ``diagonalize`` make of it, the
+    fragment arrays of ``diagonalize`` and the sparse V; H holds fewer than
+    2 entries per row and V fewer than 4 up to m = 7); 2 KiB per generator
+    (its label, masks and four gaps, and its line of the JSON payload); and
+    64 bytes per stored entry of one chunk of generator rows times V (the
+    product in CSR and COO, its row split, gathered V entries and squares),
+    plus dim moments per generator.  A chunk holds
+    ``dynamics._GENERATOR_CHUNK_ENTRIES`` entries, or one generator alone:
+    at most ``2 (dim / 8) F + dim`` for a three-site arc, where F, the
+    largest fragment of H, is taken as ``1.6**m`` (9, 14, 20, 30, 50 and 77
+    at m = 5..10).  Measured peaks above start-up at m = 5..8 (42, 46, 68,
+    177 MB) stay below it (74, 90, 150, 492 MB)."""
     n, m = lat.nsites, lat.ring_m
     arcs = sum(n // 2 * ch.transfer_count_hat_xi(0, d) for d in range(1, (n - 2) // 2 + 1))
     generators = arcs + ch.transfer_count_ring_sequences(lat)

@@ -26,23 +26,23 @@ states alike.
 :func:`mazur_gap` is the general path: it dephases any dense observable in
 O(dim^3) on a dense copy of the eigenvectors, and it is the oracle for the
 closed forms below.  :func:`ergodicity_report` never dephases a charge and
-holds no dim x dim dense array.  It certifies ``[H, Q(f)] = 0`` exactly for
-the whole catalogue, so ``dephase(A) = A`` for ``A = Q(f) + Q(f)*``, and
-then works from the Jordan-Wigner masks ``(S, P, M, c)`` of each ``Q(f)``
-(:func:`~nicolai.fock.jordan_wigner_masks`): A has one ``+-1`` per row r
-with ``r & S`` in ``{P, S ^ P}``, at column ``r ^ S``.  The trace-state gap
-is then exactly ``2**(1 - |S|)``; the Gibbs gaps are weighted sums of
-``||A v_n||^2`` and ``v_n.A v_n`` over the eigenvectors, from the generator
-rows, built from the masks one chunk of generators at a time, times the
-sparse V; and the number of independent invariant operators is one plus
-the number of distinct keys ``(S, min(P, S ^ P))``, because generators
-with different keys are orthogonal.  The first generator, built as a
-sparse matrix independently of the masks, is dephased through the sparse
-eigenvectors on every run to cross-check the closed form.  The
-ground-state witness is certified by two zero columns of H, after which
-its gap is exactly 1.  :func:`_trace_gap`, :func:`_gibbs_gaps` and
-:func:`~nicolai.fock.span_dimension` on sparse matrices remain the
-oracles of the closed forms.
+holds no dim x dim dense array and no object per charge.  It certifies
+``[H, Q(f)] = 0`` exactly on the ring's word rows, so ``dephase(A) = A``
+for ``A = Q(f) + Q(f)*``, and then works from the Jordan-Wigner masks
+``(S, P, M, c)`` of each ``Q(f)``, read off the same rows: A has one
+``+-1`` per row r with ``r & S`` in ``{P, S ^ P}``, at column ``r ^ S``.
+The trace-state gap is then exactly ``2**(1 - |S|)``; the Gibbs gaps are
+weighted sums of ``||A v_n||^2`` and ``v_n.A v_n`` over the eigenvectors,
+from the generator rows, built from the masks one chunk of generators at a
+time, times the sparse V; and the number of independent invariant
+operators is one plus the number of distinct keys ``(S, min(P, S ^ P))``,
+because generators with different keys are orthogonal.  The first
+generator, built as a sparse matrix independently of the masks, is
+dephased through the sparse eigenvectors on every run to cross-check the
+closed form.  The ground-state witness is certified by two zero columns of
+H, after which its gap is exactly 1.  :func:`_trace_gap`,
+:func:`_gibbs_gaps` and :func:`~nicolai.fock.span_dimension` on sparse
+matrices remain the oracles of the closed forms.
 """
 
 from __future__ import annotations
@@ -543,11 +543,13 @@ def ergodicity_report(
     """Mazur gaps of every Hermitian charge ``A = Q(f) + Q(f)*`` on a ring.
 
     Gaps are reported for the trace state and for Gibbs states at the given
-    inverse temperatures, in closed form.  The generators are certified by
-    the orbit-reduced :func:`~nicolai.charges.conservation_sweep` of
-    ``[H, Q(f)]`` (``RuntimeError`` on a nonzero residual).  That also
-    certifies ``A``: H = QQ* + Q*Q is exactly symmetric in int64, so
-    ``[H, Q(f)*] = -[H, Q(f)]^T`` vanishes with ``[H, Q(f)]``, and
+    inverse temperatures, in closed form.  The word rows of
+    :func:`~nicolai.charges._ring_catalogue` are certified by
+    :func:`~nicolai.charges._catalogue_residual` (``RuntimeError`` on a
+    nonzero ``[H, Q(f)]``), and the masks and labels of the generators are
+    read off the same rows, so the certificate covers the operators built.
+    That also certifies ``A``: H = QQ* + Q*Q is exactly symmetric in int64,
+    so ``[H, Q(f)*] = -[H, Q(f)]^T`` vanishes with ``[H, Q(f)]``, and
     ``dephase(A) = A``.
 
     Each ``Q(f)`` on distinct sites is the signed partial permutation of its
@@ -557,12 +559,8 @@ def ergodicity_report(
     and ``Tr A = 0``, and the trace-state gap ``||A||_F^2 / dim`` is exactly
     ``2**(1 - |S|)``.  The Gibbs gaps (:func:`_gibbs_gaps` arithmetic) come
     from the generator rows times V, built from the masks one chunk of
-    generators at a time.  Every charge of
-    :func:`~nicolai.charges.lattice_sequences` is a product of creation and
-    annihilation factors on distinct sites with coefficient 1, so it has
-    masks; a catalogue entry without them raises ``ValueError``.
-    :func:`_trace_gap` and :func:`_gibbs_gaps` compute the same gaps from
-    an explicit sparse matrix and stay as their oracles.
+    generators at a time.  :func:`_trace_gap` and :func:`_gibbs_gaps`, on
+    explicit sparse matrices, stay as their oracles.
 
     The dimension of the span of the invariant operators found (including
     the identity) is the finite-volume stand-in for the invariant-projection
@@ -575,22 +573,17 @@ def ergodicity_report(
     identity: nonzero and pairwise orthogonal, they are independent.
 
     Two certificates run on every report.  The first generator, built
-    independently of the masks by :func:`~nicolai.fock.monomial_to_sparse`,
-    is dephased through the sparse eigenvectors
-    (:func:`_dephased_trace_gap`), and its gap must match the closed form
-    within ``1e-9`` (``RuntimeError`` otherwise).  When degenerate classical ground states exist, the flip
-    operator between two of them witnesses the breaking for ground states:
-    once both are certified to be annihilated by H exactly
-    (``RuntimeError`` otherwise), its gap under the first is exactly 1.
+    independently of the masks as a sequence object through
+    :func:`~nicolai.fock.monomial_to_sparse`, is dephased through the sparse
+    eigenvectors (:func:`_dephased_trace_gap`), and its gap must match the
+    closed form within ``1e-9`` (``RuntimeError`` otherwise).  When
+    degenerate classical ground states exist, the flip operator between two
+    of them witnesses the breaking for ground states: once both are
+    certified to be annihilated by H exactly (``RuntimeError`` otherwise),
+    its gap under the first is exactly 1.
     """
-    from .charges import (
-        _chunks,
-        _states_off,
-        conservation_sweep,
-        lattice_sequences,
-        sequence_to_operator,
-    )
-    from .fock import jordan_wigner_masks, monomial_to_sparse
+    from . import charges as ch
+    from .fock import monomial_to_sparse
 
     lat = spec.lattice
     if lat.dimension != 1 or not lat.periodic:
@@ -599,42 +592,37 @@ def ergodicity_report(
     spectrum = spec.spectrum
     dim = basis.dim
 
-    seqs = lattice_sequences(lat)
-    residual = conservation_sweep(spec, seqs)
-    if residual:
+    starts, arc_words, _ = rows = ch._ring_catalogue(lat)
+    if residual := ch._catalogue_residual(spec, *rows):
         raise RuntimeError(f"charge catalogue does not commute with H (residual {residual})")
-    report = ErgodicityReport(generator_labels=[f.label() for f in seqs])
-    masks = []
-    for f in seqs:
-        mono = sequence_to_operator(f)
-        jw = jordan_wigner_masks(mono, lat)
-        if jw is None or mono.coefficient != 1 or not mono.factors:
-            raise ValueError(f"charge {f.label()} is not a unit monomial on distinct sites")
-        masks.append(jw)
+    masks = ch._member_masks(lat, *rows)
+    report = ErgodicityReport(generator_labels=ch._member_labels(lat, *rows))
 
     weights = _gibbs_weights_by_label(spectrum, betas)
-    gaps = {label: np.empty(len(seqs)) for label in ("trace", *weights)}
-    free = {s: _states_off(s, lat.nsites) for s in {s for s, *_ in masks}}
-    gaps["trace"][:] = [2.0 ** (1 - s.bit_count()) for s, *_ in masks]
+    gaps = {label: np.empty(len(masks)) for label in ("trace", *weights)}
+    support = masks[:, 0].tolist()
+    free = {s: ch._states_off(s, lat.nsites) for s in set(support)}
+    gaps["trace"][:] = [2.0 ** (1 - s.bit_count()) for s in support]
     v = spectrum.vectors.tocsr()
     widest = int(np.diff(v.indptr).max(initial=0))
-    sizes = [2 * len(free[s]) * widest + dim for s, *_ in masks]
-    for start, stop in _chunks(sizes, dim, _GENERATOR_CHUNK_ENTRIES):
+    sizes = [2 * len(free[s]) * widest + dim for s in support]
+    for start, stop in ch._chunks(sizes, dim, _GENERATOR_CHUNK_ENTRIES):
         norms, means = _gibbs_moments(_mask_rows(masks[start:stop], free, dim), v, stop - start)
         for label, p in weights.items():
             gaps[label][start:stop] = norms @ p - (means @ p) ** 2
     report.gaps = {label: values.tolist() for label, values in gaps.items()}
 
-    if seqs:
-        qf = monomial_to_sparse(sequence_to_operator(seqs[0]), basis)
-        closed = report.gaps["trace"][0]
-        sparse = _dephased_trace_gap((qf + qf.adjoint()).matrix, spectrum)
-        if abs(sparse - closed) > 1e-9 * max(1.0, abs(closed)):
-            raise RuntimeError(
-                f"closed-form trace gap {closed!r} disagrees with the dephased "
-                f"Mazur gap {sparse!r}"
-            )
-    report.invariant_dimension = 1 + len({(s, min(p, s ^ p)) for s, p, *_ in masks})
+    # member 0, the first word on the first arc, built as an object
+    (first,) = ch._sequences(ch._arc_sites(lat, starts[0], 1), arc_words[0][:1])
+    qf = monomial_to_sparse(ch.sequence_to_operator(first), basis)
+    closed = report.gaps["trace"][0]
+    sparse = _dephased_trace_gap((qf + qf.adjoint()).matrix, spectrum)
+    if abs(sparse - closed) > 1e-9 * max(1.0, abs(closed)):
+        raise RuntimeError(
+            f"closed-form trace gap {closed!r} disagrees with the dephased "
+            f"Mazur gap {sparse!r}"
+        )
+    report.invariant_dimension = 1 + len({(s, min(p, s ^ p)) for s, p, *_ in masks.tolist()})
     report.non_ergodic = report.invariant_dimension >= 2
 
     grounds = spec.ground_configs

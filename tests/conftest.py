@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from nicolai import ModelSpec
+from nicolai import charges as ch
 
 
 @pytest.fixture(scope="session")
@@ -13,3 +15,21 @@ def ring():
         return cache[m]
 
     return get
+
+
+@pytest.fixture
+def planted_arc(monkeypatch):
+    """Plant the word ``++-`` among the three-site arcs of every ring
+    catalogue and let it through the row validation.  It is permitted (a
+    three-site arc holds no whole even-centered triple), but its right
+    boundary pair is not constant, so ``[H, Q(f)]`` does not vanish.
+    Returns the planted sequence on the arc ``[0, 2]``."""
+    arc_words = ch._arc_words
+
+    def planted(lattice):
+        starts, words = arc_words(lattice)
+        return starts, [np.vstack((words[0], [[1, 1, -1]])).astype(words[0].dtype), *words[1:]]
+
+    monkeypatch.setattr(ch, "_arc_words", planted)
+    monkeypatch.setattr(ch, "_validate_rows", lambda *rows: None)
+    return ch.ConservedSequence((0, 1, 2), (1, 1, -1))

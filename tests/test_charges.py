@@ -510,11 +510,21 @@ def _count_checks(monkeypatch):
 
 
 def test_sweep_checks_one_sequence_per_orbit(monkeypatch):
-    spec = ModelSpec.ring(3)
-    catalogue = lattice_sequences(spec.lattice)
-    calls = _count_checks(monkeypatch)
-    assert conservation_sweep(spec, catalogue) == 0
-    assert len(calls) == len(set(calls)) == 50
+    rows = []
+    kernel = ch._mask_residuals
+
+    def counted(spec, masks):
+        rows.extend(map(tuple, np.asarray(masks).tolist()))
+        return kernel(spec, masks)
+
+    monkeypatch.setattr(ch, "_mask_residuals", counted)
+    assert ch.lattice_sweep(ModelSpec.ring(3)) == (0, 186)
+    assert len(rows) == len(set(rows)) == 50
+    # without the translation certificate every member row is checked
+    rows.clear()
+    monkeypatch.setattr(ModelSpec, "h_translation2_invariant", False)
+    assert ch.lattice_sweep(ModelSpec.ring(3)) == (0, 186)
+    assert len(rows) == len(set(rows)) == 186
 
 
 def test_sweep_without_the_translation_certificate_checks_every_sequence(monkeypatch):
@@ -635,11 +645,19 @@ def test_catalogue_masks_are_the_masks_of_the_orbit_representatives(m):
     # even m puts the first site of the ring on an odd label (m=6: -7)
     lat = Lattice.ring(m)
     assert lat.sites[0] % 2 == (m + 1) % 2
-    got = ch._orbit_masks(lat, *_catalogue(lat))
+    starts, arc_words, ring_words = rows = _catalogue(lat)
+    catalogue = lattice_sequences(lat)
+    # every member, in order, against the object path
+    got = ch._member_masks(lat, *rows)
     assert got.dtype == np.int64
+    want = [jordan_wigner_masks(sequence_to_operator(f), lat) for f in catalogue]
+    assert list(map(tuple, got.tolist())) == want
+    assert ch._member_labels(lat, *rows) == [f.label() for f in catalogue]
+    # one member per shift-by-2 orbit
+    got = ch._member_masks(lat, [min(starts)], arc_words, ch._least_rotations(ring_words))
     want = {
         jordan_wigner_masks(sequence_to_operator(shift2_representative(f, lat)), lat)
-        for f in lattice_sequences(lat)
+        for f in catalogue
     }
     assert len(got) == len(want)
     assert set(map(tuple, got.tolist())) == want
@@ -660,17 +678,18 @@ def test_catalogue_residual_equals_the_oracle(m, ring):
     assert any(conservation_check(spec, f) for f in violating)
 
 
-def test_lattice_sweep_keeps_the_object_path_off_the_certified_ring(monkeypatch):
+def test_lattice_sweep_keeps_the_object_path_off_every_ring(monkeypatch):
     calls = _count_checks(monkeypatch)
     want = []
     for spec in (ModelSpec.chain(0, 8), ModelSpec.torus(4, 4)):
         catalogue = lattice_sequences(spec.lattice)
         assert ch.lattice_sweep(spec) == (0, len(catalogue))
         want += catalogue
-    monkeypatch.setattr(ModelSpec, "h_translation2_invariant", False)
-    catalogue = lattice_sequences(Lattice.ring(3))
-    assert ch.lattice_sweep(ModelSpec.ring(3)) == (0, len(catalogue))
-    assert calls == want + catalogue
+    # a ring takes the rows with or without the translation certificate
+    for certified in (True, False):
+        monkeypatch.setattr(ModelSpec, "h_translation2_invariant", certified)
+        assert ch.lattice_sweep(ModelSpec.ring(3)) == (0, 186)
+    assert calls == want
 
 
 def _planted(rows, index, row):

@@ -226,6 +226,35 @@ def test_ergodicity_admits_ring_m7_past_the_memory_guard(monkeypatch):
         run(["ergodicity", "--ring", "--m", "7"])
 
 
+def test_charges_check_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the size guard must run before any word array or operator")
+
+    monkeypatch.setattr(nicolai.grammar, "permitted_words", refuse)
+    _refuse_building(monkeypatch, AssertionError("the size guard must run before any operator"))
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert run(["charges", "--ring", "--m", "14", "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the charge check needs ~256.0 GiB")
+
+
+def test_charges_listing_at_ring_m14_passes_the_memory_guard(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    _refuse_building(monkeypatch, AssertionError("a listing builds no operator"))
+    monkeypatch.setattr(nicolai.grammar, "permitted_words", reached)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(Reached):
+        run(["charges", "--ring", "--m", "14"])
+
+
 def _refuse_building(monkeypatch, error):
     def refuse(*args, **kwargs):
         raise error
@@ -281,9 +310,7 @@ def test_ergodicity_at_large_negative_beta(capsys):
     assert code == (0 if payload["all_gaps_positive"] else 3)
 
 
-def test_ergodicity_exits_3_on_a_non_conserved_generator(capsys, monkeypatch):
-    density = nicolai.FermionMonomial.number(nicolai.Lattice.ring(2).sites[0])
-    monkeypatch.setattr("nicolai.charges.sequence_to_operator", lambda f: density)
+def test_ergodicity_exits_3_on_a_non_conserved_generator(capsys, planted_arc):
     assert run(["ergodicity", "--ring", "--m", "2"]) == 3
     assert capsys.readouterr().err.startswith("error: charge ")
 
@@ -429,7 +456,12 @@ def test_verify_calls_each_model_builder_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "--ring", "--m", "4"], ["charges", "--ring", "--m", "4", "--check"]]
+    "argv",
+    [
+        ["verify", "--ring", "--m", "4"],
+        ["charges", "--ring", "--m", "4", "--check"],
+        ["ergodicity", "--ring", "--m", "4"],
+    ],
 )
 def test_ring_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
     calls = _count_calls(
@@ -444,13 +476,16 @@ def test_ring_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(nicolai.charges.ConservedSequence, "__post_init__", counted)
     assert run(argv) == 0
-    assert dict(calls) == {}
+    # the ergodicity report's one object is the member its cross-check builds
+    assert dict(calls) == ({"ConservedSequence": 1} if argv[0] == "ergodicity" else {})
     payload = json.loads(capsys.readouterr().out)
     if argv[0] == "verify":
         (conserved,) = [c for c in payload["checks"] if c["name"] == "charges_conserved"]
         assert conserved["passed"] and conserved["detail"] == {"count": 642}
-    else:
+    elif argv[0] == "charges":
         assert payload["max_commutator_residual"] == 0
+    else:
+        assert len(payload["report"]["generators"]) == 642
 
 
 def test_verify_ring_m5_pin(capsys):
@@ -468,6 +503,31 @@ def test_verify_ring_m5_pin(capsys):
         hashlib.sha256(text.encode()).hexdigest()
         == "5a47d586a0307706212cd96b768e6c989a2274e5a59aa4b9c287e206a39ebe36"
     )
+
+
+def test_ergodicity_ring_m4_pin(capsys):
+    # the exact part (labels, trace gaps, invariant dimension, witness) is
+    # hashed; the Gibbs gaps, eigensolver floats, are checked against the
+    # oracle on the sparse matrices of the sequence objects
+    assert run(["ergodicity", "--ring", "--m", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    report = payload["report"]
+    assert report["invariant_dimension"] == 322
+    gibbs = {k: report["gaps"].pop(k) for k in list(report["gaps"]) if k != "trace"}
+    text = cli._render(payload, "json")
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "cead8ccaaf495c9c736bc412cf627690b8f2b9416e1487f00ce79cb60410eab8"
+    )
+    spec = nicolai.ModelSpec.ring(4)
+    generators = []
+    for f in nicolai.charges.lattice_sequences(spec.lattice):
+        qf = nicolai.monomial_to_sparse(nicolai.sequence_to_operator(f), spec.basis)
+        generators.append(qf + qf.adjoint())
+    want = nicolai.dynamics._gibbs_gaps(generators, spec.spectrum, (0.5, 1.0, 2.0))
+    assert list(gibbs) == list(want)
+    for label, gaps in gibbs.items():
+        assert np.abs(np.array(gaps) - want[label]).max() <= 1e-12
 
 
 def test_verify_builds_the_translation_certificate_once(capsys, monkeypatch):
