@@ -15,19 +15,16 @@ The pattern rule and its enumerator live in :mod:`nicolai.grammar`.  The
 interval sets grow like ``2 * 3**(l-k-1)``; an independent transfer-matrix
 counter over adjacent (even, odd) value pairs cross-checks every enumeration.
 
-A ring's catalogue is held only as word rows: the even starts and, per arc
-length, the interval words every start shares (:func:`_arc_words`), plus
-the full-ring rows (:func:`_ring_words`), built and validated once by
-:func:`_ring_catalogue`.  The masks and labels of every member are read off
-the rows (:func:`_member_masks`, :func:`_member_labels`), with no Python
-object per charge; the same rows at the lowest start and at the least
-rotations give one member per shift-by-2 orbit, which is what
-:func:`_catalogue_residual` certifies.  :func:`lattice_sweep` and the
-ergodicity report take this path on every ring.  :func:`conservation_sweep`
-certifies a list of sequence objects (chains, tori, user-given lists), one
-:func:`~nicolai.fock.jordan_wigner_masks` call each.  Both feed the masks to
-one int64 kernel, :func:`_mask_residuals`, and :func:`conservation_check`
-(two scipy products per charge) is its oracle.
+Every lattice's catalogue is held as word rows, in blocks ``(supports,
+words, shape)`` whose supports are even shifts of the first and share its
+rows (:func:`_catalogue`), validated in one vectorized pass after the
+support check the sequence objects share (:func:`_check_support`).  The
+masks and labels of every member are read off the rows, with no Python
+object per charge; on a ring one member per shift-by-2 orbit is certified
+(:func:`_catalogue_residual`).  :func:`lattice_sweep`, the ergodicity report
+and, grouped by support, :func:`conservation_sweep` feed the masks to one
+int64 kernel, :func:`_mask_residuals`, whose oracle is
+:func:`conservation_check` (two scipy products per charge).
 """
 
 from __future__ import annotations
@@ -123,18 +120,20 @@ class ConservedSequence:
         return "".join("+" if v > 0 else "-" for v in self.values)
 
     def label(self) -> str:
-        if self.shape is not None:
-            kind = "torus" if self.closed else f"rect{self.shape[0]}x{self.shape[1]}@{self.sites[0]}"
-            return f"{kind}:{self.pattern}"
-        if self.closed:
-            return f"ring:{self.pattern}"
-        return f"[{self.sites[0]},{self.sites[-1]}]:{self.pattern}"
+        return f"{_support_label(self.sites, self.closed, self.shape)}:{self.pattern}"
 
     def to_json_obj(self) -> list:
         return [
             {"site": list(s) if isinstance(s, tuple) else s, "value": v}
             for s, v in zip(self.sites, self.values)
         ]
+
+
+def _support_label(sites: tuple, closed: bool, shape) -> str:
+    """The part of a sequence's label before the ``:`` of its pattern."""
+    if shape is not None:
+        return "torus" if closed else f"rect{shape[0]}x{shape[1]}@{sites[0]}"
+    return "ring" if closed else f"[{sites[0]},{sites[-1]}]"
 
 
 def is_permitted(f: ConservedSequence) -> bool:
@@ -178,10 +177,9 @@ def _arc_sites(lattice, start: int, d: int) -> tuple:
         raise ValueError("arcs are defined on rings")
     if start % 2:
         raise ValueError("arcs start on even sites")
-    length = 2 * d + 1
-    if length >= lattice.nsites:
+    if 2 * d + 1 >= lattice.nsites:
         raise ValueError("arc support must be a proper arc of the ring")
-    return tuple(lattice.wrap(start + j) for j in range(length))
+    return _run(lattice, start, 2 * d + 1, None)
 
 
 def arc_sequences(lattice, start: int, d: int) -> list:
@@ -223,32 +221,17 @@ def enumerate_ring_sequences(lattice) -> list:
 
 
 def lattice_sequences(lattice) -> list:
-    """The conserved sequences the model on ``lattice`` carries.
-
-    On a ring, every proper arc and then every full-ring sequence; on an open
-    chain, every interval sequence inside it; on a torus, the two constant
-    sequences on each even-origin ``(w-1) x (h-1)`` rectangle and then the two
-    torus constants.
-    """
-    if lattice.dimension == 2:
-        if not lattice.periodic:
-            raise ValueError("2D constants are defined on tori")
-        w, h = lattice.shape
-        rects = [
-            rect_constant_sequence(lattice, x0, y0, w - 1, h - 1, val)
-            for x0 in range(0, w, 2)
-            for y0 in range(0, h, 2)
-            for val in (-1, 1)
-        ]
-        return rects + [torus_constant_sequence(lattice, val) for val in (-1, 1)]
-    if lattice.periodic:
-        return all_embeddable_sequences(lattice) + enumerate_ring_sequences(lattice)
-    lo, hi = lattice.sites[0], lattice.sites[-1]
+    """The conserved sequences the model on ``lattice`` carries: the members
+    of :func:`_catalogue` as objects, block by block.  On a ring, every
+    proper arc and then every full-ring sequence; on an open chain, the
+    interval sequences of each length at every even start; on a torus, the
+    two constant sequences on each even-origin ``(w-1) x (h-1)`` rectangle
+    and then the two torus constants."""
     return [
-        f
-        for k in range(lo // 2, hi // 2)
-        for l in range(k + 1, hi // 2 + 1)
-        for f in enumerate_hat_xi(k, l)
+        ConservedSequence(sites, v, _closed(lattice, sites), shape)
+        for supports, words, shape in _catalogue(lattice)
+        for sites in supports
+        for v in map(tuple, words.tolist())
     ]
 
 
@@ -298,34 +281,53 @@ def overlap_allows_nonzero(f: ConservedSequence, g: ConservedSequence) -> bool:
     return all(fv[s] == -gv[s] for s in common)
 
 
-def _validate_support(f: ConservedSequence, lattice):
-    for s in f.sites:
+def _run(lattice, origin, n: int, shape) -> tuple:
+    """The ``n`` sites from ``origin`` in word order: along the chain or
+    ring in 1D, row-major over ``shape`` in 2D."""
+    if shape is None:
+        return tuple(lattice.wrap(origin + j) for j in range(n))
+    (x0, y0), (nx, ny) = origin, shape
+    return tuple(lattice.wrap((x0 + i, y0 + j)) for i in range(nx) for j in range(ny))
+
+
+def _closed(lattice, sites: tuple) -> bool:
+    """Whether a (checked) support covers a periodic lattice."""
+    return lattice.periodic and len(sites) == lattice.nsites
+
+
+def _check_support(lattice, sites: tuple, closed: bool, shape) -> None:
+    """Reject (``ValueError``) a support that carries no conserved sequence
+    of ``lattice``, e.g. one that repeats a site or is not the run of sites
+    from its first site (:func:`_run`): the one support check of sequence
+    objects and catalogue blocks."""
+    for s in sites:
         if not lattice.contains(s):
             raise ValueError(f"support site {s!r} outside the lattice")
-    if f.closed:
-        if set(f.sites) != set(lattice.sites):
-            raise ValueError("closed sequences must cover the whole lattice")
-        return
-    if f.shape is None:
-        if len(f) < 3 or len(f) % 2 == 0:
+    if len(set(sites)) != len(sites):
+        raise ValueError("support repeats a site")
+    if (shape is None) != (lattice.dimension == 1):
+        raise ValueError("2D supports, and only they, have a shape")
+    if closed:
+        if not _closed(lattice, sites) or shape not in (None, lattice.shape):
+            raise ValueError("closed sequences must cover the whole of a periodic lattice")
+    elif shape is None:
+        if len(sites) < 3 or len(sites) % 2 == 0:
             raise ValueError("interval supports have odd length >= 3")
-        if f.sites[0] % 2 or f.sites[-1] % 2:
+        if sites[0] % 2:
             raise ValueError("interval supports end on even sites")
-        if lattice.periodic and len(f) >= lattice.nsites:
+        if lattice.periodic and len(sites) >= lattice.nsites:
             raise ValueError("arc support must be a proper arc of the ring")
-        for a, b in zip(f.sites, f.sites[1:]):
-            if lattice.wrap(a + 1) != b:
-                raise ValueError("interval support is not contiguous")
     else:
-        nx, ny = f.shape
+        nx, ny = shape
         if nx % 2 == 0 or ny % 2 == 0 or nx < 3 or ny < 3:
             raise ValueError("rectangle supports have odd side lengths >= 3")
-        x0, y0 = f.sites[0]
-        if x0 % 2 or y0 % 2:
+        if any(c % 2 for c in sites[0]):
             raise ValueError("rectangle supports start on even-even sites")
         w, h = lattice.shape
         if nx > w - 1 or ny > h - 1:
             raise ValueError("rectangle must be proper in both directions")
+    if sites != _run(lattice, sites[0], len(sites), shape):
+        raise ValueError("support is not the run of sites from its first site")
 
 
 def conservation_check(spec: ModelSpec, f: ConservedSequence):
@@ -334,10 +336,9 @@ def conservation_check(spec: ModelSpec, f: ConservedSequence):
     Zero (exactly, in integer arithmetic) for every conserved sequence;
     generically nonzero when a boundary-pair condition is violated.  Two
     scipy products of H with the matrix of ``Q(f)``: the oracle of the
-    batched kernel behind :func:`conservation_sweep`, and its fallback for a
-    support that repeats a site.
+    batched kernel.
     """
-    _validate_support(f, spec.lattice)
+    _check_support(spec.lattice, f.sites, f.closed, f.shape)
     qf = monomial_to_sparse(sequence_to_operator(f), spec.basis)
     return commutator(spec.h, qf).max_abs()
 
@@ -362,67 +363,86 @@ def shift2_representative(f: ConservedSequence, lattice) -> ConservedSequence:
 
 
 def conservation_sweep(spec: ModelSpec, sequences: list):
-    """Largest max-abs entry of ``[H, Q(f)]`` over the list ``sequences``.
-
-    The object path (chains, tori, user-given lists; the oracle of
-    :func:`_catalogue_residual`): every sequence is validated and checked,
-    with one :func:`jordan_wigner_masks` call each and the int64 kernel
-    (:func:`_commutator_residuals`).
-    """
+    """Largest max-abs entry of ``[H, Q(f)]`` over a user-given list of
+    sequences, grouped by support into catalogue blocks: each support passes
+    :func:`_check_support`, and no grammar check applies, so a sequence that
+    breaks the pattern rule or a boundary pair returns its residual."""
+    groups = {}
     for f in sequences:
-        _validate_support(f, spec.lattice)
-    return _commutator_residuals(spec, sequences).max(initial=0)
+        groups.setdefault((f.sites, f.closed, f.shape), []).append(f.values)
+    for support in groups:
+        _check_support(spec.lattice, *support)
+    blocks = [([sites], np.int8(rows), shape) for (sites, _, shape), rows in groups.items()]
+    return _mask_residuals(spec, _member_masks(spec.lattice, blocks)).max(initial=0)
 
 
 def lattice_sweep(spec: ModelSpec) -> tuple:
-    """Largest max-abs entry of ``[H, Q(f)]`` over every ``f`` of
-    ``lattice_sequences(spec.lattice)``, and the number of those sequences.
-
-    Rings take the word rows (:func:`_catalogue_residual`), chains and tori
-    :func:`conservation_sweep` on the sequence objects.
-    """
-    lat = spec.lattice
-    if lat.dimension != 1 or not lat.periodic:
-        seqs = lattice_sequences(lat)
-        return conservation_sweep(spec, seqs), len(seqs)
-    starts, arc_words, ring_words = rows = _ring_catalogue(lat)
-    count = len(starts) * sum(map(len, arc_words)) + len(ring_words)
-    return _catalogue_residual(spec, *rows), count
+    """Largest max-abs entry of ``[H, Q(f)]`` over every member of
+    :func:`lattice_sequences`, and their number, from the word rows of
+    :func:`_catalogue` on rings, chains and tori alike."""
+    blocks = _catalogue(spec.lattice)
+    return _catalogue_residual(spec, blocks), _member_count(blocks)
 
 
-def _ring_catalogue(lattice) -> tuple:
-    """``(starts, arc_words, ring_words)`` of a ring, validated once."""
-    rows = (*_arc_words(lattice), _ring_words(lattice))
-    _validate_rows(lattice, *rows)
-    return rows
+def _catalogue(lattice) -> list:
+    """The conserved sequences of ``lattice`` as validated blocks ``(supports,
+    words, shape)``: per arc length on a ring and per interval length on a
+    chain, the words at every even start that fits, then the full-ring rows;
+    on a torus the constant rows on the even-origin ``(w-1) x (h-1)``
+    rectangles, then on the whole torus."""
+    if lattice.dimension == 2:
+        if not lattice.periodic:
+            raise ValueError("2D constants are defined on tori")
+        w, h = lattice.shape
+        origins = [(x, y) for x in range(0, w, 2) for y in range(0, h, 2)]
+        rects = [rectangle_sites(lattice, x, y, w - 1, h - 1) for x, y in origins]
+        constant = np.int8([[-1], [1]])
+        blocks = [
+            (rects, constant.repeat(len(rects[0]), 1), (w - 1, h - 1)),
+            ([lattice.sites], constant.repeat(lattice.nsites, 1), lattice.shape),
+        ]
+    elif lattice.periodic:
+        starts, arc_words = _arc_words(lattice)
+        blocks = [
+            ([_arc_sites(lattice, s, d) for s in starts], words, None)
+            for d, words in enumerate(arc_words, 1)
+        ] + [([lattice.sites], _ring_words(lattice), None)]
+    else:
+        lo, hi = lattice.sites[0], lattice.sites[-1]
+        blocks = []
+        for n in range(3, hi - lo + 2, 2):
+            runs = [_run(lattice, s, n, None) for s in range(lo, hi - n + 2, 2)]
+            blocks.append((runs, _interval_words(n), None))
+    _validate_blocks(lattice, blocks)
+    return blocks
 
 
-def _validate_rows(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> None:
-    """Reject (``ValueError``) a ring catalogue in array form that is not
-    made of conserved sequences, with the checks of :func:`_validate_support`
-    and of the grammar: even starts on the ring, arcs of ``2d+1 < n`` sites
-    for ``d = 1, 2, ...``, values ``+-1``, no forbidden neighbourhood
-    (wrapped on the full ring) and both boundary pairs of every arc
-    constant.  Every start carries the same words and puts even sites at
-    the same word positions, so the arc rows are checked once, on the arc
-    from the lowest even start."""
-    if not all(lattice.contains(s) and s % 2 == 0 for s in starts):
-        raise ValueError("arcs start on even sites of the ring")
-    supports = [
-        (words, _arc_sites(lattice, min(starts), d), grammar.edge_ties(2 * d + 1))
-        for d, words in enumerate(arc_words, 1)
-    ]
-    for words, sites, ties in supports + [(ring_words, lattice.sites, ())]:
-        if words.shape[1:] != (len(sites),):
-            raise ValueError(f"rows of {words.shape[1:]} values on {len(sites)} sites")
+def _member_count(blocks: list) -> int:
+    return sum(len(supports) * len(words) for supports, words, _ in blocks)
+
+
+def _validate_blocks(lattice, blocks: list) -> None:
+    """Reject (``ValueError``) a catalogue in block form that is not made of
+    conserved sequences: every support passes :func:`_check_support` and
+    holds one value per site; the values are ``+-1``, with no forbidden
+    neighbourhood (wrapped on closed supports) and constant boundary pairs
+    (every pair-line in 2D).  A block's ties are checked once, its rows once
+    per distinct neighbourhood geometry of its supports."""
+    for supports, words, shape in blocks:
+        for sites in supports:
+            _check_support(lattice, sites, _closed(lattice, sites), shape)
+            if words.shape[1:] != (len(sites),):
+                raise ValueError(f"rows of {words.shape[1:]} values on {len(sites)} sites")
         if not np.isin(words, (-1, 1)).all():
             raise ValueError("sequence values must be -1 or +1")
-        closed = len(sites) == lattice.nsites
-        center, *arms = np.array(grammar.hoods(sites, closed), dtype=np.intp).reshape(-1, 3).T
-        if grammar.forbidden(words[:, center], [words[:, a] for a in arms]).any():
-            raise ValueError("a catalogue row has a forbidden triple")
+        closed = _closed(lattice, supports[0])
+        for hoods in {tuple(grammar.hoods(s, closed, shape)) for s in supports}:
+            center, *arms = np.intp(hoods).reshape(-1, 3 if shape is None else 5).T
+            if grammar.forbidden(words[:, center], [words[:, a] for a in arms]).any():
+                raise ValueError("a catalogue row has a forbidden neighbourhood")
+        ties = () if closed else grammar.edge_ties(len(supports[0]), shape)
         if any((words[:, p] != words[:, q]).any() for p, q in ties):
-            raise ValueError("a catalogue arc breaks a boundary-pair condition")
+            raise ValueError("a catalogue row breaks a boundary-pair condition")
 
 
 def _least_rotations(words: np.ndarray) -> np.ndarray:
@@ -457,17 +477,11 @@ def _row_masks(lattice, sites: tuple, rows: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _member_masks(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> np.ndarray:
-    """The masks of every member of a ring catalogue in array form, in
-    :func:`lattice_sequences` order.  With ``[min(starts)]`` and
-    :func:`_least_rotations` of the closed rows: one member per shift-by-2
-    orbit, the set :func:`shift2_representative` picks."""
-    arcs = [
-        _row_masks(lattice, _arc_sites(lattice, s, d), words)
-        for d, words in enumerate(arc_words, 1)
-        for s in starts
-    ]
-    return np.concatenate(arcs + [_row_masks(lattice, lattice.sites, ring_words)])
+def _member_masks(lattice, blocks: list) -> np.ndarray:
+    """The masks of every member of a catalogue in block form, support by
+    support and row by row (:func:`lattice_sequences` order on a ring)."""
+    masks = [_row_masks(lattice, sites, words) for sup, words, _ in blocks for sites in sup]
+    return np.concatenate(masks) if masks else np.empty((0, 4), dtype=np.int64)
 
 
 def _patterns(words: np.ndarray) -> list:
@@ -475,35 +489,42 @@ def _patterns(words: np.ndarray) -> list:
     return np.where(words > 0, "+", "-").view(f"U{words.shape[1]}").ravel().tolist()
 
 
-def _member_labels(lattice, starts: list, arc_words: list, ring_words: np.ndarray) -> list:
+def _member_labels(lattice, blocks: list) -> list:
     """:meth:`ConservedSequence.label` of every member, in
     :func:`_member_masks` order."""
     labels = []
-    for d, words in enumerate(arc_words, 1):
+    for supports, words, shape in blocks:
         patterns = _patterns(words)
-        for s in starts:
-            a, *_, b = _arc_sites(lattice, s, d)
-            labels += [f"[{a},{b}]:{p}" for p in patterns]
-    return labels + [f"ring:{p}" for p in _patterns(ring_words)]
+        for sites in supports:
+            kind = _support_label(sites, _closed(lattice, sites), shape)
+            labels += [f"{kind}:{p}" for p in patterns]
+    return labels
 
 
-def _catalogue_residual(spec: ModelSpec, starts: list, arc_words: list, ring_words: np.ndarray):
+def _orbit_blocks(lattice, blocks: list) -> list:
+    """One member per shift-by-2 orbit of a ring catalogue, the set
+    :func:`shift2_representative` picks: arcs at the lowest even start,
+    closed rows at their least rotations."""
+    return [
+        (sup, _least_rotations(w), sh) if _closed(lattice, sup[0]) else ([min(sup)], w, sh)
+        for sup, w, sh in blocks
+    ]
+
+
+def _catalogue_residual(spec: ModelSpec, blocks: list):
     """Largest max-abs entry of ``[H, Q(f)]`` over the members of a
-    (validated) ring catalogue in array form.  When H passes the exact
-    translation certificate (``spec.h_translation2_invariant``:
-    ``{TQ, (TQ)*} == H`` for the shift T by two sites), one residual per
-    shift-by-2 orbit certifies every member, so only the rows at the lowest
-    even start and the least rotations of the closed rows are checked.  The
-    shift is the CAR automorphism ``a_x -> a_(x+2)``, implemented by a
-    unitary U that permutes the Fock basis up to signs; the certificate says
-    ``U H U* == H``, and ``U Q(f) U* == Q(Tf)`` (for a closed sequence the
-    two factors that wrap move past the other ``n - 2``, an even number of
-    odd swaps), so ``[H, Q(Tf)] == U [H, Q(f)] U*`` has the same max-abs
-    entry.  Without the certificate every member row is checked."""
-    if spec.h_translation2_invariant:
-        starts, ring_words = [min(starts)], _least_rotations(ring_words)
-    masks = _member_masks(spec.lattice, starts, arc_words, ring_words)
-    return _mask_residuals(spec, masks).max(initial=0)
+    (validated) catalogue in block form.  On a ring whose H passes the exact
+    translation certificate (``spec.h_translation2_invariant``: ``{TQ,
+    (TQ)*} == H`` for the shift T by two sites), only :func:`_orbit_blocks`
+    are checked.  T is the CAR automorphism ``a_x -> a_(x+2)``, a unitary U
+    that permutes the Fock basis up to signs, so ``U H U* == H`` and ``U Q(f)
+    U* == Q(Tf)`` (a closed sequence's two wrapping factors pass the other
+    ``n - 2``, an even number of odd swaps): ``[H, Q(Tf)] == U [H, Q(f)] U*``
+    has the same max-abs entry.  Otherwise every member row is checked."""
+    lat = spec.lattice
+    if lat.dimension == 1 and lat.periodic and spec.h_translation2_invariant:
+        blocks = _orbit_blocks(lat, blocks)
+    return _mask_residuals(spec, _member_masks(lat, blocks)).max(initial=0)
 
 
 # Gathered (sequence, row, column) entries per chunk of the batched
@@ -535,7 +556,8 @@ def _chunks(sizes: list, dim: int, budget: int | None = None):
             yield start, q
             start, total = q, 0
         total += size
-    yield start, len(sizes)
+    if sizes:
+        yield start, len(sizes)
 
 
 def _row_entries(m, rows: np.ndarray):
@@ -557,15 +579,15 @@ def _states_off(mask: int, n: int) -> np.ndarray:
     return states
 
 
-def _signed_images(masks, free: dict):
-    """Every surviving column of the ``Q(f)`` given by ``masks``, rows of
-    :func:`jordan_wigner_masks` tuples ``(S, P, M, c)`` (a list of tuples or
-    an int64 array of shape ``(k, 4)``): the index into ``masks`` that owns
+def _signed_images(masks: np.ndarray, free: dict):
+    """Every surviving column of the ``Q(f)`` given by ``masks``, an int64
+    array of :func:`jordan_wigner_masks` rows ``(S, P, M, c)``, shape
+    ``(k, 4)``: the index into ``masks`` that owns
     it, the alive state ``j``, its image ``j ^ S`` and the sign
     ``s(j) = (-1)**(popcount(j & M) + c)``.  ``free[S]`` holds the states
     with no bit of ``S`` set (:func:`_states_off`); each run of rows that
     share ``S`` takes its alive states in one broadcast."""
-    support, annihilated, string, crossings = np.asarray(masks, dtype=np.int64).reshape(-1, 4).T
+    support, annihilated, string, crossings = masks.T
     cut = np.flatnonzero(np.diff(support)) + 1
     first, last = np.concatenate(([0], cut)), np.append(cut, len(support))
     blocks = [free[s] for s in support[first].tolist()]
@@ -577,27 +599,7 @@ def _signed_images(masks, free: dict):
     return owner, alive, alive ^ support[owner], sign
 
 
-def _commutator_residuals(spec: ModelSpec, sequences: list) -> np.ndarray:
-    """Max-abs entry of ``[H, Q(f)]`` for each of the (validated)
-    ``sequences``: the object producer of :func:`_mask_residuals`, with one
-    :func:`jordan_wigner_masks` call per sequence.  A support that repeats a
-    site has no masks and falls back to :func:`conservation_check`."""
-    lat = spec.lattice
-    out = np.zeros(len(sequences), dtype=spec.h.matrix.dtype)
-    batch, masks = [], []
-    for q, f in enumerate(sequences):
-        jw = jordan_wigner_masks(sequence_to_operator(f), lat)
-        if jw is None:
-            out[q] = conservation_check(spec, f)
-        else:
-            batch.append(q)
-            masks.append(jw)
-    if batch:
-        out[batch] = _mask_residuals(spec, masks)
-    return out
-
-
-def _mask_residuals(spec: ModelSpec, masks) -> np.ndarray:
+def _mask_residuals(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:
     """Max-abs entry of ``[H, Q(f)]`` for each ``Q(f)`` given by its masks
     (``(S, P, M, c)`` rows, see :func:`_signed_images`), exact in H's dtype,
     without building any ``Q(f)``: the one int64 kernel behind both sweeps.
@@ -617,7 +619,6 @@ def _mask_residuals(spec: ModelSpec, masks) -> np.ndarray:
     h = spec.h.matrix
     ht = h.T.tocsr()
     dim, n = h.shape[0], spec.lattice.nsites
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1, 4)
     out = np.zeros(len(masks), dtype=h.dtype)
     widest = int(np.diff(h.indptr).max(initial=0) + np.diff(ht.indptr).max(initial=0))
     free = {s: _states_off(s, n) for s in np.unique(masks[:, 0]).tolist()}
@@ -651,7 +652,7 @@ def vanishing_triple_products(spec: ModelSpec, f: ConservedSequence):
     This is the local mechanism behind conservation: each such product is the
     zero operator, while disjoint charges anticommute with ``Q(f)``.
     """
-    _validate_support(f, spec.lattice)
+    _check_support(spec.lattice, f.sites, f.closed, f.shape)
     qf = monomial_to_sparse(sequence_to_operator(f), spec.basis)
     support = set(f.sites)
     worst = 0
@@ -761,9 +762,7 @@ def rectangle_sites(lattice, x0: int, y0: int, nx: int, ny: int) -> tuple:
         raise ValueError("rectangles live on 2D lattices")
     if x0 % 2 or y0 % 2:
         raise ValueError("rectangles start on even-even sites")
-    sites = tuple(
-        lattice.wrap((x0 + i, y0 + j)) for i in range(nx) for j in range(ny)
-    )
+    sites = _run(lattice, (x0, y0), nx * ny, (nx, ny))
     if len(set(sites)) != len(sites):
         raise ValueError("rectangle wraps onto itself")
     return sites

@@ -276,18 +276,22 @@ def cmd_charges(args) -> int:
         if lat.dimension != 1 or not lat.periodic:
             raise ValueError("charge listings need --interval or --ring")
         _require_memory(_ring_listing_bytes(lat), "the charge listing", "word arrays")
+        # counted (and checked on one catalogue) on the word arrays alone
         if args.check:
             _require_memory(_check_bytes(lat), "the charge check", "sparse matrices")
-        # counted and checked on the word arrays; no sequence object is built
-        starts, arc_words = ch._arc_words(lat)
+            *arcs, (_, ring_words, _) = blocks = ch._catalogue(lat)
+            embeddable = ch._member_count(arcs)
+        else:
+            starts, arc_words = ch._arc_words(lat)
+            ring_words, embeddable = ch._ring_words(lat), len(starts) * sum(map(len, arc_words))
         payload["model"] = json.loads(spec.to_json())
-        payload["embeddable_count"] = len(starts) * sum(len(w) for w in arc_words)
-        payload["full_ring_count"] = len(ch._ring_words(lat))
+        payload["embeddable_count"] = embeddable
+        payload["full_ring_count"] = len(ring_words)
         payload["full_ring_transfer_count"] = ch.transfer_count_ring_sequences(lat)
         if payload["full_ring_count"] != payload["full_ring_transfer_count"]:
             code = 3
         if args.check:
-            residual = int(ch.lattice_sweep(spec)[0])
+            residual = int(ch._catalogue_residual(spec, blocks))
             payload["max_commutator_residual"] = residual
             if residual != 0:
                 code = 3
@@ -421,15 +425,10 @@ def cmd_verify(args) -> int:
     checks = _build_checks(spec, args.seed)
     one_d = lat.dimension == 1
 
-    if one_d:
-        residual, count = ch.lattice_sweep(spec)
-        checks.append(_check("charges_conserved", residual == 0, {"count": count}))
-    else:
-        seqs = ch.lattice_sequences(lat)
-        residual = ch.conservation_sweep(spec, seqs)
-        # two per rectangle and one per torus constant, as the report defines it
-        count = len(seqs) + sum(not f.closed for f in seqs)
-        checks.append(_check("constants_conserved", residual == 0, {"count": count}))
+    residual, count = ch.lattice_sweep(spec)
+    # the 2D report counts each rectangle constant twice, each torus constant once
+    name, count = ("charges_conserved", count) if one_d else ("constants_conserved", 2 * count - 2)
+    checks.append(_check(name, residual == 0, {"count": count}))
 
     mask = gs.ground_config_mask(lat, spec.basis)
     q_csc = spec.q.matrix.tocsc()

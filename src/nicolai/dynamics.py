@@ -517,8 +517,8 @@ def _gibbs_gaps(generators: list, spectrum: Spectrum, betas) -> dict:
 _GENERATOR_CHUNK_ENTRIES = 1 << 20
 
 
-def _mask_rows(masks: list, free: dict, dim: int):
-    """The generators ``A = Q(f) + Q(f)*`` of a list of ``Q(f)`` masks
+def _mask_rows(masks: np.ndarray, free: dict, dim: int):
+    """The generators ``A = Q(f) + Q(f)*`` of the ``Q(f)`` masks, int64 rows
     ``(S, P, M, c)``, stacked as ``dim``-row blocks of one int64 CSR matrix.
 
     ``Q(f)`` moves each alive state j (``j & S == P``) to ``j ^ S`` with sign
@@ -544,7 +544,7 @@ def ergodicity_report(
 
     Gaps are reported for the trace state and for Gibbs states at the given
     inverse temperatures, in closed form.  The word rows of
-    :func:`~nicolai.charges._ring_catalogue` are certified by
+    :func:`~nicolai.charges._catalogue` are certified by
     :func:`~nicolai.charges._catalogue_residual` (``RuntimeError`` on a
     nonzero ``[H, Q(f)]``), and the masks and labels of the generators are
     read off the same rows, so the certificate covers the operators built.
@@ -592,11 +592,11 @@ def ergodicity_report(
     spectrum = spec.spectrum
     dim = basis.dim
 
-    starts, arc_words, _ = rows = ch._ring_catalogue(lat)
-    if residual := ch._catalogue_residual(spec, *rows):
+    blocks = ch._catalogue(lat)
+    if residual := ch._catalogue_residual(spec, blocks):
         raise RuntimeError(f"charge catalogue does not commute with H (residual {residual})")
-    masks = ch._member_masks(lat, *rows)
-    report = ErgodicityReport(generator_labels=ch._member_labels(lat, *rows))
+    masks = ch._member_masks(lat, blocks)
+    report = ErgodicityReport(generator_labels=ch._member_labels(lat, blocks))
 
     weights = _gibbs_weights_by_label(spectrum, betas)
     gaps = {label: np.empty(len(masks)) for label in ("trace", *weights)}
@@ -613,7 +613,8 @@ def ergodicity_report(
     report.gaps = {label: values.tolist() for label, values in gaps.items()}
 
     # member 0, the first word on the first arc, built as an object
-    (first,) = ch._sequences(ch._arc_sites(lat, starts[0], 1), arc_words[0][:1])
+    (first_arc, *_), first_words, _ = blocks[0]
+    (first,) = ch._sequences(first_arc, first_words[:1])
     qf = monomial_to_sparse(ch.sequence_to_operator(first), basis)
     closed = report.gaps["trace"][0]
     sparse = _dephased_trace_gap((qf + qf.adjoint()).matrix, spectrum)

@@ -31,5 +31,5 @@ def planted_arc(monkeypatch):
         return starts, [np.vstack((words[0], [[1, 1, -1]])).astype(words[0].dtype), *words[1:]]
 
     monkeypatch.setattr(ch, "_arc_words", planted)
-    monkeypatch.setattr(ch, "_validate_rows", lambda *rows: None)
+    monkeypatch.setattr(ch, "_validate_blocks", lambda lattice, blocks: None)
     return ch.ConservedSequence((0, 1, 2), (1, 1, -1))

@@ -401,8 +401,9 @@ def test_lattice_sequences_catalogue():
     )
     assert len(lattice_sequences(Lattice.ring(5))) == 2182
     chain = Lattice.chain(0, 6)
+    # per interval length, every even start that fits
     assert lattice_sequences(chain) == [
-        f for k in range(3) for l in range(k + 1, 4) for f in enumerate_hat_xi(k, l)
+        f for d in range(1, 4) for k in range(4 - d) for f in enumerate_hat_xi(k, k + d)
     ]
     torus = Lattice.torus(4, 4)
     rects = [
@@ -497,27 +498,25 @@ def test_orbit_sweep_agrees_with_the_full_sweep(m, ring):
         assert conservation_sweep(spec, catalogue + [f]) == residual
 
 
+def _masks_of(sequences, lattice):
+    """The masks of each sequence through the object producer."""
+    return [jordan_wigner_masks(sequence_to_operator(f), lattice) for f in sequences]
+
+
 def _count_checks(monkeypatch):
     calls = []
-    kernel = ch._commutator_residuals
+    kernel = ch._mask_residuals
 
-    def counted(spec, sequences):
-        calls.extend(sequences)
-        return kernel(spec, sequences)
+    def counted(spec, masks):
+        calls.extend(map(tuple, masks.tolist()))
+        return kernel(spec, masks)
 
-    monkeypatch.setattr(ch, "_commutator_residuals", counted)
+    monkeypatch.setattr(ch, "_mask_residuals", counted)
     return calls
 
 
 def test_sweep_checks_one_sequence_per_orbit(monkeypatch):
-    rows = []
-    kernel = ch._mask_residuals
-
-    def counted(spec, masks):
-        rows.extend(map(tuple, np.asarray(masks).tolist()))
-        return kernel(spec, masks)
-
-    monkeypatch.setattr(ch, "_mask_residuals", counted)
+    rows = _count_checks(monkeypatch)
     assert ch.lattice_sweep(ModelSpec.ring(3)) == (0, 186)
     assert len(rows) == len(set(rows)) == 50
     # without the translation certificate every member row is checked
@@ -539,7 +538,7 @@ def test_sweep_without_the_translation_certificate_checks_every_sequence(monkeyp
     )
     calls = _count_checks(monkeypatch)
     assert conservation_sweep(spec, catalogue + [planted]) != 0
-    assert calls == catalogue + [planted]
+    assert sorted(calls) == sorted(_masks_of(catalogue + [planted], spec.lattice))
 
 
 @pytest.mark.parametrize("lattice", [Lattice.chain(0, 8), Lattice.torus(4, 4)])
@@ -548,7 +547,7 @@ def test_sweep_keeps_the_full_sweep_on_chains_and_tori(lattice, monkeypatch):
     catalogue = lattice_sequences(lattice)
     calls = _count_checks(monkeypatch)
     assert conservation_sweep(spec, catalogue) == 0
-    assert calls == catalogue
+    assert sorted(calls) == sorted(_masks_of(catalogue, lattice))
 
 
 def test_sweep_validates_every_sequence(ring):
@@ -564,17 +563,32 @@ def test_sweep_validates_every_sequence(ring):
             conservation_sweep(spec, catalogue + [bad])
 
 
+def test_supports_that_repeat_a_site_or_leave_their_rectangle_are_rejected(ring):
+    # a closed ring support with one site twice, and 3x3 supports whose nine
+    # sites are not the row-major rectangle from their first site
+    lat = ring(2).lattice
+    repeated = ConservedSequence(lat.sites + lat.sites[:1], (1,) * 6 + (-1,), closed=True)
+    torus = ModelSpec.torus(4, 4)
+    rect = ch.rectangle_sites(torus.lattice, 0, 0, 3, 3)
+    scrambled = [
+        ConservedSequence(rect[:-1] + ((3, 3),), (1,) * 9, shape=(3, 3)),
+        ConservedSequence(rect[::-1], (1,) * 9, shape=(3, 3)),
+        ConservedSequence(rect[:1] + rect[3:6] + rect[1:3] + rect[6:], (1,) * 9, shape=(3, 3)),
+    ]
+    for spec, f in [(ring(2), repeated)] + [(torus, g) for g in scrambled]:
+        for check in (conservation_check, vanishing_triple_products):
+            with pytest.raises(ValueError):
+                check(spec, f)
+        with pytest.raises(ValueError):
+            conservation_sweep(spec, lattice_sequences(spec.lattice) + [f])
+    assert conservation_sweep(torus, [ConservedSequence(rect, (1,) * 9, shape=(3, 3))]) == 0
+
+
 def _oracle_cases():
     for m in (1, 2, 3, 4):
         lat = Lattice.ring(m)
         violating = sample_edge_violating_sequences(lat, 20, np.random.default_rng(m))
-        # a closed support that repeats a site passes validation and takes
-        # the fallback through conservation_check
-        repeated = [
-            ConservedSequence(lat.sites + lat.sites[:1], (1,) * lat.nsites + (v,), closed=True)
-            for v in (-1, 1)
-        ]
-        yield ModelSpec.ring(m), lattice_sequences(lat) + violating + repeated
+        yield ModelSpec.ring(m), lattice_sequences(lat) + violating
     for lat in (Lattice.chain(0, 8), Lattice.torus(4, 4)):
         yield ModelSpec(lat), lattice_sequences(lat)
 
@@ -593,7 +607,8 @@ def test_batched_commutator_equals_the_oracle_sequence_by_sequence(chunk_entries
     monkeypatch.setattr(ch, "_chunks", recorded)
     nonzero = 0
     for spec, sequences in _oracle_cases():
-        got = ch._commutator_residuals(spec, sequences)
+        masks = np.array(_masks_of(sequences, spec.lattice), dtype=np.int64)
+        got = ch._mask_residuals(spec, masks)
         want = [conservation_check(spec, f) for f in sequences]
         assert got.dtype == np.int64
         assert got.tolist() == want
@@ -621,22 +636,22 @@ def test_packed_keys_fit_in_int64_at_the_largest_verify_dimension():
         ch._max_chunk_sequences(1 << 32)
 
 
-def _catalogue(lat):
-    starts, arc_words = ch._arc_words(lat)
-    return starts, arc_words, ch._ring_words(lat)
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_catalogue_rows_expand_to_the_lattice_sequences(m):
     lat = Lattice.ring(m)
-    starts, arc_words, ring_words = _catalogue(lat)
-    ch._validate_rows(lat, starts, arc_words, ring_words)
+    blocks = ch._catalogue(lat)
+    starts = sorted(s for s in lat.sites if s % 2 == 0)
+    for d, (supports, _, shape) in enumerate(blocks[:-1], 1):
+        assert shape is None
+        assert supports == [tuple(lat.wrap(s + j) for j in range(2 * d + 1)) for s in starts]
+    assert blocks[-1][0] == [lat.sites]
     expanded = [
-        ConservedSequence(tuple(lat.wrap(s + j) for j in range(2 * d + 1)), tuple(v))
-        for d, words in enumerate(arc_words, 1)
-        for s in starts
+        ConservedSequence(sites, tuple(v), closed=sites == lat.sites)
+        for supports, words, _ in blocks
+        for sites in supports
         for v in words.tolist()
-    ] + [ConservedSequence(lat.sites, tuple(v), closed=True) for v in ring_words.tolist()]
+    ]
+    assert expanded == all_embeddable_sequences(lat) + enumerate_ring_sequences(lat)
     assert expanded == lattice_sequences(lat)
 
 
@@ -645,20 +660,16 @@ def test_catalogue_masks_are_the_masks_of_the_orbit_representatives(m):
     # even m puts the first site of the ring on an odd label (m=6: -7)
     lat = Lattice.ring(m)
     assert lat.sites[0] % 2 == (m + 1) % 2
-    starts, arc_words, ring_words = rows = _catalogue(lat)
+    blocks = ch._catalogue(lat)
     catalogue = lattice_sequences(lat)
     # every member, in order, against the object path
-    got = ch._member_masks(lat, *rows)
+    got = ch._member_masks(lat, blocks)
     assert got.dtype == np.int64
-    want = [jordan_wigner_masks(sequence_to_operator(f), lat) for f in catalogue]
-    assert list(map(tuple, got.tolist())) == want
-    assert ch._member_labels(lat, *rows) == [f.label() for f in catalogue]
+    assert list(map(tuple, got.tolist())) == _masks_of(catalogue, lat)
+    assert ch._member_labels(lat, blocks) == [f.label() for f in catalogue]
     # one member per shift-by-2 orbit
-    got = ch._member_masks(lat, [min(starts)], arc_words, ch._least_rotations(ring_words))
-    want = {
-        jordan_wigner_masks(sequence_to_operator(shift2_representative(f, lat)), lat)
-        for f in catalogue
-    }
+    got = ch._member_masks(lat, ch._orbit_blocks(lat, blocks))
+    want = set(_masks_of({shift2_representative(f, lat) for f in catalogue}, lat))
     assert len(got) == len(want)
     assert set(map(tuple, got.tolist())) == want
 
@@ -678,18 +689,69 @@ def test_catalogue_residual_equals_the_oracle(m, ring):
     assert any(conservation_check(spec, f) for f in violating)
 
 
-def test_lattice_sweep_keeps_the_object_path_off_every_ring(monkeypatch):
+@pytest.mark.parametrize(
+    "lattice",
+    [Lattice.chain(0, 8), Lattice.chain(0, 10), Lattice.torus(4, 4)],
+    ids=["chain9", "chain11", "torus4x4"],
+)
+def test_chain_and_torus_catalogues_equal_the_oracle_member_by_member(lattice):
+    spec = ModelSpec(lattice)
+    # built without the catalogue: the intervals [2k, 2l] of the chain, the
+    # constant sequences of the torus
+    if lattice.dimension == 1:
+        top = lattice.sites[-1] // 2
+        pairs = [(k, l) for k in range(top) for l in range(k + 1, top + 1)]
+        catalogue = [f for k, l in pairs for f in enumerate_hat_xi(k, l)]
+    else:
+        origins = ((0, 0), (0, 2), (2, 0), (2, 2))
+        catalogue = [
+            rect_constant_sequence(lattice, *o, 3, 3, v) for o in origins for v in (-1, 1)
+        ]
+        catalogue += [torus_constant_sequence(lattice, v) for v in (-1, 1)]
+    assert sorted(catalogue, key=ConservedSequence.label) == sorted(
+        lattice_sequences(lattice), key=ConservedSequence.label
+    )
+    blocks = ch._catalogue(lattice)
+    labels = ch._member_labels(lattice, blocks)
+    masks = ch._member_masks(lattice, blocks)
+    assert len(labels) == len(set(labels)) == len(catalogue)
+    by_label = {f.label(): f for f in catalogue}
+    assert set(labels) == set(by_label)
+    assert list(map(tuple, masks.tolist())) == _masks_of([by_label[k] for k in labels], lattice)
+    got = dict(zip(labels, ch._mask_residuals(spec, masks).tolist()))
+    want = {label: conservation_check(spec, f) for label, f in by_label.items()}
+    assert got == want
+    assert ch.lattice_sweep(spec) == (max(want.values()), len(catalogue)) == (0, len(catalogue))
+
+
+def test_lattice_sweep_checks_every_member_of_chains_and_tori(monkeypatch):
     calls = _count_checks(monkeypatch)
-    want = []
     for spec in (ModelSpec.chain(0, 8), ModelSpec.torus(4, 4)):
         catalogue = lattice_sequences(spec.lattice)
+        calls.clear()
         assert ch.lattice_sweep(spec) == (0, len(catalogue))
-        want += catalogue
-    # a ring takes the rows with or without the translation certificate
-    for certified in (True, False):
-        monkeypatch.setattr(ModelSpec, "h_translation2_invariant", certified)
-        assert ch.lattice_sweep(ModelSpec.ring(3)) == (0, 186)
-    assert calls == want
+        assert sorted(calls) == sorted(_masks_of(catalogue, spec.lattice))
+
+
+def test_chain_block_with_planted_edge_violations():
+    spec = ModelSpec.chain(0, 10)
+    lat = spec.lattice
+    supports, words, shape = ch._catalogue(lat)[1]
+    assert [sites[0] for sites in supports] == [0, 2, 4, 6]
+    # permitted rows whose right (first) or left (second) pair is not constant
+    planted = np.vstack((words, [(-1, -1, -1, -1, 1), (1, -1, -1, 1, 1)])).astype(np.int8)
+    for row in planted[-2:].tolist():
+        f = ConservedSequence(supports[0], tuple(row))
+        assert is_permitted(f) and not has_edge_conditions(f)
+    block = (supports, planted, shape)
+    with pytest.raises(ValueError, match="boundary-pair"):
+        ch._validate_blocks(lat, [block])
+    sequences = [ConservedSequence(s, tuple(v)) for s in supports for v in planted.tolist()]
+    got = ch._mask_residuals(spec, ch._member_masks(lat, [block])).tolist()
+    want = [conservation_check(spec, f) for f in sequences]
+    assert got == want and any(want)
+    # the object sweep applies no grammar check: the residual comes back
+    assert conservation_sweep(spec, sequences) == max(want)
 
 
 def _planted(rows, index, row):
@@ -698,10 +760,17 @@ def _planted(rows, index, row):
     return rows
 
 
+def _with_words(blocks, index, words):
+    blocks = list(blocks)
+    supports, _, shape = blocks[index]
+    blocks[index] = (supports, words, shape)
+    return blocks
+
+
 def test_vectorized_validation_rejects_planted_rows():
     lat = Lattice.ring(3)
-    starts, arc_words, ring_words = _catalogue(lat)
-    d2 = arc_words[1]
+    blocks = ch._catalogue(lat)
+    d1, d2, ring_words = blocks[0][1], blocks[1][1], blocks[-1][1]
     # permitted, but the right boundary pair is not constant
     tie = (-1, -1, -1, -1, 1)
     # the even-centered triple at word positions 1..3 reads + - +
@@ -709,16 +778,20 @@ def test_vectorized_validation_rejects_planted_rows():
     # the wrapped triple (last, first, second) of the full ring reads + - +
     wrapped = (-1, 1, 1, 1, 1, 1, 1, 1)
     cases = [
-        ("boundary-pair", [arc_words[0], _planted(d2, 0, tie)], ring_words),
-        ("forbidden triple", [arc_words[0], _planted(d2, 3, triple)], ring_words),
-        ("forbidden triple", arc_words, _planted(ring_words, 0, wrapped)),
-        ("-1 or \\+1", [arc_words[0], _planted(d2, 0, (0, 0, 1, 1, 1))], ring_words),
-        ("values on", [arc_words[1], arc_words[0]], ring_words),
+        ("boundary-pair", _with_words(blocks, 1, _planted(d2, 0, tie))),
+        ("forbidden", _with_words(blocks, 1, _planted(d2, 3, triple))),
+        ("forbidden", _with_words(blocks, -1, _planted(ring_words, 0, wrapped))),
+        ("-1 or \\+1", _with_words(blocks, 1, _planted(d2, 0, (0, 0, 1, 1, 1)))),
+        ("values on", _with_words(_with_words(blocks, 0, d2), 1, d1)),
     ]
-    for match, arcs, rows in cases:
+    for match, planted in cases:
         with pytest.raises(ValueError, match=match):
-            ch._validate_rows(lat, starts, arcs, rows)
+            ch._validate_blocks(lat, planted)
+    odd = [
+        ([tuple(lat.wrap(s + 1) for s in sites) for sites in supports], words, shape)
+        for supports, words, shape in blocks[:-1]
+    ]
     with pytest.raises(ValueError, match="even sites"):
-        ch._validate_rows(lat, [s + 1 for s in starts], arc_words, ring_words)
+        ch._validate_blocks(lat, odd + blocks[-1:])
     assert is_permitted(ConservedSequence(tuple(range(5)), tie))
     assert not has_edge_conditions(ConservedSequence(tuple(range(5)), tie))

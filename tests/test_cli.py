@@ -151,7 +151,7 @@ def test_bad_config_exit_codes(capsys):
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.ch, "_commutator_residuals", lambda spec, seqs: np.ones(len(seqs), dtype=np.int64)
+        cli.ch, "_mask_residuals", lambda spec, masks: np.ones(len(masks), dtype=np.int64)
     )
     assert run(["charges", "--interval", "0", "1", "--check"]) == 3
 
@@ -369,6 +369,22 @@ def test_verify_torus_pin(capsys):
     )
 
 
+def test_verify_chain13_pin(capsys):
+    # as the torus pin: the one eigensolver float is dropped, the rest hashed
+    assert run(["verify", "--chain", "13"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (e0,) = [c for c in payload["checks"] if c["name"] == "h_min_eigenvalue_zero"]
+    assert e0["passed"] and abs(e0["detail"]) <= 1e-10
+    payload["checks"].remove(e0)
+    (conserved,) = [c for c in payload["checks"] if c["name"] == "charges_conserved"]
+    assert conserved["detail"] == {"count": 1086}
+    text = cli._render(payload, "json")
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "1c7a0d4f1c2ee40445f7711b4f2a55d20a877dcfaa397182dd8c03cd7e47de00"
+    )
+
+
 def test_verify_runs_every_check_above_4096_states(capsys):
     assert run(["verify", "--chain", "13"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -459,14 +475,18 @@ def test_verify_calls_each_model_builder_once(capsys, monkeypatch):
     "argv",
     [
         ["verify", "--ring", "--m", "4"],
+        ["verify", "--chain", "11"],
+        ["verify", "--torus", "4x4"],
         ["charges", "--ring", "--m", "4", "--check"],
+        ["charges", "--interval", "0", "4", "--check"],
         ["ergodicity", "--ring", "--m", "4"],
     ],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
 )
-def test_ring_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
+def test_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
     calls = _count_calls(
         monkeypatch,
-        [(nicolai.charges, "_validate_support"), (nicolai.charges, "shift2_representative")],
+        [(nicolai.charges, "conservation_check"), (nicolai.charges, "shift2_representative")],
     )
     post_init = nicolai.charges.ConservedSequence.__post_init__
 
@@ -476,16 +496,32 @@ def test_ring_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(nicolai.charges.ConservedSequence, "__post_init__", counted)
     assert run(argv) == 0
-    # the ergodicity report's one object is the member its cross-check builds
-    assert dict(calls) == ({"ConservedSequence": 1} if argv[0] == "ergodicity" else {})
     payload = json.loads(capsys.readouterr().out)
+    # the sweep builds none: the interval listing builds the sequences it
+    # lists, and the ergodicity report the one member its cross-check builds
+    built = {"charges": payload.get("count", 0), "ergodicity": 1}.get(argv[0], 0)
+    assert dict(calls) == ({"ConservedSequence": built} if built else {})
     if argv[0] == "verify":
-        (conserved,) = [c for c in payload["checks"] if c["name"] == "charges_conserved"]
-        assert conserved["passed"] and conserved["detail"] == {"count": 642}
+        (conserved,) = [c for c in payload["checks"] if c["name"].endswith("_conserved")]
+        count = {"--ring": 642, "--chain": 358, "--torus": 18}[argv[1]]
+        assert conserved["passed"] and conserved["detail"] == {"count": count}
     elif argv[0] == "charges":
         assert payload["max_commutator_residual"] == 0
     else:
         assert len(payload["report"]["generators"]) == 642
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_ring_charges_enumerate_the_catalogue_once(check, capsys, monkeypatch):
+    # one permitted_words call per arc length and one for the full ring; the
+    # listing alone runs no validation pass
+    calls = _count_calls(
+        monkeypatch, [(nicolai.grammar, "permitted_words"), (nicolai.charges, "_validate_blocks")]
+    )
+    assert run(["charges", "--ring", "--m", "7"] + ["--check"] * check) == 0
+    assert dict(calls) == {"permitted_words": 8, **({"_validate_blocks": 1} if check else {})}
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["embeddable_count"] + payload["full_ring_count"] == 24050
 
 
 def test_verify_ring_m5_pin(capsys):

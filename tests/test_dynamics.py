@@ -346,8 +346,10 @@ def test_mask_rows_equal_the_sparse_generators(ring, m):
     ctx = ring(m)
     lat, dim = ctx.lattice, ctx.basis.dim
     seqs = lattice_sequences(lat)
-    masks = [jordan_wigner_masks(sequence_to_operator(f), lat) for f in seqs]
-    free = {s: _states_off(s, lat.nsites) for s, *_ in masks}
+    masks = np.array(
+        [jordan_wigner_masks(sequence_to_operator(f), lat) for f in seqs], dtype=np.int64
+    )
+    free = {s: _states_off(s, lat.nsites) for s in masks[:, 0].tolist()}
     stacked = _mask_rows(masks, free, dim)
     assert stacked.dtype == np.int64
     assert stacked.shape == (len(seqs) * dim, dim)
