@@ -7,8 +7,8 @@ The package is organized bottom-up:
 - :mod:`nicolai.model`: the supercharge, the Hamiltonian ``H = {Q, Q*}`` and
   its classical/hopping split, the model symmetries, and
   :class:`~nicolai.model.ModelSpec`, the model itself, which builds each of
-  its objects (basis, Q, Q*, H, its split, ground configurations, spectrum)
-  on first use and keeps it;
+  its objects (basis, Q, Q*, H, its split, the ground states as one array
+  of Fock states, spectrum) on first use and keeps it;
 - :mod:`nicolai.grammar`: the forbidden-pattern rule shared by sequences and
   configurations, its breadth-first array enumerator and its pair transfer
   matrix;

@@ -484,17 +484,12 @@ def _member_masks(lattice, blocks: list) -> np.ndarray:
     return np.concatenate(masks) if masks else np.empty((0, 4), dtype=np.int64)
 
 
-def _patterns(words: np.ndarray) -> list:
-    """The ``+``/``-`` pattern of each value row."""
-    return np.where(words > 0, "+", "-").view(f"U{words.shape[1]}").ravel().tolist()
-
-
 def _member_labels(lattice, blocks: list) -> list:
     """:meth:`ConservedSequence.label` of every member, in
     :func:`_member_masks` order."""
     labels = []
     for supports, words, shape in blocks:
-        patterns = _patterns(words)
+        patterns = grammar.spell(words, "-+")
         for sites in supports:
             kind = _support_label(sites, _closed(lattice, sites), shape)
             labels += [f"{kind}:{p}" for p in patterns]

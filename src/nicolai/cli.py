@@ -23,6 +23,7 @@ import numpy as np
 
 from . import charges as ch
 from . import dynamics as dyn
+from . import grammar
 from . import groundstates as gs
 from .fock import anticommutator, commutator, parity_operator
 from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_bench.py
@@ -338,25 +339,22 @@ def cmd_groundstates(args) -> int:
         _emit(payload, args)
         return code
 
-    # counted from the word array; configurations are built only to list them
-    payload["count"] = len(gs._ground_words(lat))
+    if args.verify_susy and lat.nsites > 12:
+        raise ValueError("--verify-susy is limited to lattices of <= 12 sites")
+    # one word array: counted, spelled if listed, built as objects for --verify-susy
+    words = gs._ground_words(lat)
+    payload["count"] = len(words)
     if lat.dimension == 1:
         payload["transfer_matrix_count"] = gs.transfer_count_ground_configs(lat)
         payload["entropy_density"] = gs.entropy_density(lat)
         if payload["count"] != payload["transfer_matrix_count"]:
             code = 3
-    listed = payload["count"] <= 10000
-    configs = spec.ground_configs if listed or args.verify_susy else []
-    if listed:
-        payload["configs"] = [g.bitstring() for g in configs]
-        payload["config_lines"] = [g.bitstring() for g in configs]
+    if payload["count"] <= 10000:
+        payload["configs"] = payload["config_lines"] = grammar.spell(words, "01")
 
     if args.verify_susy:
-        if lat.nsites > 12:
-            raise ValueError("--verify-susy is limited to lattices of <= 12 sites")
-        bad = [
-            g.bitstring() for g in configs if not gs.verify_susy_ground(g, spec).annihilated
-        ]
+        configs = (gs.Configuration(lat, tuple(v)) for v in words.tolist())
+        bad = [g.bitstring() for g in configs if not gs.verify_susy_ground(g, spec).annihilated]
         payload["susy_failures"] = bad
         if bad:
             code = 3

@@ -54,8 +54,9 @@ import scipy.sparse as sp
 
 from .fock import FockBasis, SparseOperator
 from .fock import enumerate_basis  # noqa: F401  alias read by bench/test_bench.py
-from .groundstates import Configuration, config_to_vector, is_ground_config
-from .model import ModelSpec
+from .grammar import permitted
+from .groundstates import Configuration, config_to_vector
+from .model import ModelSpec, charge_hoods
 
 __all__ = [
     "Spectrum",
@@ -407,20 +408,19 @@ def no_resonance_check(spec: ModelSpec) -> NoResonanceReport:
         cols = hop[:, states]
         return int(cols.max()) if cols.nnz else 0
 
-    configs = spec.ground_configs
-    worst = max_residual(np.array([g.state for g in configs], dtype=np.int64))
+    worst = max_residual(spec.ground_states)
 
     # any state with a nonzero hop column is necessarily non-ground
     example = None
     hit = np.flatnonzero(np.diff(hop.indptr))
     if hit.size:
         state = int(hit[0])
-        g = Configuration.from_state(state, lat)
-        assert not is_ground_config(g)
-        example = (g.bitstring(), max_residual([state]))
+        bits = _bitstring(state, lat.nsites)
+        assert not permitted(bits, charge_hoods(lat))
+        example = (bits, max_residual([state]))
 
     return NoResonanceReport(
-        ground_count=len(configs),
+        ground_count=len(spec.ground_states),
         max_residual=worst,
         powers_vanish=worst == 0,
         nonground_example=example,
@@ -626,24 +626,22 @@ def ergodicity_report(
     report.invariant_dimension = 1 + len({(s, min(p, s ^ p)) for s, p, *_ in masks.tolist()})
     report.non_ergodic = report.invariant_dimension >= 2
 
-    grounds = spec.ground_configs
-    if len(grounds) >= 2:
-        g0, g1 = grounds[0], grounds[1]
+    if len(grounds := spec.ground_states) >= 2:
+        g0, g1 = (_bitstring(int(g), lat.nsites) for g in grounds[:2])
         # H = {Q, Q*} is symmetric, so a zero column of H is a zero row too:
         # H|g> = 0 and <g|H = 0 for both, hence F = |g0><g1| + |g1><g0|
         # commutes with H, dephase(F) = F, and the gap under |g0> is
         # <g0|F^2|g0> - <g0|F|g0>^2 = 1 - 0.
-        for g in (g0, g1):
-            if spec.h.matrix[:, [basis.index_of(g.state)]].count_nonzero():
-                raise RuntimeError(
-                    f"configuration {g.bitstring()} is not annihilated by H"
-                )
-        report.classical_witness = {
-            "state": g0.bitstring(),
-            "partner": g1.bitstring(),
-            "gap": 1.0,
-        }
+        for g, bits in zip(grounds[:2], (g0, g1)):
+            if spec.h.matrix[:, [basis.index_of(g)]].count_nonzero():
+                raise RuntimeError(f"configuration {bits} is not annihilated by H")
+        report.classical_witness = {"state": g0, "partner": g1, "gap": 1.0}
     return report
+
+
+def _bitstring(state: int, nsites: int) -> str:
+    """``Configuration.bitstring`` of a Fock state: letter r is bit r."""
+    return f"{state:0{nsites}b}"[::-1]
 
 
 def spectrum_table(spectrum: Spectrum) -> list:

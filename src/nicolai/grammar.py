@@ -14,8 +14,9 @@ open supports, as ties ``w[p] == w[q]``.  :func:`permitted_words` is the one
 enumerator: it grows every word breadth-first on a numpy array and returns
 the words as the rows of an int8 array, so a caller that only needs the count
 reads the number of rows (the ``charges --ring`` and ``groundstates``
-listings do this).  :func:`transfer_power` counts 1D words exactly, as a
-power of the 4x4 pair transfer matrix in Python integers.
+listings do this), and :func:`spell` writes rows as ``-+`` or ``01`` strings.
+:func:`transfer_power` counts 1D words exactly, as a power of the 4x4 pair
+transfer matrix in Python integers.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "hoods",
     "edge_ties",
     "permitted_words",
+    "spell",
     "pair_transfer_matrix",
     "transfer_power",
 ]
@@ -124,6 +126,11 @@ def permitted_words(n: int, hoods, alphabet: tuple, ties=()) -> np.ndarray:
                 bad |= forbidden(words[:, center], [words[:, a] for a in arms])
             words = words[~bad]
     return words
+
+
+def spell(words: np.ndarray, letters: str) -> list:
+    """Each row as a string: ``letters[1]`` where a value is positive, else ``letters[0]``."""
+    return np.where(words > 0, letters[1], letters[0]).view(f"U{words.shape[1]}").ravel().tolist()
 
 
 def pair_transfer_matrix() -> np.ndarray:

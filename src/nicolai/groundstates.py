@@ -13,9 +13,12 @@ forbidden patterns of the two alphabets, but the types are kept distinct: a
 configuration labels a Fock product vector, a sequence labels an operator.
 
 The pattern rule and its enumerator live in :mod:`nicolai.grammar`.  The
-census degeneracy is extensive: counts grow like ``lambda**(n/2)`` with
-``lambda = 3`` the leading eigenvalue of the pair transfer matrix, an
-independent counting oracle for every enumeration.
+command line reads the word rows of :func:`_ground_words` (counted, spelled,
+or as the Fock states ``ModelSpec.ground_states``); a :class:`Configuration`
+is the library form, the array path's oracle and the unit of
+:func:`verify_susy_ground`.  The census degeneracy is extensive: counts grow
+like ``lambda**(n/2)`` with ``lambda = 3`` the leading eigenvalue of the pair
+transfer matrix, an independent counting oracle for every enumeration.
 """
 
 from __future__ import annotations
@@ -253,14 +256,9 @@ def verify_susy_ground(g: Configuration, spec: ModelSpec) -> GroundStateReport:
     flips = []
     for q in spec.q_sum.terms:
         center = q.factors[len(q.factors) // 2][0]
-        res = apply_monomial(q, state, lat)
-        if res is not None:
-            amp, out = res
-            flips.append(("charge", center, amp, Configuration.from_state(out, lat)))
-        res = apply_monomial(q.adjoint(), state, lat)
-        if res is not None:
-            amp, out = res
-            flips.append(("adjoint", center, amp, Configuration.from_state(out, lat)))
+        for kind, op in (("charge", q), ("adjoint", q.adjoint())):
+            if (res := apply_monomial(op, state, lat)) is not None:
+                flips.append((kind, center, res[0], Configuration.from_state(res[1], lat)))
 
     col = spec.basis.index_of(state)
 
@@ -305,7 +303,7 @@ def kernel_census(spec: ModelSpec) -> KernelCensus:
         raise ValueError(
             "kernel census needs the classical/hopping split, available in 1D only"
         )
-    classical_count = len(spec.ground_configs)
+    classical_count = len(spec.ground_states)
 
     eig = spec.spectrum.eigenvalues
     dim_ker_h = int(np.count_nonzero(np.abs(eig) <= _ZERO_TOL))

@@ -24,8 +24,8 @@ translation by two sites on rings, and a particle-hole transformation rho
 A :class:`ModelSpec` is the model: the lattice is its only setting (the
 1D or 2D form follows from the lattice dimension), and it builds each of its
 objects (the full Fock basis, Q, Q*, H, the classical/hopping split, the
-ground configurations, the spectrum, the exact translation certificate) on
-first use and keeps it.
+classical ground states as one array of Fock states, the spectrum, the exact
+translation certificate) on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ class ModelSpec:
     """The model on one lattice: the lattice and the objects built from it,
     each on first use and then kept.
 
-    ``h_classical`` and ``h_hop`` exist in 1D only; ``spectrum`` is the
-    diagonalization of ``h`` fragment by fragment (the connected components
-    of its sparsity graph), with sparse eigenvectors.
+    ``h_classical`` and ``h_hop`` exist in 1D only; ``ground_states`` is an
+    int64 array; ``spectrum`` diagonalizes ``h`` fragment by fragment (the
+    connected components of its sparsity graph), with sparse eigenvectors.
     """
 
     lattice: Lattice
@@ -257,10 +257,13 @@ class ModelSpec:
         return anticommutator(tq, tq.adjoint()).equals(self.h)
 
     @cached_property
-    def ground_configs(self) -> list:
-        from .groundstates import enumerate_ground_configs  # deferred: builds on this module
+    def ground_states(self) -> np.ndarray:
+        """The classical ground configurations as int64 Fock states (bit r is
+        the rank-r site), in word-row order: lexicographic by site, not ascending."""
+        from .groundstates import _ground_words  # deferred: builds on this module
 
-        return enumerate_ground_configs(self.lattice)
+        words = _ground_words(self.lattice)  # summed by column: no int64 copy of the rows
+        return sum(words[:, r].astype(np.int64) << r for r in range(words.shape[1]))
 
     @cached_property
     def spectrum(self):

@@ -343,6 +343,8 @@ GOLDEN_STDOUT = {
     "charges --ring --m 6 --check": "7b044ec74231602064f526819636fa3dd1319bb9429a3267add27d7b2ae2621a",
     "charges --ring --m 10": "660fe07566e04ca4b2c6d5677374195b42b16ecb55d46379d4978120edc94373",
     "groundstates --ring --m 10": "303d19c9ff6506195664221ebc94b098dc25b8708774111434fd7093311e5a8a",
+    "groundstates --ring --m 3": "22c7c2edc136f6237aacf55b4de9a5dab0fc7a47792c1155fc47e0aafa8c49c1",
+    "groundstates --chain 11 --format text": "d92bb52bd1b92a138cfcea6f781a2d09b63760c18912d31be3103a0c4f303e27",
 }
 
 
@@ -408,6 +410,40 @@ def test_groundstates_guard_fires_before_enumerating(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "argv", [["--torus", "4x6"], ["--ring", "--m", "6"]], ids=["torus4x6", "ring6"]
+)
+def test_verify_susy_guard_fires_before_enumerating(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the --verify-susy limit")
+
+    monkeypatch.setattr(nicolai.grammar, "permitted_words", refuse)
+    assert run(["groundstates", *argv, "--verify-susy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --verify-susy is limited to lattices of <= 12 sites\n"
+    # past both limits either message will do; the transfer count enumerates nothing
+    assert run(["groundstates", "--ring", "--m", "12", "--verify-susy"]) == 2
+    argv = ["groundstates", "--ring", "--m", "39", "--transfer-matrix", "--verify-susy"]
+    assert run(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["--ring", "--m", "3"], 1),
+        (["--ring", "--m", "2", "--verify-susy"], 1),
+        (["--torus", "4x4"], 1),
+        (["--ring", "--m", "5", "--transfer-matrix"], 0),
+    ],
+    ids=["ring3", "ring2-verify-susy", "torus4x4", "ring5-transfer-matrix"],
+)
+def test_groundstates_enumerates_once(argv, calls, capsys, monkeypatch):
+    counted = _count_calls(monkeypatch, [(nicolai.grammar, "permitted_words")])
+    assert run(["groundstates", *argv]) == 0
+    assert counted["permitted_words"] == calls
+
+
 def test_groundstates_transfer_count_is_exact_past_int64(capsys):
     assert run(["groundstates", "--ring", "--m", "39", "--transfer-matrix"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 3**40 + 1
@@ -461,7 +497,7 @@ def test_verify_calls_each_model_builder_once(capsys, monkeypatch):
         (nicolai.model, "build_supercharge"),
         (nicolai.model, "build_h_classical_diagonal"),
         (nicolai.model, "build_h_hop"),
-        (nicolai.groundstates, "enumerate_ground_configs"),
+        (nicolai.groundstates, "_ground_words"),
         (nicolai.dynamics, "diagonalize"),
     ]
     # the monomial sum of the classical part is the test oracle of the
@@ -509,6 +545,33 @@ def test_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
         assert payload["max_commutator_residual"] == 0
     else:
         assert len(payload["report"]["generators"]) == 642
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["verify", "--chain", "11"], 0),
+        (["verify", "--ring", "--m", "4"], 0),
+        (["ergodicity", "--ring", "--m", "3"], 0),
+        (["groundstates", "--ring", "--m", "3"], 0),
+        (["groundstates", "--ring", "--m", "2", "--format", "text"], 0),
+        (["groundstates", "--ring", "--m", "2", "--verify-susy"], 26),
+    ],
+    ids=lambda v: "-".join(v).replace("--", "") if isinstance(v, list) else str(v),
+)
+def test_cli_builds_a_configuration_only_to_verify_susy(argv, built, capsys, monkeypatch):
+    # the ground states are read off the word rows; --verify-susy checks one
+    # object per configuration and builds no image of a ground configuration
+    calls = Counter()
+    post_init = nicolai.Configuration.__post_init__
+
+    def counted(self):
+        calls["Configuration"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(nicolai.Configuration, "__post_init__", counted)
+    assert run(argv) == 0
+    assert calls["Configuration"] == built
 
 
 @pytest.mark.parametrize("check", [False, True])

@@ -403,7 +403,7 @@ def test_ergodicity_report_rejects_a_non_conserved_generator(planted_arc):
 def test_classical_witness_matches_dense_mazur_gap(ring, m):
     ctx = ring(m)
     witness = ergodicity_report(ctx).classical_witness
-    g0, g1 = ctx.ground_configs[:2]
+    g0, g1 = (Configuration.from_state(int(s), ctx.lattice) for s in ctx.ground_states[:2])
     assert (witness["state"], witness["partner"]) == (g0.bitstring(), g1.bitstring())
     v0, v1 = config_to_vector(g0, ctx.basis), config_to_vector(g1, ctx.basis)
     flip = np.outer(v0, v1) + np.outer(v1, v0)
@@ -416,7 +416,7 @@ def test_ergodicity_report_rejects_a_non_ground_witness():
     lat = spec.lattice
     lone = Configuration.from_state(1 << lat.rank(0), lat)  # "0,1,0" around site 0
     assert not is_ground_config(lone)
-    spec.__dict__["ground_configs"] = [lone] + spec.ground_configs
+    spec.__dict__["ground_states"] = np.append(lone.state, spec.ground_states)
     with pytest.raises(RuntimeError, match="not annihilated by H"):
         ergodicity_report(spec)
 
@@ -443,7 +443,7 @@ def test_no_resonance_reports_a_non_ground_column():
     hop = spec.h_hop.matrix.tocsc()
     state = int(np.flatnonzero(np.diff(hop.indptr))[-1])  # a state the hops move
     g = Configuration.from_state(state, spec.lattice)
-    spec.__dict__["ground_configs"] = spec.ground_configs + [g]
+    spec.__dict__["ground_states"] = np.append(spec.ground_states, g.state)
     rep = no_resonance_check(spec)
     assert rep.max_residual == int(abs(hop[:, [state]]).max()) > 0
     assert not rep.powers_vanish

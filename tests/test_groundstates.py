@@ -89,6 +89,21 @@ def test_chain_census_against_oracles(nsites):
         assert len(configs) == brute_force_ground_count(lat)
 
 
+@pytest.mark.parametrize(
+    "lat",
+    [Lattice.ring(m) for m in range(1, 6)]
+    + [Lattice.chain(0, n - 1) for n in range(1, 14, 2)]
+    + [Lattice.torus(4, 4)],
+    ids=lambda lat: f"{lat.boundary}{lat.nsites}",
+)
+def test_ground_states_are_the_configuration_states_in_order(lat):
+    # the array path against the object oracle, row order included: the
+    # rows are lexicographic over site rank, not ascending as integers
+    states = ModelSpec(lat).ground_states
+    assert states.dtype == np.int64
+    assert states.tolist() == [g.state for g in enumerate_ground_configs(lat)]
+
+
 def test_census_lexicographic_order():
     lat = Lattice.ring(2)
     configs = enumerate_ground_configs(lat)
