@@ -539,15 +539,14 @@ def _max_chunk_sequences(dim: int) -> int:
     return k
 
 
-def _chunks(sizes: list, dim: int, budget: int | None = None):
+def _chunks(sizes: list, dim: int):
     """Consecutive ``(start, stop)`` runs of sequences whose bounded entry
-    counts sum to at most ``budget`` (``_CHUNK_ENTRIES`` by default; one
-    sequence at least) and whose packed keys fit in int64."""
-    budget = _CHUNK_ENTRIES if budget is None else budget
+    counts sum to at most ``_CHUNK_ENTRIES`` (one sequence at least) and
+    whose packed keys fit in int64."""
     most = _max_chunk_sequences(dim)
     start = total = 0
     for q, size in enumerate(sizes):
-        if q > start and (total + size > budget or q - start == most):
+        if q > start and (total + size > _CHUNK_ENTRIES or q - start == most):
             yield start, q
             start, total = q, 0
         total += size

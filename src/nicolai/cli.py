@@ -364,25 +364,21 @@ def cmd_groundstates(args) -> int:
 
 def _ergodicity_bytes(lat) -> int:
     """Estimated peak bytes of the ergodicity report on a ring, from
-    transfer-matrix counts: 512 per Fock state (the basis, H in int64 CSR
-    with the copies the row certificate and ``diagonalize`` make of it, the
-    fragment arrays of ``diagonalize`` and the sparse V; H holds fewer than
-    2 entries per row and V fewer than 4 up to m = 7); 2 KiB per generator
-    (its label, masks and four gaps, and its line of the JSON payload); and
-    64 bytes per stored entry of one chunk of generator rows times V (the
-    product in CSR and COO, its row split, gathered V entries and squares),
-    plus dim moments per generator.  A chunk holds
-    ``dynamics._GENERATOR_CHUNK_ENTRIES`` entries, or one generator alone:
-    at most ``2 (dim / 8) F + dim`` for a three-site arc, where F, the
-    largest fragment of H, is taken as ``1.6**m`` (9, 14, 20, 30, 50 and 77
-    at m = 5..10).  Measured peaks above start-up at m = 5..8 (42, 46, 68,
-    177 MB) stay below it (74, 90, 150, 492 MB)."""
-    n, m = lat.nsites, lat.ring_m
+    transfer-matrix counts.  640 per Fock state: the peak of
+    ``diagonalize``, which holds the basis, H in int64 CSR with the copies
+    the row certificate and ``diagonalize`` make of it, the fragment arrays
+    and V (5 stored entries per column at m = 9, each held as row, slot and
+    value before the CSC matrix is built), above what the report adds after
+    it (V o V, the CSR copy of V in the Gibbs certificate, one diagonal and
+    one marginal).  512 per generator: its masks, label and gaps, their
+    rounded copies and its line of the JSON text.  Measured peaks of
+    ``ergodicity --ring --m 7, 8, 9, 10`` above the 56 MiB of ``--m 1``
+    (45, 161, 642 and 2621 MiB) stay below it (52, 198, 765 and 2964
+    MiB); m = 11 comes to 11.3 GiB."""
+    n = lat.nsites
     arcs = sum(n // 2 * ch.transfer_count_hat_xi(0, d) for d in range(1, (n - 2) // 2 + 1))
     generators = arcs + ch.transfer_count_ring_sequences(lat)
-    dim = 2**n
-    chunk = max(dyn._GENERATOR_CHUNK_ENTRIES, int(2 * dim // 8 * 1.6**m) + dim)
-    return 512 * dim + 2048 * generators + 64 * chunk
+    return 640 * 2**n + 512 * generators
 
 
 def cmd_ergodicity(args) -> int:

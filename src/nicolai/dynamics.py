@@ -29,20 +29,24 @@ closed forms below.  :func:`ergodicity_report` never dephases a charge and
 holds no dim x dim dense array and no object per charge.  It certifies
 ``[H, Q(f)] = 0`` exactly on the ring's word rows, so ``dephase(A) = A``
 for ``A = Q(f) + Q(f)*``, and then works from the Jordan-Wigner masks
-``(S, P, M, c)`` of each ``Q(f)``, read off the same rows: A has one
-``+-1`` per row r with ``r & S`` in ``{P, S ^ P}``, at column ``r ^ S``.
-The trace-state gap is then exactly ``2**(1 - |S|)``; the Gibbs gaps are
-weighted sums of ``||A v_n||^2`` and ``v_n.A v_n`` over the eigenvectors,
-from the generator rows, built from the masks one chunk of generators at a
-time, times the sparse V; and the number of independent invariant
-operators is one plus the number of distinct keys ``(S, min(P, S ^ P))``,
-because generators with different keys are orthogonal.  The first
-generator, built as a sparse matrix independently of the masks, is
-dephased through the sparse eigenvectors on every run to cross-check the
-closed form.  The ground-state witness is certified by two zero columns of
-H, after which its gap is exactly 1.  :func:`_trace_gap`,
-:func:`_gibbs_gaps` and :func:`~nicolai.fock.span_dimension` on sparse
-matrices remain the oracles of the closed forms.
+``(S, P, M, c)`` of each ``Q(f)``, read off the same rows.  ``Q(f)**2 =
+0``, so ``A**2 = Pi_f``, the diagonal 0/1 projector onto the states j with
+``j & S`` in ``{P, S ^ P}``; and ``<A> = 0`` under every state that is a
+function of H, because ``Q(f)`` commutes with H and is nilpotent, hence
+traceless, on each eigenspace.  Every gap is therefore ``<Pi_f> = w[P] +
+w[S ^ P]``, where ``w`` is the marginal of the diagonal ``rho_jj`` over
+``j & S``: ``rho_jj = 1 / dim`` for the trace state, which makes the gap
+exactly ``2**(1 - |S|)``, and ``((V o V) p)_j`` for the Gibbs state with
+Boltzmann weights p.  No generator matrix is built.  The number of
+independent invariant operators is one plus the number of distinct keys
+``(S, min(P, S ^ P))``, because generators with different keys are
+orthogonal.  The first generator, built as a sparse matrix independently
+of the masks, is dephased through the sparse eigenvectors on every run to
+cross-check its closed-form gaps.  The ground-state witness is certified
+by two zero columns of H, after which its gap is exactly 1.
+:func:`_trace_gap`, :func:`_gibbs_gaps` and
+:func:`~nicolai.fock.span_dimension` on sparse matrices remain the oracles
+of the closed forms.
 """
 
 from __future__ import annotations
@@ -472,22 +476,6 @@ def _dephased_trace_gap(a, spectrum: Spectrum) -> float:
     return float((same * same).sum()) / dim - (float(a.diagonal().sum()) / dim) ** 2
 
 
-def _gibbs_moments(stacked, v, count: int):
-    """``||A v_n||^2`` and ``v_n.A v_n`` for each of ``count`` operators
-    stacked as row blocks of ``stacked`` and each eigenvector ``v_n``, a
-    column of the CSR matrix ``v``: two ``count x dim`` arrays from one
-    sparse product."""
-    dim = v.shape[0]
-    av = (stacked @ v).tocoo()  # entry (g*dim + r, n): (A_g V)[r, n]
-    g, r = np.divmod(av.row.astype(np.int64), dim)
-    slot = g * dim + av.col
-    vr = np.asarray(v[r, av.col]).ravel()  # V[r, n] at the same entries
-    size = count * dim
-    norms = np.bincount(slot, av.data * av.data, size).reshape(-1, dim)
-    means = np.bincount(slot, av.data * vr, size).reshape(-1, dim)
-    return norms, means
-
-
 def _gibbs_weights_by_label(spectrum: Spectrum, betas) -> dict:
     """Boltzmann weights per beta, keyed by the Gibbs state's label."""
     return {
@@ -504,36 +492,36 @@ def _gibbs_gaps(generators: list, spectrum: Spectrum, betas) -> dict:
     generators with V serves every generator and every beta.  Keyed by the
     Gibbs state's label.
     """
+    v = spectrum.vectors.tocsr()
+    dim = v.shape[0]
     stacked = sp.vstack([a.matrix for a in generators], format="csr")
-    norms, means = _gibbs_moments(stacked, spectrum.vectors.tocsr(), len(generators))
+    av = (stacked @ v).tocoo()  # entry (g*dim + r, n): (A_g V)[r, n]
+    g, r = np.divmod(av.row.astype(np.int64), dim)
+    slot = g * dim + av.col
+    vr = np.asarray(v[r, av.col]).ravel()  # V[r, n] at the same entries
+    size = len(generators) * dim
+    norms = np.bincount(slot, av.data * av.data, size).reshape(-1, dim)
+    means = np.bincount(slot, av.data * vr, size).reshape(-1, dim)
     return {
         label: (norms @ p - (means @ p) ** 2).tolist()
         for label, p in _gibbs_weights_by_label(spectrum, betas).items()
     }
 
 
-# Stored entries of one chunk of generators in the ergodicity report: the
-# products of their rows with V, plus dim per generator for the moments.
-_GENERATOR_CHUNK_ENTRIES = 1 << 20
-
-
-def _mask_rows(masks: np.ndarray, free: dict, dim: int):
-    """The generators ``A = Q(f) + Q(f)*`` of the ``Q(f)`` masks, int64 rows
-    ``(S, P, M, c)``, stacked as ``dim``-row blocks of one int64 CSR matrix.
-
-    ``Q(f)`` moves each alive state j (``j & S == P``) to ``j ^ S`` with sign
-    ``s(j)``, so A holds ``s(j)`` at ``(j ^ S, j)`` and at ``(j, j ^ S)``:
-    one entry in each row r with ``r & S`` in ``{P, S ^ P}``, at column
-    ``r ^ S``."""
-    from .charges import _signed_images
-
-    owner, alive, image, sign = _signed_images(masks, free)
-    block = np.tile(owner * dim, 2)
-    rows = block + np.concatenate((image, alive))
-    cols = np.concatenate((alive, image))
-    return sp.csr_matrix(
-        (np.tile(sign, 2), (rows, cols)), shape=(len(masks) * dim, dim)
-    )
+def _marginal_gaps(masks: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """``<Pi_f> = w[P] + w[S ^ P]`` for each ``Q(f)`` given by its
+    :func:`~nicolai.fock.jordan_wigner_masks` row ``(S, P, M, c)``, where
+    ``w[k]`` is the sum of ``diag[j]`` over the states j with ``j & S ==
+    k``: one marginal per distinct support."""
+    states = np.arange(len(diag))
+    support, pattern = masks[:, 0], masks[:, 1]
+    order = np.argsort(support, kind="stable")
+    supports, first = np.unique(support[order], return_index=True)
+    gaps = np.empty(len(masks))
+    for s, rows in zip(supports.tolist(), np.split(order, first[1:])):
+        w = np.bincount(states & s, diag, s + 1)
+        gaps[rows] = w[pattern[rows]] + w[s ^ pattern[rows]]
+    return gaps
 
 
 def ergodicity_report(
@@ -553,14 +541,21 @@ def ergodicity_report(
     ``dephase(A) = A``.
 
     Each ``Q(f)`` on distinct sites is the signed partial permutation of its
-    :func:`~nicolai.fock.jordan_wigner_masks` ``(S, P, M, c)``, so A holds
-    one ``+-1`` in each row r with ``r & S`` in ``{P, S ^ P}``, at column
-    ``r ^ S``, and none on the diagonal.  Hence ``||A||_F^2 = 2 dim / 2**|S|``
-    and ``Tr A = 0``, and the trace-state gap ``||A||_F^2 / dim`` is exactly
-    ``2**(1 - |S|)``.  The Gibbs gaps (:func:`_gibbs_gaps` arithmetic) come
-    from the generator rows times V, built from the masks one chunk of
-    generators at a time.  :func:`_trace_gap` and :func:`_gibbs_gaps`, on
-    explicit sparse matrices, stay as their oracles.
+    :func:`~nicolai.fock.jordan_wigner_masks` ``(S, P, M, c)``: it moves each
+    state j with ``j & S == P`` to ``j ^ S``, whose pattern on S is
+    ``S ^ P != P``.  So ``Q(f)**2 = 0`` and ``A**2 = Q(f)* Q(f) + Q(f)
+    Q(f)* = Pi_f``, the diagonal 0/1 projector onto the states j with ``j &
+    S`` in ``{P, S ^ P}``.  Under a state ``rho = g(H)`` (the trace state or
+    a Gibbs state) ``<A> = 0``: ``Q(f)`` commutes with H and squares to zero,
+    so it is nilpotent, hence traceless, on each eigenspace of H.  The gap
+    ``<A dephase(A)> - <A>**2`` is then ``<Pi_f> = w[P] + w[S ^ P]``, with
+    ``w`` the marginal of the diagonal ``rho_jj`` over ``j & S``
+    (:func:`_marginal_gaps`).  For the trace state ``rho_jj = 1 / dim``, and
+    the sums of powers of two are exact: the gap is ``2**(1 - |S|)`` to the
+    last bit.  For a Gibbs state with Boltzmann weights p, ``rho_jj =
+    sum_n p_n V[j, n]**2``, one sparse product ``(V o V) p``.
+    :func:`_trace_gap` and :func:`_gibbs_gaps`, on explicit sparse matrices,
+    stay as the oracles of this closed form.
 
     The dimension of the span of the invariant operators found (including
     the identity) is the finite-volume stand-in for the invariant-projection
@@ -574,9 +569,11 @@ def ergodicity_report(
 
     Two certificates run on every report.  The first generator, built
     independently of the masks as a sequence object through
-    :func:`~nicolai.fock.monomial_to_sparse`, is dephased through the sparse
-    eigenvectors (:func:`_dephased_trace_gap`), and its gap must match the
-    closed form within ``1e-9`` (``RuntimeError`` otherwise).  When
+    :func:`~nicolai.fock.monomial_to_sparse`, has its gaps computed through
+    the sparse eigenvectors: dephased under the trace state
+    (:func:`_dephased_trace_gap`) and as moments under each Gibbs state
+    (:func:`_gibbs_gaps`).  Each must match the closed form within ``1e-9``
+    relative to ``max(1, gap)`` (``RuntimeError`` otherwise).  When
     degenerate classical ground states exist, the flip operator between two
     of them witnesses the breaking for ground states: once both are
     certified to be annihilated by H exactly (``RuntimeError`` otherwise),
@@ -598,31 +595,25 @@ def ergodicity_report(
     masks = ch._member_masks(lat, blocks)
     report = ErgodicityReport(generator_labels=ch._member_labels(lat, blocks))
 
-    weights = _gibbs_weights_by_label(spectrum, betas)
-    gaps = {label: np.empty(len(masks)) for label in ("trace", *weights)}
-    support = masks[:, 0].tolist()
-    free = {s: ch._states_off(s, lat.nsites) for s in set(support)}
-    gaps["trace"][:] = [2.0 ** (1 - s.bit_count()) for s in support]
-    v = spectrum.vectors.tocsr()
-    widest = int(np.diff(v.indptr).max(initial=0))
-    sizes = [2 * len(free[s]) * widest + dim for s in support]
-    for start, stop in ch._chunks(sizes, dim, _GENERATOR_CHUNK_ENTRIES):
-        norms, means = _gibbs_moments(_mask_rows(masks[start:stop], free, dim), v, stop - start)
-        for label, p in weights.items():
-            gaps[label][start:stop] = norms @ p - (means @ p) ** 2
-    report.gaps = {label: values.tolist() for label, values in gaps.items()}
+    report.gaps = {"trace": _marginal_gaps(masks, np.full(dim, 1.0 / dim)).tolist()}
+    squares = spectrum.vectors.power(2)
+    for label, p in _gibbs_weights_by_label(spectrum, betas).items():
+        report.gaps[label] = _marginal_gaps(masks, squares @ p).tolist()
 
     # member 0, the first word on the first arc, built as an object
     (first_arc, *_), first_words, _ = blocks[0]
     (first,) = ch._sequences(first_arc, first_words[:1])
     qf = monomial_to_sparse(ch.sequence_to_operator(first), basis)
-    closed = report.gaps["trace"][0]
-    sparse = _dephased_trace_gap((qf + qf.adjoint()).matrix, spectrum)
-    if abs(sparse - closed) > 1e-9 * max(1.0, abs(closed)):
-        raise RuntimeError(
-            f"closed-form trace gap {closed!r} disagrees with the dephased "
-            f"Mazur gap {sparse!r}"
-        )
+    a = qf + qf.adjoint()
+    oracles = {"trace": [_dephased_trace_gap(a.matrix, spectrum)]}
+    oracles.update(_gibbs_gaps([a], spectrum, betas))
+    for label, (want,) in oracles.items():
+        closed = report.gaps[label][0]
+        if abs(want - closed) > 1e-9 * max(1.0, abs(closed)):
+            raise RuntimeError(
+                f"closed-form {label} gap {closed!r} disagrees with the dephased "
+                f"Mazur gap {want!r}"
+            )
     report.invariant_dimension = 1 + len({(s, min(p, s ^ p)) for s, p, *_ in masks.tolist()})
     report.non_ergodic = report.invariant_dimension >= 2
 

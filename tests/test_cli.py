@@ -210,20 +210,20 @@ def test_ergodicity_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
     # an 8 GiB machine, whatever this one has: 4 KiB pages, 2**21 of them
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    assert run(["ergodicity", "--ring", "--m", "10"]) == 2
+    assert run(["ergodicity", "--ring", "--m", "11"]) == 2
     assert "GiB" in capsys.readouterr().err
 
 
-def test_ergodicity_admits_ring_m7_past_the_memory_guard(monkeypatch):
+@pytest.mark.parametrize("m", [7, 9, 10])
+def test_ergodicity_admits_ring_past_the_memory_guard(m, monkeypatch):
     class Reached(Exception):
         pass
 
-    def reached(*args, **kwargs):
-        raise Reached
-
-    monkeypatch.setattr(nicolai.dynamics, "diagonalize", reached)
+    _refuse_building(monkeypatch, Reached())
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     with pytest.raises(Reached):
-        run(["ergodicity", "--ring", "--m", "7"])
+        run(["ergodicity", "--ring", "--m", str(m)])
 
 
 def test_charges_check_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):

@@ -33,17 +33,16 @@ from nicolai.charges import (
     is_permitted,
     lattice_sequences,
 )
+from nicolai import charges as ch
 from nicolai.fock import hilbert_schmidt_gram, span_dimension
-from nicolai.charges import _states_off
 from nicolai.dynamics import (
     ThermalState,
     _dephased_trace_gap,
     _gibbs_gaps,
-    _mask_rows,
+    _gibbs_weights,
     _trace_gap,
     spectrum_table,
 )
-from nicolai.fock import jordan_wigner_masks
 
 
 def hermitian_charge(ctx, f):
@@ -341,25 +340,33 @@ def test_invariant_rank_equals_the_exact_rank_mod_p(ring, m, rank):
     assert ergodicity_report(ctx).invariant_dimension == rank
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_mask_rows_equal_the_sparse_generators(ring, m):
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gibbs_mean_of_every_generator_vanishes(ring, m):
+    # <A> = 0, which the closed form uses but does not compute: Q(f) commutes
+    # with H and squares to zero, so it is traceless on each eigenspace
     ctx = ring(m)
-    lat, dim = ctx.lattice, ctx.basis.dim
-    seqs = lattice_sequences(lat)
-    masks = np.array(
-        [jordan_wigner_masks(sequence_to_operator(f), lat) for f in seqs], dtype=np.int64
-    )
-    free = {s: _states_off(s, lat.nsites) for s in masks[:, 0].tolist()}
-    stacked = _mask_rows(masks, free, dim)
-    assert stacked.dtype == np.int64
-    assert stacked.shape == (len(seqs) * dim, dim)
-    for g, f in enumerate(seqs):
+    v = ctx.spectrum.vectors
+    for f in lattice_sequences(ctx.lattice):
         qf = monomial_to_sparse(sequence_to_operator(f), ctx.basis)
-        want = (qf + qf.adjoint()).matrix
-        got = stacked[g * dim : (g + 1) * dim]
-        assert want.dtype == np.int64
-        assert (got != want).nnz == 0
-        assert got.nnz == want.nnz == 2 * dim >> len(f)
+        a = (qf + qf.adjoint()).matrix.astype(np.float64)
+        means = np.asarray(v.multiply(a @ v).sum(axis=0)).ravel()  # v_n.A v_n
+        for beta in (-1.0, 0.5, 2.0):
+            assert abs(means @ _gibbs_weights(ctx.spectrum.eigenvalues, beta)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_the_two_pattern_marginals_of_a_gibbs_diagonal_agree(ring, m):
+    # Q(f) maps the range of Q*Q isometrically onto that of QQ* and
+    # intertwines H, so <Q*Q> = <QQ*>: w[P] = w[S ^ P] for every generator
+    ctx = ring(m)
+    lat, spectrum = ctx.lattice, ctx.spectrum
+    squares = spectrum.vectors.power(2)
+    diags = [squares @ _gibbs_weights(spectrum.eigenvalues, b) for b in (-1.0, 0.5, 2.0)]
+    states = np.arange(ctx.basis.dim)
+    for s, p, *_ in ch._member_masks(lat, ch._catalogue(lat)).tolist():
+        on = states & s
+        for diag in diags:
+            assert abs(diag[on == p].sum() - diag[on == s ^ p].sum()) <= 1e-14
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -388,6 +395,21 @@ def test_ergodicity_report_rejects_a_wrong_trace_gap(monkeypatch):
         nicolai.dynamics, "_dephased_trace_gap", lambda a, s: right(a, s) * (1 + 1e-8)
     )
     with pytest.raises(RuntimeError, match="disagrees with the dephased Mazur gap"):
+        ergodicity_report(ModelSpec.ring(2))
+
+
+def test_ergodicity_report_rejects_a_wrong_gibbs_gap(monkeypatch):
+    import nicolai.dynamics
+
+    right = nicolai.dynamics._gibbs_gaps
+
+    def wrong(generators, spectrum, betas):
+        planted = right(generators, spectrum, betas)
+        planted["gibbs(beta=2)"] = [g * (1 + 1e-6) for g in planted["gibbs(beta=2)"]]
+        return planted
+
+    monkeypatch.setattr(nicolai.dynamics, "_gibbs_gaps", wrong)
+    with pytest.raises(RuntimeError, match=r"closed-form gibbs\(beta=2\) gap .* disagrees"):
         ergodicity_report(ModelSpec.ring(2))
 
 
