@@ -24,7 +24,9 @@ object per charge; on a ring one member per shift-by-2 orbit is certified
 (:func:`_catalogue_residual`).  :func:`lattice_sweep`, the ergodicity report
 and, grouped by support, :func:`conservation_sweep` feed the masks to one
 int64 kernel, :func:`_mask_residuals`, whose oracle is
-:func:`conservation_check` (two scipy products per charge).
+:func:`conservation_check` (two scipy products per charge).  The kernel
+decodes the masks with :func:`nicolai.fock._signed_images`, the decoder
+that also assembles every operator.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .fock import (
     CREATE,
     FermionMonomial,
     FockBasis,
+    _signed_images,
+    _states_off,
     anticommutator,
     commutator,
     jordan_wigner_masks,
@@ -564,39 +568,11 @@ def _row_entries(m, rows: np.ndarray):
     return owner, np.arange(len(owner)) + skip
 
 
-def _states_off(mask: int, n: int) -> np.ndarray:
-    """Every ``n``-bit state with no bit of ``mask`` set."""
-    states = np.zeros(1, dtype=np.int64)
-    for r in range(n):
-        if not mask >> r & 1:
-            states = np.concatenate((states, states | 1 << r))
-    return states
-
-
-def _signed_images(masks: np.ndarray, free: dict):
-    """Every surviving column of the ``Q(f)`` given by ``masks``, an int64
-    array of :func:`jordan_wigner_masks` rows ``(S, P, M, c)``, shape
-    ``(k, 4)``: the index into ``masks`` that owns
-    it, the alive state ``j``, its image ``j ^ S`` and the sign
-    ``s(j) = (-1)**(popcount(j & M) + c)``.  ``free[S]`` holds the states
-    with no bit of ``S`` set (:func:`_states_off`); each run of rows that
-    share ``S`` takes its alive states in one broadcast."""
-    support, annihilated, string, crossings = masks.T
-    cut = np.flatnonzero(np.diff(support)) + 1
-    first, last = np.concatenate(([0], cut)), np.append(cut, len(support))
-    blocks = [free[s] for s in support[first].tolist()]
-    alive = np.concatenate(
-        [(annihilated[a:b, None] | block).ravel() for a, b, block in zip(first, last, blocks)]
-    )
-    owner = np.repeat(np.arange(len(support)), np.repeat(list(map(len, blocks)), last - first))
-    sign = 1 - 2 * ((np.bitwise_count(alive & string[owner]) + crossings[owner]) & 1)
-    return owner, alive, alive ^ support[owner], sign
-
-
 def _mask_residuals(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:
     """Max-abs entry of ``[H, Q(f)]`` for each ``Q(f)`` given by its masks
-    (``(S, P, M, c)`` rows, see :func:`_signed_images`), exact in H's dtype,
-    without building any ``Q(f)``: the one int64 kernel behind both sweeps.
+    (``(S, P, M, c)`` rows, decoded by :func:`nicolai.fock._signed_images`),
+    exact in H's dtype, without building any ``Q(f)``: the one int64 kernel
+    behind both sweeps.
 
     ``Q(f)`` is a signed partial permutation (:func:`jordan_wigner_masks`):
     column ``j`` survives iff ``j & S == P``, lands on row ``j ^ S`` with
@@ -747,7 +723,7 @@ def transfer_count_ring_sequences(lattice) -> int:
     """Transfer-matrix count of permitted sequences on the full ring."""
     if lattice.dimension != 1 or not lattice.periodic:
         raise ValueError("ring counting requires a periodic 1D lattice")
-    return int(np.trace(grammar.transfer_power(lattice.nsites // 2)))
+    return grammar.ring_word_count(lattice.nsites)
 
 
 def rectangle_sites(lattice, x0: int, y0: int, nx: int, ny: int) -> tuple:

@@ -251,20 +251,21 @@ def cmd_charges(args) -> int:
         if args.ring or args.chain is not None or args.torus:
             raise ValueError("--interval cannot be combined with a lattice flag")
         k, l = args.interval
+        if args.check and l - k > 7:
+            raise ValueError("--check embeds the interval in a Fock space; limited to l - k <= 7")
+        counted = ch.transfer_count_hat_xi(k, l)
+        need = _interval_listing_bytes(k, l, counted)
+        _require_memory(need, "the charge listing", "sequence objects")
         seqs = ch.enumerate_hat_xi(k, l)
         payload["interval"] = [2 * k, 2 * l]
         payload["count"] = len(seqs)
-        payload["transfer_matrix_count"] = ch.transfer_count_hat_xi(k, l)
+        payload["transfer_matrix_count"] = counted
         payload["sequences"] = [s.to_json_obj() for s in seqs]
         if payload["count"] != payload["transfer_matrix_count"]:
             code = 3
         if args.check:
             # embed in a chain two sites wider on each side so the triples
             # straddling the support edges are present
-            if l - k > 7:
-                raise ValueError(
-                    "--check embeds the interval in a Fock space; limited to l - k <= 7"
-                )
             spec = ModelSpec.chain(2 * k - 2, 2 * l + 2)
             residual = int(ch.conservation_sweep(spec, seqs))
             payload["embedding_chain"] = [2 * k - 2, 2 * l + 2]
@@ -298,6 +299,15 @@ def cmd_charges(args) -> int:
                 code = 3
     _emit(payload, args)
     return code
+
+
+def _interval_listing_bytes(k: int, l: int, count: int) -> int:
+    """Estimated peak bytes of ``charges --interval K L`` for its ``count``
+    sequences: 1280 per sequence site, for the sequence objects, one JSON
+    dict per site and the rendered text.  Measured peaks above start-up at
+    l - k = 8, 9, 10 and 11 (75, 249, 821 and 2689 MiB) are 1058, 1047,
+    1041 and 1038 bytes per sequence site; l - k = 12 comes to 10.6 GiB."""
+    return 1280 * count * (2 * (l - k) + 1)
 
 
 def _ring_listing_bytes(lat) -> int:
@@ -499,12 +509,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # diagonalize: eigenpair residual above tolerance
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (ValueError, KeyError, MemoryError, RuntimeError) as exc:
+        # a bare MemoryError has no text; RuntimeError is a certificate that
+        # failed at run time, such as an eigenpair residual above tolerance
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ sparse matrices over a :class:`FockBasis`, the full space of ``2**n`` states,
 where a state is its own row and column index.  Monomials with integer
 coefficients produce ``int64`` matrices, so anticommutation relations,
 nilpotency and commutant statements are certified exactly, with no
-floating-point tolerance.
+floating-point tolerance.  This module holds the one decoder of the
+Jordan-Wigner masks (:func:`_signed_images`): :func:`terms_to_sparse` builds
+a sum of monomials as one CSR through it, and the charge kernel of
+:mod:`nicolai.charges` reuses it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ __all__ = [
     "enumerate_basis",
     "apply_monomial",
     "jordan_wigner_masks",
-    "apply_monomial_to_basis",
+    "terms_to_sparse",
     "monomial_to_sparse",
     "anticommutator",
     "commutator",
@@ -332,30 +335,6 @@ def jordan_wigner_masks(m: FermionMonomial, lattice: Lattice):
     return support, annihilated, string, crossings % 2
 
 
-def apply_monomial_to_basis(m: FermionMonomial, basis: FockBasis):
-    """Vectorized action of ``m`` on every state of ``basis``.
-
-    Returns ``(alive, out_states, signs)``: a boolean survival mask, the image
-    states, and the ``+-1`` fermionic signs (meaningful where ``alive``).  The
-    caller multiplies in the coefficient.  Monomials on distinct sites act
-    through :func:`jordan_wigner_masks`, products of occupation factors
-    through :func:`_occupation_masks`; other repeated sites take the
-    per-factor loop, which stays the oracle of both closed forms.
-    """
-    states = basis.states
-    masks = jordan_wigner_masks(m, basis.lattice)
-    if masks is None:
-        occupation = _occupation_masks(m, basis.lattice)
-        if occupation is None:
-            return _apply_factor_by_factor(m, basis)
-        filled, touched = occupation
-        return (states & touched) == filled, states, np.ones(len(states), dtype=np.int64)
-    support, annihilated, string, crossings = masks
-    parity = np.bitwise_count(states & string) & 1
-    signs = np.where(parity != crossings, -1, 1)
-    return (states & support) == annihilated, states ^ support, signs
-
-
 def _occupation_masks(m: FermionMonomial, lattice: Lattice):
     """Closed form ``(F, T)`` of a product of occupation factors, or ``None``.
 
@@ -380,9 +359,10 @@ def _occupation_masks(m: FermionMonomial, lattice: Lattice):
 
 
 def _apply_factor_by_factor(m: FermionMonomial, basis: FockBasis):
-    """:func:`apply_monomial_to_basis` one factor at a time, right to left,
-    each factor taking its parity on the intermediate states; valid for any
-    monomial, repeated sites included."""
+    """``(alive, out_states, signs)`` of ``m`` on every state of ``basis``,
+    one factor at a time, right to left, each factor taking its parity on the
+    intermediate states; valid for any monomial, repeated sites included, and
+    the oracle of both closed forms.  ``signs`` is meaningful where alive."""
     lat = basis.lattice
     states = basis.states.copy()
     n = states.shape[0]
@@ -495,32 +475,85 @@ def _check_same_basis(a: SparseOperator, b: SparseOperator):
         raise ValueError("operators act on different bases")
 
 
-def monomial_to_sparse(m: FermionMonomial, basis: FockBasis) -> SparseOperator:
-    """Matrix of a monomial over ``basis``; at most one entry per column.
+def _states_off(mask: int, n: int) -> np.ndarray:
+    """Every ``n``-bit state with no bit of ``mask`` set, ascending."""
+    states = np.zeros(1, dtype=np.int64)
+    for r in range(n):
+        if not mask >> r & 1:
+            states = np.concatenate((states, states | 1 << r))
+    return states
 
-    The image state of a surviving column is its row index.  Every factor
-    maps distinct states to distinct states, so a row holds at most one
-    entry too, and the CSR arrays come from scattering each surviving
-    column to its image row, with no sort.
-    """
-    for site, _ in m.factors:
-        if not basis.lattice.contains(site):
-            raise ValueError(f"factor site {site!r} outside the lattice")
-    dim = basis.dim
-    integral = _is_integral(m.coefficient)
+
+def _signed_images(masks: np.ndarray, free: dict):
+    """Every surviving column of the monomials given by ``masks``, an int64
+    array of :func:`jordan_wigner_masks` rows ``(S, P, M, c)``, shape
+    ``(k, 4)``: the index into ``masks`` that owns it, the alive state
+    ``j``, its image ``j ^ S`` and the int64 sign
+    ``s(j) = (-1)**(popcount(j & M) + c)``.  ``free[S]`` holds the states
+    with no bit of ``S`` set (:func:`_states_off`); each run of rows that
+    share ``S`` takes its alive states in one broadcast."""
+    support, annihilated, string, crossings = masks.T
+    cut = np.flatnonzero(np.diff(support)) + 1
+    first, last = np.concatenate(([0], cut)), np.append(cut, len(support))
+    blocks = [free[s] for s in support[first].tolist()]
+    alive = np.concatenate(
+        [(annihilated[a:b, None] | block).ravel() for a, b, block in zip(first, last, blocks)]
+    )
+    owner = np.repeat(np.arange(len(support)), np.repeat(list(map(len, blocks)), last - first))
+    sign = 1 - 2 * ((np.bitwise_count(alive & string[owner]) + crossings[owner]) & 1)
+    return owner, alive, alive ^ support[owner], sign
+
+
+def terms_to_sparse(terms, basis: FockBasis) -> SparseOperator:
+    """Matrix of the sum of the monomials ``terms`` over ``basis`` as one
+    CSR, ``int64`` when every coefficient is integral, else ``float64``.
+    Distinct-site monomials visit only their surviving states, all in one
+    :func:`_signed_images` call;
+    occupation products (:func:`_occupation_masks`) add into one diagonal;
+    other repeated sites take :func:`_apply_factor_by_factor`.  One COO to
+    CSR build sums the ``(row, column, value)`` entries, and the entries
+    that cancel are dropped."""
+    lat = basis.lattice
+    outside = [site for m in terms for site, _ in m.factors if not lat.contains(site)]
+    if outside:
+        raise ValueError(f"factor site {outside[0]!r} outside the lattice")
+    integral = all(_is_integral(m.coefficient) for m in terms)
     dtype = np.int64 if integral else np.float64
-    if m.is_zero:
-        return SparseOperator.zero(basis, dtype)
-    alive, out, signs = apply_monomial_to_basis(m, basis)
-    col_of_row = np.full(dim, -1)
-    col_of_row[out[alive]] = np.flatnonzero(alive)
-    hit = col_of_row >= 0
-    cols = col_of_row[hit]
-    indptr = np.concatenate(([0], np.cumsum(hit)))
-    coeff = int(m.coefficient) if integral else m.coefficient
-    data = (signs[cols] * coeff).astype(dtype)
-    mat = sp.csr_matrix((data, cols, indptr), shape=(dim, dim))
+    masks, coeffs = [], []
+    entries = [(np.zeros(0, np.int64),) * 3]  # so the empty sum builds the zero matrix
+    diag = None
+    for m in (m for m in terms if not m.is_zero):
+        coeff = int(m.coefficient) if integral else float(m.coefficient)
+        jw = jordan_wigner_masks(m, lat)
+        if jw is not None:
+            masks.append(jw)
+            coeffs.append(coeff)
+        elif (occupation := _occupation_masks(m, lat)) is not None:
+            filled, touched = occupation
+            if diag is None:
+                diag = np.zeros(basis.dim, dtype)
+            diag[_states_off(touched, lat.nsites) | filled] += coeff
+        else:
+            alive, out, signs = _apply_factor_by_factor(m, basis)
+            cols = np.flatnonzero(alive)
+            entries.append((out[cols], cols, signs[cols] * coeff))
+    if masks:
+        masks = np.array(masks, dtype=np.int64)
+        free = {s: _states_off(s, lat.nsites) for s in np.unique(masks[:, 0]).tolist()}
+        owner, alive, image, sign = _signed_images(masks, free)
+        entries.append((image, alive, sign * np.array(coeffs, dtype)[owner]))
+    if diag is not None:
+        on = np.flatnonzero(diag)
+        entries.append((on, on, diag[on]))
+    rows, cols, values = map(np.concatenate, zip(*entries))
+    mat = sp.csr_matrix((values, (rows, cols)), shape=(basis.dim, basis.dim), dtype=dtype)
+    mat.eliminate_zeros()
     return SparseOperator(basis, mat)
+
+
+def monomial_to_sparse(m: FermionMonomial, basis: FockBasis) -> SparseOperator:
+    """Matrix of one monomial over ``basis``, the one-term :func:`terms_to_sparse`."""
+    return terms_to_sparse((m,), basis)
 
 
 def anticommutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:

@@ -16,7 +16,8 @@ the words as the rows of an int8 array, so a caller that only needs the count
 reads the number of rows (the ``charges --ring`` and ``groundstates``
 listings do this), and :func:`spell` writes rows as ``-+`` or ``01`` strings.
 :func:`transfer_power` counts 1D words exactly, as a power of the 4x4 pair
-transfer matrix in Python integers.
+transfer matrix in Python integers; its trace, :func:`ring_word_count`,
+counts both the ring charges and the ring ground states.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "spell",
     "pair_transfer_matrix",
     "transfer_power",
+    "ring_word_count",
 ]
 
 
@@ -149,3 +151,8 @@ def transfer_power(p: int) -> np.ndarray:
     """``pair_transfer_matrix() ** p`` with Python-integer (object) entries,
     exact at every size: the counts pass 2**63 from about 80 sites on."""
     return np.linalg.matrix_power(pair_transfer_matrix().astype(object), p)
+
+
+def ring_word_count(n: int) -> int:
+    """Transfer-matrix count of the permitted words on a ring of ``n`` (even) sites."""
+    return int(np.trace(transfer_power(n // 2)))

@@ -176,7 +176,7 @@ def transfer_count_ground_configs(lattice: Lattice) -> int:
     if lattice.dimension != 1:
         raise ValueError("transfer-matrix counting is one-dimensional")
     if lattice.periodic:
-        return int(np.trace(grammar.transfer_power(lattice.nsites // 2)))
+        return grammar.ring_word_count(lattice.nsites)
     lo, hi = lattice.sites[0], lattice.sites[-1]
     if lo % 2 or hi % 2:
         raise ValueError("chain counting needs even endpoints")

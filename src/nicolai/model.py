@@ -47,9 +47,10 @@ from .fock import (
     SparseOperator,
     anticommutator,
     enumerate_basis,
-    monomial_to_sparse,
     normal_order,
+    terms_to_sparse,
 )
+from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_bench.py
 
 __all__ = [
     "OperatorSum",
@@ -64,7 +65,6 @@ __all__ = [
     "build_hamiltonian_susy",
     "build_hamiltonian_explicit",
     "build_h_classical",
-    "build_h_classical_diagonal",
     "build_h_hop",
     "forbidden_triple_projector",
     "number_operator",
@@ -85,12 +85,7 @@ class OperatorSum:
         )
 
     def to_sparse(self, basis: FockBasis) -> SparseOperator:
-        if not self.terms:
-            return SparseOperator.zero(basis)
-        acc = monomial_to_sparse(self.terms[0], basis)
-        for t in self.terms[1:]:
-            acc = acc + monomial_to_sparse(t, basis)
-        return acc
+        return terms_to_sparse(self.terms, basis)
 
     def adjoint(self) -> "OperatorSum":
         return OperatorSum(tuple(t.adjoint() for t in self.terms))
@@ -238,7 +233,7 @@ class ModelSpec:
 
     @cached_property
     def h_classical(self) -> SparseOperator:
-        return build_h_classical_diagonal(self)
+        return build_h_classical(self).to_sparse(self.basis)
 
     @cached_property
     def h_hop(self) -> SparseOperator:
@@ -371,15 +366,8 @@ def build_hamiltonian_susy(q: OperatorSum, basis: FockBasis) -> SparseOperator:
 
 def _adjacent_center_pairs(lattice: Lattice) -> list:
     """Pairs of neighbouring charge centers ``(c, c+2)``, both supported."""
-    centers = set(charge_centers(lattice))
-    pairs = []
-    for c in sorted(centers):
-        c2 = lattice.wrap(c + 2)
-        if c2 in centers and (lattice.periodic or c2 == c + 2):
-            if lattice.periodic and c2 == c:
-                continue  # degenerate two-site ring, not reachable for m >= 1
-            pairs.append((c, c2))
-    return pairs
+    centers = set(charge_centers(lattice))  # wrap is the identity on open chains
+    return [(c, lattice.wrap(c + 2)) for c in sorted(centers) if lattice.wrap(c + 2) in centers]
 
 
 def _hop_terms(lattice: Lattice, c: int) -> list:
@@ -437,23 +425,6 @@ def build_h_classical(spec: ModelSpec) -> OperatorSum:
     for (l, c, r) in charge_triples(spec.lattice):
         terms.extend(forbidden_triple_projector(l, c, r).terms)
     return OperatorSum(tuple(terms))
-
-
-def build_h_classical_diagonal(spec: ModelSpec) -> SparseOperator:
-    """The classical part as one sparse diagonal, from bit operations on
-    the Fock states: the number of even-centered triples whose occupations
-    are forbidden ("0,1,0" or "1,0,1").  Equal to :func:`build_h_classical`
-    as a matrix, which stays its oracle."""
-    if spec.lattice.dimension != 1:
-        raise ValueError("the classical/hopping split is only available in 1D")
-    states = spec.basis.states
-    counts = np.zeros(len(states), dtype=np.int64)
-    for hood in charge_hoods(spec.lattice):
-        center, *arms = (states >> r & 1 for r in hood)
-        counts += grammar.forbidden(center, arms)
-    diag = sp.diags(counts, format="csr", dtype=np.int64)
-    diag.eliminate_zeros()
-    return SparseOperator(spec.basis, diag)
 
 
 def forbidden_triple_projector(l, c, r) -> OperatorSum:

@@ -17,6 +17,21 @@ def ring():
     return get
 
 
+@pytest.fixture(scope="session")
+def assert_same_csr():
+    """Assert that two operators are the same CSR arrays: dtype, ``indptr``,
+    ``indices`` and ``data``, with no explicit zero stored."""
+
+    def check(got, want):
+        g, w = got.matrix, want.matrix
+        assert g.dtype == w.dtype
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g, name), getattr(w, name)), name
+        assert g.nnz == np.count_nonzero(g.data)
+
+    return check
+
+
 @pytest.fixture
 def planted_arc(monkeypatch):
     """Plant the word ``++-`` among the three-site arcs of every ring

@@ -315,6 +315,31 @@ def test_ergodicity_exits_3_on_a_non_conserved_generator(capsys, planted_arc):
     assert capsys.readouterr().err.startswith("error: charge ")
 
 
+def test_a_bare_memory_error_still_prints_a_message(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(nicolai.model, "build_supercharge", exhausted)
+    assert run(["build", "--ring", "--m", "2"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_charges_interval_refuses_a_listing_too_big_for_memory(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the size guard must run before any sequence is enumerated")
+
+    monkeypatch.setattr(nicolai.charges, "enumerate_hat_xi", refuse)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert run(["charges", "--interval", "0", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the charge listing needs ~")
+    # --check refuses a wide interval before enumerating it too
+    assert run(["charges", "--interval", "0", "8", "--check"]) == 2
+    assert "l - k <= 7" in capsys.readouterr().err
+
+
 def test_model_too_big_to_allocate_is_a_configuration_error(capsys):
     # 42 sites: the 2**42-state basis alone is 32 TiB, so numpy refuses it at once
     assert run(["build", "--ring", "--m", "20"]) == 2
@@ -345,6 +370,9 @@ GOLDEN_STDOUT = {
     "groundstates --ring --m 10": "303d19c9ff6506195664221ebc94b098dc25b8708774111434fd7093311e5a8a",
     "groundstates --ring --m 3": "22c7c2edc136f6237aacf55b4de9a5dab0fc7a47792c1155fc47e0aafa8c49c1",
     "groundstates --chain 11 --format text": "d92bb52bd1b92a138cfcea6f781a2d09b63760c18912d31be3103a0c4f303e27",
+    # supercharge_nnz moves with any stray explicit zero or unsummed duplicate in Q
+    "build --ring --m 4": "0afd41c8a89377f421c8e1d5f150ca7f325ecd0e83621962bfaf40fbed2e97a2",
+    "build --torus 4x4": "8d7c10bf94b12da68856ce3276e98d31113703b74dd2fa527f71f5391696f9ef",
 }
 
 
@@ -495,16 +523,23 @@ def test_verify_calls_each_model_builder_once(capsys, monkeypatch):
     builders = [
         (nicolai.fock, "enumerate_basis"),
         (nicolai.model, "build_supercharge"),
-        (nicolai.model, "build_h_classical_diagonal"),
+        (nicolai.model, "build_h_classical"),
         (nicolai.model, "build_h_hop"),
         (nicolai.groundstates, "_ground_words"),
         (nicolai.dynamics, "diagonalize"),
     ]
-    # the monomial sum of the classical part is the test oracle of the
-    # bit-operation diagonal, off the verify path
-    calls = _count_calls(monkeypatch, builders + [(nicolai.model, "build_h_classical")])
+    calls = _count_calls(monkeypatch, builders)
     assert run(["verify", "--ring", "--m", "2"]) == 0
     assert dict(calls) == {name: 1 for _, name in builders}
+
+
+def test_verify_builds_every_sum_in_one_pass(capsys, monkeypatch):
+    calls = _count_calls(
+        monkeypatch, [(nicolai.fock, "monomial_to_sparse"), (nicolai.fock, "terms_to_sparse")]
+    )
+    assert run(["verify", "--ring", "--m", "3"]) == 0
+    # Q, TQ, rho(Q), the explicit H, H_classical and H_hop: one build each
+    assert dict(calls) == {"terms_to_sparse": 6}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicolai import (
@@ -15,10 +16,11 @@ from nicolai import (
     enumerate_basis,
     graded_commutator,
     monomial_to_sparse,
+    OperatorSum,
     normal_order,
     parity_operator,
 )
-from nicolai.fock import _apply_factor_by_factor, _occupation_masks, apply_monomial_to_basis
+from nicolai.fock import _apply_factor_by_factor, _occupation_masks, terms_to_sparse
 
 a = FermionMonomial.annihilation
 adag = FermionMonomial.creation
@@ -294,16 +296,20 @@ def _distinct_site_monomials(draw):
     return lat, FermionMonomial(1, tuple(zip(sites, kinds)))
 
 
+def _factor_loop_matrix(m: FermionMonomial, basis) -> SparseOperator:
+    """The matrix of ``m`` scattered from the per-factor loop alone."""
+    alive, out, signs = _apply_factor_by_factor(m, basis)
+    cols = np.flatnonzero(alive)
+    mat = sp.csr_matrix((signs[cols] * m.coefficient, (out[cols], cols)), shape=(basis.dim,) * 2)
+    return SparseOperator(basis, mat)
+
+
 @settings(derandomize=True, deadline=None)
 @given(_distinct_site_monomials())
-def test_closed_form_masks_match_the_factor_loop(case):
+def test_closed_form_masks_match_the_factor_loop(assert_same_csr, case):
     lat, m = case
     basis = enumerate_basis(lat)
-    alive, out, signs = apply_monomial_to_basis(m, basis)
-    alive_ref, out_ref, signs_ref = _apply_factor_by_factor(m, basis)
-    assert np.array_equal(alive, alive_ref)
-    assert np.array_equal(out[alive], out_ref[alive])
-    assert np.array_equal(signs[alive], signs_ref[alive])
+    assert_same_csr(terms_to_sparse((m,), basis), _factor_loop_matrix(m, basis))
 
 
 @st.composite
@@ -320,17 +326,15 @@ def _occupation_monomials(draw):
 
 @settings(derandomize=True, deadline=None)
 @given(_occupation_monomials())
-def test_occupation_closed_form_matches_the_factor_loop(case):
+def test_occupation_closed_form_matches_the_factor_loop(assert_same_csr, case):
     lat, m = case
     basis = enumerate_basis(lat)
     assert _occupation_masks(m, lat) is not None
-    alive, out, signs = apply_monomial_to_basis(m, basis)
-    alive_ref, out_ref, signs_ref = _apply_factor_by_factor(m, basis)
-    assert np.array_equal(alive, alive_ref)
-    assert np.array_equal(out[alive], out_ref[alive])
-    assert np.array_equal(signs[alive], signs_ref[alive])
-    assert (signs[alive] == 1).all()
-    assert np.array_equal(out[alive], basis.states[alive])
+    got = terms_to_sparse((m,), basis)
+    assert_same_csr(got, _factor_loop_matrix(m, basis))
+    assert (got.matrix.data == 1).all()
+    entries = got.matrix.tocoo()
+    assert np.array_equal(entries.row, entries.col)
 
 
 def test_occupation_masks_reject_other_repeated_sites():
@@ -344,14 +348,56 @@ def test_occupation_masks_reject_other_repeated_sites():
     )
 
 
-def test_repeated_sites_take_the_factor_loop():
+def test_repeated_sites_take_the_factor_loop(assert_same_csr):
     lat = Lattice.ring(2)
     basis = enumerate_basis(lat)
     # n_0 a_1* n_0: the second n_0 sees the bit the first one left, so site
     # 0 ends occupied, where the distinct-site masks would flip it
     m = n_op(0) * adag(1) * n_op(0)
-    got = apply_monomial_to_basis(m, basis)
-    ref = _apply_factor_by_factor(m, basis)
-    for x, y in zip(got, ref):
-        assert np.array_equal(x, y)
-    assert got[0].sum() == basis.dim // 4
+    got = terms_to_sparse((m,), basis)
+    assert_same_csr(got, _factor_loop_matrix(m, basis))
+    assert got.nnz == basis.dim // 4
+
+
+@st.composite
+def _operator_sums(draw):
+    lat = draw(st.sampled_from(_PROPERTY_LATTICES))
+    factor = st.tuples(st.sampled_from(lat.sites), st.sampled_from((CREATE, ANNIHILATE)))
+    occupation = st.sampled_from(lat.sites).map(lambda s: ((s, CREATE), (s, ANNIHILATE)))
+    factors = st.one_of(
+        st.lists(factor, max_size=7).map(tuple),  # repeated sites are common
+        st.lists(occupation, max_size=3).map(lambda pairs: sum(pairs, ())),
+    )
+    # dyadic coefficients: every partial sum is exact in float64, whatever the order
+    coefficient = st.sampled_from((-2, -1, 1, 2, 0.5, -1.5))
+    terms = draw(st.lists(st.builds(FermionMonomial, coefficient, factors), max_size=6))
+    if terms and draw(st.booleans()):
+        terms.insert(draw(st.integers(0, len(terms))), -draw(st.sampled_from(terms)))
+    return lat, OperatorSum(tuple(terms))
+
+
+_CANCELLING = (adag(0) * a(1), -(adag(0) * a(1)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_operator_sums())
+@example(case=(Lattice.ring(2), OperatorSum()))
+@example(case=(Lattice.ring(2), OperatorSum(_CANCELLING)))
+def test_one_pass_sum_equals_the_per_term_csr_additions(assert_same_csr, case):
+    lat, q = case
+    basis = enumerate_basis(lat)
+    want = SparseOperator.zero(basis)
+    for t in q.terms:
+        want = want + monomial_to_sparse(t, basis)
+    got = q.to_sparse(basis)
+    assert_same_csr(got, want)
+    integral = all(float(t.coefficient).is_integer() for t in q.terms)
+    assert got.dtype == (np.int64 if integral else np.float64)
+    # and the scalar path, state by state, which shares no code with the builder
+    dense = np.zeros((basis.dim, basis.dim))
+    for t in q.terms:
+        for state in range(basis.dim):
+            if (res := apply_monomial(t, state, lat)) is not None:
+                dense[res[1], state] += res[0]
+    assert np.array_equal(got.to_dense(), dense)
+

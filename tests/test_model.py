@@ -8,6 +8,7 @@ from nicolai import (
     CREATE,
     Lattice,
     ModelSpec,
+    SparseOperator,
     anticommutator,
     build_h_classical,
     build_h_hop,
@@ -24,7 +25,7 @@ from nicolai import (
     parity_operator,
     translate2,
 )
-from nicolai.model import build_h_classical_diagonal, forbidden_triple_projector
+from nicolai.model import forbidden_triple_projector
 
 
 def test_local_charge_factor_order():
@@ -100,24 +101,51 @@ def test_hamiltonian_consistency_chains(nsites):
     assert h.equals(hc + hh)
 
 
+def _per_term_sum(q, basis) -> SparseOperator:
+    """The oracle of the one-pass build: one matrix per term, joined by CSR additions."""
+    acc = SparseOperator.zero(basis)
+    for t in q.terms:
+        acc = acc + monomial_to_sparse(t, basis)
+    return acc
+
+
 @pytest.mark.parametrize(
     "lattice",
     [Lattice.ring(m) for m in range(1, 7)] + [Lattice.chain(0, n - 1) for n in (5, 9, 13)],
     ids=lambda lat: f"{lat.boundary}{lat.nsites}",
 )
-def test_h_classical_from_bits_equals_the_monomial_sum(lattice):
+def test_h_classical_from_bits_equals_the_monomial_sum(lattice, assert_same_csr):
     spec = ModelSpec(lattice)
-    want = build_h_classical(spec).to_sparse(spec.basis)
-    got = build_h_classical_diagonal(spec)
-    assert got.dtype == want.dtype == np.int64
-    assert got.equals(want)
-    assert got.nnz == want.nnz == np.count_nonzero(want.diagonal())
-    assert spec.h_classical.equals(want)
+    want = _per_term_sum(build_h_classical(spec), spec.basis)
+    assert want.dtype == np.int64
+    assert_same_csr(spec.h_classical, want)
 
 
 def test_h_classical_from_bits_is_one_dimensional():
     with pytest.raises(ValueError):
-        build_h_classical_diagonal(ModelSpec.torus(4, 4))
+        ModelSpec.torus(4, 4).h_classical
+    with pytest.raises(ValueError):
+        build_h_classical(ModelSpec.torus(4, 4))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec.ring(m) for m in range(1, 5)] + [ModelSpec.chain_sites(11), ModelSpec.torus(4, 4)],
+    ids=lambda spec: f"{spec.lattice.boundary}{spec.lattice.nsites}",
+)
+def test_every_verify_sum_equals_its_per_term_sum(spec, assert_same_csr):
+    lat, basis = spec.lattice, spec.basis
+    sums = {"q": spec.q_sum, "rho_q": particle_hole(spec.q_sum)}
+    if lat.periodic:
+        sums["tq"] = translate2(spec.q_sum, lat)
+    if lat.dimension == 1:
+        sums["h_explicit"] = build_hamiltonian_explicit(spec)
+        sums["h_classical"] = build_h_classical(spec)
+        sums["h_hop"] = build_h_hop(spec)
+    for name, q in sums.items():
+        want = _per_term_sum(q, basis)
+        assert want.dtype == np.int64, name
+        assert_same_csr(q.to_sparse(basis), want)
 
 
 def test_explicit_equals_split_termwise(ring):
