@@ -45,7 +45,6 @@ from .model import (
     build_hamiltonian_explicit,
     build_hamiltonian_susy,
     build_supercharge,
-    charge_crosses,
     charge_triples,
     local_charge_1d,
     local_charge_2d,

@@ -512,14 +512,16 @@ def _orbit_blocks(lattice, blocks: list) -> list:
 
 def _catalogue_residual(spec: ModelSpec, blocks: list):
     """Largest max-abs entry of ``[H, Q(f)]`` over the members of a
-    (validated) catalogue in block form.  On a ring whose H passes the exact
-    translation certificate (``spec.h_translation2_invariant``: ``{TQ,
-    (TQ)*} == H`` for the shift T by two sites), only :func:`_orbit_blocks`
-    are checked.  T is the CAR automorphism ``a_x -> a_(x+2)``, a unitary U
-    that permutes the Fock basis up to signs, so ``U H U* == H`` and ``U Q(f)
-    U* == Q(Tf)`` (a closed sequence's two wrapping factors pass the other
-    ``n - 2``, an even number of odd swaps): ``[H, Q(Tf)] == U [H, Q(f)] U*``
-    has the same max-abs entry.  Otherwise every member row is checked."""
+    (validated) catalogue in block form.  On a ring whose Q passes the exact
+    translation certificate (``spec.h_translation2_invariant``: the term
+    identity ``T(Q) == Q`` for the shift T by two sites), only
+    :func:`_orbit_blocks` are checked.  T is the CAR automorphism ``a_x ->
+    a_(x+2)``, so ``T(H) == {T(Q), T(Q)*} == H``; the unitary U that
+    implements it permutes the Fock basis up to signs, so ``U H U* == H``
+    and ``U Q(f) U* == Q(Tf)`` (a closed sequence's two wrapping factors
+    pass the other ``n - 2``, an even number of odd swaps): ``[H, Q(Tf)] ==
+    U [H, Q(f)] U*`` has the same max-abs entry.  Otherwise every member row
+    is checked."""
     lat = spec.lattice
     if lat.dimension == 1 and lat.periodic and spec.h_translation2_invariant:
         blocks = _orbit_blocks(lat, blocks)

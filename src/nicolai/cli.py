@@ -13,6 +13,7 @@ command and freed when it returns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -79,9 +80,14 @@ def _csv_text(header: list, rows: list) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _emit(payload: dict, args) -> None:
@@ -435,9 +441,8 @@ def cmd_verify(args) -> int:
     checks.append(_check(name, residual == 0, {"count": count}))
 
     mask = gs.ground_config_mask(lat, spec.basis)
-    q_csc = spec.q.matrix.tocsc()
-    qd_csc = spec.q_dagger.matrix.tocsc()
-    col_zero = (np.diff(q_csc.indptr) == 0) & (np.diff(qd_csc.indptr) == 0)
+    # Q* is Q's transpose: the zero columns of one are the empty CSR rows of the other
+    col_zero = (np.diff(spec.q.matrix.indptr) == 0) & (np.diff(spec.q_dagger.matrix.indptr) == 0)
     equivalent = np.array_equal(mask, col_zero)
     if one_d:
         equivalent = equivalent and np.array_equal(mask, spec.h_classical.diagonal() == 0)
@@ -509,9 +514,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, MemoryError, RuntimeError) as exc:
-        # a bare MemoryError has no text; RuntimeError is a certificate that
-        # failed at run time, such as an eigenpair residual above tolerance
+    except (ValueError, KeyError, MemoryError, OSError, RuntimeError) as exc:
+        # a bare MemoryError has no text; OSError is an output path that
+        # cannot be written; RuntimeError is a certificate that failed at
+        # run time, such as an eigenpair residual above tolerance
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3 if isinstance(exc, RuntimeError) else 2
 

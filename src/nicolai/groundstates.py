@@ -284,8 +284,8 @@ class KernelCensus:
     classical_count: int
     dim_ker_h_classical: int
     dim_ker_h: int
-    min_positive_classical: float
-    min_positive_h: float
+    min_positive_classical: float | None  # None when there is no positive value
+    min_positive_h: float | None
 
     @property
     def consistent(self) -> bool:
@@ -308,12 +308,12 @@ def kernel_census(spec: ModelSpec) -> KernelCensus:
     eig = spec.spectrum.eigenvalues
     dim_ker_h = int(np.count_nonzero(np.abs(eig) <= _ZERO_TOL))
     positive = eig[eig > _ZERO_TOL]
-    min_pos_h = float(positive.min()) if positive.size else float("nan")
+    min_pos_h = float(positive.min()) if positive.size else None
 
     diag = spec.h_classical.diagonal()
     dim_ker_hcl = int(np.count_nonzero(diag == 0))
     pos = diag[diag > 0]
-    min_pos_cl = float(pos.min()) if pos.size else float("nan")
+    min_pos_cl = float(pos.min()) if pos.size else None
 
     return KernelCensus(
         classical_count=classical_count,

@@ -17,9 +17,15 @@ neighbouring triples.  On two-dimensional tori the elementary charge lives on
 a five-site cross centered at an even-even site and H is always derived as
 {Q, Q*}.
 
+Every operator takes its sites from :func:`charge_hoods`, the neighbourhoods
+of :func:`nicolai.grammar.hoods`: one charge per triple or cross, two hopping
+terms per pair of triples that share a site.  The module has no site
+arithmetic of its own beyond :func:`translate2`.
+
 The model carries a global U(1) symmetry ([H, N] = 0), invariance under
-translation by two sites on rings, and a particle-hole transformation rho
-(swap every a and a*) with rho(Q) = -Q* and rho(H) = H.
+translation by two sites on rings (certified as the term identity
+T(Q) = Q: the shift permutes the neighbourhoods), and a particle-hole
+transformation rho (swap every a and a*) with rho(Q) = -Q* and rho(H) = H.
 
 A :class:`ModelSpec` is the model: the lattice is its only setting (the
 1D or 2D form follows from the lattice dimension), and it builds each of its
@@ -31,6 +37,7 @@ translation certificate) on first use and keeps it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,9 +62,7 @@ from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_ben
 __all__ = [
     "OperatorSum",
     "ModelSpec",
-    "charge_centers",
     "charge_triples",
-    "charge_crosses",
     "charge_hoods",
     "local_charge_1d",
     "local_charge_2d",
@@ -241,15 +246,17 @@ class ModelSpec:
 
     @cached_property
     def h_translation2_invariant(self) -> bool:
-        """Whether ``{TQ, (TQ)*} == H`` exactly, in int64, for the shift
-        ``T`` by two sites (along x in 2D); periodic lattices only.
+        """Whether the shift ``T`` by two sites (along x in 2D) maps the
+        terms of Q onto themselves, ``T(Q) == Q`` term by term; periodic
+        lattices only.
 
-        ``TQ`` is the image of Q under the CAR automorphism
-        ``a_x -> a_(x+2)``, which a unitary U implements, so the identity
-        certifies ``U H U* == H``.
+        ``T`` is the CAR *-automorphism ``a_x -> a_(x+2)``, so ``T(Q) == Q``
+        gives ``T(H) == {T(Q), T(Q)*} == H``, and the unitary U that
+        implements ``T`` gives ``U H U* == H``.  The identity is exact and
+        stronger than the matrix identity ``{TQ, (TQ)*} == H``, which
+        follows from it; no matrix is built.
         """
-        tq = translate2(self.q_sum, self.lattice).to_sparse(self.basis)
-        return anticommutator(tq, tq.adjoint()).equals(self.h)
+        return Counter(translate2(self.q_sum, self.lattice).terms) == Counter(self.q_sum.terms)
 
     @cached_property
     def ground_states(self) -> np.ndarray:
@@ -276,15 +283,6 @@ def charge_hoods(lattice: Lattice) -> list:
     return grammar.hoods(lattice.sites, lattice.periodic, lattice.shape)
 
 
-def charge_centers(lattice: Lattice) -> list:
-    """Centers of the elementary charges the lattice supports.
-
-    1D: even sites whose triple fits (all of them on a ring).  2D periodic:
-    all even-even sites.
-    """
-    return [lattice.sites[c] for c, *_ in charge_hoods(lattice)]
-
-
 def charge_triples(lattice: Lattice) -> list:
     """Even-centered triples ``(left, center, right)``, wrapped on rings."""
     if lattice.dimension != 1:
@@ -293,96 +291,54 @@ def charge_triples(lattice: Lattice) -> list:
     return [(s[l], s[c], s[r]) for c, l, r in charge_hoods(lattice)]
 
 
-def charge_crosses(lattice: Lattice) -> list:
-    """Five-site crosses ``(xminus, yminus, center, xplus, yplus)`` on a torus."""
-    s = lattice.sites
-    return [
-        (s[xm], s[ym], s[c], s[xp], s[yp]) for c, xm, ym, xp, yp in charge_hoods(lattice)
-    ]
+def _local_charge(lattice: Lattice, hood) -> FermionMonomial:
+    """The charge on one neighbourhood of site ranks: ``a(right) a*(center)
+    a(left)`` on a triple, ``a(xm) a(ym) a*(c) a(xp) a(yp)`` on a cross."""
+    c, *arms = (lattice.sites[p] for p in hood)
+    if len(arms) == 2:
+        left, right = arms
+        return FermionMonomial(1, ((right, ANNIHILATE), (c, CREATE), (left, ANNIHILATE)))
+    xm, ym, xp, yp = arms
+    return FermionMonomial(
+        1,
+        ((xm, ANNIHILATE), (ym, ANNIHILATE), (c, CREATE), (xp, ANNIHILATE), (yp, ANNIHILATE)),
+    )
+
+
+def _charge_at(lattice: Lattice, center) -> FermionMonomial:
+    """The charge whose neighbourhood is centered at the site label ``center``."""
+    for hood in charge_hoods(lattice):
+        if lattice.sites[hood[0]] == center:
+            if len(set(hood)) != len(hood):
+                raise ValueError("cross sites collide; torus too small")
+            return _local_charge(lattice, hood)
+    raise ValueError(f"no charge neighbourhood of the lattice is centered at {center}")
 
 
 def local_charge_1d(i: int, lattice: Lattice) -> FermionMonomial:
-    """The three-site charge ``a(2i+1) a*(2i) a(2i-1)`` centered at ``2i``."""
-    left, center, right = (
-        lattice.wrap(2 * i - 1),
-        lattice.wrap(2 * i),
-        lattice.wrap(2 * i + 1),
-    )
-    for s in (left, center, right):
-        if not lattice.contains(s):
-            raise ValueError(f"charge triple at center {2 * i} leaves the lattice")
-    if center % 2:
-        raise ValueError(f"center {center} is not an even site")
-    return FermionMonomial(
-        1, ((right, ANNIHILATE), (center, CREATE), (left, ANNIHILATE))
-    )
+    """The three-site charge ``a(2i+1) a*(2i) a(2i-1)`` centered at ``2i``,
+    read off the triple of :func:`charge_hoods` there; ``ValueError`` if
+    the lattice has none (an open chain's edge)."""
+    return _charge_at(lattice, lattice.wrap(2 * i))
 
 
 def local_charge_2d(i: int, j: int, lattice: Lattice) -> FermionMonomial:
-    """Five-site cross charge centered at the even-even site ``(2i, 2j)``."""
-    x, y = 2 * i, 2 * j
-    xm, ym, c, xp, yp = (
-        lattice.wrap((x - 1, y)),
-        lattice.wrap((x, y - 1)),
-        lattice.wrap((x, y)),
-        lattice.wrap((x + 1, y)),
-        lattice.wrap((x, y + 1)),
-    )
-    sites = (xm, ym, c, xp, yp)
-    if len(set(sites)) != 5:
-        raise ValueError("cross sites collide; torus too small")
-    for s in sites:
-        if not lattice.contains(s):
-            raise ValueError(f"cross at center {(x, y)} leaves the lattice")
-    return FermionMonomial(
-        1,
-        (
-            (xm, ANNIHILATE),
-            (ym, ANNIHILATE),
-            (c, CREATE),
-            (xp, ANNIHILATE),
-            (yp, ANNIHILATE),
-        ),
-    )
+    """Five-site cross charge centered at the even-even site ``(2i, 2j)``,
+    read off the cross of :func:`charge_hoods` there; ``ValueError`` if its
+    sites collide (a side shorter than 3)."""
+    return _charge_at(lattice, lattice.wrap((2 * i, 2 * j)))
 
 
 def build_supercharge(spec: ModelSpec) -> OperatorSum:
     """Sum of the local charges over every triple/cross the lattice supports."""
     lat = spec.lattice
-    if spec.lattice.dimension == 1:
-        terms = [local_charge_1d(c // 2, lat) for c in charge_centers(lat)]
-    else:
-        terms = [
-            local_charge_2d(x // 2, y // 2, lat) for (x, y) in charge_centers(lat)
-        ]
-    return OperatorSum(tuple(terms))
+    return OperatorSum(tuple(_local_charge(lat, hood) for hood in charge_hoods(lat)))
 
 
 def build_hamiltonian_susy(q: OperatorSum, basis: FockBasis) -> SparseOperator:
     """``H = {Q, Q*}`` realized on ``basis``; symmetric positive semidefinite."""
     qm = q.to_sparse(basis)
     return anticommutator(qm, qm.adjoint())
-
-
-def _adjacent_center_pairs(lattice: Lattice) -> list:
-    """Pairs of neighbouring charge centers ``(c, c+2)``, both supported."""
-    centers = set(charge_centers(lattice))  # wrap is the identity on open chains
-    return [(c, lattice.wrap(c + 2)) for c in sorted(centers) if lattice.wrap(c + 2) in centers]
-
-
-def _hop_terms(lattice: Lattice, c: int) -> list:
-    """The two pair-hopping monomials coupling centers ``c`` and ``c+2``."""
-    l = lattice.wrap(c - 1)
-    r2 = lattice.wrap(c + 2)
-    r3 = lattice.wrap(c + 3)
-    return [
-        FermionMonomial(
-            1, ((c, CREATE), (l, ANNIHILATE), (r2, ANNIHILATE), (r3, CREATE))
-        ),
-        FermionMonomial(
-            1, ((l, CREATE), (c, ANNIHILATE), (r3, ANNIHILATE), (r2, CREATE))
-        ),
-    ]
 
 
 def build_hamiltonian_explicit(spec: ModelSpec) -> OperatorSum:
@@ -394,15 +350,14 @@ def build_hamiltonian_explicit(spec: ModelSpec) -> OperatorSum:
       + a*(2i-1) a(2i-1) a(2i) a*(2i)
       - a*(2i-1) a(2i-1) a(2i+1) a*(2i+1)
 
-    and, for every pair of neighbouring supported centers, the two hopping
-    terms of :func:`build_h_hop`.  On open chains this truncation reproduces
+    and, for every pair of neighbouring triples, the two hopping terms of
+    :func:`build_h_hop`.  On open chains this truncation reproduces
     {Q_truncated, Q_truncated*} exactly.
     """
     if spec.lattice.dimension != 1:
         raise ValueError("explicit expansion is only available in 1D; use {Q, Q*}")
-    lat = spec.lattice
     terms = []
-    for (l, c, r) in charge_triples(lat):
+    for (l, c, r) in charge_triples(spec.lattice):
         terms.append(
             FermionMonomial(1, ((c, CREATE), (c, ANNIHILATE), (r, ANNIHILATE), (r, CREATE)))
         )
@@ -412,9 +367,7 @@ def build_hamiltonian_explicit(spec: ModelSpec) -> OperatorSum:
         terms.append(
             FermionMonomial(-1, ((l, CREATE), (l, ANNIHILATE), (r, ANNIHILATE), (r, CREATE)))
         )
-    for (c, _c2) in _adjacent_center_pairs(lat):
-        terms.extend(_hop_terms(lat, c))
-    return OperatorSum(tuple(terms))
+    return OperatorSum(tuple(terms + _hop_terms(spec.lattice)))
 
 
 def build_h_classical(spec: ModelSpec) -> OperatorSum:
@@ -442,13 +395,31 @@ def forbidden_triple_projector(l, c, r) -> OperatorSum:
 
 
 def build_h_hop(spec: ModelSpec) -> OperatorSum:
-    """Pair-hopping part: two terms per pair of neighbouring centers."""
+    """Pair-hopping part: two terms per pair of neighbouring triples."""
     if spec.lattice.dimension != 1:
         raise ValueError("the classical/hopping split is only available in 1D")
+    return OperatorSum(tuple(_hop_terms(spec.lattice)))
+
+
+def _hop_terms(lattice: Lattice) -> list:
+    """Per pair of neighbouring triples ``(l, c, r)`` and ``(r, c2, r2)``,
+    which share the site ``r``, by ascending ``c``:
+
+        a*(c) a(l) a(c2) a*(r2) + a*(l) a(c) a(r2) a*(c2).
+    """
+    triples = charge_triples(lattice)
+    by_left = {t[0]: t for t in triples}
     terms = []
-    for (c, _c2) in _adjacent_center_pairs(spec.lattice):
-        terms.extend(_hop_terms(spec.lattice, c))
-    return OperatorSum(tuple(terms))
+    for (l, c, r) in triples:
+        if r in by_left:
+            _, c2, r2 = by_left[r]
+            terms.append(
+                FermionMonomial(1, ((c, CREATE), (l, ANNIHILATE), (c2, ANNIHILATE), (r2, CREATE)))
+            )
+            terms.append(
+                FermionMonomial(1, ((l, CREATE), (c, ANNIHILATE), (r2, ANNIHILATE), (c2, CREATE)))
+            )
+    return terms
 
 
 def number_operator(lattice: Lattice, basis: FockBasis) -> SparseOperator:

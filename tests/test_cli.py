@@ -538,8 +538,9 @@ def test_verify_builds_every_sum_in_one_pass(capsys, monkeypatch):
         monkeypatch, [(nicolai.fock, "monomial_to_sparse"), (nicolai.fock, "terms_to_sparse")]
     )
     assert run(["verify", "--ring", "--m", "3"]) == 0
-    # Q, TQ, rho(Q), the explicit H, H_classical and H_hop: one build each
-    assert dict(calls) == {"terms_to_sparse": 6}
+    # Q, rho(Q), the explicit H, H_classical and H_hop: one build each (the
+    # translation certificate compares terms and builds no TQ)
+    assert dict(calls) == {"terms_to_sparse": 5}
 
 
 @pytest.mark.parametrize(
@@ -679,3 +680,54 @@ def test_verify_certifies_the_whole_catalogue_by_orbits(capsys):
     checks = json.loads(capsys.readouterr().out)["checks"]
     (conserved,) = [c for c in checks if c["name"] == "charges_conserved"]
     assert conserved["passed"] and conserved["detail"] == {"count": 2182}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["verify --chain 1", "verify --chain 3"]
+    + [c for c in GOLDEN_STDOUT if "--format text" not in c],
+)
+def test_json_stdout_holds_only_json_values(command, capsys):
+    # a chain of 1 or 3 sites has no charge, so H = 0 has no positive eigenvalue
+    assert run(command.split()) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    if command.startswith("verify"):
+        (census,) = [c for c in payload["checks"] if c["name"] == "kernel_census"]
+        assert census["detail"]["min_positive_h"] is None
+        assert census["detail"]["min_positive_classical"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["build", "--ring", "--m", "1", "--output"], "missing/x.json"),
+        (["build", "--ring", "--m", "1", "--output"], "dir/"),
+        (["build", "--ring", "--m", "1", "--output"], "dir"),
+        (["ergodicity", "--ring", "--m", "1", "--spectrum-csv"], "missing/x.csv"),
+    ],
+    ids=["missing-dir", "dir-slash", "dir", "csv-missing-dir"],
+)
+def test_an_unwritable_path_exits_2_and_leaves_no_temp_file(argv, target, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    assert run([*argv, str(tmp_path / target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not [p.name for p in tmp_path.rglob("*.tmp-*")]
+    assert not (tmp_path / "missing").exists()
+
+
+def test_verify_fails_translation2_h_on_a_shifted_sum(capsys, monkeypatch):
+    # one charge negated: T no longer maps the terms of Q onto themselves
+    build = nicolai.model.build_supercharge
+
+    def negated(spec):
+        q = build(spec)
+        return type(q)((q.terms[0].scaled(-1),) + q.terms[1:])
+
+    monkeypatch.setattr(nicolai.model, "build_supercharge", negated)
+    assert run(["verify", "--ring", "--m", "2"]) == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert not {c["name"]: c["passed"] for c in checks}["translation2_h"]

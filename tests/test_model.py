@@ -6,8 +6,10 @@ import pytest
 from nicolai import (
     ANNIHILATE,
     CREATE,
+    FermionMonomial,
     Lattice,
     ModelSpec,
+    OperatorSum,
     SparseOperator,
     anticommutator,
     build_h_classical,
@@ -328,3 +330,116 @@ def test_integer_builders_stay_int64(spec):
         ops["h_classical"] = build_h_classical(spec).to_sparse(basis)
         ops["h_hop"] = build_h_hop(spec).to_sparse(basis)
     assert {k: op.matrix.dtype for k, op in ops.items()} == {k: np.int64 for k in ops}
+
+
+# The oracle below spells every charge and hop term with its own wrap
+# arithmetic; the builders read their sites off grammar.hoods.
+_TERM_LATTICES = {
+    **{f"ring{m}": Lattice.ring(m) for m in range(1, 6)},
+    **{f"chain{n}": Lattice.chain(0, n - 1) for n in (5, 11, 13)},
+    **{f"torus{w}x{h}": Lattice.torus(w, h) for w, h in ((4, 4), (4, 6), (6, 4))},
+}
+
+
+def _spelled_centers(lat):
+    """Even sites whose triple (c-1, c, c+1) fits in the lattice, ascending."""
+    return [
+        c
+        for c in lat.sites
+        if c % 2 == 0 and lat.contains(lat.wrap(c - 1)) and lat.contains(lat.wrap(c + 1))
+    ]
+
+
+def _spelled_charges(lat):
+    """q(2i) = a(2i+1) a*(2i) a(2i-1) per supported even center, or the cross
+    a(x-1,y) a(x,y-1) a*(x,y) a(x+1,y) a(x,y+1) per even-even site, row-major."""
+    if lat.dimension == 1:
+        return [
+            FermionMonomial(
+                1, ((lat.wrap(c + 1), ANNIHILATE), (c, CREATE), (lat.wrap(c - 1), ANNIHILATE))
+            )
+            for c in _spelled_centers(lat)
+        ]
+    return [
+        FermionMonomial(
+            1,
+            (
+                (lat.wrap((x - 1, y)), ANNIHILATE),
+                (lat.wrap((x, y - 1)), ANNIHILATE),
+                ((x, y), CREATE),
+                (lat.wrap((x + 1, y)), ANNIHILATE),
+                (lat.wrap((x, y + 1)), ANNIHILATE),
+            ),
+        )
+        for x, y in lat.sites
+        if x % 2 == 0 and y % 2 == 0
+    ]
+
+
+def _spelled_hops(lat):
+    """a*(c) a(c-1) a(c+2) a*(c+3) + a*(c-1) a(c) a(c+3) a*(c+2) per pair of
+    supported centers (c, c+2), by ascending c."""
+    centers = _spelled_centers(lat)
+    out = []
+    for c in centers:
+        l, c2, r2 = lat.wrap(c - 1), lat.wrap(c + 2), lat.wrap(c + 3)
+        if c2 in centers:
+            out += [
+                FermionMonomial(1, ((c, CREATE), (l, ANNIHILATE), (c2, ANNIHILATE), (r2, CREATE))),
+                FermionMonomial(1, ((l, CREATE), (c, ANNIHILATE), (r2, ANNIHILATE), (c2, CREATE))),
+            ]
+    return out
+
+
+@pytest.mark.parametrize("lat", _TERM_LATTICES.values(), ids=_TERM_LATTICES.keys())
+def test_terms_equal_the_spelled_charges_and_hops(lat):
+    spec = ModelSpec(lat)
+    assert build_supercharge(spec).terms == tuple(_spelled_charges(lat))
+    if lat.dimension == 1:
+        hops = tuple(_spelled_hops(lat))
+        assert build_h_hop(spec).terms == hops
+        explicit = build_hamiltonian_explicit(spec).terms
+        assert explicit[len(explicit) - len(hops):] == hops
+
+
+def _with_q_sum(lattice, terms):
+    """A model whose Q is the given terms, so Q, H and the certificate follow them."""
+    spec = ModelSpec(lattice)
+    spec.__dict__["q_sum"] = OperatorSum(tuple(terms))  # cached_property slot
+    return spec
+
+
+def _matrix_certificate(spec):
+    """The oracle: {TQ, (TQ)*} == H as int64 matrices."""
+    tq = translate2(spec.q_sum, spec.lattice).to_sparse(spec.basis)
+    return anticommutator(tq, tq.adjoint()).equals(spec.h)
+
+
+_CERTIFIED = {
+    **{f"ring{m}": (Lattice.ring, m) for m in range(1, 7)},
+    **{f"torus{w}x{h}": (Lattice.torus, w, h) for w, h in ((4, 4), (4, 6), (6, 4))},
+}
+
+
+@pytest.mark.parametrize("make", _CERTIFIED.values(), ids=_CERTIFIED.keys())
+def test_term_certificate_agrees_with_the_matrix_identity(make):
+    lat = make[0](*make[1:])  # built here, so each case frees its matrices
+    spec = ModelSpec(lat)
+    assert spec.h_translation2_invariant and _matrix_certificate(spec)
+    if lat.nsites > 16:
+        return  # each mutant below costs two more 2**24-state builds
+    terms = spec.q_sum.terms
+    for mutant in (terms[1:], (terms[0].scaled(-1),) + terms[1:]):
+        spec = _with_q_sum(lat, mutant)
+        if lat.nsites == 4 and len(mutant) == len(terms):
+            # on the 4-site ring T swaps the two charges, so T(Q') = -Q' and
+            # {Q', Q'*} is still fixed: the term identity is the stronger one
+            assert not spec.h_translation2_invariant and _matrix_certificate(spec)
+            continue
+        assert not spec.h_translation2_invariant
+        assert not _matrix_certificate(spec)
+
+
+def test_local_charge_2d_refuses_a_torus_too_small():
+    with pytest.raises(ValueError, match="cross sites collide"):
+        local_charge_2d(0, 0, Lattice.torus(2, 4))
