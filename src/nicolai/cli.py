@@ -26,7 +26,7 @@ from . import charges as ch
 from . import dynamics as dyn
 from . import grammar
 from . import groundstates as gs
-from .fock import anticommutator, commutator, parity_operator
+from .fock import SparseOperator, commutator, parity_operator
 from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_bench.py
 from .model import (
     ModelSpec,
@@ -129,6 +129,19 @@ def _check(name: str, passed: bool, detail=None) -> dict:
     return entry
 
 
+def _anticommutator_equals(
+    a: SparseOperator, b: SparseOperator, c: SparseOperator, rows: int = 1 << 16
+) -> bool:
+    """``{A, B} == C`` exactly, computed on one block of rows at a time, so
+    neither product of the whole operators is held at once."""
+    am, bm, cm = a.matrix, b.matrix, c.matrix
+    for lo in range(0, a.dim, rows):
+        block = slice(lo, lo + rows)
+        if (am[block] @ bm + bm[block] @ am - cm[block]).count_nonzero():
+            return False
+    return True
+
+
 def _build_checks(spec: ModelSpec, seed: int) -> list:
     lat, basis = spec.lattice, spec.basis
     q, qm, qd, h = spec.q_sum, spec.q, spec.q_dagger, spec.h
@@ -150,42 +163,49 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
         psd_ok &= hv >= -1e-10
     checks.append(_check("h_quadratic_form", quad_ok))
     checks.append(_check("h_positive_semidefinite", psd_ok))
-    e0 = float(spec.spectrum.eigenvalues[0])
-    checks.append(_check("h_min_eigenvalue_zero", abs(e0) <= 1e-10, e0))
 
+    # each operator built for one check is dropped once its check is appended
     if lat.dimension == 1:
         hx = build_hamiltonian_explicit(spec).to_sparse(basis)
         checks.append(_check("h_susy_equals_explicit", h.equals(hx)))
+        del hx
         checks.append(
             _check("h_equals_classical_plus_hop", h.equals(spec.h_classical + spec.h_hop))
         )
 
     n_op = number_operator(lat, basis)
     checks.append(_check("commutes_with_number", commutator(h, n_op).is_zero()))
+    del n_op
     par = parity_operator(basis)
     checks.append(_check("q_is_odd", (par @ qm @ par + qm).is_zero()))
+    del par
     # reversing the k mutually anticommuting factors of one local charge
     # costs (-1)**(k(k-1)/2): -Q* for the 1D triples, +Q* for the 2D crosses
     k = 3 if lat.dimension == 1 else 5
     ph_sign = -1 if (k * (k - 1) // 2) % 2 else 1
     rho_q = particle_hole(q).to_sparse(basis)
     checks.append(_check("particle_hole_q", (rho_q - ph_sign * qd).is_zero()))
-    rho_h = anticommutator(rho_q, rho_q.adjoint())
-    checks.append(_check("particle_hole_h", rho_h.equals(h)))
+    checks.append(_check("particle_hole_h", _anticommutator_equals(rho_q, rho_q.adjoint(), h)))
+    del rho_q
     if lat.periodic:
         checks.append(_check("translation2_h", spec.h_translation2_invariant))
+    # the spectrum comes last, though its check is listed fifth: its
+    # eigenvectors outlive every check, so no operator above is built beside them
+    e0 = float(spec.spectrum.eigenvalues[0])
+    checks.insert(4, _check("h_min_eigenvalue_zero", abs(e0) <= 1e-10, e0))
     return checks
 
 
 def _verify_bytes(lat) -> int:
-    """Estimated peak bytes of ``verify`` and ``build --verify``: 768 per
-    Fock state, for the basis, Q, Q*, H and the operators the checks build
-    next to them (each int64 CSR), the fragment arrays of ``diagonalize``
-    and its sparse eigenvectors.  Measured peaks above start-up of
-    ``verify --ring`` at m = 5..9 (4, 10, 37, 136 and 604 MB) are 565, 519
-    and 576 bytes per state at m = 7, 8 and 9; ``--chain 19`` takes 477 and
-    ``--torus 4x4`` 275."""
-    return 768 << lat.nsites
+    """Estimated peak bytes of ``verify`` and ``build --verify``: 448 per
+    Fock state, for the basis, Q, Q*, H, H_classical and H_hop (each int64
+    CSR), the one operator a check builds beside them before it is dropped,
+    and the spectrum, built last: the fragment arrays of ``diagonalize`` and
+    its sparse eigenvectors.  Measured peaks of ``verify --ring`` at m = 7,
+    8, 9 and 10 above the 52 MiB of start-up (22, 82, 350 and 1439 MiB) are
+    357, 327, 350 and 359 bytes per state; ``--chain 19`` takes 277 and
+    ``--torus 4x4`` 210.  m = 11 comes to 7.0 GiB."""
+    return 448 << lat.nsites
 
 
 def cmd_build(args) -> int:
@@ -380,21 +400,20 @@ def cmd_groundstates(args) -> int:
 
 def _ergodicity_bytes(lat) -> int:
     """Estimated peak bytes of the ergodicity report on a ring, from
-    transfer-matrix counts.  640 per Fock state: the peak of
-    ``diagonalize``, which holds the basis, H in int64 CSR with the copies
-    the row certificate and ``diagonalize`` make of it, the fragment arrays
-    and V (5 stored entries per column at m = 9, each held as row, slot and
-    value before the CSC matrix is built), above what the report adds after
-    it (V o V, the CSR copy of V in the Gibbs certificate, one diagonal and
-    one marginal).  512 per generator: its masks, label and gaps, their
+    transfer-matrix counts.  512 per Fock state: the basis, H in int64 CSR
+    with the copies the row certificate makes of it, V (5 stored entries
+    per column at m = 9, written by ``diagonalize`` straight into CSC), and
+    what the report adds beside them (V o V, one diagonal and one marginal,
+    then the first generator's cross-check, which takes V^T A V and a CSR
+    copy of V).  512 per generator: its masks, label and gaps, their
     rounded copies and its line of the JSON text.  Measured peaks of
-    ``ergodicity --ring --m 7, 8, 9, 10`` above the 56 MiB of ``--m 1``
-    (45, 161, 642 and 2621 MiB) stay below it (52, 198, 765 and 2964
-    MiB); m = 11 comes to 11.3 GiB."""
+    ``ergodicity --ring --m 7, 8, 9, 10`` above the 55 MiB of ``--m 1``
+    (37, 138, 498 and 2140 MiB) stay below it (44, 166, 637 and 2452
+    MiB); m = 11 comes to 9.3 GiB."""
     n = lat.nsites
     arcs = sum(n // 2 * ch.transfer_count_hat_xi(0, d) for d in range(1, (n - 2) // 2 + 1))
     generators = arcs + ch.transfer_count_ring_sequences(lat)
-    return 640 * 2**n + 512 * generators
+    return 512 * 2**n + 512 * generators
 
 
 def cmd_ergodicity(args) -> int:
@@ -413,9 +432,7 @@ def cmd_ergodicity(args) -> int:
         "report": report.to_json_obj(),
     }
     code = 0
-    gaps_ok = all(
-        g > 0 for gaps in report.gaps.values() for g in gaps
-    )
+    gaps_ok = report.all_gaps_positive()
     payload["all_gaps_positive"] = gaps_ok
     if not (gaps_ok and report.non_ergodic):
         code = 3

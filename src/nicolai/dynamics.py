@@ -2,10 +2,11 @@
 
 H is a sum of Fock-basis hops, so its sparsity graph splits into small
 connected components, the fragments (each classical ground state is a 1 x 1
-fragment of its own).  :func:`diagonalize` finds them, diagonalizes all
-fragments of one size with one stacked dense solver, and merges the blocks
-into one ascending spectrum whose eigenvectors are kept as a sparse matrix,
-one fragment per column.  Degenerate eigenvalues are grouped into clusters
+fragment of its own, its own eigenpair).  :func:`diagonalize` finds them,
+diagonalizes all larger fragments of one size with one stacked dense solver,
+and merges the blocks into one ascending spectrum whose eigenvectors are
+written straight into the arrays of one sparse CSC matrix, one fragment per
+column.  Degenerate eigenvalues are grouped into clusters
 (the spectrum is massively degenerate, across fragments too) and the
 cluster projectors define the dephasing map
 
@@ -128,7 +129,7 @@ def _fragment_labels(row: np.ndarray, col: np.ndarray, n: int) -> np.ndarray:
     the smaller of the two roots, then jumps pointers until every tree is a
     star; it stops when every edge joins equal labels.
     """
-    labels = np.arange(n)
+    labels = np.arange(n, dtype=row.dtype)
     while True:
         lr, lc = labels[row], labels[col]
         if np.array_equal(lr, lc):
@@ -141,72 +142,115 @@ def _fragment_labels(row: np.ndarray, col: np.ndarray, n: int) -> np.ndarray:
             labels, jumped = jumped, jumped[jumped]
 
 
+def _fragment_slots(m) -> tuple:
+    """The states of a canonical CSR matrix laid out in slots, by fragment
+    size and then by fragment: ``order[s]`` is the state in slot s and
+    ``slot_size[s]`` the size of its fragment, so the fragments of one size
+    fill one run of slots, each one's states ascending."""
+    dim = m.shape[0]
+    rows = np.repeat(np.arange(dim, dtype=m.indices.dtype), np.diff(m.indptr))
+    hop = rows != m.indices  # a diagonal entry joins no two states
+    labels = _fragment_labels(rows[hop], m.indices[hop], dim)
+    # labels[v] is the smallest state of v's fragment, so ranking these roots
+    # numbers the fragments as np.unique(labels) would, without a sort
+    fragment = np.cumsum(labels == np.arange(dim))[labels] - 1
+    size = np.bincount(fragment)[fragment]
+    order = np.lexsort((fragment, size))
+    return order, size[order]
+
+
+def _block_eigenpairs(m, slot, states, scale: float) -> tuple:
+    """Eigenpairs ``(w, v, residual)`` of the fragments whose states, in slot
+    order, are the rows of ``states``, shape ``(n_blocks, k)``: their entries,
+    gathered from the CSR rows of ``m``, fill one ``(n_blocks, k, k)`` stack
+    for one stacked ``eigh``.  A 1 x 1 block is its own eigenpair, its entry
+    and the vector 1.0, as ``eigh`` returns them, with residual 0."""
+    nb, k = states.shape
+    flat = states.ravel()
+    start = m.indptr[flat]
+    count = m.indptr[flat + 1] - start
+    first = np.cumsum(count) - count
+    entry = np.repeat(start - first, count) + np.arange(count.sum())
+    r = np.repeat(np.arange(flat.size), count)
+    c = slot[m.indices[entry]] - slot[flat[0]]
+    stack = np.zeros((nb, k, k))
+    stack[r // k, r % k, c % k] = m.data[entry]
+    if k == 1:
+        return stack[:, 0, :], 1.0, 0.0
+    if float(np.abs(stack - stack.transpose(0, 2, 1)).max()) > 1e-12 * scale:
+        raise ValueError("diagonalize expects a symmetric operator")
+    w, v = np.linalg.eigh(stack)
+    res = stack @ v - v * w[:, None, :]
+    return w, v, float(np.sqrt((res * res).sum(axis=1)).max())
+
+
 def diagonalize(h: SparseOperator) -> Spectrum:
     """Eigendecomposition of a symmetric operator, one fragment at a time.
 
-    The fragments are the connected components of H's sparsity graph.  Those
-    of equal size k are scattered into one ``(n_blocks, k, k)`` stack and
-    diagonalized by one stacked dense ``eigh``; the eigenvalues are merged
-    into one ascending spectrum.  Raises ``ValueError`` if the input is not
-    symmetric and ``RuntimeError`` if an eigenpair residual, checked block by
-    block, exceeds ``1e-8 * ||H||``.
+    The fragments are the connected components of H's sparsity graph.  The
+    fragments of one size k fill one run of slots (:func:`_fragment_slots`)
+    and one ``(n_blocks, k, k)`` stack, which one stacked dense ``eigh``
+    diagonalizes (:func:`_block_eigenpairs`); a 1 x 1 fragment is its own
+    eigenpair.  The eigenvalues are merged into one ascending spectrum, and
+    each stack's eigenvectors are scattered straight into the preallocated
+    CSC arrays of V, one fragment per column.  Raises ``ValueError`` if the
+    input is not symmetric (every entry lies in one block, so the blocks
+    are compared with their transposes) and ``RuntimeError`` if an
+    eigenpair residual, checked block by block, exceeds ``1e-8 * ||H||``.
     """
-    m = h.matrix
-    asym = m - m.T
+    m = h.matrix.tocsr()
     scale = max(float(np.abs(m.data).max()) if m.nnz else 0.0, 1.0)
-    if asym.nnz and float(np.abs(asym.data).max()) > 1e-12 * scale:
-        raise ValueError("diagonalize expects a symmetric operator")
-
-    coo = m.astype(np.float64).tocoo()
-    coo.sum_duplicates()
-    coo.eliminate_zeros()
+    if not (m.has_canonical_format and m.data.all()):
+        m = m.copy()
+        m.sum_duplicates()
+        m.eliminate_zeros()
     dim = h.dim
-    fragment = np.unique(_fragment_labels(coo.row, coo.col, dim), return_inverse=True)[1]
-    size = np.bincount(fragment)[fragment]
-    # slots: states grouped by fragment size, then by fragment; a fragment of
-    # size k at slots off + b*k .. off + b*k + k - 1 is block b of its stack,
-    # and its j-th eigenpair takes slot off + b*k + j
-    order = np.lexsort((fragment, size))
+    # a fragment of size k at slots off + b*k .. off + b*k + k - 1 is block b
+    # of its stack, and its j-th eigenpair takes slot off + b*k + j
+    order, slot_size = _fragment_slots(m)
     slot = np.empty(dim, dtype=np.int64)
     slot[order] = np.arange(dim)
-    entry_size = size[coo.row]
     pops = h.basis.popcounts
 
     all_w = np.empty(dim)
     all_sector = np.empty(dim, dtype=np.int64)
-    rows, slots, values = [], [], []
+    blocks = []  # (off, end, k, eigenvectors) per size class
     residual = 0.0
-    classes = np.unique(size[order], return_index=True, return_counts=True)
+    classes = np.unique(slot_size, return_index=True, return_counts=True)
     for k, off, count in zip(*(c.tolist() for c in classes)):
         end = off + count
         states = order[off:end].reshape(-1, k)
-        nb = len(states)
-        stack = np.zeros((nb, k, k))
-        sel = entry_size == k
-        r, c = slot[coo.row[sel]] - off, slot[coo.col[sel]] - off
-        stack[r // k, r % k, c % k] = coo.data[sel]
-        w, v = np.linalg.eigh(stack)
-        res = stack @ v - v * w[:, None, :]
-        residual = max(residual, float(np.sqrt((res * res).sum(axis=1)).max()))
-
+        w, v, res = _block_eigenpairs(m, slot, states, scale)
+        residual = max(residual, res)
         all_w[off:end] = w.ravel()
         pop = pops[states]
         mixed = (pop != pop[:, :1]).any(axis=1)
         all_sector[off:end] = np.repeat(np.where(mixed, -1, pop[:, 0]), k)
-        # entry (b, i, j) of the stack: state states[b, i], eigenpair slot off + b*k + j
-        rows.append(np.broadcast_to(states[:, :, None], (nb, k, k)).ravel())
-        slots.append(np.broadcast_to(np.arange(off, end).reshape(nb, 1, k), (nb, k, k)).ravel())
-        values.append(v.ravel())
+        blocks.append((off, end, k, v))
 
     perm = np.argsort(all_w, kind="stable")
     eigenvalues = all_w[perm]
     sectors = all_sector[perm]
-    column = np.empty(dim, dtype=np.int64)
+    del all_w, all_sector  # dropped before V is written, as is perm
+    # column j of V holds eigenpair perm[j]: one entry per state of its
+    # fragment, in ascending state order, with the index dtype scipy picks
+    nnz = int(slot_size.sum())
+    index = np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(slot_size[perm], out=indptr[1:])
+    column = slot  # reused: slot is not read again
     column[perm] = np.arange(dim)
-    vectors = sp.csc_matrix(
-        (np.concatenate(values), (np.concatenate(rows), column[np.concatenate(slots)])),
-        shape=(dim, dim),
-    )
+    del perm
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    while blocks:
+        off, end, k, v = blocks.pop()
+        states = order[off:end].reshape(-1, k)
+        # entry (b, i, j): state states[b, i] of the eigenpair at slot off + b*k + j
+        at = indptr[column[off:end].reshape(-1, 1, k)] + np.arange(k, dtype=index).reshape(1, k, 1)
+        indices[at] = states[:, :, None]
+        data[at] = v
+    vectors = sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
     norm = float(np.abs(eigenvalues).max())
     if residual > 1e-8 * max(norm, 1e-12):
@@ -440,6 +484,24 @@ class ErgodicityReport:
     invariant_dimension: int = 0
     non_ergodic: bool = False
     classical_witness: dict | None = None
+
+    def all_gaps_positive(self) -> bool:
+        """Whether every gap is positive, with a Gibbs gap that rounds to 0.0
+        decided by the trace gap of the same generator.
+
+        At finite beta every Boltzmann weight p_n is positive and every row
+        of V has unit norm, so each ``rho_jj = sum_n p_n V[j, n]**2`` is
+        positive, and a Gibbs gap, a sum of ``rho_jj`` over the states j
+        with ``j & S`` in ``{P, S ^ P}``, is positive exactly when the trace
+        gap ``2**(1 - |S|)`` is.  Only the float64 weights underflow, as at
+        ``beta = -800`` on the 4-site ring.
+        """
+        trace = self.gaps["trace"]
+        return all(
+            g > 0 or (g == 0 and t > 0)
+            for gaps in self.gaps.values()
+            for g, t in zip(gaps, trace)
+        )
 
     def to_json_obj(self) -> dict:
         return {

@@ -135,15 +135,20 @@ def is_ground_config(g: Configuration) -> bool:
 def ground_config_mask(lattice: Lattice, basis: FockBasis | None = None) -> np.ndarray:
     """Boolean mask over the full basis marking ground-state configurations.
 
-    Vectorized bit arithmetic over Fock states, independent of the word
-    enumeration.
+    Bit arithmetic over Fock states, independent of the word enumeration: a
+    neighbourhood with center bit C and arm bits A is forbidden exactly when
+    ``state & (C | A)`` is C alone (center 1, arms 0) or A alone (center 0,
+    arms 1), so each neighbourhood costs one masked copy and two compares.
     """
     if basis is None:
         basis = enumerate_basis(lattice)
     ok = np.ones(basis.dim, dtype=bool)
-    for hood in charge_hoods(lattice):
-        center, *arms = ((basis.states >> r) & 1 for r in hood)
-        ok &= ~grammar.forbidden(center, arms)
+    masked = np.empty_like(basis.states)
+    for center, *arms in charge_hoods(lattice):
+        c, a = 1 << center, sum(1 << r for r in set(arms))
+        np.bitwise_and(basis.states, c | a, out=masked)
+        ok &= masked != c
+        ok &= masked != a
     return ok
 
 

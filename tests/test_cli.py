@@ -264,7 +264,7 @@ def _refuse_building(monkeypatch, error):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "--ring", "--m", "11"], ["build", "--ring", "--m", "11", "--verify"]]
+    "argv", [["verify", "--ring", "--m", "12"], ["build", "--ring", "--m", "12", "--verify"]]
 )
 def test_verify_refuses_a_ring_too_big_for_memory(argv, capsys, monkeypatch):
     _refuse_building(monkeypatch, AssertionError("the size guard must run before any operator"))
@@ -274,7 +274,7 @@ def test_verify_refuses_a_ring_too_big_for_memory(argv, capsys, monkeypatch):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the verify run needs ~12.0 GiB")
+    assert captured.err.startswith("error: the verify run needs ~28.0 GiB")
 
 
 @pytest.mark.parametrize(
@@ -289,6 +289,18 @@ def test_verify_admits_ring_m10_past_the_memory_guard(argv, monkeypatch):
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     with pytest.raises(Reached):
         run(argv)
+
+
+def test_verify_admits_ring_m11_on_8_gib(monkeypatch):
+    # 448 bytes per state: 7.0 GiB for 2**24 states
+    class Reached(Exception):
+        pass
+
+    _refuse_building(monkeypatch, Reached())
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(Reached):
+        run(["verify", "--ring", "--m", "11"])
 
 
 def test_ergodicity_ring_m5(capsys):
@@ -307,7 +319,44 @@ def test_ergodicity_at_large_negative_beta(capsys):
     payload = json.loads(capsys.readouterr().out)
     gaps = [g for gs_ in payload["report"]["gaps"].values() for g in gs_]
     assert all(isinstance(g, float) and math.isfinite(g) for g in gaps)
-    assert code == (0 if payload["all_gaps_positive"] else 3)
+    assert payload["all_gaps_positive"] and code == 0
+
+
+def test_ergodicity_decides_underflowed_gibbs_gaps_by_the_trace_gap(capsys):
+    # at beta = -800 the E = 0 weights e**-1600 underflow, and so do the gaps
+    assert run(["ergodicity", "--ring", "--m", "1", "--beta", "-800"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    gibbs = payload["report"]["gaps"]["gibbs(beta=-800)"]
+    assert len(gibbs) == 14 and set(gibbs) == {0.0}
+    assert all(g > 0 for g in payload["report"]["gaps"]["trace"])
+    assert payload["all_gaps_positive"]
+
+
+@pytest.mark.parametrize(
+    "gaps, positive",
+    [
+        ({"trace": [0.5, 0.25], "gibbs(beta=1)": [0.0, 0.1]}, True),
+        ({"trace": [0.5, 0.0], "gibbs(beta=1)": [0.1, 0.0]}, False),
+        ({"trace": [0.5, 0.0], "gibbs(beta=1)": [0.1, 0.2]}, False),
+        ({"trace": [0.5], "gibbs(beta=1)": [-1e-300]}, False),
+    ],
+)
+def test_all_gaps_positive_reads_a_zero_gibbs_gap_by_its_trace_gap(gaps, positive):
+    assert nicolai.dynamics.ErgodicityReport(gaps=gaps).all_gaps_positive() is positive
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 1 << 16])
+def test_the_row_blocked_anticommutator_is_exact(rows):
+    spec = nicolai.ModelSpec.ring(2)
+    q, qd, h = spec.q, spec.q_dagger, spec.h
+    assert cli._anticommutator_equals(q, qd, h, rows)
+    assert nicolai.fock.anticommutator(q, qd).equals(h)
+    # one entry off, in the last row: a block that stops short would miss it
+    bumped = h.matrix.tolil()
+    bumped[h.dim - 1, h.dim - 1] += 1
+    off = nicolai.SparseOperator(h.basis, bumped.tocsr())
+    assert not cli._anticommutator_equals(q, qd, off, rows)
+    assert not cli._anticommutator_equals(q, q, h, rows)
 
 
 def test_ergodicity_exits_3_on_a_non_conserved_generator(capsys, planted_arc):

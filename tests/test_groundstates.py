@@ -23,7 +23,8 @@ from nicolai.groundstates import (
     ground_config_mask,
     occupation_monomial,
 )
-from nicolai.model import build_supercharge, build_hamiltonian_susy, charge_triples
+from nicolai import grammar
+from nicolai.model import build_supercharge, build_hamiltonian_susy, charge_hoods, charge_triples
 from nicolai.fock import monomial_to_sparse
 
 
@@ -285,3 +286,24 @@ def test_configuration_letters(letter, accepted):
     else:
         with pytest.raises(ValueError):
             Configuration(lat, (0, letter, 1))
+
+
+def bit_extract_ground_config_mask(lattice, basis):
+    """The mask as it was first written: each site of every neighbourhood
+    extracted as its own 0/1 array and fed to the pattern rule."""
+    ok = np.ones(basis.dim, dtype=bool)
+    for hood in charge_hoods(lattice):
+        center, *arms = ((basis.states >> r) & 1 for r in hood)
+        ok &= ~grammar.forbidden(center, arms)
+    return ok
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [*map(Lattice.ring, range(1, 7)), Lattice.chain(0, 8), Lattice.torus(4, 4), Lattice.torus(2, 4)],
+    ids=lambda lat: f"{lat.boundary}-{lat.nsites}-{lat.shape}",
+)
+def test_ground_config_mask_matches_the_bit_extract_oracle(lat):
+    # on the 2x4 torus the two x-arms of every cross are one site
+    basis = enumerate_basis(lat)
+    assert np.array_equal(ground_config_mask(lat, basis), bit_extract_ground_config_mask(lat, basis))
