@@ -26,14 +26,9 @@ from . import charges as ch
 from . import dynamics as dyn
 from . import grammar
 from . import groundstates as gs
-from .fock import SparseOperator, commutator, parity_operator
+from .fock import SparseOperator
 from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_bench.py
-from .model import (
-    ModelSpec,
-    build_hamiltonian_explicit,
-    number_operator,
-    particle_hole,
-)
+from .model import ModelSpec, build_hamiltonian_explicit, particle_hole
 
 SCHEMA = 1
 
@@ -142,6 +137,80 @@ def _anticommutator_equals(
     return True
 
 
+def _restrict(m, active: np.ndarray, pos: np.ndarray):
+    """The CSR matrix ``m`` on the ``active`` states, as float64.  Every
+    inactive row and column of ``m`` must be empty: then the active rows'
+    starts and the last end delimit the same entries, and ``pos[s]``, the
+    rank of state ``s`` among the active ones, renumbers every column."""
+    n = int(pos[-1]) + 1
+    indptr = np.append(m.indptr[:-1][active], m.indptr[-1])
+    data = m.data.astype(np.float64)
+    return type(m)((data, pos[m.indices], indptr), shape=(n, n))
+
+
+def _quadratic_forms(
+    h: SparseOperator, q: SparseOperator, qd: SparseOperator, seed: int
+) -> tuple:
+    """``(v.Hv == |Qv|**2 + |Q*v|**2, v.Hv >= 0)`` to 1e-10 on 20 Gaussian
+    probes ``v`` from ``default_rng(seed)``.
+
+    The forms read a probe only on the active states, those with a stored
+    entry in the row or column of H, Q or Q*, so the probes are drawn there
+    alone and the statistic has the distribution of full-space probes.
+    Blocks of probes of at most 2**18 entries go through one sparse-dense
+    product per operator, one product held at a time."""
+    mats = (h.matrix, q.matrix, qd.matrix)
+    active = np.zeros(h.dim, dtype=bool)
+    for m in mats:
+        active |= np.diff(m.indptr) > 0
+        active[m.indices] = True
+    pos = np.cumsum(active, dtype=h.matrix.indices.dtype) - 1
+    hr, qr, qdr = (_restrict(m, active, pos) for m in mats)
+    del active, pos
+    n = hr.shape[0]
+    rng = np.random.default_rng(seed)
+    probes = 20
+    width = max(1, (1 << 18) // max(n, 1))
+    quad_ok = psd_ok = True
+    for done in range(0, probes, width):
+        v = rng.standard_normal((n, min(width, probes - done)))
+        # einsum, not a BLAS dot: on a 2-core host a threaded BLAS dot of
+        # 65536 doubles measured ~8 ms against ~0.04 ms for einsum's own loop
+        hv = np.einsum("ij,ij->j", v, hr @ v)
+        p = qr @ v
+        qq = np.einsum("ij,ij->j", p, p)
+        del p
+        p = qdr @ v
+        qq += np.einsum("ij,ij->j", p, p)
+        del p
+        quad_ok &= bool((abs(hv - qq) <= 1e-10 * np.maximum(1.0, abs(hv))).all())
+        psd_ok &= bool((hv >= -1e-10).all())
+    return quad_ok, psd_ok
+
+
+def _entry_numbers(op: SparseOperator) -> tuple:
+    """Particle numbers ``(N_i, N_j)`` of the row and the column of each
+    nonzero stored entry of ``op``; explicit zeros are skipped, as a sparse
+    product skips them."""
+    m = op.matrix
+    pc = op.basis.popcounts.astype(np.uint8)
+    nonzero = m.data != 0
+    return np.repeat(pc, np.diff(m.indptr))[nonzero], pc[m.indices[nonzero]]
+
+
+def _conserves_number(op: SparseOperator) -> bool:
+    """``[op, N] == 0``, whose entries are ``op_ij (N_j - N_i)``."""
+    n_i, n_j = _entry_numbers(op)
+    return bool(np.array_equal(n_i, n_j))
+
+
+def _is_odd(op: SparseOperator) -> bool:
+    """``P op P == -op`` for the parity ``P = (-1)**N``: the entries of
+    ``P op P + op`` are ``op_ij ((-1)**(N_i + N_j) + 1)``."""
+    n_i, n_j = _entry_numbers(op)
+    return bool(((n_i ^ n_j) & 1).all())
+
+
 def _build_checks(spec: ModelSpec, seed: int) -> list:
     lat, basis = spec.lattice, spec.basis
     q, qm, qd, h = spec.q_sum, spec.q, spec.q_dagger, spec.h
@@ -150,17 +219,7 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
         _check("q_dagger_squared_zero", (qd @ qd).is_zero()),
     ]
 
-    rng = np.random.default_rng(seed)
-    quad_ok, psd_ok = True, True
-    # einsum, not a BLAS dot: on a 2-core host a threaded BLAS dot of 65536
-    # doubles measured ~8 ms against ~0.04 ms for einsum's own loop
-    for _ in range(20):
-        v = rng.standard_normal(basis.dim)
-        hv = float(np.einsum("i,i", v, h.matrix @ v))
-        qv, qdv = qm.matrix @ v, qd.matrix @ v
-        qq = np.einsum("i,i", qv, qv) + np.einsum("i,i", qdv, qdv)
-        quad_ok &= abs(hv - qq) <= 1e-10 * max(1.0, abs(hv))
-        psd_ok &= hv >= -1e-10
+    quad_ok, psd_ok = _quadratic_forms(h, qm, qd, seed)
     checks.append(_check("h_quadratic_form", quad_ok))
     checks.append(_check("h_positive_semidefinite", psd_ok))
 
@@ -173,12 +232,8 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
             _check("h_equals_classical_plus_hop", h.equals(spec.h_classical + spec.h_hop))
         )
 
-    n_op = number_operator(lat, basis)
-    checks.append(_check("commutes_with_number", commutator(h, n_op).is_zero()))
-    del n_op
-    par = parity_operator(basis)
-    checks.append(_check("q_is_odd", (par @ qm @ par + qm).is_zero()))
-    del par
+    checks.append(_check("commutes_with_number", _conserves_number(h)))
+    checks.append(_check("q_is_odd", _is_odd(qm)))
     # reversing the k mutually anticommuting factors of one local charge
     # costs (-1)**(k(k-1)/2): -Q* for the 1D triples, +Q* for the 2D crosses
     k = 3 if lat.dimension == 1 else 5
@@ -202,9 +257,9 @@ def _verify_bytes(lat) -> int:
     CSR), the one operator a check builds beside them before it is dropped,
     and the spectrum, built last: the fragment arrays of ``diagonalize`` and
     its sparse eigenvectors.  Measured peaks of ``verify --ring`` at m = 7,
-    8, 9 and 10 above the 52 MiB of start-up (22, 82, 350 and 1439 MiB) are
-    357, 327, 350 and 359 bytes per state; ``--chain 19`` takes 277 and
-    ``--torus 4x4`` 210.  m = 11 comes to 7.0 GiB."""
+    8, 9 and 10 above the 52 MiB of start-up (20, 76, 327 and 1311 MiB) are
+    326, 304, 327 and 328 bytes per state; ``--chain 19`` takes 254 and
+    ``--torus 4x4`` 176.  m = 11 comes to 7.0 GiB."""
     return 448 << lat.nsites
 
 

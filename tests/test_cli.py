@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import nicolai
 from nicolai import cli
@@ -359,6 +361,153 @@ def test_the_row_blocked_anticommutator_is_exact(rows):
     assert not cli._anticommutator_equals(q, q, h, rows)
 
 
+ENTRY_CHECK_SPECS = {
+    "ring1": lambda: nicolai.ModelSpec.ring(1),
+    "ring2": lambda: nicolai.ModelSpec.ring(2),
+    "ring3": lambda: nicolai.ModelSpec.ring(3),
+    "chain5": lambda: nicolai.ModelSpec.chain_sites(5),
+    "chain7": lambda: nicolai.ModelSpec.chain_sites(7),
+    "torus4x4": lambda: nicolai.ModelSpec.torus(4, 4),
+}
+
+
+def _with_entries(op, entries):
+    """``op`` plus the ``(i, j, value)`` entries, a zero value stored explicitly."""
+    m = op.matrix.tocoo()
+    i, j, v = (np.array(x, dtype=np.int64) for x in zip(*entries))
+    coo = scipy.sparse.coo_matrix(
+        (np.concatenate([m.data, v]), (np.concatenate([m.row, i]), np.concatenate([m.col, j]))),
+        shape=m.shape,
+    )
+    return nicolai.SparseOperator(op.basis, coo.tocsr())
+
+
+def _touched(h, q):
+    """The states with a stored entry in the row or column of H or Q (the
+    rows and columns of Q* are those of Q)."""
+    touched = np.zeros(h.dim, dtype=bool)
+    for m in (h.matrix, q.matrix):
+        touched |= np.diff(m.indptr) > 0
+        touched[m.indices] = True
+    return touched
+
+
+def matvec_quadratic_forms(h, q, qd, seed):
+    """The probes as one matvec per full-space vector: the oracle of
+    ``cli._quadratic_forms``."""
+    rng = np.random.default_rng(seed)
+    quad_ok = psd_ok = True
+    for _ in range(20):
+        v = rng.standard_normal(h.dim)
+        hv = float(v @ (h.matrix @ v))
+        qv, qdv = q.matrix @ v, qd.matrix @ v
+        qq = float(qv @ qv + qdv @ qdv)
+        quad_ok &= abs(hv - qq) <= 1e-10 * max(1.0, abs(hv))
+        psd_ok &= hv >= -1e-10
+    return quad_ok, psd_ok
+
+
+@pytest.mark.parametrize("name", list(ENTRY_CHECK_SPECS))
+def test_entry_checks_agree_with_the_operator_oracles(name):
+    spec = ENTRY_CHECK_SPECS[name]()
+    basis, h, q = spec.basis, spec.h, spec.q
+    n_op = nicolai.number_operator(spec.lattice, basis)
+    par = nicolai.parity_operator(basis)
+
+    def conserves(op):
+        oracle = bool(nicolai.fock.commutator(op, n_op).is_zero())
+        assert cli._conserves_number(op) == oracle
+        return oracle
+
+    def odd(op):
+        oracle = bool((par @ op @ par + op).is_zero())
+        assert cli._is_odd(op) == oracle
+        return oracle
+
+    assert conserves(h) and odd(q)
+    # state 0 is empty and state 1 holds one particle, so a hop between
+    # them changes N; a diagonal entry keeps the parity
+    assert not conserves(_with_entries(h, [(0, 1, 1), (1, 0, 1)]))
+    assert not odd(_with_entries(q, [(3, 3, 1)]))
+    # an explicit stored zero is no entry, for the products and the reading
+    h0, q0 = _with_entries(h, [(0, 1, 0)]), _with_entries(q, [(0, 0, 0)])
+    assert (h0.nnz, q0.nnz) == (h.nnz + 1, q.nnz + 1)
+    assert conserves(h0) and odd(q0)
+
+
+@pytest.mark.parametrize("name", list(ENTRY_CHECK_SPECS))
+def test_restricted_probes_agree_with_full_space_matvecs(name):
+    spec = ENTRY_CHECK_SPECS[name]()
+    h, q, qd = spec.h, spec.q, spec.q_dagger
+    touched = _touched(h, q)
+    idle = int(np.flatnonzero(~touched)[0])
+    busy = int(np.flatnonzero(touched)[0]) if touched.any() else idle
+    cases = [
+        ((True, True), h),
+        ((False, True), 2 * h),
+        ((False, False), -h),
+        # one untouched state's own diagonal entry: read only if H's rows
+        # count towards the active states
+        ((False, True), _with_entries(h, [(idle, idle, 1)])),
+        # an entry in an untouched column alone: read only if H's columns count
+        ((False, None), _with_entries(h, [(busy, idle, 1)])),
+    ]
+    for seed in (0, 1):
+        for (quad, psd), hh in cases:
+            for forms in (cli._quadratic_forms, matvec_quadratic_forms):
+                got_quad, got_psd = forms(hh, q, qd, seed)
+                assert got_quad == quad and psd in (None, got_psd)
+
+
+def test_restrict_keeps_the_active_block():
+    rng = np.random.default_rng(5)
+    active = rng.random(300) < 0.4
+    states = np.flatnonzero(active)
+    i, j = rng.choice(states, 900), rng.choice(states, 900)
+    m = scipy.sparse.csr_matrix((rng.integers(-3, 4, 900), (i, j)), shape=(300, 300))
+    pos = np.cumsum(active, dtype=m.indices.dtype) - 1
+    r = cli._restrict(m, active, pos)
+    assert r.dtype == np.float64
+    assert np.array_equal(r.toarray(), m.toarray()[np.ix_(active, active)])
+
+
+def _bump_h(monkeypatch, delta):
+    """Make ``ModelSpec.h`` add ``delta`` to H's diagonal at the first state
+    that H, Q and Q* never touch."""
+    build = nicolai.ModelSpec.h.func
+
+    def bumped(spec):
+        h = build(spec)
+        idle = int(np.flatnonzero(~_touched(h, spec.q))[0])
+        return _with_entries(h, [(idle, idle, delta)])
+
+    prop = functools.cached_property(bumped)
+    prop.__set_name__(nicolai.ModelSpec, "h")
+    monkeypatch.setattr(nicolai.ModelSpec, "h", prop)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--chain", "1"], ["--ring", "--m", "2"]], ids=["chain1", "ring2"]
+)
+@pytest.mark.parametrize("delta, psd", [(1, True), (-1, False)])
+def test_verify_probes_read_an_untouched_diagonal_entry(argv, delta, psd, capsys, monkeypatch):
+    _bump_h(monkeypatch, delta)
+    assert run(["verify", *argv]) == 3
+    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not passed["h_quadratic_form"]
+    if delta > 0 or argv[0] == "--chain":
+        # on the ring a -1 beside 38 other active states need not turn a probe's
+        # form negative; alone on the chain it turns every one negative
+        assert passed["h_positive_semidefinite"] is psd
+
+
+def test_verify_passes_with_no_active_state(capsys):
+    # one site: no charge, so H, Q and Q* are zero and no probe entry is drawn
+    assert run(["verify", "--chain", "1"]) == 0
+    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert passed["h_quadratic_form"] and passed["h_positive_semidefinite"]
+
+
 def test_ergodicity_exits_3_on_a_non_conserved_generator(capsys, planted_arc):
     assert run(["ergodicity", "--ring", "--m", "2"]) == 3
     assert capsys.readouterr().err.startswith("error: charge ")
@@ -590,6 +739,26 @@ def test_verify_builds_every_sum_in_one_pass(capsys, monkeypatch):
     # Q, rho(Q), the explicit H, H_classical and H_hop: one build each (the
     # translation certificate compares terms and builds no TQ)
     assert dict(calls) == {"terms_to_sparse": 5}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--ring", "--m", "3"], ["build", "--torus", "4x4", "--verify"]],
+    ids=["verify", "build-verify"],
+)
+def test_verify_reads_number_and_parity_off_the_entries(argv, capsys, monkeypatch):
+    calls = _count_calls(
+        monkeypatch,
+        [
+            (nicolai.model, "number_operator"),
+            (nicolai.fock, "parity_operator"),
+            (nicolai.fock, "commutator"),
+        ],
+    )
+    assert run(argv) == 0
+    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert passed["commutes_with_number"] and passed["q_is_odd"]
+    assert not calls
 
 
 @pytest.mark.parametrize(
