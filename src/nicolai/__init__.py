@@ -10,8 +10,8 @@ The package is organized bottom-up:
   its objects (basis, Q, Q*, H, its split, the ground states as one array
   of Fock states, spectrum) on first use and keeps it;
 - :mod:`nicolai.grammar`: the forbidden-pattern rule shared by sequences and
-  configurations, its breadth-first array enumerator and its pair transfer
-  matrix;
+  configurations, its breadth-first enumerator of packed word codes and its
+  pair transfer matrix;
 - :mod:`nicolai.charges`: the permitted-sequence grammar and the local
   fermionic constants of motion it encodes;
 - :mod:`nicolai.groundstates`: the census of classical supersymmetric ground

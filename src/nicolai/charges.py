@@ -153,11 +153,17 @@ def has_edge_conditions(f: ConservedSequence) -> bool:
     return all(v[p] == v[q] for p, q in grammar.edge_ties(len(f), f.shape))
 
 
-def _interval_words(n: int) -> np.ndarray:
-    """Permitted value rows on ``n`` positions starting at an even site, with
-    both boundary pairs constant; lexicographic with ``-1 < +1``."""
+def _interval_codes(n: int) -> np.ndarray:
+    """Permitted words on ``n`` positions starting at an even site, with both
+    boundary pairs constant, as :func:`~nicolai.grammar.permitted_codes`
+    (bit ``q`` set where position ``q`` holds ``+1``)."""
     hoods = grammar.hoods(range(n), closed=False)
-    return grammar.permitted_words(n, hoods, (-1, 1), ties=grammar.edge_ties(n))
+    return grammar.permitted_codes(n, hoods, ties=grammar.edge_ties(n))
+
+
+def _interval_words(n: int) -> np.ndarray:
+    """:func:`_interval_codes` as value rows; lexicographic with ``-1 < +1``."""
+    return grammar.unpack(_interval_codes(n), n, (-1, 1))
 
 
 def _sequences(sites: tuple, words: np.ndarray, closed: bool = False) -> list:
@@ -198,8 +204,19 @@ def _arc_words(lattice) -> tuple:
     ...``, the interval words of the ``2d+1``-site arcs, shared by every
     start."""
     starts = sorted(s for s in lattice.sites if s % 2 == 0)
-    words = [_interval_words(2 * d + 1) for d in range(1, (lattice.nsites - 2) // 2 + 1)]
-    return starts, words
+    return starts, [_interval_words(n) for n in _arc_lengths(lattice)]
+
+
+def _arc_lengths(lattice) -> range:
+    """The site counts ``2d+1`` of the proper arcs of a ring, ``d = 1, 2, ...``."""
+    return range(3, lattice.nsites, 2)
+
+
+def _ring_counts(lattice) -> tuple:
+    """The number of embeddable arc sequences (every even start) and of
+    full-ring sequences, read off the word codes: no row is unpacked."""
+    arcs = sum(len(_interval_codes(n)) for n in _arc_lengths(lattice))
+    return lattice.nsites // 2 * arcs, len(_ring_codes(lattice))
 
 
 def all_embeddable_sequences(lattice) -> list:
@@ -209,10 +226,14 @@ def all_embeddable_sequences(lattice) -> list:
     return [f for sites, w in arcs for f in _sequences(sites, w)]
 
 
-def _ring_words(lattice) -> np.ndarray:
+def _ring_codes(lattice) -> np.ndarray:
     if lattice.dimension != 1 or not lattice.periodic:
         raise ValueError("full-ring sequences require a periodic 1D lattice")
-    return grammar.permitted_words(lattice.nsites, charge_hoods(lattice), (-1, 1))
+    return grammar.permitted_codes(lattice.nsites, charge_hoods(lattice))
+
+
+def _ring_words(lattice) -> np.ndarray:
+    return grammar.unpack(_ring_codes(lattice), lattice.nsites, (-1, 1))
 
 
 def enumerate_ring_sequences(lattice) -> list:

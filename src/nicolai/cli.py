@@ -359,17 +359,16 @@ def cmd_charges(args) -> int:
         if lat.dimension != 1 or not lat.periodic:
             raise ValueError("charge listings need --interval or --ring")
         _require_memory(_ring_listing_bytes(lat), "the charge listing", "word arrays")
-        # counted (and checked on one catalogue) on the word arrays alone
+        # counted on the word codes alone, or checked on one catalogue of rows
         if args.check:
             _require_memory(_check_bytes(lat), "the charge check", "sparse matrices")
             *arcs, (_, ring_words, _) = blocks = ch._catalogue(lat)
-            embeddable = ch._member_count(arcs)
+            embeddable, full = ch._member_count(arcs), len(ring_words)
         else:
-            starts, arc_words = ch._arc_words(lat)
-            ring_words, embeddable = ch._ring_words(lat), len(starts) * sum(map(len, arc_words))
+            embeddable, full = ch._ring_counts(lat)
         payload["model"] = json.loads(spec.to_json())
         payload["embeddable_count"] = embeddable
-        payload["full_ring_count"] = len(ring_words)
+        payload["full_ring_count"] = full
         payload["full_ring_transfer_count"] = ch.transfer_count_ring_sequences(lat)
         if payload["full_ring_count"] != payload["full_ring_transfer_count"]:
             code = 3
@@ -392,17 +391,19 @@ def _interval_listing_bytes(k: int, l: int, count: int) -> int:
 
 
 def _ring_listing_bytes(lat) -> int:
-    """Peak bytes of the int8 word arrays behind a ring charge listing.
+    """Peak bytes of the word codes behind a ring charge listing: eight times
+    the bytes of the full-ring codes (4 per code up to 32 sites, then 8).
 
-    The arc words of every length stay alive while the full-ring words are
-    grown, and each growth step holds the rows repeated once per letter next
-    to the filtered rows, so the estimate is four times the bytes of all
-    those words.  Measured peaks above start-up at m = 11, 12, 13 (45, 123
-    and 460 MB) stay below it (64, 207 and 669 MB).  Counts come from the
+    Each arc length's codes are counted and dropped before the next length
+    is grown, and the full ring's enumeration peaks in its last steps, which
+    hold the doubled codes, their masked copy and the kept codes: 4 to 5
+    times the bytes of the final codes under tracemalloc at m = 8 to 13.
+    Measured peaks above start-up at m = 11, 12, 13 (11, 28 and 103 MB) stay
+    below the estimate (17, 51 and 153 MB).  With ``--check`` the catalogue's
+    rows are far below the check's own estimate.  Counts come from the
     transfer matrices, so nothing is built."""
-    n = lat.nsites
-    arcs = sum((2 * d + 1) * ch.transfer_count_hat_xi(0, d) for d in range(1, (n - 2) // 2 + 1))
-    return 4 * (arcs + n * ch.transfer_count_ring_sequences(lat))
+    itemsize = 4 if lat.nsites <= 32 else 8
+    return 8 * itemsize * ch.transfer_count_ring_sequences(lat)
 
 
 def _check_bytes(lat) -> int:
@@ -432,19 +433,20 @@ def cmd_groundstates(args) -> int:
 
     if args.verify_susy and lat.nsites > 12:
         raise ValueError("--verify-susy is limited to lattices of <= 12 sites")
-    # one word array: counted, spelled if listed, built as objects for --verify-susy
-    words = gs._ground_words(lat)
-    payload["count"] = len(words)
+    # one code array: counted, spelled if listed, built as objects for --verify-susy
+    codes = gs._ground_codes(lat)
+    payload["count"] = len(codes)
     if lat.dimension == 1:
         payload["transfer_matrix_count"] = gs.transfer_count_ground_configs(lat)
         payload["entropy_density"] = gs.entropy_density(lat)
         if payload["count"] != payload["transfer_matrix_count"]:
             code = 3
     if payload["count"] <= 10000:
+        words = grammar.unpack(codes, lat.nsites, (0, 1))
         payload["configs"] = payload["config_lines"] = grammar.spell(words, "01")
 
     if args.verify_susy:
-        configs = (gs.Configuration(lat, tuple(v)) for v in words.tolist())
+        configs = gs._configurations(lat, codes)
         bad = [g.bitstring() for g in configs if not gs.verify_susy_ground(g, spec).annihilated]
         payload["susy_failures"] = bad
         if bad:

@@ -10,17 +10,24 @@ is *permitted* when none of its neighbourhoods is forbidden.
 :func:`hoods` is the geometry: centers at even sites in 1D and at even-even
 sites in 2D, arms along each axis, wrapped on closed supports and kept off
 the edge of open ones.  :func:`edge_ties` is the boundary-pair condition of
-open supports, as ties ``w[p] == w[q]``.  :func:`permitted_words` is the one
-enumerator: it grows every word breadth-first on a numpy array and returns
-the words as the rows of an int8 array, so a caller that only needs the count
-reads the number of rows (the ``charges --ring`` and ``groundstates``
-listings do this), and :func:`spell` writes rows as ``-+`` or ``01`` strings.
+open supports, as ties ``w[p] == w[q]``.  :func:`permitted_codes` is the one
+enumerator: it grows every word breadth-first as one unsigned integer, bit
+``q`` the letter index at position ``q``, in lexicographic word order.  A
+caller that only needs the count reads the number of codes (the ``charges
+--ring`` and ``groundstates`` listings do this), and where word position
+``q`` is site rank ``q``, as on rings, chains and tori, a ``0/1`` code is
+its Fock state.
+:func:`permitted_words` unpacks the codes (:func:`unpack`) into int8 rows for
+the callers that read rows, and :func:`spell` writes rows as ``-+`` or
+``01`` strings.
 :func:`transfer_power` counts 1D words exactly, as a power of the 4x4 pair
 transfer matrix in Python integers; its trace, :func:`ring_word_count`,
 counts both the ring charges and the ring ground states.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -29,6 +36,8 @@ __all__ = [
     "permitted",
     "hoods",
     "edge_ties",
+    "permitted_codes",
+    "unpack",
     "permitted_words",
     "spell",
     "pair_transfer_matrix",
@@ -91,43 +100,84 @@ def edge_ties(n: int, shape=None) -> list:
     return rows + cols
 
 
-def permitted_words(n: int, hoods, alphabet: tuple, ties=()) -> np.ndarray:
-    """Every permitted word of length ``n`` as the rows of an int8 array of
-    shape ``(count, n)``, in lexicographic order.
+def permitted_codes(n: int, hoods, ties=()) -> np.ndarray:
+    """Every permitted word of length ``n`` packed into one unsigned integer,
+    in lexicographic word order: bit ``q`` holds the letter index at
+    position ``q`` (0 for the smaller letter).
 
-    ``alphabet`` lists the letters in ascending order.  The words grow one
-    position at a time: every row takes every letter (``np.repeat`` of the
-    rows against ``np.tile`` of the letters keeps lexicographic order), then
-    the rows that a neighbourhood closing at that position forbids are
-    dropped.  A tie ``(p, q)`` with ``p < q`` forces ``w[q] == w[p]`` (the
-    boundary-pair condition): position ``q`` copies column ``p`` instead of
-    taking every letter, and a further tie onto the same ``q`` is checked as
-    the two-position neighbourhood ``(q, p)``.
+    The dtype is uint32 up to 32 positions and uint64 up to 64; longer words
+    raise ``ValueError``.  The words grow one position at a time: every code
+    is followed by its copy with bit ``q`` set, which keeps lexicographic
+    order, then the codes that a neighbourhood closing at that position
+    forbids are dropped, each neighbourhood by one masked compare per
+    pattern :func:`forbidden` rejects.  A tie ``(p, q)`` with ``p < q``
+    forces ``w[q] == w[p]`` (the boundary-pair condition): bit ``q`` copies
+    bit ``p`` instead of taking both letters, and a further tie onto the
+    same ``q`` is checked as the two-position neighbourhood ``(q, p)``.
     """
-    letters = np.asarray(alphabet, dtype=np.int8)
+    if n > 64:
+        raise ValueError(f"{n} positions do not fit a 64-bit word code")
+    dtype = np.uint32 if n <= 32 else np.uint64
     copies = {}
     closing = [[] for _ in range(n)]
     for p, q in ties:
         if not p < q:
             raise ValueError(f"tie {(p, q)} must point backwards")
         if copies.setdefault(q, p) != p:
-            closing[q].append((q, p))
+            closing[q].append(_masked_patterns((q, p)))
     for hood in hoods:
-        closing[max(hood)].append(hood)
-    words = np.zeros((1, n), dtype=np.int8)
+        closing[max(hood)].append(_masked_patterns(hood))
+    codes = np.zeros(1, dtype=dtype)
     for q in range(n):
         if q in copies:
-            words[:, q] = words[:, copies[q]]
+            codes |= (codes >> copies[q] & 1) << q
         else:
-            rows = len(words)
-            words = np.repeat(words, len(letters), axis=0)
-            words[:, q] = np.tile(letters, rows)
+            grown = np.empty(2 * len(codes), dtype=dtype)
+            grown[0::2] = codes
+            np.bitwise_or(codes, 1 << q, out=grown[1::2])
+            codes = grown
         if closing[q]:
-            bad = np.zeros(len(words), dtype=bool)
-            for center, *arms in closing[q]:
-                bad |= forbidden(words[:, center], [words[:, a] for a in arms])
-            words = words[~bad]
-    return words
+            keep = np.ones(len(codes), dtype=bool)
+            masked = np.empty_like(codes)
+            for mask, patterns in closing[q]:
+                np.bitwise_and(codes, mask, out=masked)
+                for pattern in patterns:
+                    keep &= masked != pattern
+            codes = codes[keep]
+    return codes
+
+
+def _masked_patterns(hood) -> tuple:
+    """The bit mask of a neighbourhood's positions and the masked codes
+    :func:`forbidden` rejects: every letter-index assignment to its distinct
+    positions, put through the rule."""
+    center, *arms = hood
+    positions = sorted(set(hood))
+    patterns = []
+    for bits in itertools.product((0, 1), repeat=len(positions)):
+        letter = dict(zip(positions, bits))
+        if forbidden(letter[center], [letter[a] for a in arms]):
+            patterns.append(sum(b << p for p, b in zip(positions, bits)))
+    return sum(1 << p for p in positions), patterns
+
+
+def unpack(codes: np.ndarray, n: int, alphabet: tuple) -> np.ndarray:
+    """Word codes (:func:`permitted_codes`) as the rows of an int8 array of
+    shape ``(count, n)``: position ``q`` holds ``alphabet[bit q]``."""
+    octets = codes.astype(f"<u{codes.itemsize}", copy=False).view(np.uint8).reshape(len(codes), -1)
+    bits = np.unpackbits(octets, axis=1, count=n, bitorder="little")
+    return np.asarray(alphabet, dtype=np.int8)[bits]
+
+
+def permitted_words(n: int, hoods, alphabet: tuple, ties=()) -> np.ndarray:
+    """Every permitted word of length ``n`` as the rows of an int8 array of
+    shape ``(count, n)``, in lexicographic order: :func:`permitted_codes`,
+    unpacked.  ``alphabet`` lists the two letters in ascending order; an
+    empty alphabet spells no word."""
+    codes = permitted_codes(n, hoods, ties)
+    if not alphabet:
+        return np.empty((0, n), dtype=np.int8)
+    return unpack(codes, n, alphabet)
 
 
 def spell(words: np.ndarray, letters: str) -> list:

@@ -13,12 +13,14 @@ forbidden patterns of the two alphabets, but the types are kept distinct: a
 configuration labels a Fock product vector, a sequence labels an operator.
 
 The pattern rule and its enumerator live in :mod:`nicolai.grammar`.  The
-command line reads the word rows of :func:`_ground_words` (counted, spelled,
-or as the Fock states ``ModelSpec.ground_states``); a :class:`Configuration`
-is the library form, the array path's oracle and the unit of
-:func:`verify_susy_ground`.  The census degeneracy is extensive: counts grow
-like ``lambda**(n/2)`` with ``lambda = 3`` the leading eigenvalue of the pair
-transfer matrix, an independent counting oracle for every enumeration.
+command line reads the word codes of :func:`_ground_codes`, one integer per
+configuration whose bit ``r`` is the occupation of the rank-``r`` site:
+counted, spelled, and cast to the Fock states ``ModelSpec.ground_states``.
+A :class:`Configuration` is the library form, the array path's oracle and
+the unit of :func:`verify_susy_ground`.  The census degeneracy is extensive:
+counts grow like ``lambda**(n/2)`` with ``lambda = 3`` the leading
+eigenvalue of the pair transfer matrix, an independent counting oracle for
+every enumeration.
 """
 
 from __future__ import annotations
@@ -152,16 +154,23 @@ def ground_config_mask(lattice: Lattice, basis: FockBasis | None = None) -> np.n
     return ok
 
 
-def _ground_words(lattice: Lattice) -> np.ndarray:
-    """The ground-state configurations as the rows of an int8 array, in
-    lexicographic site order; raises beyond ``_MAX_EXHAUSTIVE`` sites."""
+def _ground_codes(lattice: Lattice) -> np.ndarray:
+    """The ground-state configurations as word codes, in lexicographic site
+    order; raises beyond ``_MAX_EXHAUSTIVE`` sites.  Bit ``r`` of a code is
+    the occupation of the rank-``r`` site, so each code is its Fock state."""
     n = lattice.nsites
     if n > _MAX_EXHAUSTIVE:
         raise ValueError(
             f"{n} sites exceeds the exhaustive limit ({_MAX_EXHAUSTIVE}); "
             "use the transfer-matrix count instead"
         )
-    return grammar.permitted_words(n, charge_hoods(lattice), (0, 1))
+    return grammar.permitted_codes(n, charge_hoods(lattice))
+
+
+def _configurations(lattice: Lattice, codes: np.ndarray) -> list:
+    """Ground codes as :class:`Configuration` objects, in code order."""
+    rows = grammar.unpack(codes, lattice.nsites, (0, 1))
+    return [Configuration(lattice, v) for v in map(tuple, rows.tolist())]
 
 
 def enumerate_ground_configs(lattice: Lattice) -> list:
@@ -170,7 +179,7 @@ def enumerate_ground_configs(lattice: Lattice) -> list:
     Raises for lattices beyond ``_MAX_EXHAUSTIVE`` sites; use
     :func:`transfer_count_ground_configs` to count larger systems.
     """
-    return [Configuration(lattice, v) for v in map(tuple, _ground_words(lattice).tolist())]
+    return _configurations(lattice, _ground_codes(lattice))
 
 
 def transfer_count_ground_configs(lattice: Lattice) -> int:

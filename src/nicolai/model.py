@@ -261,11 +261,10 @@ class ModelSpec:
     @cached_property
     def ground_states(self) -> np.ndarray:
         """The classical ground configurations as int64 Fock states (bit r is
-        the rank-r site), in word-row order: lexicographic by site, not ascending."""
-        from .groundstates import _ground_words  # deferred: builds on this module
+        the rank-r site), in word order: lexicographic by site, not ascending."""
+        from .groundstates import _ground_codes  # deferred: builds on this module
 
-        words = _ground_words(self.lattice)  # summed by column: no int64 copy of the rows
-        return sum(words[:, r].astype(np.int64) << r for r in range(words.shape[1]))
+        return _ground_codes(self.lattice).astype(np.int64)
 
     @cached_property
     def spectrum(self):

@@ -232,7 +232,7 @@ def test_charges_check_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the size guard must run before any word array or operator")
 
-    monkeypatch.setattr(nicolai.grammar, "permitted_words", refuse)
+    monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
     _refuse_building(monkeypatch, AssertionError("the size guard must run before any operator"))
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -250,7 +250,7 @@ def test_charges_listing_at_ring_m14_passes_the_memory_guard(monkeypatch):
         raise Reached
 
     _refuse_building(monkeypatch, AssertionError("a listing builds no operator"))
-    monkeypatch.setattr(nicolai.grammar, "permitted_words", reached)
+    monkeypatch.setattr(nicolai.grammar, "permitted_codes", reached)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     with pytest.raises(Reached):
@@ -626,7 +626,7 @@ def test_groundstates_guard_fires_before_enumerating(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated past the exhaustive limit")
 
-    monkeypatch.setattr(nicolai.grammar, "permitted_words", refuse)
+    monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
     assert run(["groundstates", "--ring", "--m", "12"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -643,7 +643,7 @@ def test_verify_susy_guard_fires_before_enumerating(argv, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated past the --verify-susy limit")
 
-    monkeypatch.setattr(nicolai.grammar, "permitted_words", refuse)
+    monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
     assert run(["groundstates", *argv, "--verify-susy"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -665,9 +665,9 @@ def test_verify_susy_guard_fires_before_enumerating(argv, capsys, monkeypatch):
     ids=["ring3", "ring2-verify-susy", "torus4x4", "ring5-transfer-matrix"],
 )
 def test_groundstates_enumerates_once(argv, calls, capsys, monkeypatch):
-    counted = _count_calls(monkeypatch, [(nicolai.grammar, "permitted_words")])
+    counted = _count_calls(monkeypatch, [(nicolai.grammar, "permitted_codes")])
     assert run(["groundstates", *argv]) == 0
-    assert counted["permitted_words"] == calls
+    assert counted["permitted_codes"] == calls
 
 
 def test_groundstates_transfer_count_is_exact_past_int64(capsys):
@@ -679,7 +679,7 @@ def test_charges_ring_guard_fires_before_enumerating(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated past the memory guard")
 
-    monkeypatch.setattr(nicolai.grammar, "permitted_words", refuse)
+    monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
     assert run(["charges", "--ring", "--m", "20"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -694,7 +694,7 @@ def test_charges_ring_m13_gets_past_the_memory_guard(monkeypatch):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(nicolai.grammar, "permitted_words", reached)
+    monkeypatch.setattr(nicolai.grammar, "permitted_codes", reached)
     with pytest.raises(Reached):
         run(["charges", "--ring", "--m", "13"])
 
@@ -723,7 +723,7 @@ def test_verify_calls_each_model_builder_once(capsys, monkeypatch):
         (nicolai.model, "build_supercharge"),
         (nicolai.model, "build_h_classical"),
         (nicolai.model, "build_h_hop"),
-        (nicolai.groundstates, "_ground_words"),
+        (nicolai.groundstates, "_ground_codes"),
         (nicolai.dynamics, "diagonalize"),
     ]
     calls = _count_calls(monkeypatch, builders)
@@ -830,15 +830,34 @@ def test_cli_builds_a_configuration_only_to_verify_susy(argv, built, capsys, mon
 
 @pytest.mark.parametrize("check", [False, True])
 def test_ring_charges_enumerate_the_catalogue_once(check, capsys, monkeypatch):
-    # one permitted_words call per arc length and one for the full ring; the
+    # one permitted_codes call per arc length and one for the full ring; the
     # listing alone runs no validation pass
     calls = _count_calls(
-        monkeypatch, [(nicolai.grammar, "permitted_words"), (nicolai.charges, "_validate_blocks")]
+        monkeypatch, [(nicolai.grammar, "permitted_codes"), (nicolai.charges, "_validate_blocks")]
     )
     assert run(["charges", "--ring", "--m", "7"] + ["--check"] * check) == 0
-    assert dict(calls) == {"permitted_words": 8, **({"_validate_blocks": 1} if check else {})}
+    assert dict(calls) == {"permitted_codes": 8, **({"_validate_blocks": 1} if check else {})}
     payload = json.loads(capsys.readouterr().out)
     assert payload["embeddable_count"] + payload["full_ring_count"] == 24050
+
+
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (["charges", "--ring", "--m", "7"], {"embeddable_count": 17488, "full_ring_count": 6562}),
+        (["groundstates", "--ring", "--m", "10"], {"count": 177146}),
+    ],
+    ids=["charges", "groundstates"],
+)
+def test_count_only_listings_unpack_no_rows(argv, counts, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count-only listing unpacked word rows")
+
+    for name in ("unpack", "permitted_words"):
+        monkeypatch.setattr(nicolai.grammar, name, refuse)
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {key: payload[key] for key in counts} == counts
 
 
 def test_verify_ring_m5_pin(capsys):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from nicolai import (
     ConservedSequence,
     Lattice,
+    ModelSpec,
     all_embeddable_sequences,
     enumerate_ground_configs,
     enumerate_hat_xi,
@@ -24,6 +25,8 @@ from nicolai import (
     grammar,
 )
 from nicolai.charges import enumerate_rectangle_sequences, has_edge_conditions
+from nicolai.groundstates import ground_config_mask
+from nicolai.model import charge_hoods
 
 SEQUENCE_TRIPLES = {(-1, 1, -1), (1, -1, 1)}  # (left, center, right)
 OCCUPATION_TRIPLES = {(0, 1, 0), (1, 0, 1)}
@@ -219,6 +222,99 @@ def test_permitted_words_edge_shapes():
 def test_permitted_words_refuses_a_forward_tie(tie):
     with pytest.raises(ValueError, match="must point backwards"):
         grammar.permitted_words(3, [], (-1, 1), ties=[tie])
+
+
+def grow_rows(n, hoods, alphabet, ties=()):
+    """The int8 row grower the packed enumerator replaced, kept as its slow
+    oracle: every row takes every letter (``np.repeat`` of the rows against
+    ``np.tile`` of the letters), a tie copies a column, and the rows a
+    neighbourhood closing at the new position forbids are dropped."""
+    letters = np.asarray(alphabet, dtype=np.int8)
+    copies = {}
+    closing = [[] for _ in range(n)]
+    for p, q in ties:
+        if copies.setdefault(q, p) != p:
+            closing[q].append((q, p))
+    for hood in hoods:
+        closing[max(hood)].append(hood)
+    words = np.zeros((1, n), dtype=np.int8)
+    for q in range(n):
+        if q in copies:
+            words[:, q] = words[:, copies[q]]
+        else:
+            rows = len(words)
+            words = np.repeat(words, len(letters), axis=0)
+            words[:, q] = np.tile(letters, rows)
+        for center, *arms in closing[q]:
+            words = words[~grammar.forbidden(words[:, center], [words[:, a] for a in arms])]
+    return words
+
+
+def pack(rows):
+    """Rows over ``{0, 1}`` as Python-integer codes: bit ``q`` is column ``q``."""
+    return [sum(int(v) << q for q, v in enumerate(row)) for row in rows]
+
+
+@st.composite
+def _code_grammars(draw):
+    """Length 0 to 12, 3- and 5-position neighbourhoods, backward ties."""
+    n = draw(st.integers(0, 12))
+    hoods, ties = [], []
+    if n:
+        position = st.integers(0, n - 1)
+        hood = st.one_of(st.tuples(*[position] * 3), st.tuples(*[position] * 5))
+        hoods = draw(st.lists(hood, max_size=10))
+    if n > 1:
+        tie = st.integers(1, n - 1).flatmap(
+            lambda q: st.tuples(st.integers(0, q - 1), st.just(q))
+        )
+        ties = draw(st.lists(tie, max_size=5))
+    return n, hoods, ties
+
+
+@settings(derandomize=True, deadline=None)
+@given(_code_grammars())
+def test_permitted_codes_are_the_oracle_rows_packed(case):
+    n, hoods, ties = case
+    codes = grammar.permitted_codes(n, hoods, ties)
+    assert codes.dtype == np.uint32
+    assert codes.tolist() == pack(grow_rows(n, hoods, (0, 1), ties))
+    words = grammar.permitted_words(n, hoods, (-1, 1), ties)
+    assert np.array_equal(words, 2 * grammar.unpack(codes, n, (0, 1)) - 1)
+
+
+@pytest.mark.parametrize("n", [33, 40, 64])
+def test_permitted_codes_widen_to_64_bits(n):
+    # every position tied to the first: the two constant words, the second
+    # with all n bits set (2**64 - 1 at n = 64)
+    codes = grammar.permitted_codes(n, [(1, 0, 2)], ties=[(0, q) for q in range(1, n)])
+    assert codes.dtype == np.uint64
+    assert codes.tolist() == [0, 2**n - 1]
+    assert grammar.unpack(codes, n, (-1, 1)).tolist() == [[-1] * n, [1] * n]
+
+
+def test_permitted_codes_refuse_words_past_64_positions_and_forward_ties():
+    with pytest.raises(ValueError, match="64-bit"):
+        grammar.permitted_codes(65, [])
+    for tie in ((1, 0), (2, 2)):
+        with pytest.raises(ValueError, match="must point backwards"):
+            grammar.permitted_codes(3, [], ties=[tie])
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [Lattice.ring(m) for m in range(1, 9)] + [Lattice.chain(0, 12), Lattice.torus(4, 4)],
+    ids=lambda lat: f"{lat.boundary}{lat.nsites}",
+)
+def test_ground_states_are_the_ground_codes(lat):
+    states = ModelSpec(lat).ground_states
+    assert states.dtype == np.int64
+    # as a set, the bit-arithmetic mask over the whole Fock space
+    assert np.array_equal(np.sort(states), np.flatnonzero(ground_config_mask(lat)))
+    # in order, the rows-to-Fock formula on the oracle rows
+    rows = grow_rows(lat.nsites, charge_hoods(lat), (0, 1))
+    fock = sum(rows[:, r].astype(np.int64) << r for r in range(lat.nsites))
+    assert states.tolist() == fock.tolist()
 
 
 @st.composite
