@@ -8,7 +8,7 @@ The package is organized bottom-up:
   its classical/hopping split, the model symmetries, and
   :class:`~nicolai.model.ModelSpec`, the model itself, which builds each of
   its objects (basis, Q, Q*, H, its split, the ground states as one array
-  of Fock states, spectrum) on first use and keeps it;
+  of Fock states, spectrum, eigenvalues) on first use and keeps it;
 - :mod:`nicolai.grammar`: the forbidden-pattern rule shared by sequences and
   configurations, its breadth-first enumerator of packed word codes and its
   pair transfer matrix;
@@ -88,6 +88,7 @@ from .dynamics import (
     diagonalize,
     ergodicity_report,
     evolve,
+    fragment_eigenvalues,
     mazur_gap,
     no_resonance_check,
     time_averaged_autocorrelation,

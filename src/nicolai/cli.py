@@ -239,14 +239,18 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
     k = 3 if lat.dimension == 1 else 5
     ph_sign = -1 if (k * (k - 1) // 2) % 2 else 1
     rho_q = particle_hole(q).to_sparse(basis)
-    checks.append(_check("particle_hole_q", (rho_q - ph_sign * qd).is_zero()))
-    checks.append(_check("particle_hole_h", _anticommutator_equals(rho_q, rho_q.adjoint(), h)))
+    ph_q = (rho_q - ph_sign * qd).is_zero()
+    checks.append(_check("particle_hole_q", ph_q))
+    # H is built as {Q, Q*}, so rho(Q) == s Q* exactly gives
+    # {rho(Q), rho(Q)*} == s**2 {Q*, Q} == H; otherwise the products decide
+    ph_h = ph_q or _anticommutator_equals(rho_q, rho_q.adjoint(), h)
+    checks.append(_check("particle_hole_h", ph_h))
     del rho_q
     if lat.periodic:
         checks.append(_check("translation2_h", spec.h_translation2_invariant))
-    # the spectrum comes last, though its check is listed fifth: its
-    # eigenvectors outlive every check, so no operator above is built beside them
-    e0 = float(spec.spectrum.eigenvalues[0])
+    # the eigenvalues come last, though their check is listed fifth, so no
+    # operator built for a check above is held beside their fragment arrays
+    e0 = float(spec.eigenvalues[0])
     checks.insert(4, _check("h_min_eigenvalue_zero", abs(e0) <= 1e-10, e0))
     return checks
 
@@ -255,11 +259,13 @@ def _verify_bytes(lat) -> int:
     """Estimated peak bytes of ``verify`` and ``build --verify``: 448 per
     Fock state, for the basis, Q, Q*, H, H_classical and H_hop (each int64
     CSR), the one operator a check builds beside them before it is dropped,
-    and the spectrum, built last: the fragment arrays of ``diagonalize`` and
-    its sparse eigenvectors.  Measured peaks of ``verify --ring`` at m = 7,
-    8, 9 and 10 above the 52 MiB of start-up (20, 76, 327 and 1311 MiB) are
-    326, 304, 327 and 328 bytes per state; ``--chain 19`` takes 254 and
-    ``--torus 4x4`` 176.  m = 11 comes to 7.0 GiB."""
+    and the eigenvalues, built last from the fragment arrays of
+    ``fragment_eigenvalues`` (no eigenvector is kept).  Measured peaks of
+    ``verify --ring`` at m = 7, 8, 9 and 10 above the 56 MiB of ``--m 1``
+    (13, 58, 257 and 1086 MiB) are 208, 232, 257 and 272 bytes per state;
+    ``--chain 19`` takes 214 and ``--torus 4x4`` 64.  The estimate keeps
+    its earlier fit, 328 bytes per state at m = 10 when V was built, now
+    ~65% above the largest measured peak.  m = 11 comes to 7.0 GiB."""
     return 448 << lat.nsites
 
 

@@ -6,9 +6,15 @@ fragment of its own, its own eigenpair).  :func:`diagonalize` finds them,
 diagonalizes all larger fragments of one size with one stacked dense solver,
 and merges the blocks into one ascending spectrum whose eigenvectors are
 written straight into the arrays of one sparse CSC matrix, one fragment per
-column.  Degenerate eigenvalues are grouped into clusters
-(the spectrum is massively degenerate, across fragments too) and the
-cluster projectors define the dephasing map
+column.  :func:`fragment_eigenvalues` is the path for callers that read
+eigenvalues alone (``verify``, ``build --verify`` and the kernel census,
+through ``ModelSpec.eigenvalues``): it keeps no eigenvector, reads each 1 x 1
+fragment's eigenvalue off the diagonal, and solves one fragment per orbit of
+the shifts by two that the model certifies (x on rings; x and y on tori)
+with the same stacked ``eigh`` and residual check, counting its eigenvalues
+once per member of the orbit.  Degenerate eigenvalues are grouped into
+clusters (the spectrum is massively degenerate, across fragments too) and
+the cluster projectors define the dephasing map
 
     A  ->  sum_E  P_E A P_E,
 
@@ -69,6 +75,7 @@ __all__ = [
     "ErgodicityReport",
     "NoResonanceReport",
     "diagonalize",
+    "fragment_eigenvalues",
     "dephase",
     "mazur_gap",
     "time_averaged_autocorrelation",
@@ -142,21 +149,50 @@ def _fragment_labels(row: np.ndarray, col: np.ndarray, n: int) -> np.ndarray:
             labels, jumped = jumped, jumped[jumped]
 
 
-def _fragment_slots(m) -> tuple:
-    """The states of a canonical CSR matrix laid out in slots, by fragment
-    size and then by fragment: ``order[s]`` is the state in slot s and
-    ``slot_size[s]`` the size of its fragment, so the fragments of one size
-    fill one run of slots, each one's states ascending."""
+def _fragments(m) -> tuple:
+    """Per state of a canonical CSR matrix: the label of its fragment (the
+    fragment's smallest state, :func:`_fragment_labels`) and its size.
+
+    Sorting states by ``(size, label)`` lays the fragments out in slots: the
+    fragments of one size fill one run of slots, and a stable sort keeps
+    each one's states ascending."""
     dim = m.shape[0]
     rows = np.repeat(np.arange(dim, dtype=m.indices.dtype), np.diff(m.indptr))
     hop = rows != m.indices  # a diagonal entry joins no two states
-    labels = _fragment_labels(rows[hop], m.indices[hop], dim)
-    # labels[v] is the smallest state of v's fragment, so ranking these roots
-    # numbers the fragments as np.unique(labels) would, without a sort
-    fragment = np.cumsum(labels == np.arange(dim))[labels] - 1
-    size = np.bincount(fragment)[fragment]
-    order = np.lexsort((fragment, size))
-    return order, size[order]
+    row, col = rows[hop], m.indices[hop]
+    del rows, hop
+    # only the states that an entry joins to another are labelled, in their
+    # own ascending numbering; every other state is a fragment of its own
+    joined = np.zeros(dim, dtype=bool)
+    joined[row] = joined[col] = True
+    states = np.flatnonzero(joined)
+    rank = np.cumsum(joined, dtype=row.dtype) - 1
+    local = _fragment_labels(rank[row], rank[col], len(states))
+    labels = np.arange(dim, dtype=row.dtype)
+    labels[states] = states[local]
+    size = np.ones(dim, dtype=np.int64)
+    size[states] = np.bincount(local)[local]
+    return labels, size
+
+
+def _canonical(h: SparseOperator) -> tuple:
+    """H's matrix as canonical CSR with no stored zero, and the scale
+    ``max(1, max |H_ij|)`` of the symmetry test."""
+    m = h.matrix.tocsr()
+    scale = max(float(np.abs(m.data).max()) if m.nnz else 0.0, 1.0)
+    if not (m.has_canonical_format and m.data.all()):
+        m = m.copy()
+        m.sum_duplicates()
+        m.eliminate_zeros()
+    return m, scale
+
+
+def _check_residual(residual: float, eigenvalues: np.ndarray) -> None:
+    """``RuntimeError`` when an eigenpair residual exceeds ``1e-8 * ||H||``,
+    read off the ends of the ascending ``eigenvalues``."""
+    norm = max(-float(eigenvalues[0]), float(eigenvalues[-1]))
+    if residual > 1e-8 * max(norm, 1e-12):
+        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
 
 
 def _block_eigenpairs(m, slot, states, scale: float) -> tuple:
@@ -188,7 +224,7 @@ def diagonalize(h: SparseOperator) -> Spectrum:
     """Eigendecomposition of a symmetric operator, one fragment at a time.
 
     The fragments are the connected components of H's sparsity graph.  The
-    fragments of one size k fill one run of slots (:func:`_fragment_slots`)
+    fragments of one size k fill one run of slots (:func:`_fragments`)
     and one ``(n_blocks, k, k)`` stack, which one stacked dense ``eigh``
     diagonalizes (:func:`_block_eigenpairs`); a 1 x 1 fragment is its own
     eigenpair.  The eigenvalues are merged into one ascending spectrum, and
@@ -198,16 +234,14 @@ def diagonalize(h: SparseOperator) -> Spectrum:
     are compared with their transposes) and ``RuntimeError`` if an
     eigenpair residual, checked block by block, exceeds ``1e-8 * ||H||``.
     """
-    m = h.matrix.tocsr()
-    scale = max(float(np.abs(m.data).max()) if m.nnz else 0.0, 1.0)
-    if not (m.has_canonical_format and m.data.all()):
-        m = m.copy()
-        m.sum_duplicates()
-        m.eliminate_zeros()
+    m, scale = _canonical(h)
     dim = h.dim
     # a fragment of size k at slots off + b*k .. off + b*k + k - 1 is block b
     # of its stack, and its j-th eigenpair takes slot off + b*k + j
-    order, slot_size = _fragment_slots(m)
+    labels, size = _fragments(m)
+    order = np.lexsort((labels, size))
+    slot_size = size[order]
+    del labels, size
     slot = np.empty(dim, dtype=np.int64)
     slot[order] = np.arange(dim)
     pops = h.basis.popcounts
@@ -252,10 +286,8 @@ def diagonalize(h: SparseOperator) -> Spectrum:
         data[at] = v
     vectors = sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
+    _check_residual(residual, eigenvalues)
     norm = float(np.abs(eigenvalues).max())
-    if residual > 1e-8 * max(norm, 1e-12):
-        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
-
     tol = _CLUSTER_TOLERANCE * max(1.0, norm)
     bounds = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol) + 1).tolist(), dim]
     clusters = list(zip(bounds[:-1], bounds[1:]))
@@ -273,6 +305,108 @@ def diagonalize(h: SparseOperator) -> Spectrum:
         max_intra_spread=intra,
         min_inter_gap=inter,
     )
+
+
+def _shift_group(shifts, n: int) -> list:
+    """Every product of the site-rank permutations ``shifts`` (``g[r]`` is
+    the rank that rank r moves to), the identity first."""
+    group = [tuple(range(n))]
+    for g in group:  # grows while it is read, so every product is reached
+        for s in shifts:
+            if (q := tuple(s[r] for r in g)) not in group:
+                group.append(q)
+    return group
+
+
+def _permute_bits(states: np.ndarray, g) -> np.ndarray:
+    """Each state with its bit r moved to bit ``g[r]``: one masked shift per
+    distinct displacement ``g[r] - r`` (two for a rotation)."""
+    out = np.zeros_like(states)
+    delta = np.asarray(g) - np.arange(len(g))
+    for d in np.unique(delta).tolist():
+        part = states & sum(1 << r for r in np.flatnonzero(delta == d).tolist())
+        out |= part << d if d >= 0 else part >> -d
+    return out
+
+
+def _orbit_sizes(roots, size, labels, group) -> np.ndarray:
+    """Per fragment root in ``roots``: the number of fragments in its orbit
+    under ``group`` if it is its orbit's representative, else 0.
+
+    A group element g maps the fragment F onto the fragment that holds
+    ``g(root(F))``, so the roots of F's orbit are the labels of those
+    images, and the key ``min_g labels[g(root(F))]`` is the same for every
+    member: the member whose root equals it is the representative, and the
+    number of members with that key is the orbit size.  ``RuntimeError`` if
+    some g maps a fragment onto one of another size.
+    """
+    key = roots.copy()
+    own = size[roots]
+    for g in group[1:]:
+        image = _permute_bits(roots, g)
+        if not np.array_equal(size[image], own):
+            raise RuntimeError("a shift maps a fragment onto a fragment of another size")
+        np.minimum(key, labels[image], out=key)
+    rep = key == roots
+    orbit = np.zeros(len(roots), dtype=np.int64)
+    orbit[rep] = np.bincount(np.searchsorted(roots[rep], key), minlength=int(rep.sum()))
+    return orbit
+
+
+def fragment_eigenvalues(h: SparseOperator, shifts=()) -> np.ndarray:
+    """The ascending eigenvalues of a symmetric operator, one stacked ``eigh``
+    per fragment size over one representative per orbit of fragments; no
+    eigenvector is kept.
+
+    ``shifts`` are site-rank permutations (``g[r]`` is the rank that rank r
+    moves to) whose unitaries fix H: the caller certifies that, as
+    :attr:`~nicolai.model.ModelSpec.shifts` does by the term identity
+    ``T(Q) == Q``.  Such a unitary moves the state x to ``+-g(x)``, so it
+    maps each fragment F onto the fragment holding ``g(root(F))`` by a
+    signed permutation of states, and the two blocks share their
+    eigenvalues.  Only fragments of two or more states are grouped into
+    orbits under the group the shifts generate (:func:`_orbit_sizes`, which
+    also checks that every shift maps each fragment onto one of its own
+    size); each representative's eigenvalues count once per member.  A 1 x 1
+    fragment's eigenvalue is its diagonal entry.  With no shift every
+    fragment is its own orbit, and the eigenvalues are bit-identical to
+    those of :func:`diagonalize`.
+
+    The blocks are gathered and solved as in :func:`diagonalize`
+    (:func:`_block_eigenpairs`): ``ValueError`` if a solved block is not
+    symmetric, ``RuntimeError`` if an eigenpair residual, checked on every
+    solved block, exceeds ``1e-8 * ||H||``.
+    """
+    m, scale = _canonical(h)
+    labels, size = _fragments(m)
+    # a 1 x 1 fragment's eigenvalue is its diagonal entry, counted by value
+    diagonal, repeats = np.unique(m.diagonal()[size == 1], return_counts=True)
+    values, weights = [diagonal.astype(np.float64)], [repeats]
+    states = np.flatnonzero(size > 1)
+    roots = states[labels[states] == states]
+    group = _shift_group(shifts, h.basis.lattice.nsites)
+    orbit = np.zeros(h.dim, dtype=np.int64)  # orbit size at each representative's root
+    orbit[roots] = _orbit_sizes(roots, size, labels, group)
+    # only the representatives' states are laid out in slots
+    states = states[orbit[labels[states]] > 0]
+    order = states[np.lexsort((labels[states], size[states]))]
+    classes = np.unique(size[order], return_index=True, return_counts=True)
+    del labels, size, states, roots
+    slot = np.empty(h.dim, dtype=np.int64)
+    slot[order] = np.arange(len(order))
+
+    residual = 0.0
+    for k, off, count in zip(*(c.tolist() for c in classes)):
+        blocks = order[off : off + count].reshape(-1, k)
+        w, _, res = _block_eigenpairs(m, slot, blocks, scale)
+        residual = max(residual, res)
+        values.append(w.ravel())
+        weights.append(np.repeat(orbit[blocks[:, 0]], k))
+    values, weights = np.concatenate(values), np.concatenate(weights)
+    ascending = np.argsort(values, kind="stable")
+    eigenvalues = np.repeat(values[ascending], weights[ascending])
+    _check_residual(residual, eigenvalues)
+    return eigenvalues
 
 
 def _dense(a) -> np.ndarray:

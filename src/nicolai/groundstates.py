@@ -312,14 +312,16 @@ class KernelCensus:
 
 
 def kernel_census(spec: ModelSpec) -> KernelCensus:
-    """Count classical ground configurations against the operator kernels."""
+    """Count classical ground configurations against the operator kernels:
+    H's kernel and least positive eigenvalue are read off
+    ``spec.eigenvalues``, which keeps no eigenvector."""
     if spec.lattice.dimension != 1:
         raise ValueError(
             "kernel census needs the classical/hopping split, available in 1D only"
         )
     classical_count = len(spec.ground_states)
 
-    eig = spec.spectrum.eigenvalues
+    eig = spec.eigenvalues
     dim_ker_h = int(np.count_nonzero(np.abs(eig) <= _ZERO_TOL))
     positive = eig[eig > _ZERO_TOL]
     min_pos_h = float(positive.min()) if positive.size else None

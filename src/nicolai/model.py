@@ -20,18 +20,20 @@ a five-site cross centered at an even-even site and H is always derived as
 Every operator takes its sites from :func:`charge_hoods`, the neighbourhoods
 of :func:`nicolai.grammar.hoods`: one charge per triple or cross, two hopping
 terms per pair of triples that share a site.  The module has no site
-arithmetic of its own beyond :func:`translate2`.
+arithmetic of its own beyond the shifts by two (:func:`translate2`).
 
 The model carries a global U(1) symmetry ([H, N] = 0), invariance under
-translation by two sites on rings (certified as the term identity
-T(Q) = Q: the shift permutes the neighbourhoods), and a particle-hole
-transformation rho (swap every a and a*) with rho(Q) = -Q* and rho(H) = H.
+translation by two sites on rings and along both axes of tori (certified
+as the term identity T(Q) = Q: the shift permutes the neighbourhoods), and
+a particle-hole transformation rho (swap every a and a*) with rho(Q) = -Q*
+(+Q* on tori) and rho(H) = H.
 
 A :class:`ModelSpec` is the model: the lattice is its only setting (the
 1D or 2D form follows from the lattice dimension), and it builds each of its
 objects (the full Fock basis, Q, Q*, H, the classical/hopping split, the
-classical ground states as one array of Fock states, the spectrum, the exact
-translation certificate) on first use and keeps it.
+classical ground states as one array of Fock states, the spectrum and the
+eigenvalues alone, the exact translation certificates) on first use and
+keeps it.
 """
 
 from __future__ import annotations
@@ -127,7 +129,9 @@ class ModelSpec:
 
     ``h_classical`` and ``h_hop`` exist in 1D only; ``ground_states`` is an
     int64 array; ``spectrum`` diagonalizes ``h`` fragment by fragment (the
-    connected components of its sparsity graph), with sparse eigenvectors.
+    connected components of its sparsity graph), with sparse eigenvectors;
+    ``eigenvalues`` solves one fragment per orbit of the certified
+    ``shifts`` and keeps no eigenvector.
     """
 
     lattice: Lattice
@@ -244,6 +248,11 @@ class ModelSpec:
     def h_hop(self) -> SparseOperator:
         return build_h_hop(self).to_sparse(self.basis)
 
+    def _shift2_identity(self, axis: int) -> bool:
+        """``T(Q) == Q`` term by term for the shift ``T`` by two along ``axis``."""
+        moved = translate2(self.q_sum, self.lattice, axis)
+        return Counter(moved.terms) == Counter(self.q_sum.terms)
+
     @cached_property
     def h_translation2_invariant(self) -> bool:
         """Whether the shift ``T`` by two sites (along x in 2D) maps the
@@ -256,7 +265,23 @@ class ModelSpec:
         stronger than the matrix identity ``{TQ, (TQ)*} == H``, which
         follows from it; no matrix is built.
         """
-        return Counter(translate2(self.q_sum, self.lattice).terms) == Counter(self.q_sum.terms)
+        return self._shift2_identity(0)
+
+    @cached_property
+    def shifts(self) -> tuple:
+        """The certified shifts by two as site-rank permutations (``g[r]``
+        is the rank that rank r moves to): along x when
+        ``h_translation2_invariant`` holds, and on tori along y when the
+        same term identity holds for the y-shift.  Empty on open lattices."""
+        lat = self.lattice
+        if not lat.periodic:
+            return ()
+        certified = [0] if self.h_translation2_invariant else []
+        certified += [a for a in range(1, lat.dimension) if self._shift2_identity(a)]
+        return tuple(
+            tuple(lat.rank(shift(site)) for site in lat.sites)
+            for shift in (_shift2(lat, a) for a in certified)
+        )
 
     @cached_property
     def ground_states(self) -> np.ndarray:
@@ -271,6 +296,14 @@ class ModelSpec:
         from .dynamics import diagonalize  # deferred: builds on this module
 
         return diagonalize(self.h)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """H's eigenvalues, ascending, with no eigenvectors: one ``eigh`` per
+        orbit of fragments under the certified :attr:`shifts`."""
+        from .dynamics import fragment_eigenvalues  # deferred: builds on this module
+
+        return fragment_eigenvalues(self.h, self.shifts)
 
 
 def charge_hoods(lattice: Lattice) -> list:
@@ -430,17 +463,23 @@ def number_operator(lattice: Lattice, basis: FockBasis) -> SparseOperator:
     )
 
 
-def translate2(a: OperatorSum, lattice: Lattice) -> OperatorSum:
-    """Shift every factor site by two lattice units, along x in 2D (periodic
-    lattices only)."""
+def _shift2(lattice: Lattice, axis: int):
+    """The site map of the shift by two lattice units along ``axis`` (x = 0,
+    y = 1 in 2D; 0 in 1D), periodic lattices only."""
     if not lattice.periodic:
         raise ValueError("translation by two is a symmetry of periodic lattices only")
+    if axis not in range(lattice.dimension):
+        raise ValueError(f"a {lattice.dimension}D lattice has no axis {axis}")
+    if lattice.dimension == 1:
+        return lambda site: lattice.wrap(site + 2)
+    step = (2, 0) if axis == 0 else (0, 2)
+    return lambda site: lattice.wrap((site[0] + step[0], site[1] + step[1]))
 
-    def shift(site):
-        if lattice.dimension == 1:
-            return lattice.wrap(site + 2)
-        return lattice.wrap((site[0] + 2, site[1]))
 
+def translate2(a: OperatorSum, lattice: Lattice, axis: int = 0) -> OperatorSum:
+    """Shift every factor site by two lattice units, along x (``axis=0``) or
+    y (``axis=1``) in 2D (periodic lattices only)."""
+    shift = _shift2(lattice, axis)
     return OperatorSum(
         tuple(
             FermionMonomial(t.coefficient, tuple((shift(s), k) for s, k in t.factors))

@@ -199,7 +199,7 @@ def test_diagonalization_failure_exit_code(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("eigenpair residual 1.000e-03 exceeds tolerance")
 
-    monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
+    monkeypatch.setattr(nicolai.dynamics, "fragment_eigenvalues", fail)
     assert run(["verify", "--ring", "--m", "2"]) == 3
     assert capsys.readouterr().err.startswith("error: eigenpair residual")
 
@@ -724,11 +724,30 @@ def test_verify_calls_each_model_builder_once(capsys, monkeypatch):
         (nicolai.model, "build_h_classical"),
         (nicolai.model, "build_h_hop"),
         (nicolai.groundstates, "_ground_codes"),
-        (nicolai.dynamics, "diagonalize"),
+        (nicolai.dynamics, "fragment_eigenvalues"),
     ]
     calls = _count_calls(monkeypatch, builders)
     assert run(["verify", "--ring", "--m", "2"]) == 0
     assert dict(calls) == {name: 1 for _, name in builders}
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["verify", "--ring", "--m", "3"], 0),
+        (["verify", "--torus", "4x4"], 0),
+        (["build", "--ring", "--m", "3", "--verify"], 0),
+        (["ergodicity", "--ring", "--m", "3"], 1),
+        (["ergodicity", "--ring", "--m", "2", "--spectrum-csv"], 1),
+    ],
+    ids=["verify", "verify-torus", "build-verify", "ergodicity", "ergodicity-csv"],
+)
+def test_only_the_ergodicity_report_builds_eigenvectors(argv, count, capsys, monkeypatch, tmp_path):
+    if "--spectrum-csv" in argv:
+        argv = [*argv, str(tmp_path / "spectrum.csv")]
+    calls = _count_calls(monkeypatch, [(nicolai.dynamics, "diagonalize")])
+    assert run(argv) == 0
+    assert calls["diagonalize"] == count
 
 
 def test_verify_builds_every_sum_in_one_pass(capsys, monkeypatch):
@@ -968,3 +987,59 @@ def test_verify_fails_translation2_h_on_a_shifted_sum(capsys, monkeypatch):
     assert run(["verify", "--ring", "--m", "2"]) == 3
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert not {c["name"]: c["passed"] for c in checks}["translation2_h"]
+
+
+def _rho_q(spec):
+    return nicolai.particle_hole(spec.q_sum).to_sparse(spec.basis)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*(nicolai.ModelSpec.ring(m) for m in range(1, 7)), nicolai.ModelSpec.chain_sites(13)]
+    + [nicolai.ModelSpec.torus(4, 4)],
+    ids=lambda s: f"{s.lattice.boundary}-{s.lattice.nsites}",
+)
+def test_particle_hole_h_derivation_agrees_with_the_products(spec):
+    # verify passes particle_hole_h on rho(Q) == s Q* and H == {Q, Q*}; the
+    # block products are the oracle of that derivation
+    rho_q = _rho_q(spec)
+    sign = -1 if spec.lattice.dimension == 1 else 1
+    assert (rho_q - sign * spec.q_dagger).is_zero()
+    assert cli._anticommutator_equals(rho_q, rho_q.adjoint(), spec.h)
+
+
+def test_particle_hole_h_falls_back_to_the_products(capsys, monkeypatch):
+    # one charge negated in rho(Q): particle_hole_q fails, and particle_hole_h
+    # reports what the block products say
+    def negated(q):
+        terms = nicolai.particle_hole(q).terms
+        return nicolai.OperatorSum((terms[0].scaled(-1),) + terms[1:])
+
+    spec = nicolai.ModelSpec.ring(3)
+    rho_q = negated(spec.q_sum).to_sparse(spec.basis)
+    want = cli._anticommutator_equals(rho_q, rho_q.adjoint(), spec.h)
+    calls = _count_calls(monkeypatch, [(cli, "_anticommutator_equals")])
+    monkeypatch.setattr(cli, "particle_hole", negated)
+    assert run(["verify", "--ring", "--m", "3"]) == 3
+    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not passed["particle_hole_q"]
+    assert passed["particle_hole_h"] == want
+    assert calls["_anticommutator_equals"] == 1
+
+
+def test_verify_torus_checks_particle_hole_h_without_a_sparse_product(capsys, monkeypatch):
+    products = Counter()
+    matmul = scipy.sparse._compressed._cs_matrix._matmul_sparse
+
+    def counted(self, other):
+        products["sparse"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_matmul_sparse", counted)
+    calls = _count_calls(monkeypatch, [(cli, "_anticommutator_equals")])
+    assert run(["verify", "--torus", "4x4"]) == 0
+    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert passed["particle_hole_q"] and passed["particle_hole_h"]
+    assert not calls
+    # Q Q and Q* Q* for the nilpotency checks, Q Q* and Q* Q for H: no other
+    assert products["sparse"] == 4
