@@ -20,13 +20,15 @@ words, shape)`` whose supports are even shifts of the first and share its
 rows (:func:`_catalogue`), validated in one vectorized pass after the
 support check the sequence objects share (:func:`_check_support`).  The
 masks and labels of every member are read off the rows, with no Python
-object per charge; on a ring one member per shift-by-2 orbit is certified
-(:func:`_catalogue_residual`).  :func:`lattice_sweep`, the ergodicity report
-and, grouped by support, :func:`conservation_sweep` feed the masks to one
-int64 kernel, :func:`_mask_residuals`, whose oracle is
-:func:`conservation_check` (two scipy products per charge).  The kernel
-decodes the masks with :func:`nicolai.fock._signed_images`, the decoder
-that also assembles every operator.
+object per charge.  :func:`lattice_sweep`, the ergodicity report and,
+grouped by support, :func:`conservation_sweep` feed the masks to
+:func:`_catalogue_residual`, which checks one member per orbit under the
+certified shifts by two (``ModelSpec.shifts``: x on rings, x and y on
+tori, none on chains) with one int64 kernel, :func:`_mask_residuals`,
+whose oracle is :func:`conservation_check` (two scipy products per
+charge).  The kernel decodes the masks with
+:func:`nicolai.fock._signed_images`, the decoder that also assembles every
+operator.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .fock import (
     monomial_to_sparse,
     span_dimension,
 )
-from .model import ModelSpec, charge_hoods
+from .model import ModelSpec, _permute_bits, _shift_group, charge_hoods
 
 __all__ = [
     "ConservedSequence",
@@ -70,7 +72,6 @@ __all__ = [
     "anticommute_check",
     "overlap_allows_nonzero",
     "conservation_check",
-    "shift2_representative",
     "conservation_sweep",
     "lattice_sweep",
     "vanishing_triple_products",
@@ -368,25 +369,6 @@ def conservation_check(spec: ModelSpec, f: ConservedSequence):
     return commutator(spec.h, qf).max_abs()
 
 
-def shift2_representative(f: ConservedSequence, lattice) -> ConservedSequence:
-    """The member of the shift-by-2 orbit of ``f`` that stands for the orbit:
-    an arc moved to the lowest even start of the ring, a closed sequence at
-    the least of its value rotations by two.  ``f`` itself when it is
-    neither an arc from an even site nor a closed sequence in ring order."""
-    if f.closed:
-        if f.sites != lattice.sites:
-            return f
-        v = f.values
-        return ConservedSequence(
-            f.sites, min(v[k:] + v[:k] for k in range(0, len(v), 2)), closed=True
-        )
-    lo = lattice.sites[lattice.sites[0] % 2]
-    delta = f.sites[0] - lo
-    if f.shape is not None or delta % 2 or delta == 0:
-        return f
-    return ConservedSequence(tuple(lattice.wrap(s - delta) for s in f.sites), f.values)
-
-
 def conservation_sweep(spec: ModelSpec, sequences: list):
     """Largest max-abs entry of ``[H, Q(f)]`` over a user-given list of
     sequences, grouped by support into catalogue blocks: each support passes
@@ -398,15 +380,15 @@ def conservation_sweep(spec: ModelSpec, sequences: list):
     for support in groups:
         _check_support(spec.lattice, *support)
     blocks = [([sites], np.int8(rows), shape) for (sites, _, shape), rows in groups.items()]
-    return _mask_residuals(spec, _member_masks(spec.lattice, blocks)).max(initial=0)
+    return _catalogue_residual(spec, _member_masks(spec.lattice, blocks))
 
 
 def lattice_sweep(spec: ModelSpec) -> tuple:
     """Largest max-abs entry of ``[H, Q(f)]`` over every member of
     :func:`lattice_sequences`, and their number, from the word rows of
     :func:`_catalogue` on rings, chains and tori alike."""
-    blocks = _catalogue(spec.lattice)
-    return _catalogue_residual(spec, blocks), _member_count(blocks)
+    masks = _member_masks(spec.lattice, _catalogue(spec.lattice))
+    return _catalogue_residual(spec, masks), len(masks)
 
 
 def _catalogue(lattice) -> list:
@@ -470,23 +452,6 @@ def _validate_blocks(lattice, blocks: list) -> None:
             raise ValueError("a catalogue row breaks a boundary-pair condition")
 
 
-def _least_rotations(words: np.ndarray) -> np.ndarray:
-    """One row per class of the closed ``words`` under rotation by two: the
-    least rotation (lexicographic, ``-1 < +1``), in ascending order.
-
-    A row is the integer key with bit ``n-1-i`` set where position ``i``
-    holds ``+1``, so key order is row order, and a rotation left by ``k``
-    positions (``v[k:] + v[:k]``) is a rotation of the key's ``n`` bits."""
-    n = words.shape[1]
-    full = (1 << n) - 1
-    key = np.where(words > 0, 1 << np.arange(n - 1, -1, -1, dtype=np.int64), 0).sum(axis=1)
-    least = key.copy()
-    for k in range(2, n, 2):
-        np.minimum(least, (key << k) & full | key >> (n - k), out=least)
-    bits = np.unique(least)[:, None] >> np.arange(n - 1, -1, -1) & 1
-    return (2 * bits - 1).astype(np.int8)
-
-
 def _row_masks(lattice, sites: tuple, rows: np.ndarray) -> np.ndarray:
     """The masks ``(S, P, M, c)`` of ``Q(f)`` for each value row on the
     ordered support ``sites``, as an int64 array of shape ``(rows, 4)``.
@@ -498,7 +463,7 @@ def _row_masks(lattice, sites: tuple, rows: np.ndarray) -> np.ndarray:
     weights = 1 << np.array([lattice.rank(s) for s in sites], dtype=np.int64)
     masks = np.empty((len(rows), 4), dtype=np.int64)
     masks[:, 0], masks[:, 2], masks[:, 3] = support, string, crossings
-    masks[:, 1] = np.where(rows < 0, weights, 0).sum(axis=1)
+    masks[:, 1] = (rows < 0) @ weights
     return masks
 
 
@@ -521,32 +486,36 @@ def _member_labels(lattice, blocks: list) -> list:
     return labels
 
 
-def _orbit_blocks(lattice, blocks: list) -> list:
-    """One member per shift-by-2 orbit of a ring catalogue, the set
-    :func:`shift2_representative` picks: arcs at the lowest even start,
-    closed rows at their least rotations."""
-    return [
-        (sup, _least_rotations(w), sh) if _closed(lattice, sup[0]) else ([min(sup)], w, sh)
-        for sup, w, sh in blocks
-    ]
+def _pair_keys(support: np.ndarray, pattern: np.ndarray, n: int) -> np.ndarray:
+    """The int64 key ``S << n | P`` of each pair of ``n``-bit masks;
+    ``OverflowError`` where it does not fit."""
+    if 2 * n > 63:
+        raise OverflowError(f"packed keys of {n}-site masks do not fit in int64")
+    return support << n | pattern
 
 
-def _catalogue_residual(spec: ModelSpec, blocks: list):
-    """Largest max-abs entry of ``[H, Q(f)]`` over the members of a
-    (validated) catalogue in block form.  On a ring whose Q passes the exact
-    translation certificate (``spec.h_translation2_invariant``: the term
-    identity ``T(Q) == Q`` for the shift T by two sites), only
-    :func:`_orbit_blocks` are checked.  T is the CAR automorphism ``a_x ->
-    a_(x+2)``, so ``T(H) == {T(Q), T(Q)*} == H``; the unitary U that
-    implements it permutes the Fock basis up to signs, so ``U H U* == H``
-    and ``U Q(f) U* == Q(Tf)`` (a closed sequence's two wrapping factors
-    pass the other ``n - 2``, an even number of odd swaps): ``[H, Q(Tf)] ==
-    U [H, Q(f)] U*`` has the same max-abs entry.  Otherwise every member row
-    is checked."""
-    lat = spec.lattice
-    if lat.dimension == 1 and lat.periodic and spec.h_translation2_invariant:
-        blocks = _orbit_blocks(lat, blocks)
-    return _mask_residuals(spec, _member_masks(lat, blocks)).max(initial=0)
+def _orbit_rows(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:
+    """The ascending indices of one row of ``masks`` per orbit of the pairs
+    ``(S, P)`` under the group of ``spec.shifts``: the first row of each
+    least key ``g(S) << n | g(P)`` over the group, which is the key with g
+    applied to each of its two n-bit halves."""
+    n = spec.lattice.nsites
+    own = _pair_keys(masks[:, 0], masks[:, 1], n)
+    key = own.copy()
+    for g in _shift_group(spec.shifts, n)[1:]:
+        np.minimum(key, _permute_bits(own, (*g, *(n + r for r in g))), out=key)
+    return np.sort(np.unique(key, return_index=True)[1])
+
+
+def _catalogue_residual(spec: ModelSpec, masks: np.ndarray):
+    """Largest max-abs entry of ``[H, Q(f)]`` over the charges with the
+    ``(S, P, M, c)`` rows ``masks``, from one row per orbit
+    (:func:`_orbit_rows`).  The residual of a charge depends on ``(S, P)``
+    alone (its factor order sets only its sign), and a certified shift maps
+    ``[H, Q(f)]`` onto ``+-[H, Q(g f)]`` (:attr:`ModelSpec.shifts`), so
+    every member of an orbit has the same residual, however the rows were
+    built.  With no certified shift every distinct row is checked."""
+    return _mask_residuals(spec, masks[_orbit_rows(spec, masks)]).max(initial=0)
 
 
 # Gathered (sequence, row, column) entries per chunk of the batched

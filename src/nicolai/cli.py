@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -379,7 +380,7 @@ def cmd_charges(args) -> int:
         if payload["full_ring_count"] != payload["full_ring_transfer_count"]:
             code = 3
         if args.check:
-            residual = int(ch._catalogue_residual(spec, blocks))
+            residual = int(ch._catalogue_residual(spec, ch._member_masks(lat, blocks)))
             payload["max_commutator_residual"] = residual
             if residual != 0:
                 code = 3
@@ -549,7 +550,11 @@ def cmd_verify(args) -> int:
     return 3 if payload["failures"] else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  It holds no
+    command function: :func:`main` looks ``cmd_<subcommand>`` up when it is
+    called, so a rebound ``cmd_*`` still takes effect."""
     parser = argparse.ArgumentParser(
         prog="nicolai",
         description="Exact diagonalization of the Nicolai supersymmetric fermion lattice model",
@@ -561,39 +566,38 @@ def main(argv=None) -> int:
     p = sub.add_parser("build", help="build the model and summarize it", **common)
     _add_lattice_flags(p)
     p.add_argument("--verify", action="store_true", help="run the algebraic checks")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("charges", help="enumerate conserved sequences", **common)
     _add_lattice_flags(p)
     p.add_argument("--interval", type=int, nargs=2, metavar=("K", "L"), help="interval [2K, 2L]")
     p.add_argument("--check", action="store_true", help="verify commutators vanish")
     p.add_argument("--tables", action="store_true", help="dump the shipped golden tables")
-    p.set_defaults(func=cmd_charges)
 
     p = sub.add_parser("groundstates", help="census of classical ground states", **common)
     _add_lattice_flags(p)
     p.add_argument("--transfer-matrix", action="store_true", help="count only, via the transfer matrix")
     p.add_argument("--verify-susy", action="store_true", help="check Q|g> = Q*|g> = H|g> = 0")
-    p.set_defaults(func=cmd_groundstates)
 
     p = sub.add_parser("ergodicity", help="Mazur gaps of the conserved charges", **common)
     _add_lattice_flags(p)
     p.add_argument("--beta", type=float, nargs="+", default=[0.5, 1.0, 2.0], help="inverse temperatures")
     p.add_argument("--spectrum-csv", metavar="PATH", help="also export the spectrum as CSV")
-    p.set_defaults(func=cmd_ergodicity)
 
     p = sub.add_parser("verify", help="run the full invariant suite", **common)
     _add_lattice_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     for p_ in sub.choices.values():
         p_.add_argument("--output", metavar="PATH", help="write the report to PATH")
         p_.add_argument("--format", choices=("json", "text"), default="json")
         p_.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.subcommand}"](args)
     except (ValueError, KeyError, MemoryError, OSError, RuntimeError) as exc:
         # a bare MemoryError has no text; OSError is an output path that
         # cannot be written; RuntimeError is a certificate that failed at

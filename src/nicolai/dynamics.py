@@ -67,7 +67,7 @@ from .fock import FockBasis, SparseOperator
 from .fock import enumerate_basis  # noqa: F401  alias read by bench/test_bench.py
 from .grammar import permitted
 from .groundstates import Configuration, config_to_vector
-from .model import ModelSpec, charge_hoods
+from .model import ModelSpec, _permute_bits, _shift_group, charge_hoods
 
 __all__ = [
     "Spectrum",
@@ -307,28 +307,6 @@ def diagonalize(h: SparseOperator) -> Spectrum:
     )
 
 
-def _shift_group(shifts, n: int) -> list:
-    """Every product of the site-rank permutations ``shifts`` (``g[r]`` is
-    the rank that rank r moves to), the identity first."""
-    group = [tuple(range(n))]
-    for g in group:  # grows while it is read, so every product is reached
-        for s in shifts:
-            if (q := tuple(s[r] for r in g)) not in group:
-                group.append(q)
-    return group
-
-
-def _permute_bits(states: np.ndarray, g) -> np.ndarray:
-    """Each state with its bit r moved to bit ``g[r]``: one masked shift per
-    distinct displacement ``g[r] - r`` (two for a rotation)."""
-    out = np.zeros_like(states)
-    delta = np.asarray(g) - np.arange(len(g))
-    for d in np.unique(delta).tolist():
-        part = states & sum(1 << r for r in np.flatnonzero(delta == d).tolist())
-        out |= part << d if d >= 0 else part >> -d
-    return out
-
-
 def _orbit_sizes(roots, size, labels, group) -> np.ndarray:
     """Per fragment root in ``roots``: the number of fragments in its orbit
     under ``group`` if it is its orbit's representative, else 0.
@@ -360,15 +338,15 @@ def fragment_eigenvalues(h: SparseOperator, shifts=()) -> np.ndarray:
 
     ``shifts`` are site-rank permutations (``g[r]`` is the rank that rank r
     moves to) whose unitaries fix H: the caller certifies that, as
-    :attr:`~nicolai.model.ModelSpec.shifts` does by the term identity
-    ``T(Q) == Q``.  Such a unitary moves the state x to ``+-g(x)``, so it
-    maps each fragment F onto the fragment holding ``g(root(F))`` by a
-    signed permutation of states, and the two blocks share their
-    eigenvalues.  Only fragments of two or more states are grouped into
-    orbits under the group the shifts generate (:func:`_orbit_sizes`, which
-    also checks that every shift maps each fragment onto one of its own
-    size); each representative's eigenvalues count once per member.  A 1 x 1
-    fragment's eigenvalue is its diagonal entry.  With no shift every
+    :attr:`~nicolai.model.ModelSpec.shifts` does, where the argument is
+    stated.  Such a unitary maps each fragment F onto the fragment holding
+    ``g(root(F))`` by a signed permutation of states, and the two blocks
+    share their eigenvalues.  Only fragments of two or more states are
+    grouped into orbits under the group the shifts generate
+    (:func:`_orbit_sizes`, which also checks that every shift maps each
+    fragment onto one of its own size); each representative's eigenvalues
+    count once per member.  A 1 x 1 fragment's eigenvalue is its diagonal
+    entry.  With no shift every
     fragment is its own orbit, and the eigenvalues are bit-identical to
     those of :func:`diagonalize`.
 
@@ -727,11 +705,11 @@ def ergodicity_report(
     """Mazur gaps of every Hermitian charge ``A = Q(f) + Q(f)*`` on a ring.
 
     Gaps are reported for the trace state and for Gibbs states at the given
-    inverse temperatures, in closed form.  The word rows of
-    :func:`~nicolai.charges._catalogue` are certified by
+    inverse temperatures, in closed form.  The masks and labels of the
+    generators are read off the word rows of
+    :func:`~nicolai.charges._catalogue`, and those masks are certified by
     :func:`~nicolai.charges._catalogue_residual` (``RuntimeError`` on a
-    nonzero ``[H, Q(f)]``), and the masks and labels of the generators are
-    read off the same rows, so the certificate covers the operators built.
+    nonzero ``[H, Q(f)]``), so the certificate covers the operators built.
     That also certifies ``A``: H = QQ* + Q*Q is exactly symmetric in int64,
     so ``[H, Q(f)*] = -[H, Q(f)]^T`` vanishes with ``[H, Q(f)]``, and
     ``dephase(A) = A``.
@@ -756,7 +734,7 @@ def ergodicity_report(
     The dimension of the span of the invariant operators found (including
     the identity) is the finite-volume stand-in for the invariant-projection
     criterion: more than one dimension means non-ergodic.  It is
-    ``1 + #{(S, min(P, S ^ P))}``.  Generators with equal keys are equal up
+    ``1 + #{(S, min(P, S ^ P))}``, counted on packed integer keys.  Generators with equal keys are equal up
     to sign (``A_(-f) = +-A_f``: flipping every value swaps P and S ^ P).
     Generators with different keys store entries at disjoint positions (the
     column is ``r ^ S`` and ``r & S`` picks the key), so they are orthogonal
@@ -786,9 +764,9 @@ def ergodicity_report(
     dim = basis.dim
 
     blocks = ch._catalogue(lat)
-    if residual := ch._catalogue_residual(spec, blocks):
-        raise RuntimeError(f"charge catalogue does not commute with H (residual {residual})")
     masks = ch._member_masks(lat, blocks)
+    if residual := ch._catalogue_residual(spec, masks):
+        raise RuntimeError(f"charge catalogue does not commute with H (residual {residual})")
     report = ErgodicityReport(generator_labels=ch._member_labels(lat, blocks))
 
     report.gaps = {"trace": _marginal_gaps(masks, np.full(dim, 1.0 / dim)).tolist()}
@@ -810,7 +788,9 @@ def ergodicity_report(
                 f"closed-form {label} gap {closed!r} disagrees with the dephased "
                 f"Mazur gap {want!r}"
             )
-    report.invariant_dimension = 1 + len({(s, min(p, s ^ p)) for s, p, *_ in masks.tolist()})
+    s, p = masks[:, 0], masks[:, 1]
+    keys = ch._pair_keys(s, np.minimum(p, s ^ p), lat.nsites)
+    report.invariant_dimension = 1 + len(np.unique(keys))
     report.non_ergodic = report.invariant_dimension >= 2
 
     if len(grounds := spec.ground_states) >= 2:

@@ -20,13 +20,18 @@ a five-site cross centered at an even-even site and H is always derived as
 Every operator takes its sites from :func:`charge_hoods`, the neighbourhoods
 of :func:`nicolai.grammar.hoods`: one charge per triple or cross, two hopping
 terms per pair of triples that share a site.  The module has no site
-arithmetic of its own beyond the shifts by two (:func:`translate2`).
+arithmetic of its own beyond the shifts by two, on operators
+(:func:`translate2`) and on Fock states and masks (:func:`_shift_group`,
+:func:`_permute_bits`).
 
 The model carries a global U(1) symmetry ([H, N] = 0), invariance under
 translation by two sites on rings and along both axes of tori (certified
 as the term identity T(Q) = Q: the shift permutes the neighbourhoods), and
 a particle-hole transformation rho (swap every a and a*) with rho(Q) = -Q*
-(+Q* on tori) and rho(H) = H.
+(+Q* on tori) and rho(H) = H.  The group of the certified shifts
+(:attr:`ModelSpec.shifts`) is the one symmetry that both reductions use:
+one spectrum per orbit of H's fragments, and one commutator check per orbit
+of the conserved charges.
 
 A :class:`ModelSpec` is the model: the lattice is its only setting (the
 1D or 2D form follows from the lattice dimension), and it builds each of its
@@ -238,7 +243,11 @@ class ModelSpec:
 
     @cached_property
     def h(self) -> SparseOperator:
-        return anticommutator(self.q, self.q_dagger)
+        """``{Q, Q*}`` as canonical CSR (sorted indices, no duplicate), so
+        every reader takes it as it is stored."""
+        h = anticommutator(self.q, self.q_dagger)
+        h.matrix.sum_duplicates()
+        return h
 
     @cached_property
     def h_classical(self) -> SparseOperator:
@@ -255,24 +264,30 @@ class ModelSpec:
 
     @cached_property
     def h_translation2_invariant(self) -> bool:
-        """Whether the shift ``T`` by two sites (along x in 2D) maps the
-        terms of Q onto themselves, ``T(Q) == Q`` term by term; periodic
-        lattices only.
-
-        ``T`` is the CAR *-automorphism ``a_x -> a_(x+2)``, so ``T(Q) == Q``
-        gives ``T(H) == {T(Q), T(Q)*} == H``, and the unitary U that
-        implements ``T`` gives ``U H U* == H``.  The identity is exact and
-        stronger than the matrix identity ``{TQ, (TQ)*} == H``, which
-        follows from it; no matrix is built.
-        """
+        """Whether the shift by two sites (along x in 2D) maps the terms of Q
+        onto themselves, ``T(Q) == Q`` term by term; periodic lattices only.
+        What the identity certifies is stated on :attr:`shifts`."""
         return self._shift2_identity(0)
 
     @cached_property
     def shifts(self) -> tuple:
-        """The certified shifts by two as site-rank permutations (``g[r]``
-        is the rank that rank r moves to): along x when
+        """The certified shifts by two as site-rank permutations (``g[r]`` is
+        the rank that rank r moves to): along x when
         ``h_translation2_invariant`` holds, and on tori along y when the
-        same term identity holds for the y-shift.  Empty on open lattices."""
+        same term identity holds for the y-shift.  Empty on open lattices.
+
+        A shift T is the CAR *-automorphism ``a_x -> a_(T x)``, so the exact
+        term identity ``T(Q) == Q`` gives ``T(H) == {T(Q), T(Q)*} == H``; it
+        is stronger than the matrix identity, which follows from it, and no
+        matrix is built.  The unitary U that implements T moves the Fock
+        state x to ``+-g(x)`` (:func:`_permute_bits`), so ``U H U* == H``,
+        and it maps the monomial with Jordan-Wigner masks ``(S, P)`` to
+        ``+-`` the one with masks ``(g(S), g(P))``.  Every element of the
+        group the shifts generate (:func:`_shift_group`) does the same.
+        Hence H's fragments in one orbit share their eigenvalues
+        (:func:`~nicolai.dynamics.fragment_eigenvalues`), and ``[H, Q(f)]``
+        has the same max-abs entry for every charge of one orbit
+        (:func:`~nicolai.charges._catalogue_residual`)."""
         lat = self.lattice
         if not lat.periodic:
             return ()
@@ -474,6 +489,28 @@ def _shift2(lattice: Lattice, axis: int):
         return lambda site: lattice.wrap(site + 2)
     step = (2, 0) if axis == 0 else (0, 2)
     return lambda site: lattice.wrap((site[0] + step[0], site[1] + step[1]))
+
+
+def _shift_group(shifts, n: int) -> list:
+    """Every product of the site-rank permutations ``shifts`` (``g[r]`` is
+    the rank that rank r moves to), the identity first."""
+    group = [tuple(range(n))]
+    for g in group:  # grows while it is read, so every product is reached
+        for s in shifts:
+            if (q := tuple(s[r] for r in g)) not in group:
+                group.append(q)
+    return group
+
+
+def _permute_bits(states: np.ndarray, g) -> np.ndarray:
+    """Each state with its bit r moved to bit ``g[r]``: one masked shift per
+    distinct displacement ``g[r] - r`` (two for a rotation)."""
+    out = np.zeros_like(states)
+    delta = np.asarray(g) - np.arange(len(g))
+    for d in np.unique(delta).tolist():
+        part = states & sum(1 << r for r in np.flatnonzero(delta == d).tolist())
+        out |= part << d if d >= 0 else part >> -d
+    return out
 
 
 def translate2(a: OperatorSum, lattice: Lattice, axis: int = 0) -> OperatorSum:

@@ -39,7 +39,6 @@ from nicolai.charges import (
     overlap_allows_nonzero,
     rect_constant_sequence,
     sample_edge_violating_sequences,
-    shift2_representative,
     torus_constant_sequence,
     vanishing_triple_products,
 )
@@ -458,17 +457,24 @@ def _shift2_orbit(f, lat):
     return orbit
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-def test_shift2_orbits_of_representatives_reproduce_the_catalogue(m):
-    lat = Lattice.ring(m)
-    catalogue = lattice_sequences(lat)
-    reps = dict.fromkeys(shift2_representative(f, lat) for f in catalogue)
-    assert all(shift2_representative(r, lat) == r for r in reps)
-    orbits = [g for r in reps for g in _shift2_orbit(r, lat)]
+def _assert_one_member_per_orbit(kept, catalogue, lat):
+    """``kept`` holds exactly one member of each :func:`_shift2_orbit` of
+    the ring catalogue: their orbits are disjoint and cover it."""
+    orbits = [g for r in kept for g in _shift2_orbit(r, lat)]
     assert len(orbits) == len(set(orbits)) == len(set(catalogue)) == len(catalogue)
     assert set(orbits) == set(catalogue)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_shift2_orbits_of_representatives_reproduce_the_catalogue(m):
+    spec = ModelSpec.ring(m)
+    lat = spec.lattice
+    catalogue = lattice_sequences(lat)
+    rows = ch._orbit_rows(spec, ch._member_masks(lat, ch._catalogue(lat))).tolist()
+    assert rows == sorted(set(rows))
+    _assert_one_member_per_orbit([catalogue[i] for i in rows], catalogue, lat)
     if m == 5:
-        assert len(reps) == 372
+        assert len(rows) == 372
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -494,7 +500,7 @@ def test_orbit_sweep_agrees_with_the_full_sweep(m, ring):
     rng = np.random.default_rng(11)
     for f in sample_edge_violating_sequences(spec.lattice, 20, rng):
         residual = conservation_check(spec, f)
-        assert conservation_check(spec, shift2_representative(f, spec.lattice)) == residual
+        assert conservation_check(spec, shift2(f, spec.lattice)) == residual
         assert conservation_sweep(spec, catalogue + [f]) == residual
 
 
@@ -539,15 +545,6 @@ def test_sweep_without_the_translation_certificate_checks_every_sequence(monkeyp
     calls = _count_checks(monkeypatch)
     assert conservation_sweep(spec, catalogue + [planted]) != 0
     assert sorted(calls) == sorted(_masks_of(catalogue + [planted], spec.lattice))
-
-
-@pytest.mark.parametrize("lattice", [Lattice.chain(0, 8), Lattice.torus(4, 4)])
-def test_sweep_keeps_the_full_sweep_on_chains_and_tori(lattice, monkeypatch):
-    spec = ModelSpec(lattice)
-    catalogue = lattice_sequences(lattice)
-    calls = _count_checks(monkeypatch)
-    assert conservation_sweep(spec, catalogue) == 0
-    assert sorted(calls) == sorted(_masks_of(catalogue, lattice))
 
 
 def test_sweep_validates_every_sequence(ring):
@@ -636,6 +633,14 @@ def test_packed_keys_fit_in_int64_at_the_largest_verify_dimension():
         ch._max_chunk_sequences(1 << 32)
 
 
+def test_pair_keys_fit_in_int64_or_raise():
+    # S << n | P takes 2n bits: 31 sites fill 62, 32 sites would need 64
+    full = np.int64((1 << 31) - 1)
+    assert int(ch._pair_keys(full, full, 31)) == (1 << 62) - 1
+    with pytest.raises(OverflowError):
+        ch._pair_keys(np.int64(1), np.int64(0), 32)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_catalogue_rows_expand_to_the_lattice_sequences(m):
     lat = Lattice.ring(m)
@@ -667,11 +672,11 @@ def test_catalogue_masks_are_the_masks_of_the_orbit_representatives(m):
     assert got.dtype == np.int64
     assert list(map(tuple, got.tolist())) == _masks_of(catalogue, lat)
     assert ch._member_labels(lat, blocks) == [f.label() for f in catalogue]
-    # one member per shift-by-2 orbit
-    got = ch._member_masks(lat, ch._orbit_blocks(lat, blocks))
-    want = set(_masks_of({shift2_representative(f, lat) for f in catalogue}, lat))
-    assert len(got) == len(want)
-    assert set(map(tuple, got.tolist())) == want
+    # the rows the sweep keeps: one member per shift-by-2 orbit
+    rows = ch._orbit_rows(ModelSpec(lat), got).tolist()
+    kept = [catalogue[i] for i in rows]
+    assert list(map(tuple, got[rows].tolist())) == _masks_of(kept, lat)
+    _assert_one_member_per_orbit(kept, catalogue, lat)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -724,13 +729,76 @@ def test_chain_and_torus_catalogues_equal_the_oracle_member_by_member(lattice):
     assert ch.lattice_sweep(spec) == (max(want.values()), len(catalogue)) == (0, len(catalogue))
 
 
-def test_lattice_sweep_checks_every_member_of_chains_and_tori(monkeypatch):
+def _torus_orbits(masks) -> list:
+    """The orbit of each torus constant's masks under the x and y shifts by
+    two: its support size (rectangle or whole torus) and its value (``P ==
+    S`` for -1, ``P == 0`` for +1)."""
+    return [(s.bit_count(), p == s) for s, p, *_ in masks]
+
+
+def test_sweeps_check_every_member_of_chains_and_one_per_orbit_of_tori(monkeypatch):
+    # a chain has no shift; on a torus the shifts move the (w-1) x (h-1)
+    # rectangles onto each other and fix the two torus constants
     calls = _count_checks(monkeypatch)
     for spec in (ModelSpec.chain(0, 8), ModelSpec.torus(4, 4)):
-        catalogue = lattice_sequences(spec.lattice)
-        calls.clear()
-        assert ch.lattice_sweep(spec) == (0, len(catalogue))
-        assert sorted(calls) == sorted(_masks_of(catalogue, spec.lattice))
+        lat = spec.lattice
+        catalogue = lattice_sequences(lat)
+        members = _masks_of(catalogue, lat)
+        for sweep in (ch.lattice_sweep, lambda s: (conservation_sweep(s, catalogue), len(catalogue))):
+            calls.clear()
+            assert sweep(spec) == (0, len(catalogue))
+            if lat.dimension == 1:
+                assert sorted(calls) == sorted(members)
+            else:
+                assert len(calls) == 4 < len(catalogue) == 10
+                assert set(calls) <= set(members)
+                assert sorted(_torus_orbits(calls)) == sorted(set(_torus_orbits(members)))
+    # 4 of 14 on the 4x6 torus, whose H is not built
+    spec = ModelSpec.torus(4, 6)
+    masks = ch._member_masks(spec.lattice, ch._catalogue(spec.lattice))
+    rows = ch._orbit_rows(spec, masks)
+    assert (len(rows), len(masks)) == (4, 14)
+    kept = _torus_orbits(masks[rows].tolist())
+    assert sorted(kept) == sorted(set(_torus_orbits(masks.tolist())))
+
+
+@pytest.mark.parametrize("lattice", [Lattice.ring(3), Lattice.torus(4, 4)], ids=["ring3", "torus4x4"])
+def test_with_no_certified_shift_every_member_is_checked(lattice, monkeypatch):
+    spec = ModelSpec(lattice)
+    spec.__dict__["q_sum"] = OperatorSum(spec.q_sum.terms[1:])  # cached_property slot
+    assert spec.shifts == ()
+    catalogue = lattice_sequences(lattice)
+    calls = _count_checks(monkeypatch)
+    residual, count = ch.lattice_sweep(spec)
+    assert count == len(catalogue)
+    assert sorted(calls) == sorted(_masks_of(catalogue, lattice))
+    assert residual == max(conservation_check(spec, f) for f in catalogue)
+
+
+def test_orbit_sweeps_return_the_full_sweep_on_planted_rows(planted_arc, monkeypatch):
+    # the planted arc ++- sits at every even start of the ring: one orbit
+    spec = ModelSpec.ring(3)
+    catalogue = lattice_sequences(spec.lattice)
+    assert sum(f.values == planted_arc.values for f in catalogue) == 4
+    want = max(conservation_check(spec, f) for f in catalogue)
+    assert want != 0
+    assert ch.lattice_sweep(spec) == (want, len(catalogue))
+    # a 3x3 row whose corner breaks a pair-line, at every even-even origin
+    # of the torus: one more orbit, whose one checked member gives the full
+    # sweep's residual
+    torus = ModelSpec.torus(4, 4)
+    lat = torus.lattice
+    values = (-1,) + (1,) * 8
+    planted = [
+        ConservedSequence(ch.rectangle_sites(lat, x, y, 3, 3), values, shape=(3, 3))
+        for x in (0, 2)
+        for y in (0, 2)
+    ]
+    residuals = [conservation_check(torus, f) for f in planted]
+    assert len(set(residuals)) == 1 and residuals[0] != 0
+    calls = _count_checks(monkeypatch)
+    assert conservation_sweep(torus, lattice_sequences(lat) + planted) == residuals[0]
+    assert len(calls) == 5
 
 
 def test_chain_block_with_planted_edge_violations():

@@ -793,10 +793,7 @@ def test_verify_reads_number_and_parity_off_the_entries(argv, capsys, monkeypatc
     ids=lambda argv: "-".join(argv).replace("--", ""),
 )
 def test_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
-    calls = _count_calls(
-        monkeypatch,
-        [(nicolai.charges, "conservation_check"), (nicolai.charges, "shift2_representative")],
-    )
+    calls = _count_calls(monkeypatch, [(nicolai.charges, "conservation_check")])
     post_init = nicolai.charges.ConservedSequence.__post_init__
 
     def counted(self):
@@ -919,6 +916,64 @@ def test_ergodicity_ring_m4_pin(capsys):
     assert list(gibbs) == list(want)
     for label, gaps in gibbs.items():
         assert np.abs(np.array(gaps) - want[label]).max() <= 1e-12
+
+
+def test_ergodicity_ring_m3_pin(capsys):
+    # the Gibbs gap lists, eigensolver floats, are dropped once each holds
+    # one positive gap per generator; the exact rest is hashed
+    assert run(["ergodicity", "--ring", "--m", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    report = payload["report"]
+    assert len(report["generators"]) == 186 and report["invariant_dimension"] == 94
+    for label in [k for k in report["gaps"] if k != "trace"]:
+        gaps = report["gaps"].pop(label)
+        assert len(gaps) == 186 and min(gaps) > 0
+    assert list(report["gaps"]) == ["trace"]
+    text = cli._render(payload, "json")
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "5be359a0f2bcca58466c83956564769c6ab79483d0687a5c275b89f34eff4afa"
+    )
+
+
+def test_main_builds_one_parser_and_keeps_its_help_text(capsys, monkeypatch):
+    built = Counter()
+    flags = cli._add_lattice_flags
+
+    def counted(p):
+        built[p.prog] += 1
+        flags(p)
+
+    monkeypatch.setattr(cli, "_add_lattice_flags", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run(["charges", "--ring", "--m", "2"]) == 0
+        assert run(["charges", "--ring", "--m", "3"]) == 0
+        # one parser, whose five subcommands each took the lattice flags once
+        assert len(built) == 5 and set(built.values()) == {1}
+        # the command is looked up at call time, so a rebound cmd_* is called
+        monkeypatch.setattr(cli, "cmd_charges", lambda args: 7)
+        assert run(["charges", "--ring", "--m", "2"]) == 7
+        assert len(built) == 5 and set(built.values()) == {1}
+    finally:
+        cli._parser.cache_clear()
+    # the shared --beta default is read, never mutated
+    beta = cli._parser().parse_args(["ergodicity", "--ring", "--m", "1"]).beta
+    assert run(["ergodicity", "--ring", "--m", "1", "--beta", "3"]) == 0
+    assert run(["ergodicity", "--ring", "--m", "1"]) == 0
+    assert beta == [0.5, 1.0, 2.0]
+    capsys.readouterr()
+    # the help of the program and of each subcommand, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    for sub in ([], ["build"], ["charges"], ["groundstates"], ["ergodicity"], ["verify"]):
+        with pytest.raises(SystemExit) as exit_:
+            run(sub + ["--help"])
+        assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "567d75f636a331372dd5817743c075292445c804715154380e8f3892d5156bc9"
+    )
 
 
 def test_verify_builds_the_translation_certificate_once(capsys, monkeypatch):

@@ -27,6 +27,7 @@ from nicolai import (
     parity_operator,
     translate2,
 )
+from nicolai.dynamics import _canonical
 from nicolai.model import forbidden_triple_projector
 
 
@@ -101,6 +102,20 @@ def test_hamiltonian_consistency_chains(nsites):
     hc = build_h_classical(spec).to_sparse(basis)
     hh = build_h_hop(spec).to_sparse(basis)
     assert h.equals(hc + hh)
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [Lattice.ring(1), Lattice.ring(4), Lattice.chain(0, 8), Lattice.torus(4, 4)],
+    ids=["ring4", "ring10", "chain9", "torus4x4"],
+)
+def test_h_is_stored_in_canonical_form(lattice):
+    # every reader of H takes the stored matrix as it is, with no sorted copy
+    spec = ModelSpec(lattice)
+    m = spec.h.matrix
+    assert m.has_canonical_format and m.data.all()
+    assert _canonical(spec.h)[0] is m
+    assert spec.h.equals(anticommutator(spec.q, spec.q_dagger))
 
 
 def _per_term_sum(q, basis) -> SparseOperator:
