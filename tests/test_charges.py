@@ -736,23 +736,26 @@ def _torus_orbits(masks) -> list:
     return [(s.bit_count(), p == s) for s, p, *_ in masks]
 
 
-def test_sweeps_check_every_member_of_chains_and_one_per_orbit_of_tori(monkeypatch):
-    # a chain has no shift; on a torus the shifts move the (w-1) x (h-1)
-    # rectangles onto each other and fix the two torus constants
+def _assert_every_member_covered(calls, members, lat):
+    """A chain has no shift, so every member is checked. On a torus the
+    shifts move the (w-1) x (h-1) rectangles onto each other and fix the two
+    torus constants: one member per orbit is checked (4 of 10 on 4x4), and
+    the orbits of the checked members cover every member."""
+    if lat.dimension == 1:
+        assert sorted(calls) == sorted(members)
+    else:
+        assert len(calls) == 4 < len(members) == 10
+        assert set(calls) <= set(members)
+        assert sorted(_torus_orbits(calls)) == sorted(set(_torus_orbits(members)))
+
+
+def test_lattice_sweep_checks_every_member_of_chains_and_tori(monkeypatch):
     calls = _count_checks(monkeypatch)
     for spec in (ModelSpec.chain(0, 8), ModelSpec.torus(4, 4)):
-        lat = spec.lattice
-        catalogue = lattice_sequences(lat)
-        members = _masks_of(catalogue, lat)
-        for sweep in (ch.lattice_sweep, lambda s: (conservation_sweep(s, catalogue), len(catalogue))):
-            calls.clear()
-            assert sweep(spec) == (0, len(catalogue))
-            if lat.dimension == 1:
-                assert sorted(calls) == sorted(members)
-            else:
-                assert len(calls) == 4 < len(catalogue) == 10
-                assert set(calls) <= set(members)
-                assert sorted(_torus_orbits(calls)) == sorted(set(_torus_orbits(members)))
+        catalogue = lattice_sequences(spec.lattice)
+        calls.clear()
+        assert ch.lattice_sweep(spec) == (0, len(catalogue))
+        _assert_every_member_covered(calls, _masks_of(catalogue, spec.lattice), spec.lattice)
     # 4 of 14 on the 4x6 torus, whose H is not built
     spec = ModelSpec.torus(4, 6)
     masks = ch._member_masks(spec.lattice, ch._catalogue(spec.lattice))
@@ -760,6 +763,15 @@ def test_sweeps_check_every_member_of_chains_and_one_per_orbit_of_tori(monkeypat
     assert (len(rows), len(masks)) == (4, 14)
     kept = _torus_orbits(masks[rows].tolist())
     assert sorted(kept) == sorted(set(_torus_orbits(masks.tolist())))
+
+
+@pytest.mark.parametrize("lattice", [Lattice.chain(0, 8), Lattice.torus(4, 4)])
+def test_sweep_keeps_the_full_sweep_on_chains_and_tori(lattice, monkeypatch):
+    spec = ModelSpec(lattice)
+    catalogue = lattice_sequences(lattice)
+    calls = _count_checks(monkeypatch)
+    assert conservation_sweep(spec, catalogue) == 0
+    _assert_every_member_covered(calls, _masks_of(catalogue, lattice), lattice)
 
 
 @pytest.mark.parametrize("lattice", [Lattice.ring(3), Lattice.torus(4, 4)], ids=["ring3", "torus4x4"])
