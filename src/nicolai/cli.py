@@ -139,26 +139,45 @@ def _anticommutator_equals(
 
 
 def _restrict(m, active: np.ndarray, pos: np.ndarray):
-    """The CSR matrix ``m`` on the ``active`` states, as float64.  Every
-    inactive row and column of ``m`` must be empty: then the active rows'
-    starts and the last end delimit the same entries, and ``pos[s]``, the
-    rank of state ``s`` among the active ones, renumbers every column."""
+    """The CSR matrix ``m`` on the ``active`` states, in its own dtype and
+    sharing its ``data``.  Every inactive row and column of ``m`` must be
+    empty: then the active rows' starts and the last end delimit the same
+    entries, and ``pos[s]``, the rank of state ``s`` among the active ones,
+    renumbers every column."""
     n = int(pos[-1]) + 1
     indptr = np.append(m.indptr[:-1][active], m.indptr[-1])
-    data = m.data.astype(np.float64)
-    return type(m)((data, pos[m.indices], indptr), shape=(n, n))
+    return type(m)((m.data, pos[m.indices], indptr), shape=(n, n))
+
+
+def _row_abs_sums(m) -> np.ndarray:
+    """``sum_j |m_ij|`` over the nonempty rows of the int64 CSR ``m``,
+    accumulated in float64: a sum of nonnegative integers is exact there
+    while it stays below 2**53, and rounding is monotone above, so it is
+    compared with any power of two below 2**53 exactly."""
+    a = np.abs(m.data).view(np.uint64)  # the view is |x| for -2**63 too
+    return np.add.reduceat(a, m.indptr[:-1][np.diff(m.indptr) > 0], dtype=np.float64)
 
 
 def _quadratic_forms(
     h: SparseOperator, q: SparseOperator, qd: SparseOperator, seed: int
 ) -> tuple:
-    """``(v.Hv == |Qv|**2 + |Q*v|**2, v.Hv >= 0)`` to 1e-10 on 20 Gaussian
-    probes ``v`` from ``default_rng(seed)``.
+    """``(v.Hv == |Qv|**2 + |Q*v|**2, v.Hv >= 0)``, exactly, on 20 integer
+    probes ``v`` uniform in [-128, 128) from ``default_rng(seed)``.
+
+    The forms are computed in int64 with no rounding.  A discrepancy
+    ``D = H - Q^T Q - Q*^T Q*`` with a nonzero symmetric part makes
+    ``v.Dv`` a nonzero polynomial of degree 2, which by Schwartz-Zippel
+    vanishes on at most 2/256 of the probes; all 20 pass it with
+    probability at most 2**-140.  Every partial sum of the products is
+    bounded by ``128**2 * max(sum |H_ij|, sum_i (sum_j |Q_ij|)**2 +
+    sum_i (sum_j |Q*_ij|)**2)``; ``OverflowError`` is raised, before any
+    probe is drawn, unless that is below 2**63.
 
     The forms read a probe only on the active states, those with a stored
     entry in the row or column of H, Q or Q*, so the probes are drawn there
     alone and the statistic has the distribution of full-space probes.
-    Blocks of probes of at most 2**18 entries go through one sparse-dense
+    Blocks of probes of at most 2**14 entries (128 KiB of int64; larger
+    blocks measured slower, on fresh pages) go through one sparse-dense
     product per operator, one product held at a time."""
     mats = (h.matrix, q.matrix, qd.matrix)
     active = np.zeros(h.dim, dtype=bool)
@@ -168,15 +187,19 @@ def _quadratic_forms(
     pos = np.cumsum(active, dtype=h.matrix.indices.dtype) - 1
     hr, qr, qdr = (_restrict(m, active, pos) for m in mats)
     del active, pos
+    bound = max(_row_abs_sums(hr).sum(), sum((_row_abs_sums(m) ** 2).sum() for m in (qr, qdr)))
+    if bound >= 2.0**49:  # 128**2 * bound >= 2**63
+        raise OverflowError(
+            f"the probes' int64 quadratic forms may overflow: 128**2 * {bound:.3g} >= 2**63"
+        )
     n = hr.shape[0]
     rng = np.random.default_rng(seed)
     probes = 20
-    width = max(1, (1 << 18) // max(n, 1))
+    width = max(1, (1 << 14) // max(n, 1))
     quad_ok = psd_ok = True
     for done in range(0, probes, width):
-        v = rng.standard_normal((n, min(width, probes - done)))
-        # einsum, not a BLAS dot: on a 2-core host a threaded BLAS dot of
-        # 65536 doubles measured ~8 ms against ~0.04 ms for einsum's own loop
+        v = rng.integers(-128, 128, (n, min(width, probes - done)), dtype=np.int8)
+        v = v.astype(np.int64)
         hv = np.einsum("ij,ij->j", v, hr @ v)
         p = qr @ v
         qq = np.einsum("ij,ij->j", p, p)
@@ -184,8 +207,8 @@ def _quadratic_forms(
         p = qdr @ v
         qq += np.einsum("ij,ij->j", p, p)
         del p
-        quad_ok &= bool((abs(hv - qq) <= 1e-10 * np.maximum(1.0, abs(hv))).all())
-        psd_ok &= bool((hv >= -1e-10).all())
+        quad_ok &= bool((hv == qq).all())
+        psd_ok &= bool((hv >= 0).all())
     return quad_ok, psd_ok
 
 
@@ -215,23 +238,30 @@ def _is_odd(op: SparseOperator) -> bool:
 def _build_checks(spec: ModelSpec, seed: int) -> list:
     lat, basis = spec.lattice, spec.basis
     q, qm, qd, h = spec.q_sum, spec.q, spec.q_dagger, spec.h
+    # Q* is Q's transpose, so Q*Q* == (QQ)^T: one product decides both
+    q_nilpotent = (qm @ qm).is_zero()
     checks = [
-        _check("q_squared_zero", (qm @ qm).is_zero()),
-        _check("q_dagger_squared_zero", (qd @ qd).is_zero()),
+        _check("q_squared_zero", q_nilpotent),
+        _check("q_dagger_squared_zero", q_nilpotent),
     ]
 
     quad_ok, psd_ok = _quadratic_forms(h, qm, qd, seed)
     checks.append(_check("h_quadratic_form", quad_ok))
     checks.append(_check("h_positive_semidefinite", psd_ok))
 
-    # each operator built for one check is dropped once its check is appended
+    # Term identities decide matrix identities: the merged normal form is
+    # canonical in the CAR algebra, whose Fock representation is faithful.
+    # Each operator built for a check is dropped once its check is appended.
     if lat.dimension == 1:
-        hx = build_hamiltonian_explicit(spec).to_sparse(basis)
-        checks.append(_check("h_susy_equals_explicit", h.equals(hx)))
-        del hx
-        checks.append(
-            _check("h_equals_classical_plus_hop", h.equals(spec.h_classical + spec.h_hop))
-        )
+        split_ok = h.equals(spec.h_classical + spec.h_hop)
+        explicit = build_hamiltonian_explicit(spec)
+        if split_ok:
+            classical, hop = spec.h_split
+            explicit_ok = explicit.normal_form(lat) == (classical + hop).normal_form(lat)
+        else:
+            explicit_ok = h.equals(explicit.to_sparse(basis))
+        checks.append(_check("h_susy_equals_explicit", explicit_ok))
+        checks.append(_check("h_equals_classical_plus_hop", split_ok))
 
     checks.append(_check("commutes_with_number", _conserves_number(h)))
     checks.append(_check("q_is_odd", _is_odd(qm)))
@@ -239,14 +269,18 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
     # costs (-1)**(k(k-1)/2): -Q* for the 1D triples, +Q* for the 2D crosses
     k = 3 if lat.dimension == 1 else 5
     ph_sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    rho_q = particle_hole(q).to_sparse(basis)
-    ph_q = (rho_q - ph_sign * qd).is_zero()
+    rho = particle_hole(q)
+    ph_q = rho.normal_form(lat) == q.adjoint().scaled(ph_sign).normal_form(lat)
     checks.append(_check("particle_hole_q", ph_q))
     # H is built as {Q, Q*}, so rho(Q) == s Q* exactly gives
     # {rho(Q), rho(Q)*} == s**2 {Q*, Q} == H; otherwise the products decide
-    ph_h = ph_q or _anticommutator_equals(rho_q, rho_q.adjoint(), h)
+    if ph_q:
+        ph_h = True
+    else:
+        rho_q = rho.to_sparse(basis)
+        ph_h = _anticommutator_equals(rho_q, rho_q.adjoint(), h)
+        del rho_q
     checks.append(_check("particle_hole_h", ph_h))
-    del rho_q
     if lat.periodic:
         checks.append(_check("translation2_h", spec.h_translation2_invariant))
     # the eigenvalues come last, though their check is listed fifth, so no
@@ -259,14 +293,15 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
 def _verify_bytes(lat) -> int:
     """Estimated peak bytes of ``verify`` and ``build --verify``: 448 per
     Fock state, for the basis, Q, Q*, H, H_classical and H_hop (each int64
-    CSR), the one operator a check builds beside them before it is dropped,
-    and the eigenvalues, built last from the fragment arrays of
-    ``fragment_eigenvalues`` (no eigenvector is kept).  Measured peaks of
-    ``verify --ring`` at m = 7, 8, 9 and 10 above the 56 MiB of ``--m 1``
-    (13, 58, 257 and 1086 MiB) are 208, 232, 257 and 272 bytes per state;
-    ``--chain 19`` takes 214 and ``--torus 4x4`` 64.  The estimate keeps
-    its earlier fit, 328 bytes per state at m = 10 when V was built, now
-    ~65% above the largest measured peak.  m = 11 comes to 7.0 GiB."""
+    CSR), the one operator a check builds beside them before it is dropped
+    (Q Q, or H_classical + H_hop), and the eigenvalues, built last from the
+    fragment arrays of ``fragment_eigenvalues`` (no eigenvector is kept).
+    Measured peaks of ``verify --ring`` at m = 7, 8, 9 and 10 above the 56
+    MiB of ``--m 1`` (13, 49, 216 and 908 MiB) are 208, 196, 216 and 227
+    bytes per state; ``--chain 19`` takes 192, ``--torus 4x4`` 48 and
+    ``--torus 4x6`` 71.  The estimate keeps its earlier fit, 328 bytes per
+    state at m = 10 when V was built, now ~2x the largest measured peak.
+    m = 11 comes to 7.0 GiB."""
     return 448 << lat.nsites
 
 
@@ -598,8 +633,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.subcommand}"](args)
-    except (ValueError, KeyError, MemoryError, OSError, RuntimeError) as exc:
-        # a bare MemoryError has no text; OSError is an output path that
+    except (ValueError, KeyError, MemoryError, OverflowError, OSError, RuntimeError) as exc:
+        # a bare MemoryError has no text; OverflowError is a model whose
+        # integer keys or forms pass int64; OSError is an output path that
         # cannot be written; RuntimeError is a certificate that failed at
         # run time, such as an eigenpair residual above tolerance
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -132,11 +132,11 @@ class ModelSpec:
     """The model on one lattice: the lattice and the objects built from it,
     each on first use and then kept.
 
-    ``h_classical`` and ``h_hop`` exist in 1D only; ``ground_states`` is an
-    int64 array; ``spectrum`` diagonalizes ``h`` fragment by fragment (the
-    connected components of its sparsity graph), with sparse eigenvectors;
-    ``eigenvalues`` solves one fragment per orbit of the certified
-    ``shifts`` and keeps no eigenvector.
+    ``h_split``, ``h_classical`` and ``h_hop`` exist in 1D only;
+    ``ground_states`` is an int64 array; ``spectrum`` diagonalizes ``h``
+    fragment by fragment (the connected components of its sparsity graph),
+    with sparse eigenvectors; ``eigenvalues`` solves one fragment per orbit
+    of the certified ``shifts`` and keeps no eigenvector.
     """
 
     lattice: Lattice
@@ -250,12 +250,19 @@ class ModelSpec:
         return h
 
     @cached_property
+    def h_split(self) -> tuple:
+        """``(build_h_classical, build_h_hop)`` as operator sums, built once:
+        ``h_classical`` and ``h_hop`` are their matrices, and ``verify``
+        compares their sum with the explicit H term by term."""
+        return build_h_classical(self), build_h_hop(self)
+
+    @cached_property
     def h_classical(self) -> SparseOperator:
-        return build_h_classical(self).to_sparse(self.basis)
+        return self.h_split[0].to_sparse(self.basis)
 
     @cached_property
     def h_hop(self) -> SparseOperator:
-        return build_h_hop(self).to_sparse(self.basis)
+        return self.h_split[1].to_sparse(self.basis)
 
     def _shift2_identity(self, axis: int) -> bool:
         """``T(Q) == Q`` term by term for the shift ``T`` by two along ``axis``."""

@@ -467,8 +467,62 @@ def test_restrict_keeps_the_active_block():
     m = scipy.sparse.csr_matrix((rng.integers(-3, 4, 900), (i, j)), shape=(300, 300))
     pos = np.cumsum(active, dtype=m.indices.dtype) - 1
     r = cli._restrict(m, active, pos)
-    assert r.dtype == np.float64
+    assert r.dtype == m.dtype == np.int64
+    assert np.shares_memory(r.data, m.data)
     assert np.array_equal(r.toarray(), m.toarray()[np.ix_(active, active)])
+
+
+def _planted(spec, kind, sign):
+    """H with ``sign`` added on one active state's diagonal, or on a
+    symmetric pair of entries between two active states."""
+    i, j = np.flatnonzero(_touched(spec.h, spec.q))[[0, -1]]
+    entries = [(i, i, sign)] if kind == "diagonal" else [(i, j, sign), (j, i, sign)]
+    return _with_entries(spec.h, entries)
+
+
+@pytest.mark.parametrize("name", ["ring2", "chain7", "torus4x4"])
+@pytest.mark.parametrize("kind", ["diagonal", "pair"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_probes_catch_a_planted_unit_entry(name, kind, sign):
+    spec = ENTRY_CHECK_SPECS[name]()
+    hh, q, qd = _planted(spec, kind, sign), spec.q, spec.q_dagger
+    for seed in range(10):
+        assert not cli._quadratic_forms(hh, q, qd, seed)[0]
+    assert not matvec_quadratic_forms(hh, q, qd, 0)[0]
+    assert cli._quadratic_forms(spec.h, q, qd, 0) == (True, True)
+
+
+@pytest.mark.parametrize(
+    "entry, q_entry, overflows",
+    [
+        (2**49 - 1, 0, False),
+        (2**49, 0, True),
+        (-(2**63), 0, True),
+        (0, 2**24 - 1, False),
+        (0, 2**24, True),
+    ],
+    ids=["h-below", "h-at", "h-int64-min", "q-below", "q-at"],
+)
+def test_quadratic_forms_refuse_an_overflow_before_any_probe(
+    entry, q_entry, overflows, monkeypatch
+):
+    # the bound is 128**2 * max(sum |H_ij|, sum_i (sum_j |Q_ij|)**2 + the same
+    # for Q*), against 2**63: one planted entry x in H gives x, in Q 2 x**2
+    spec = nicolai.ModelSpec.chain_sites(1)
+    zero = nicolai.SparseOperator.zero(spec.basis)
+    h = _with_entries(zero, [(0, 0, entry)])
+    q = _with_entries(zero, [(0, 1, q_entry)])
+    qd = q.adjoint()
+    if not overflows:
+        assert cli._quadratic_forms(h, q, qd, 0) == (False, True)
+        return
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("the bound must be checked before any probe is drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    with pytest.raises(OverflowError, match="may overflow"):
+        cli._quadratic_forms(h, q, qd, 0)
 
 
 def _bump_h(monkeypatch, delta):
@@ -520,6 +574,23 @@ def test_a_bare_memory_error_still_prints_a_message(capsys, monkeypatch):
     monkeypatch.setattr(nicolai.model, "build_supercharge", exhausted)
     assert run(["build", "--ring", "--m", "2"]) == 2
     assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_an_overflow_is_a_configuration_error(capsys, monkeypatch):
+    def too_wide(*args, **kwargs):
+        raise OverflowError("packed keys of 99-site masks do not fit in int64")
+
+    monkeypatch.setattr(nicolai.charges, "_pair_keys", too_wide)
+    assert run(["verify", "--ring", "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: packed keys of 99-site masks do not fit in int64\n"
+    monkeypatch.undo()
+    # the probes' own bound, on an H whose entry would overflow their forms
+    _bump_h(monkeypatch, 2**49)
+    assert run(["verify", "--ring", "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the probes' int64 quadratic forms may overflow")
 
 
 def test_charges_interval_refuses_a_listing_too_big_for_memory(capsys, monkeypatch):
@@ -755,9 +826,9 @@ def test_verify_builds_every_sum_in_one_pass(capsys, monkeypatch):
         monkeypatch, [(nicolai.fock, "monomial_to_sparse"), (nicolai.fock, "terms_to_sparse")]
     )
     assert run(["verify", "--ring", "--m", "3"]) == 0
-    # Q, rho(Q), the explicit H, H_classical and H_hop: one build each (the
-    # translation certificate compares terms and builds no TQ)
-    assert dict(calls) == {"terms_to_sparse": 5}
+    # Q, H_classical and H_hop: one build each (the translation, particle-hole
+    # and explicit-H certificates compare terms and build no matrix)
+    assert dict(calls) == {"terms_to_sparse": 3}
 
 
 @pytest.mark.parametrize(
@@ -1063,6 +1134,81 @@ def test_particle_hole_h_derivation_agrees_with_the_products(spec):
     assert cli._anticommutator_equals(rho_q, rho_q.adjoint(), spec.h)
 
 
+ONE_D_SPECS = [nicolai.ModelSpec.ring(m) for m in range(1, 7)] + [
+    nicolai.ModelSpec.chain_sites(n) for n in range(1, 14, 2)
+]
+
+
+def _spec_id(spec):
+    return f"{spec.lattice.boundary}-{spec.lattice.nsites}"
+
+
+def _first_term_flipped(a):
+    """The operator sum ``a`` with its first term's sign flipped."""
+    return nicolai.OperatorSum((a.terms[0].scaled(-1),) + a.terms[1:])
+
+
+@pytest.mark.parametrize("spec", ONE_D_SPECS + [nicolai.ModelSpec.torus(4, 4)], ids=_spec_id)
+def test_particle_hole_term_identity_agrees_with_the_matrix(spec):
+    # verify decides rho(Q) == s Q* on normal forms; the matrices are the oracle,
+    # for the right sign, the wrong one and rho(Q) with one charge negated
+    lat, q = spec.lattice, spec.q_sum
+    sign = -1 if lat.dimension == 1 else 1
+    rho = nicolai.particle_hole(q)
+    bent = _first_term_flipped(rho) if len(q) else rho
+    for lhs, s in ((rho, sign), (rho, -sign), (bent, sign)):
+        term = lhs.normal_form(lat) == q.adjoint().scaled(s).normal_form(lat)
+        matrix = (lhs.to_sparse(spec.basis) - s * spec.q_dagger).is_zero()
+        assert term == matrix
+    assert rho.normal_form(lat) == q.adjoint().scaled(sign).normal_form(lat)
+
+
+@pytest.mark.parametrize("spec", ONE_D_SPECS, ids=_spec_id)
+def test_explicit_h_term_identity_agrees_with_the_matrix(spec):
+    # verify decides explicit == H_classical + H_hop on normal forms once the
+    # matrices give H == H_classical + H_hop; H == explicit is the oracle
+    lat, h = spec.lattice, spec.h
+    classical, hop = spec.h_split
+    explicit = nicolai.build_hamiltonian_explicit(spec)
+    split = (classical + hop).normal_form(lat)
+    assert h.equals(spec.h_classical + spec.h_hop)
+    assert explicit.normal_form(lat) == split
+    assert h.equals(explicit.to_sparse(spec.basis))
+    if explicit.terms:
+        flipped = _first_term_flipped(explicit)
+        assert flipped.normal_form(lat) != split
+        assert not h.equals(flipped.to_sparse(spec.basis))
+
+
+def _flipping_first_terms(build):
+    """The builder ``build`` with its sum's first term flipped."""
+    return lambda spec: _first_term_flipped(build(spec))
+
+
+def test_verify_fails_an_explicit_term_of_the_wrong_sign(capsys, monkeypatch):
+    flipped = _flipping_first_terms(cli.build_hamiltonian_explicit)
+    monkeypatch.setattr(cli, "build_hamiltonian_explicit", flipped)
+    calls = _count_calls(monkeypatch, [(nicolai.fock, "terms_to_sparse")])
+    assert run(["verify", "--ring", "--m", "3"]) == 3
+    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not passed["h_susy_equals_explicit"]
+    assert passed["h_equals_classical_plus_hop"]
+    # decided on the terms: no explicit-H matrix is built
+    assert calls["terms_to_sparse"] == 3
+
+
+def test_explicit_h_falls_back_to_the_matrix_when_the_split_fails(capsys, monkeypatch):
+    # a wrong H_hop fails the split; H == explicit then stands on the matrices
+    flipped = _flipping_first_terms(nicolai.model.build_h_hop)
+    monkeypatch.setattr(nicolai.model, "build_h_hop", flipped)
+    calls = _count_calls(monkeypatch, [(nicolai.fock, "terms_to_sparse")])
+    assert run(["verify", "--ring", "--m", "3"]) == 3
+    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert passed["h_susy_equals_explicit"]
+    assert not passed["h_equals_classical_plus_hop"]
+    assert calls["terms_to_sparse"] == 4
+
+
 def test_particle_hole_h_falls_back_to_the_products(capsys, monkeypatch):
     # one charge negated in rho(Q): particle_hole_q fails, and particle_hole_h
     # reports what the block products say
@@ -1096,5 +1242,6 @@ def test_verify_torus_checks_particle_hole_h_without_a_sparse_product(capsys, mo
     passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert passed["particle_hole_q"] and passed["particle_hole_h"]
     assert not calls
-    # Q Q and Q* Q* for the nilpotency checks, Q Q* and Q* Q for H: no other
-    assert products["sparse"] == 4
+    # Q Q for the nilpotency checks (Q* Q* is its transpose), Q Q* and Q* Q
+    # for H: no other
+    assert products["sparse"] == 3
