@@ -34,7 +34,7 @@ operator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -47,17 +47,15 @@ from .fock import (
     FockBasis,
     _signed_images,
     _states_off,
-    anticommutator,
     commutator,
     jordan_wigner_masks,
     monomial_to_sparse,
     span_dimension,
 )
-from .model import ModelSpec, _permute_bits, _shift_group, charge_hoods
+from .model import ModelSpec, OperatorSum, _permute_bits, _shift_group, charge_hoods
 
 __all__ = [
     "ConservedSequence",
-    "ChargeAlgebraReport",
     "IndependenceReport",
     "is_permitted",
     "has_edge_conditions",
@@ -76,7 +74,6 @@ __all__ = [
     "lattice_sweep",
     "vanishing_triple_products",
     "independence_probe",
-    "charge_algebra_report",
     "transfer_count_hat_xi",
     "transfer_count_ring_sequences",
     "rectangle_sites",
@@ -278,23 +275,30 @@ def sign_sigma(k: int, l: int) -> int:
     return (2 * (l - k) + 1) * (l - k)
 
 
+def _largest_coefficient(lattice, *terms):
+    """Largest magnitude in the merged normal form of the sum of ``terms``,
+    0 exactly when the sum is the zero operator: the normal form is
+    canonical, and the Fock representation faithful.  No matrix is built."""
+    return max(map(abs, OperatorSum(terms).normal_form(lattice).values()), default=0)
+
+
 def adjoint_identity_check(f: ConservedSequence, basis: FockBasis) -> bool:
-    """Matrix identity ``Q(f)* == (-1)**sigma * Q(-f)`` on interval supports."""
+    """The identity ``Q(f)* == (-1)**sigma * Q(-f)`` on interval supports,
+    decided on normal forms over ``basis.lattice``."""
     if f.closed or f.shape is not None:
         raise ValueError("the adjoint sign identity is stated for intervals")
     d = (len(f) - 1) // 2
     sign = -1 if sign_sigma(0, d) % 2 else 1
-    op = monomial_to_sparse(sequence_to_operator(f), basis)
-    neg = monomial_to_sparse(sequence_to_operator(-f), basis)
-    return (op.adjoint() - sign * neg).is_zero()
+    adj, neg = sequence_to_operator(f).adjoint(), sequence_to_operator(-f)
+    return _largest_coefficient(basis.lattice, adj, neg.scaled(-sign)) == 0
 
 
 def anticommute_check(f: ConservedSequence, g: ConservedSequence, basis: FockBasis):
-    """Max-abs entry of ``{Q(f), Q(g)}``; zero unless the supports overlap
-    with ``f == -g`` on the whole overlap."""
-    a = monomial_to_sparse(sequence_to_operator(f), basis)
-    b = monomial_to_sparse(sequence_to_operator(g), basis)
-    return anticommutator(a, b).max_abs()
+    """Largest normal-form coefficient of ``{Q(f), Q(g)}`` over
+    ``basis.lattice``, 0 exactly when it vanishes; zero unless the supports
+    overlap with ``f == -g`` on the whole overlap."""
+    a, b = sequence_to_operator(f), sequence_to_operator(g)
+    return _largest_coefficient(basis.lattice, a * b, b * a)
 
 
 def overlap_allows_nonzero(f: ConservedSequence, g: ConservedSequence) -> bool:
@@ -572,32 +576,32 @@ def _mask_residuals(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:
 
         [H, Q](i, j) = s(j) H[i, j^S] [j alive] - s(i^S) H[i^S, j] [i^S alive]
 
-    The first term reads column ``j ^ S`` of H (a row of its transpose,
-    built once), the second row ``r = i ^ S`` of H, both for every alive
-    state.  A chunk of rows gathers all these entries, packs (local row,
-    row of H, column) into int64 keys, sums equal keys after one sort and
-    takes the largest magnitude per row.
+    The first term reads column ``j ^ S`` of H, which is its row ``j ^ S``
+    (``ModelSpec.h`` is ``{Q, Q^T}``, exactly symmetric in int64), the
+    second row ``r = i ^ S`` of H, both for every alive state.  A chunk of
+    rows gathers all these entries, packs (local row, row of H, column)
+    into int64 keys, sums equal keys after one sort and takes the largest
+    magnitude per row.
     """
     h = spec.h.matrix
-    ht = h.T.tocsr()
     dim, n = h.shape[0], spec.lattice.nsites
     out = np.zeros(len(masks), dtype=h.dtype)
-    widest = int(np.diff(h.indptr).max(initial=0) + np.diff(ht.indptr).max(initial=0))
+    widest = 2 * int(np.diff(h.indptr).max(initial=0))
     free = {s: _states_off(s, n) for s in np.unique(masks[:, 0]).tolist()}
     sizes = (widest << (n - np.bitwise_count(masks[:, 0]).astype(np.int64))).tolist()
     for start, stop in _chunks(sizes, dim):
         seq, alive, image, sign = _signed_images(masks[start:stop], free)
-        # s(j) H[i, j^S]: row j^S of H^T holds column j^S of H
-        own_a, pos_a = _row_entries(ht, image)
+        # s(j) H[i, j^S]: row j^S of H holds column j^S of H
+        own_a, pos_a = _row_entries(h, image)
         # -s(r) H[r, j] lands on row r^S
         own_b, pos_b = _row_entries(h, alive)
         keys = np.concatenate((
-            (seq[own_a] * dim + ht.indices[pos_a]) * dim + alive[own_a],
+            (seq[own_a] * dim + h.indices[pos_a]) * dim + alive[own_a],
             (seq[own_b] * dim + image[own_b]) * dim + h.indices[pos_b],
         ))
         if not len(keys):
             continue
-        values = np.concatenate((sign[own_a] * ht.data[pos_a], -sign[own_b] * h.data[pos_b]))
+        values = np.concatenate((sign[own_a] * h.data[pos_a], -sign[own_b] * h.data[pos_b]))
         order = np.argsort(keys)
         keys = keys[order]
         first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -608,23 +612,20 @@ def _mask_residuals(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:
 
 
 def vanishing_triple_products(spec: ModelSpec, f: ConservedSequence):
-    """Max-abs entry over all products of ``Q(f)`` with the elementary charges
-    whose support meets the support of ``f`` (both orders, charge and adjoint).
+    """Largest normal-form coefficient over the products ``Q(f) m`` and
+    ``m Q(f)``, each decided on its own, for ``m`` every elementary charge
+    whose support meets the support of ``f`` and its adjoint; 0 exactly
+    when every product is the zero operator.  No Fock space is built.
 
     This is the local mechanism behind conservation: each such product is the
     zero operator, while disjoint charges anticommute with ``Q(f)``.
     """
     _check_support(spec.lattice, f.sites, f.closed, f.shape)
-    qf = monomial_to_sparse(sequence_to_operator(f), spec.basis)
+    qf = sequence_to_operator(f)
     support = set(f.sites)
-    worst = 0
-    for q in spec.q_sum.terms:
-        if not q.support & support:
-            continue
-        qm = monomial_to_sparse(q, spec.basis)
-        for m in (qm, qm.adjoint()):
-            worst = max(worst, (qf @ m).max_abs(), (m @ qf).max_abs())
-    return worst
+    meeting = [m for q in spec.q_sum.terms if q.support & support for m in (q, q.adjoint())]
+    products = [p for m in meeting for p in (qf * m, m * qf)]
+    return max((_largest_coefficient(spec.lattice, p) for p in products), default=0)
 
 
 @dataclass
@@ -667,39 +668,6 @@ def independence_probe(
         product_count=len(products),
         product_rank=span_dimension(products),
     )
-
-
-@dataclass
-class ChargeAlgebraReport:
-    """Generators, their pairwise anticommutators, and the commutant check."""
-
-    generators: list = field(default_factory=list)  # (sequence, monomial)
-    pairwise_anticommutators: dict = field(default_factory=dict)
-    commutant_check: float = 0
-
-    @property
-    def all_conserved(self) -> bool:
-        return self.commutant_check == 0
-
-
-def charge_algebra_report(spec: ModelSpec, sequences: list) -> ChargeAlgebraReport:
-    """Realize the given sequences as charges and verify their algebra."""
-    report = ChargeAlgebraReport()
-    mats = []
-    worst = 0
-    for f in sequences:
-        mono = sequence_to_operator(f)
-        report.generators.append((f, mono))
-        qf = monomial_to_sparse(mono, spec.basis)
-        mats.append(qf)
-        worst = max(worst, commutator(spec.h, qf).max_abs())
-    report.commutant_check = worst
-    for i in range(len(mats)):
-        for j in range(i, len(mats)):
-            report.pairwise_anticommutators[(i, j)] = anticommutator(
-                mats[i], mats[j]
-            ).max_abs()
-    return report
 
 
 def transfer_count_hat_xi(k: int, l: int) -> int:

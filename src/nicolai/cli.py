@@ -125,19 +125,6 @@ def _check(name: str, passed: bool, detail=None) -> dict:
     return entry
 
 
-def _anticommutator_equals(
-    a: SparseOperator, b: SparseOperator, c: SparseOperator, rows: int = 1 << 16
-) -> bool:
-    """``{A, B} == C`` exactly, computed on one block of rows at a time, so
-    neither product of the whole operators is held at once."""
-    am, bm, cm = a.matrix, b.matrix, c.matrix
-    for lo in range(0, a.dim, rows):
-        block = slice(lo, lo + rows)
-        if (am[block] @ bm + bm[block] @ am - cm[block]).count_nonzero():
-            return False
-    return True
-
-
 def _restrict(m, active: np.ndarray, pos: np.ndarray):
     """The CSR matrix ``m`` on the ``active`` states, in its own dtype and
     sharing its ``data``.  Every inactive row and column of ``m`` must be
@@ -174,14 +161,15 @@ def _quadratic_forms(
     probe is drawn, unless that is below 2**63.
 
     The forms read a probe only on the active states, those with a stored
-    entry in the row or column of H, Q or Q*, so the probes are drawn there
-    alone and the statistic has the distribution of full-space probes.
+    entry in the row or column of H or Q (``qd`` is Q's transpose, so its
+    rows and columns are Q's columns and rows), so the probes are drawn
+    there alone and the statistic has the distribution of full-space probes.
     Blocks of probes of at most 2**14 entries (128 KiB of int64; larger
     blocks measured slower, on fresh pages) go through one sparse-dense
     product per operator, one product held at a time."""
     mats = (h.matrix, q.matrix, qd.matrix)
     active = np.zeros(h.dim, dtype=bool)
-    for m in mats:
+    for m in mats[:2]:
         active |= np.diff(m.indptr) > 0
         active[m.indices] = True
     pos = np.cumsum(active, dtype=h.matrix.indices.dtype) - 1
@@ -236,10 +224,12 @@ def _is_odd(op: SparseOperator) -> bool:
 
 
 def _build_checks(spec: ModelSpec, seed: int) -> list:
-    lat, basis = spec.lattice, spec.basis
+    lat = spec.lattice
     q, qm, qd, h = spec.q_sum, spec.q, spec.q_dagger, spec.h
-    # Q* is Q's transpose, so Q*Q* == (QQ)^T: one product decides both
-    q_nilpotent = (qm @ qm).is_zero()
+    # Term identities decide matrix identities: the merged normal form is
+    # canonical in the CAR algebra, whose Fock representation is faithful.
+    # (Q*)**2 == (Q**2)*, so Q**2 == 0 decides both nilpotency checks.
+    q_nilpotent = (q * q).normal_form(lat) == {}
     checks = [
         _check("q_squared_zero", q_nilpotent),
         _check("q_dagger_squared_zero", q_nilpotent),
@@ -249,17 +239,23 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
     checks.append(_check("h_quadratic_form", quad_ok))
     checks.append(_check("h_positive_semidefinite", psd_ok))
 
-    # Term identities decide matrix identities: the merged normal form is
-    # canonical in the CAR algebra, whose Fock representation is faithful.
+    def anticommutator_form(a) -> dict:
+        """``{A, A*}`` as a normal form."""
+        return (a * a.adjoint() + a.adjoint() * a).normal_form(lat)
+
+    # H is built as {Q, Q*} from Q's matrix; its terms serve the two
+    # fallbacks only, so a passing run never builds them, and no run twice
+    h_form = functools.cache(lambda: anticommutator_form(q))
+
     # Each operator built for a check is dropped once its check is appended.
     if lat.dimension == 1:
         split_ok = h.equals(spec.h_classical + spec.h_hop)
-        explicit = build_hamiltonian_explicit(spec)
+        explicit = build_hamiltonian_explicit(spec).normal_form(lat)
         if split_ok:
             classical, hop = spec.h_split
-            explicit_ok = explicit.normal_form(lat) == (classical + hop).normal_form(lat)
+            explicit_ok = explicit == (classical + hop).normal_form(lat)
         else:
-            explicit_ok = h.equals(explicit.to_sparse(basis))
+            explicit_ok = explicit == h_form()
         checks.append(_check("h_susy_equals_explicit", explicit_ok))
         checks.append(_check("h_equals_classical_plus_hop", split_ok))
 
@@ -272,14 +268,9 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
     rho = particle_hole(q)
     ph_q = rho.normal_form(lat) == q.adjoint().scaled(ph_sign).normal_form(lat)
     checks.append(_check("particle_hole_q", ph_q))
-    # H is built as {Q, Q*}, so rho(Q) == s Q* exactly gives
-    # {rho(Q), rho(Q)*} == s**2 {Q*, Q} == H; otherwise the products decide
-    if ph_q:
-        ph_h = True
-    else:
-        rho_q = rho.to_sparse(basis)
-        ph_h = _anticommutator_equals(rho_q, rho_q.adjoint(), h)
-        del rho_q
+    # rho(Q) == s Q* exactly gives {rho(Q), rho(Q)*} == s**2 {Q*, Q} == H;
+    # otherwise the terms of the two anticommutators decide
+    ph_h = ph_q or anticommutator_form(rho) == h_form()
     checks.append(_check("particle_hole_h", ph_h))
     if lat.periodic:
         checks.append(_check("translation2_h", spec.h_translation2_invariant))
@@ -291,18 +282,17 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
 
 
 def _verify_bytes(lat) -> int:
-    """Estimated peak bytes of ``verify`` and ``build --verify``: 448 per
+    """Estimated peak bytes of ``verify`` and ``build --verify``: 320 per
     Fock state, for the basis, Q, Q*, H, H_classical and H_hop (each int64
     CSR), the one operator a check builds beside them before it is dropped
-    (Q Q, or H_classical + H_hop), and the eigenvalues, built last from the
+    (H_classical + H_hop), and the eigenvalues, built last from the
     fragment arrays of ``fragment_eigenvalues`` (no eigenvector is kept).
-    Measured peaks of ``verify --ring`` at m = 7, 8, 9 and 10 above the 56
-    MiB of ``--m 1`` (13, 49, 216 and 908 MiB) are 208, 196, 216 and 227
-    bytes per state; ``--chain 19`` takes 192, ``--torus 4x4`` 48 and
-    ``--torus 4x6`` 71.  The estimate keeps its earlier fit, 328 bytes per
-    state at m = 10 when V was built, now ~2x the largest measured peak.
-    m = 11 comes to 7.0 GiB."""
-    return 448 << lat.nsites
+    Measured peaks of ``verify --ring`` at m = 8, 9, 10 and 11 above
+    start-up are 196, 216, 227 and 239 bytes per state (3826 MiB at
+    m = 11, while Q Q was still built); ``--chain 19`` takes 192,
+    ``--torus 4x4`` 48 and ``--torus 4x6`` 71.  320 leaves over 30%
+    headroom on the largest; m = 11 comes to 5.0 GiB."""
+    return 320 << lat.nsites
 
 
 def cmd_build(args) -> int:
@@ -450,8 +440,8 @@ def _ring_listing_bytes(lat) -> int:
 
 def _check_bytes(lat) -> int:
     """Estimated peak bytes of ``charges --ring --check``: 256 per Fock
-    state, for the basis, Q, Q*, H and its transpose (int64 CSR) and the
-    kernel's chunks.  Measured peaks above start-up at m = 7, 8 and 9 (12,
+    state, for the basis, Q, Q* and H (int64 CSR) and the kernel's
+    chunks.  Measured peaks above start-up at m = 7, 8 and 9 (12,
     56 and 230 MB) are 183, 213 and 219 bytes per state."""
     return 256 << lat.nsites
 

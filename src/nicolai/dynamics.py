@@ -561,12 +561,12 @@ def no_resonance_check(spec: ModelSpec) -> NoResonanceReport:
     if spec.lattice.dimension != 1:
         raise ValueError("the hopping split is only available in 1D")
     lat = spec.lattice
-    hop = abs(spec.h_hop.matrix.tocsc())
+    # H_hop is symmetric (each hop term comes with its adjoint), so a state's
+    # column is its row; a state is its own index in the full Fock basis
+    hop = spec.h_hop.matrix
 
     def max_residual(states) -> int:
-        # a state is its own index in the full Fock basis
-        cols = hop[:, states]
-        return int(cols.max()) if cols.nnz else 0
+        return int(np.abs(hop[states].data).max(initial=0))
 
     worst = max_residual(spec.ground_states)
 

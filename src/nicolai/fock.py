@@ -504,6 +504,13 @@ def _signed_images(masks: np.ndarray, free: dict):
     return owner, alive, alive ^ support[owner], sign
 
 
+def _check_sites(terms, lattice: Lattice) -> None:
+    """``ValueError`` for a factor site of ``terms`` outside ``lattice``."""
+    outside = [site for m in terms for site, _ in m.factors if not lattice.contains(site)]
+    if outside:
+        raise ValueError(f"factor site {outside[0]!r} outside the lattice")
+
+
 def terms_to_sparse(terms, basis: FockBasis) -> SparseOperator:
     """Matrix of the sum of the monomials ``terms`` over ``basis`` as one
     CSR, ``int64`` when every coefficient is integral, else ``float64``.
@@ -514,9 +521,7 @@ def terms_to_sparse(terms, basis: FockBasis) -> SparseOperator:
     CSR build sums the ``(row, column, value)`` entries, and the entries
     that cancel are dropped."""
     lat = basis.lattice
-    outside = [site for m in terms for site, _ in m.factors if not lat.contains(site)]
-    if outside:
-        raise ValueError(f"factor site {outside[0]!r} outside the lattice")
+    _check_sites(terms, lat)
     integral = all(_is_integral(m.coefficient) for m in terms)
     dtype = np.int64 if integral else np.float64
     masks, coeffs = [], []
@@ -635,8 +640,16 @@ def normal_order(m: FermionMonomial, lattice: Lattice) -> dict:
     shorter terms.  Two operator sums are equal iff their merged normal forms
     coincide, which gives a symbolic route independent of matrix realization.
     """
+    return _normal_form((m,), lattice)
+
+
+def _normal_form(terms, lattice: Lattice) -> dict:
+    """The merged :func:`normal_order` of the sum of the monomials
+    ``terms``, all rewritten on one stack; ``ValueError`` for a factor site
+    outside ``lattice``."""
+    _check_sites(terms, lattice)
     out: dict = {}
-    stack = [(m.coefficient, list(m.factors))]
+    stack = [(m.coefficient, list(m.factors)) for m in terms]
     while stack:
         c, fs = stack.pop()
         if c == 0:

@@ -59,9 +59,9 @@ from .fock import (
     FockBasis,
     Lattice,
     SparseOperator,
+    _normal_form,
     anticommutator,
     enumerate_basis,
-    normal_order,
     terms_to_sparse,
 )
 from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_bench.py
@@ -108,20 +108,18 @@ class OperatorSum:
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         return OperatorSum(self.terms + other.terms)
 
+    def __mul__(self, other: "OperatorSum") -> "OperatorSum":
+        """The product ``sum_ij a_i b_j``, term by term, in order."""
+        return OperatorSum(tuple(a * b for a in self.terms for b in other.terms))
+
     def __neg__(self) -> "OperatorSum":
         return self.scaled(-1)
 
     def normal_form(self, lattice: Lattice) -> dict:
-        """Merged normal-ordered form; canonical, so usable for term equality."""
-        out: dict = {}
-        for t in self.terms:
-            for key, c in normal_order(t, lattice).items():
-                tot = out.get(key, 0) + c
-                if tot == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = tot
-        return out
+        """Merged normal-ordered form; canonical, so usable for term equality
+        (``{}`` exactly for the zero operator).  ``ValueError`` for a factor
+        site outside ``lattice``."""
+        return _normal_form(self.terms, lattice)
 
     def __len__(self):
         return len(self.terms)

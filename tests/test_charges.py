@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import nicolai
 from nicolai import (
     ANNIHILATE,
     CREATE,
@@ -32,7 +33,6 @@ from nicolai import (
 from nicolai import charges as ch
 from nicolai.charges import (
     anticommute_check,
-    charge_algebra_report,
     conservation_sweep,
     enumerate_rectangle_sequences,
     has_edge_conditions,
@@ -210,6 +210,22 @@ def test_adjoint_identity_all_tables():
             assert adjoint_identity_check(f, basis)
 
 
+@pytest.mark.parametrize("shift", [0, 1], ids=["sigma", "wrong-sign"])
+def test_adjoint_identity_agrees_with_the_matrix_on_every_interval(shift, monkeypatch):
+    # the check decides Q(f)* == (-1)**sigma Q(-f) on normal forms; the
+    # matrices are the oracle, for the right sign and for the wrong one
+    monkeypatch.setattr(ch, "sign_sigma", lambda k, l: (2 * (l - k) + 1) * (l - k) + shift)
+    basis = enumerate_basis(Lattice.chain(0, 8))
+    seqs = [f for d in range(1, 5) for f in enumerate_hat_xi(0, d)]
+    assert len(seqs) == 2 + 6 + 18 + 54
+    for f in seqs:
+        sign = -1 if ch.sign_sigma(0, (len(f) - 1) // 2) % 2 else 1
+        op = monomial_to_sparse(sequence_to_operator(f), basis)
+        neg = monomial_to_sparse(sequence_to_operator(-f), basis)
+        assert adjoint_identity_check(f, basis) == (op.adjoint() - sign * neg).is_zero()
+        assert adjoint_identity_check(f, basis) == (shift == 0)
+
+
 def _all_subinterval_sequences(lo, hi):
     seqs = []
     for k in range(lo // 2, hi // 2):
@@ -229,6 +245,8 @@ def test_anticommutator_dichotomy_exhaustive():
         assert (mats[i] @ mats[i]).is_zero()  # nilpotency of every charge
         for j in range(i, len(seqs)):
             ac = anticommutator(mats[i], mats[j]).max_abs()
+            # the term route decides what the matrices do
+            assert (anticommute_check(seqs[i], seqs[j], basis) == 0) == (ac == 0)
             if overlap_allows_nonzero(seqs[i], seqs[j]):
                 nonzero_allowed += 1
             else:
@@ -335,15 +353,88 @@ def test_independence_products_become_dependent():
     assert report.dependencies_found
 
 
-def test_charge_algebra_report(ring):
-    ctx = ring(2)
-    seqs = arc_sequences(ctx.lattice, 0, 1) + arc_sequences(ctx.lattice, -2, 1)
-    report = charge_algebra_report(ctx, seqs)
-    assert report.commutant_check == 0
-    assert report.all_conserved
-    for (i, j), value in report.pairwise_anticommutators.items():
-        if not overlap_allows_nonzero(seqs[i], seqs[j]):
-            assert value == 0
+def test_anticommutator_dichotomy_on_ring_arcs_and_full_rings():
+    # every pair of the ring m=2 catalogue, wrapped arcs and full-ring
+    # sequences alike: {Q(f), Q(g)} != 0 exactly when the overlap rule
+    # allows it, on the terms and on the matrices
+    lat = Lattice.ring(2)
+    basis = enumerate_basis(lat)
+    seqs = lattice_sequences(lat)
+    assert any(len(set(f.sites)) == 3 and f.sites != tuple(sorted(f.sites)) for f in seqs)
+    assert any(f.closed for f in seqs)
+    mats = [monomial_to_sparse(sequence_to_operator(f), basis) for f in seqs]
+    nonzero = 0
+    for i, j in itertools.combinations_with_replacement(range(len(seqs)), 2):
+        term = anticommute_check(seqs[i], seqs[j], basis)
+        assert (term != 0) == overlap_allows_nonzero(seqs[i], seqs[j])
+        assert (term != 0) == (not anticommutator(mats[i], mats[j]).is_zero())
+        nonzero += term != 0
+    assert nonzero > 0
+
+
+def _triple_products(spec, f):
+    """The matrices of ``Q(f) m`` and ``m Q(f)`` for every elementary charge
+    ``q`` that meets the support of ``f`` and ``m`` in ``q, q*``."""
+    qf = monomial_to_sparse(sequence_to_operator(f), spec.basis)
+    for q in spec.q_sum.terms:
+        if q.support & set(f.sites):
+            qm = monomial_to_sparse(q, spec.basis)
+            for m in (qm, qm.adjoint()):
+                yield qf @ m
+                yield m @ qf
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_triple_products_agree_with_their_matrices(m):
+    # conserved sequences, edge violations and forbidden patterns: the term
+    # route is zero exactly when every product's matrix is
+    spec = ModelSpec.ring(m)
+    lat = spec.lattice
+    rng = np.random.default_rng(m)
+    forbidden = [
+        ConservedSequence(sites, (1, 1, -1, 1) + (1,) * (len(sites) - 4))
+        for sites in sorted({f.sites for f in all_embeddable_sequences(lat) if len(f) >= 5})
+    ]
+    assert not any(map(is_permitted, forbidden))
+    verdicts = []
+    for f in lattice_sequences(lat) + sample_edge_violating_sequences(lat, 20, rng) + forbidden:
+        zero = all(p.is_zero() for p in _triple_products(spec, f))
+        assert (vanishing_triple_products(spec, f) == 0) == zero
+        verdicts.append(zero)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_charge_algebra_checks_build_no_matrix(monkeypatch):
+    built = []
+    for mod in (nicolai.fock, nicolai.model):
+        original = mod.terms_to_sparse
+
+        def counted(*args, _fn=original):
+            built.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, "terms_to_sparse", counted)
+    spec = ModelSpec.ring(3)
+    for f in lattice_sequences(spec.lattice):
+        assert vanishing_triple_products(spec, f) == 0
+    basis = enumerate_basis(Lattice.chain(0, 4))
+    for f in enumerate_hat_xi(0, 2):
+        assert adjoint_identity_check(f, basis)
+        assert anticommute_check(f, -f, basis) != 0
+    assert not built
+    # no Fock basis either: the spec built none
+    assert "basis" not in vars(spec)
+
+
+def test_charge_algebra_checks_reject_a_site_outside_the_lattice():
+    basis = enumerate_basis(Lattice.chain(0, 2))
+    outside = ConservedSequence((2, 3, 4), (1, 1, 1))
+    inside = ConservedSequence((0, 1, 2), (1, 1, 1))
+    with pytest.raises(ValueError, match="outside the lattice"):
+        adjoint_identity_check(outside, basis)
+    for f, g in ((outside, inside), (inside, outside)):
+        with pytest.raises(ValueError, match="outside the lattice"):
+            anticommute_check(f, g, basis)
 
 
 def test_rectangle_sequences_contain_constants():

@@ -276,7 +276,7 @@ def test_verify_refuses_a_ring_too_big_for_memory(argv, capsys, monkeypatch):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the verify run needs ~28.0 GiB")
+    assert captured.err.startswith("error: the verify run needs ~20.0 GiB")
 
 
 @pytest.mark.parametrize(
@@ -294,7 +294,7 @@ def test_verify_admits_ring_m10_past_the_memory_guard(argv, monkeypatch):
 
 
 def test_verify_admits_ring_m11_on_8_gib(monkeypatch):
-    # 448 bytes per state: 7.0 GiB for 2**24 states
+    # 320 bytes per state: 5.0 GiB for 2**24 states
     class Reached(Exception):
         pass
 
@@ -345,20 +345,6 @@ def test_ergodicity_decides_underflowed_gibbs_gaps_by_the_trace_gap(capsys):
 )
 def test_all_gaps_positive_reads_a_zero_gibbs_gap_by_its_trace_gap(gaps, positive):
     assert nicolai.dynamics.ErgodicityReport(gaps=gaps).all_gaps_positive() is positive
-
-
-@pytest.mark.parametrize("rows", [1, 7, 64, 1 << 16])
-def test_the_row_blocked_anticommutator_is_exact(rows):
-    spec = nicolai.ModelSpec.ring(2)
-    q, qd, h = spec.q, spec.q_dagger, spec.h
-    assert cli._anticommutator_equals(q, qd, h, rows)
-    assert nicolai.fock.anticommutator(q, qd).equals(h)
-    # one entry off, in the last row: a block that stops short would miss it
-    bumped = h.matrix.tolil()
-    bumped[h.dim - 1, h.dim - 1] += 1
-    off = nicolai.SparseOperator(h.basis, bumped.tocsr())
-    assert not cli._anticommutator_equals(q, qd, off, rows)
-    assert not cli._anticommutator_equals(q, q, h, rows)
 
 
 ENTRY_CHECK_SPECS = {
@@ -1127,11 +1113,11 @@ def _rho_q(spec):
 )
 def test_particle_hole_h_derivation_agrees_with_the_products(spec):
     # verify passes particle_hole_h on rho(Q) == s Q* and H == {Q, Q*}; the
-    # block products are the oracle of that derivation
+    # sparse products are the oracle of that derivation
     rho_q = _rho_q(spec)
     sign = -1 if spec.lattice.dimension == 1 else 1
     assert (rho_q - sign * spec.q_dagger).is_zero()
-    assert cli._anticommutator_equals(rho_q, rho_q.adjoint(), spec.h)
+    assert nicolai.fock.anticommutator(rho_q, rho_q.adjoint()).equals(spec.h)
 
 
 ONE_D_SPECS = [nicolai.ModelSpec.ring(m) for m in range(1, 7)] + [
@@ -1206,26 +1192,28 @@ def test_explicit_h_falls_back_to_the_matrix_when_the_split_fails(capsys, monkey
     passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert passed["h_susy_equals_explicit"]
     assert not passed["h_equals_classical_plus_hop"]
-    assert calls["terms_to_sparse"] == 4
+    # Q, H_classical and H_hop: the explicit H is compared with {Q, Q*} as terms
+    assert calls["terms_to_sparse"] == 3
 
 
 def test_particle_hole_h_falls_back_to_the_products(capsys, monkeypatch):
     # one charge negated in rho(Q): particle_hole_q fails, and particle_hole_h
-    # reports what the block products say
+    # reports what the sparse products say, decided on the terms
     def negated(q):
         terms = nicolai.particle_hole(q).terms
         return nicolai.OperatorSum((terms[0].scaled(-1),) + terms[1:])
 
     spec = nicolai.ModelSpec.ring(3)
     rho_q = negated(spec.q_sum).to_sparse(spec.basis)
-    want = cli._anticommutator_equals(rho_q, rho_q.adjoint(), spec.h)
-    calls = _count_calls(monkeypatch, [(cli, "_anticommutator_equals")])
+    want = nicolai.fock.anticommutator(rho_q, rho_q.adjoint()).equals(spec.h)
+    calls = _count_calls(monkeypatch, [(nicolai.fock, "terms_to_sparse")])
     monkeypatch.setattr(cli, "particle_hole", negated)
     assert run(["verify", "--ring", "--m", "3"]) == 3
     passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert not passed["particle_hole_q"]
     assert passed["particle_hole_h"] == want
-    assert calls["_anticommutator_equals"] == 1
+    # Q, H_classical and H_hop: no rho(Q) matrix
+    assert calls["terms_to_sparse"] == 3
 
 
 def test_verify_torus_checks_particle_hole_h_without_a_sparse_product(capsys, monkeypatch):
@@ -1237,11 +1225,127 @@ def test_verify_torus_checks_particle_hole_h_without_a_sparse_product(capsys, mo
         return matmul(self, other)
 
     monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_matmul_sparse", counted)
-    calls = _count_calls(monkeypatch, [(cli, "_anticommutator_equals")])
+    calls = _count_calls(monkeypatch, [(nicolai.fock, "terms_to_sparse")])
     assert run(["verify", "--torus", "4x4"]) == 0
     passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert passed["particle_hole_q"] and passed["particle_hole_h"]
-    assert not calls
-    # Q Q for the nilpotency checks (Q* Q* is its transpose), Q Q* and Q* Q
-    # for H: no other
-    assert products["sparse"] == 3
+    # Q alone is built: no rho(Q)
+    assert calls["terms_to_sparse"] == 1
+    # Q Q* and Q* Q for H: the nilpotency checks multiply terms, not matrices
+    assert products["sparse"] == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ONE_D_SPECS + [nicolai.ModelSpec.torus(4, 4)],
+    ids=_spec_id,
+)
+def test_q_squared_term_identity_agrees_with_the_matrix(spec):
+    # verify decides Q**2 == 0 on normal forms; Q Q is the oracle, for Q and
+    # for the planted sum Q + Q*, whose square is H
+    lat, q = spec.lattice, spec.q_sum
+    for a in (q, q + q.adjoint()):
+        m = a.to_sparse(spec.basis)
+        assert ((a * a).normal_form(lat) == {}) == (m @ m).is_zero()
+    assert (q * q).normal_form(lat) == {}
+    if len(q):
+        assert ((q + q.adjoint()) * (q + q.adjoint())).normal_form(lat) != {}
+
+
+def test_verify_fails_q_squared_zero_on_a_planted_sum(capsys, monkeypatch):
+    build = nicolai.model.build_supercharge
+    monkeypatch.setattr(nicolai.model, "build_supercharge", lambda s: build(s) + build(s).adjoint())
+    assert run(["verify", "--ring", "--m", "2"]) == 3
+    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not passed["q_squared_zero"] and not passed["q_dagger_squared_zero"]
+
+
+def _count_products(monkeypatch):
+    """Count the products of operator sums."""
+    calls = Counter()
+    mul = nicolai.OperatorSum.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(nicolai.OperatorSum, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [nicolai.ModelSpec.ring(2), nicolai.ModelSpec.chain_sites(7), nicolai.ModelSpec.torus(4, 4)],
+    ids=_spec_id,
+)
+@pytest.mark.parametrize("negate", ["all", "first"])
+def test_particle_hole_h_fallback_agrees_with_the_products(spec, negate, monkeypatch):
+    # rho(Q) with every charge negated fails particle_hole_q but keeps
+    # {rho(Q), rho(Q)*} == H; with one charge negated it breaks both
+    def planted(q):
+        rho = nicolai.particle_hole(q)
+        return -rho if negate == "all" else _first_term_flipped(rho)
+
+    rho_q = planted(spec.q_sum).to_sparse(spec.basis)
+    want = nicolai.fock.anticommutator(rho_q, rho_q.adjoint()).equals(spec.h)
+    assert want == (negate == "all")
+    monkeypatch.setattr(cli, "particle_hole", planted)
+    products = _count_products(monkeypatch)
+    passed = {c["name"]: c["passed"] for c in cli._build_checks(spec, 0)}
+    assert not passed["particle_hole_q"]
+    assert passed["particle_hole_h"] == want
+    # Q Q, then {rho(Q), rho(Q)*} and {Q, Q*}: two products each
+    assert products["mul"] == 5
+
+
+@pytest.mark.parametrize("explicit_flipped", [False, True], ids=["explicit-right", "explicit-wrong"])
+def test_explicit_h_fallback_agrees_with_the_matrix(explicit_flipped, monkeypatch):
+    # a wrong H_hop fails the split; the explicit H is then compared with
+    # {Q, Q*} as terms, and H == explicit on the matrices is the oracle
+    monkeypatch.setattr(
+        nicolai.model, "build_h_hop", _flipping_first_terms(nicolai.model.build_h_hop)
+    )
+    if explicit_flipped:
+        flipped = _flipping_first_terms(cli.build_hamiltonian_explicit)
+        monkeypatch.setattr(cli, "build_hamiltonian_explicit", flipped)
+    spec = nicolai.ModelSpec.ring(3)
+    explicit = cli.build_hamiltonian_explicit(spec).to_sparse(spec.basis)
+    want = spec.h.equals(explicit)
+    assert want != explicit_flipped
+    products = _count_products(monkeypatch)
+    passed = {c["name"]: c["passed"] for c in cli._build_checks(spec, 0)}
+    assert not passed["h_equals_classical_plus_hop"]
+    assert passed["h_susy_equals_explicit"] == want
+    # Q Q, then {Q, Q*}
+    assert products["mul"] == 3
+
+
+def test_both_fallbacks_build_the_terms_of_h_once(monkeypatch):
+    monkeypatch.setattr(
+        nicolai.model, "build_h_hop", _flipping_first_terms(nicolai.model.build_h_hop)
+    )
+    monkeypatch.setattr(cli, "particle_hole", lambda q: -nicolai.particle_hole(q))
+    products = _count_products(monkeypatch)
+    passed = {c["name"]: c["passed"] for c in cli._build_checks(nicolai.ModelSpec.ring(3), 0)}
+    assert passed["h_susy_equals_explicit"] and passed["particle_hole_h"]
+    assert not passed["h_equals_classical_plus_hop"] and not passed["particle_hole_q"]
+    assert products["mul"] == 5
+
+
+@pytest.mark.parametrize(
+    "spec", [nicolai.ModelSpec.ring(3), nicolai.ModelSpec.torus(4, 4)], ids=_spec_id
+)
+def test_a_passing_run_builds_no_terms_of_h(spec, monkeypatch):
+    products = _count_products(monkeypatch)
+    assert all(c["passed"] for c in cli._build_checks(spec, 0))
+    # Q Q alone
+    assert products["mul"] == 1
+
+
+@pytest.mark.parametrize(
+    "module", ["fock", "model", "grammar", "charges", "groundstates", "dynamics"]
+)
+def test_every_name_in_all_resolves(module):
+    mod = getattr(nicolai, module)
+    assert mod.__all__
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -69,6 +69,9 @@ def test_apply_site_outside_lattice():
         apply_monomial(a(5), 0, lat)
     with pytest.raises(ValueError):
         monomial_to_sparse(a(5), enumerate_basis(lat))
+    # already in normal order, so no rank of site 5 is ever looked up
+    with pytest.raises(ValueError, match="outside the lattice"):
+        normal_order(adag(5) * a(0), lat)
 
 
 @pytest.mark.parametrize(
