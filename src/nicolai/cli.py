@@ -295,10 +295,17 @@ def _verify_bytes(lat) -> int:
     return 320 << lat.nsites
 
 
+def _build_bytes(lat) -> int:
+    """Estimated peak bytes of plain ``build``, the basis and Q: 200 per Fock
+    state, over 30% above the 118, 128, 139 and 150 of ``build --ring`` at
+    m = 8, 9, 10 and 11 above start-up (2400 MiB at m = 11)."""
+    return 200 << lat.nsites
+
+
 def cmd_build(args) -> int:
     spec = _resolve_spec(args)
-    if args.verify:
-        _require_memory(_verify_bytes(spec.lattice), "the verify run", "sparse matrices")
+    need, what = (_verify_bytes, "the verify run") if args.verify else (_build_bytes, "the build")
+    _require_memory(need(spec.lattice), what, "sparse matrices")
     payload = {
         "schema": SCHEMA,
         "command": "build",
@@ -307,19 +314,16 @@ def cmd_build(args) -> int:
         "dimension": spec.basis.dim,
         "supercharge_nnz": spec.q.nnz,
     }
-    code = 0
     if args.verify:
-        checks = _build_checks(spec, args.seed)
-        payload["checks"] = checks
+        payload["checks"] = checks = _build_checks(spec, args.seed)
         payload["failures"] = sum(not c["passed"] for c in checks)
-        if payload["failures"]:
-            code = 3
     _emit(payload, args)
-    return code
+    return 3 if payload.get("failures") else 0
 
 
 def _require_memory(need: int, what: str, held: str) -> None:
-    """Refuse (exit 2) a run whose estimate ``need`` exceeds physical memory."""
+    """Refuse (exit 2) a run whose estimate ``need`` exceeds physical memory:
+    the one way the command line refuses a run for its size."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
@@ -364,11 +368,14 @@ def cmd_charges(args) -> int:
         if args.ring or args.chain is not None or args.torus:
             raise ValueError("--interval cannot be combined with a lattice flag")
         k, l = args.interval
-        if args.check and l - k > 7:
-            raise ValueError("--check embeds the interval in a Fock space; limited to l - k <= 7")
         counted = ch.transfer_count_hat_xi(k, l)
         need = _interval_listing_bytes(k, l, counted)
-        _require_memory(need, "the charge listing", "sequence objects")
+        if args.check:
+            # the sequences stay held while the embedding chain's operators are built
+            need += _check_bytes(2 * (l - k) + 5)
+            _require_memory(need, "the charge check", "sequence objects and sparse matrices")
+        else:
+            _require_memory(need, "the charge listing", "sequence objects")
         seqs = ch.enumerate_hat_xi(k, l)
         payload["interval"] = [2 * k, 2 * l]
         payload["count"] = len(seqs)
@@ -390,10 +397,11 @@ def cmd_charges(args) -> int:
         lat = spec.lattice
         if lat.dimension != 1 or not lat.periodic:
             raise ValueError("charge listings need --interval or --ring")
-        _require_memory(_ring_listing_bytes(lat), "the charge listing", "word arrays")
+        counted = ch.transfer_count_ring_sequences(lat)
+        _require_memory(_listing_bytes(lat.nsites, counted), "the charge listing", "word arrays")
         # counted on the word codes alone, or checked on one catalogue of rows
         if args.check:
-            _require_memory(_check_bytes(lat), "the charge check", "sparse matrices")
+            _require_memory(_check_bytes(lat.nsites), "the charge check", "sparse matrices")
             *arcs, (_, ring_words, _) = blocks = ch._catalogue(lat)
             embeddable, full = ch._member_count(arcs), len(ring_words)
         else:
@@ -401,7 +409,7 @@ def cmd_charges(args) -> int:
         payload["model"] = json.loads(spec.to_json())
         payload["embeddable_count"] = embeddable
         payload["full_ring_count"] = full
-        payload["full_ring_transfer_count"] = ch.transfer_count_ring_sequences(lat)
+        payload["full_ring_transfer_count"] = counted
         if payload["full_ring_count"] != payload["full_ring_transfer_count"]:
             code = 3
         if args.check:
@@ -422,28 +430,24 @@ def _interval_listing_bytes(k: int, l: int, count: int) -> int:
     return 1280 * count * (2 * (l - k) + 1)
 
 
-def _ring_listing_bytes(lat) -> int:
-    """Peak bytes of the word codes behind a ring charge listing: eight times
-    the bytes of the full-ring codes (4 per code up to 32 sites, then 8).
-
-    Each arc length's codes are counted and dropped before the next length
-    is grown, and the full ring's enumeration peaks in its last steps, which
-    hold the doubled codes, their masked copy and the kept codes: 4 to 5
-    times the bytes of the final codes under tracemalloc at m = 8 to 13.
-    Measured peaks above start-up at m = 11, 12, 13 (11, 28 and 103 MB) stay
-    below the estimate (17, 51 and 153 MB).  With ``--check`` the catalogue's
-    rows are far below the check's own estimate.  Counts come from the
-    transfer matrices, so nothing is built."""
-    itemsize = 4 if lat.nsites <= 32 else 8
-    return 8 * itemsize * ch.transfer_count_ring_sequences(lat)
+def _listing_bytes(n: int, count: int) -> int:
+    """Peak bytes of enumerating ``count`` word codes of ``n`` positions:
+    eight times their bytes (4 per code up to 32 positions, then 8).  The
+    enumeration peaks in its last steps, on the doubled codes, their masked
+    copy and the kept codes: 4 to 5 times the final bytes under tracemalloc
+    at ring m = 8 to 13.  ``charges --ring --m 11, 12, 13`` peak 11, 28 and
+    103 MB above start-up (estimates 17, 51 and 153 MB)."""
+    return 8 * (4 if n <= 32 else 8) * count
 
 
-def _check_bytes(lat) -> int:
-    """Estimated peak bytes of ``charges --ring --check``: 256 per Fock
-    state, for the basis, Q, Q* and H (int64 CSR) and the kernel's
-    chunks.  Measured peaks above start-up at m = 7, 8 and 9 (12,
-    56 and 230 MB) are 183, 213 and 219 bytes per state."""
-    return 256 << lat.nsites
+def _check_bytes(n: int) -> int:
+    """Estimated peak bytes of the basis, Q, Q* and H (int64 CSR) and the
+    commutator kernel's chunks on ``n`` sites: 256 per Fock state.  Above
+    start-up, ``charges --ring --m 7, 8, 9 --check`` peak at 165, 172 and
+    203 bytes per state (203 MiB at m = 9), and ``charges --interval 0 L
+    --check`` at L = 7, 8, 9 (chains of 19, 21, 23 sites, the sequences
+    included) at 146, 160 and 172 bytes per state (1373 MiB at L = 9)."""
+    return 256 << n
 
 
 def cmd_groundstates(args) -> int:
@@ -463,26 +467,30 @@ def cmd_groundstates(args) -> int:
         _emit(payload, args)
         return code
 
-    if args.verify_susy and lat.nsites > 12:
-        raise ValueError("--verify-susy is limited to lattices of <= 12 sites")
-    # one code array: counted, spelled if listed, built as objects for --verify-susy
+    one_d = lat.dimension == 1
+    # exact on rings and chains; 2**n bounds a torus (51488 of 65536 on 4x4)
+    counted = gs.transfer_count_ground_configs(lat) if one_d else 2**lat.nsites
+    need = _listing_bytes(lat.nsites, counted)
+    if args.verify_susy:
+        need += _check_bytes(lat.nsites)
+        _require_memory(need, "the ground-state check", "word arrays and sparse matrices")
+    else:
+        _require_memory(need, "the ground-state listing", "word arrays")
+    # one code array: counted, spelled if listed, its rows read for --verify-susy
     codes = gs._ground_codes(lat)
     payload["count"] = len(codes)
-    if lat.dimension == 1:
-        payload["transfer_matrix_count"] = gs.transfer_count_ground_configs(lat)
+    if one_d:
+        payload["transfer_matrix_count"] = counted
         payload["entropy_density"] = gs.entropy_density(lat)
-        if payload["count"] != payload["transfer_matrix_count"]:
+        if payload["count"] != counted:
             code = 3
     if payload["count"] <= 10000:
         words = grammar.unpack(codes, lat.nsites, (0, 1))
         payload["configs"] = payload["config_lines"] = grammar.spell(words, "01")
-
     if args.verify_susy:
-        configs = gs._configurations(lat, codes)
-        bad = [g.bitstring() for g in configs if not gs.verify_susy_ground(g, spec).annihilated]
-        payload["susy_failures"] = bad
-        if bad:
-            code = 3
+        bad = grammar.unpack(codes[~gs._annihilated(spec, codes)], lat.nsites, (0, 1))
+        payload["susy_failures"] = grammar.spell(bad, "01")
+        code = 3 if len(bad) else code
     _emit(payload, args)
     return code
 
@@ -520,11 +528,8 @@ def cmd_ergodicity(args) -> int:
         "betas": list(args.beta),
         "report": report.to_json_obj(),
     }
-    code = 0
-    gaps_ok = report.all_gaps_positive()
-    payload["all_gaps_positive"] = gaps_ok
-    if not (gaps_ok and report.non_ergodic):
-        code = 3
+    payload["all_gaps_positive"] = gaps_ok = report.all_gaps_positive()
+    code = 0 if gaps_ok and report.non_ergodic else 3
     if args.spectrum_csv:
         rows = dyn.spectrum_table(spec.spectrum)
         _write_atomic(

@@ -724,9 +724,9 @@ def ergodicity_report(
     so it is nilpotent, hence traceless, on each eigenspace of H.  The gap
     ``<A dephase(A)> - <A>**2`` is then ``<Pi_f> = w[P] + w[S ^ P]``, with
     ``w`` the marginal of the diagonal ``rho_jj`` over ``j & S``
-    (:func:`_marginal_gaps`).  For the trace state ``rho_jj = 1 / dim``, and
-    the sums of powers of two are exact: the gap is ``2**(1 - |S|)`` to the
-    last bit.  For a Gibbs state with Boltzmann weights p, ``rho_jj =
+    (:func:`_marginal_gaps`).  For the trace state ``rho_jj = 1 / dim``, so
+    the gap is ``2**(1 - |S|)``, written exactly from the popcount of S.
+    For a Gibbs state with Boltzmann weights p, ``rho_jj =
     sum_n p_n V[j, n]**2``, one sparse product ``(V o V) p``.
     :func:`_trace_gap` and :func:`_gibbs_gaps`, on explicit sparse matrices,
     stay as the oracles of this closed form.
@@ -761,7 +761,6 @@ def ergodicity_report(
         raise ValueError("the ergodicity report runs on rings")
     basis = spec.basis
     spectrum = spec.spectrum
-    dim = basis.dim
 
     blocks = ch._catalogue(lat)
     masks = ch._member_masks(lat, blocks)
@@ -769,7 +768,8 @@ def ergodicity_report(
         raise RuntimeError(f"charge catalogue does not commute with H (residual {residual})")
     report = ErgodicityReport(generator_labels=ch._member_labels(lat, blocks))
 
-    report.gaps = {"trace": _marginal_gaps(masks, np.full(dim, 1.0 / dim)).tolist()}
+    sizes = np.bitwise_count(masks[:, 0]).astype(np.int64)
+    report.gaps = {"trace": np.ldexp(1.0, 1 - sizes).tolist()}
     squares = spectrum.vectors.power(2)
     for label, p in _gibbs_weights_by_label(spectrum, betas).items():
         report.gaps[label] = _marginal_gaps(masks, squares @ p).tolist()
@@ -795,12 +795,14 @@ def ergodicity_report(
 
     if len(grounds := spec.ground_states) >= 2:
         g0, g1 = (_bitstring(int(g), lat.nsites) for g in grounds[:2])
-        # H = {Q, Q*} is symmetric, so a zero column of H is a zero row too:
+        # H = {Q, Q*} is symmetric, so a zero row of H is a zero column too:
         # H|g> = 0 and <g|H = 0 for both, hence F = |g0><g1| + |g1><g0|
         # commutes with H, dephase(F) = F, and the gap under |g0> is
         # <g0|F^2|g0> - <g0|F|g0>^2 = 1 - 0.
+        h = spec.h.matrix
         for g, bits in zip(grounds[:2], (g0, g1)):
-            if spec.h.matrix[:, [basis.index_of(g)]].count_nonzero():
+            i = basis.index_of(g)
+            if h.data[h.indptr[i] : h.indptr[i + 1]].any():
                 raise RuntimeError(f"configuration {bits} is not annihilated by H")
         report.classical_witness = {"state": g0, "partner": g1, "gap": 1.0}
     return report
@@ -820,7 +822,7 @@ def spectrum_table(spectrum: Spectrum) -> list:
     rows = {}
     for (s, e) in spectrum.clusters:
         value = float(spectrum.eigenvalues[s:e].mean())
-        for i in range(s, e):
-            key = (int(spectrum.sectors[i]), value)
-            rows[key] = rows.get(key, 0) + 1
+        sectors, counts = np.unique(spectrum.sectors[s:e], return_counts=True)
+        for sector, count in zip(sectors.tolist(), counts.tolist()):
+            rows[sector, value] = rows.get((sector, value), 0) + count
     return sorted((sec, val, mult) for (sec, val), mult in rows.items())

@@ -164,7 +164,7 @@ def _masked_patterns(hood) -> tuple:
 def unpack(codes: np.ndarray, n: int, alphabet: tuple) -> np.ndarray:
     """Word codes (:func:`permitted_codes`) as the rows of an int8 array of
     shape ``(count, n)``: position ``q`` holds ``alphabet[bit q]``."""
-    octets = codes.astype(f"<u{codes.itemsize}", copy=False).view(np.uint8).reshape(len(codes), -1)
+    octets = codes.astype(f"<u{codes.itemsize}", copy=False).view(np.uint8).reshape(-1, codes.itemsize)
     bits = np.unpackbits(octets, axis=1, count=n, bitorder="little")
     return np.asarray(alphabet, dtype=np.int8)[bits]
 

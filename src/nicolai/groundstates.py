@@ -15,7 +15,8 @@ configuration labels a Fock product vector, a sequence labels an operator.
 The pattern rule and its enumerator live in :mod:`nicolai.grammar`.  The
 command line reads the word codes of :func:`_ground_codes`, one integer per
 configuration whose bit ``r`` is the occupation of the rank-``r`` site:
-counted, spelled, and cast to the Fock states ``ModelSpec.ground_states``.
+counted, spelled, cast to the Fock states ``ModelSpec.ground_states``, and
+checked for annihilation all at once on CSR rows (:func:`_annihilated`).
 A :class:`Configuration` is the library form, the array path's oracle and
 the unit of :func:`verify_susy_ground`.  The census degeneracy is extensive:
 counts grow like ``lambda**(n/2)`` with ``lambda = 3`` the leading
@@ -56,7 +57,7 @@ __all__ = [
     "kernel_census",
 ]
 
-# exhaustive enumeration limit; larger lattices are counted by transfer matrix
+# object enumeration limit; larger lattices are counted by transfer matrix
 _MAX_EXHAUSTIVE = 24
 # eigenvalues of H at most this far from zero count as kernel
 _ZERO_TOL = 1e-8
@@ -77,9 +78,7 @@ class Configuration:
 
     @classmethod
     def from_state(cls, state: int, lattice: Lattice) -> "Configuration":
-        return cls(
-            lattice, tuple((state >> r) & 1 for r in range(lattice.nsites))
-        )
+        return cls(lattice, tuple((state >> r) & 1 for r in range(lattice.nsites)))
 
     @classmethod
     def all_empty(cls, lattice: Lattice) -> "Configuration":
@@ -156,30 +155,23 @@ def ground_config_mask(lattice: Lattice, basis: FockBasis | None = None) -> np.n
 
 def _ground_codes(lattice: Lattice) -> np.ndarray:
     """The ground-state configurations as word codes, in lexicographic site
-    order; raises beyond ``_MAX_EXHAUSTIVE`` sites.  Bit ``r`` of a code is
-    the occupation of the rank-``r`` site, so each code is its Fock state."""
+    order.  Bit ``r`` of a code is the occupation of the rank-``r`` site, so
+    each code is its Fock state."""
+    return grammar.permitted_codes(lattice.nsites, charge_hoods(lattice))
+
+
+def enumerate_ground_configs(lattice: Lattice) -> list:
+    """All ground-state configurations in lexicographic site order, one
+    :class:`Configuration` per word; raises beyond ``_MAX_EXHAUSTIVE``
+    sites (:func:`transfer_count_ground_configs` counts larger systems)."""
     n = lattice.nsites
     if n > _MAX_EXHAUSTIVE:
         raise ValueError(
             f"{n} sites exceeds the exhaustive limit ({_MAX_EXHAUSTIVE}); "
             "use the transfer-matrix count instead"
         )
-    return grammar.permitted_codes(n, charge_hoods(lattice))
-
-
-def _configurations(lattice: Lattice, codes: np.ndarray) -> list:
-    """Ground codes as :class:`Configuration` objects, in code order."""
-    rows = grammar.unpack(codes, lattice.nsites, (0, 1))
+    rows = grammar.unpack(_ground_codes(lattice), n, (0, 1))
     return [Configuration(lattice, v) for v in map(tuple, rows.tolist())]
-
-
-def enumerate_ground_configs(lattice: Lattice) -> list:
-    """All ground-state configurations in lexicographic site order.
-
-    Raises for lattices beyond ``_MAX_EXHAUSTIVE`` sites; use
-    :func:`transfer_count_ground_configs` to count larger systems.
-    """
-    return _configurations(lattice, _ground_codes(lattice))
 
 
 def transfer_count_ground_configs(lattice: Lattice) -> int:
@@ -208,14 +200,7 @@ def entropy_density(lattice: Lattice) -> float:
 
 def occupation_monomial(g: Configuration) -> FermionMonomial:
     """Product of creation factors at the occupied sites, ascending order."""
-    return FermionMonomial(
-        1,
-        tuple(
-            (s, CREATE)
-            for s in g.lattice.sites
-            if g.value_at(s) == 1
-        ),
-    )
+    return FermionMonomial(1, tuple((s, CREATE) for s in g.lattice.sites if g.value_at(s) == 1))
 
 
 def config_to_vector(g: Configuration, basis: FockBasis) -> np.ndarray:
@@ -247,11 +232,7 @@ class GroundStateReport:
 
     @property
     def annihilated(self) -> bool:
-        return (
-            self.q_residual == 0
-            and self.q_dagger_residual == 0
-            and self.h_residual == 0
-        )
+        return self.q_residual == self.q_dagger_residual == self.h_residual == 0
 
 
 def verify_susy_ground(g: Configuration, spec: ModelSpec) -> GroundStateReport:
@@ -291,6 +272,20 @@ def verify_susy_ground(g: Configuration, spec: ModelSpec) -> GroundStateReport:
     )
 
 
+def _annihilated(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
+    """Whether ``Q|g> = Q*|g> = H|g> = 0``, for every Fock state ``g`` of
+    ``states`` at once.  A state is its own basis index, Q* is Q's transpose
+    and H is symmetric, so the three vectors are the CSR rows ``g`` of Q*, Q
+    and H; explicit zeros count as zero, as in :func:`verify_susy_ground`."""
+    ok = np.ones(len(states), dtype=bool)
+    for op in (spec.q_dagger, spec.q, spec.h):
+        m = op.matrix
+        zeros = np.flatnonzero(m.data == 0)
+        start, end = m.indptr[states], m.indptr[states + 1]
+        ok &= end - start == np.searchsorted(zeros, end) - np.searchsorted(zeros, start)
+    return ok
+
+
 @dataclass
 class KernelCensus:
     """Ground-space bookkeeping for one model."""
@@ -316,9 +311,7 @@ def kernel_census(spec: ModelSpec) -> KernelCensus:
     H's kernel and least positive eigenvalue are read off
     ``spec.eigenvalues``, which keeps no eigenvector."""
     if spec.lattice.dimension != 1:
-        raise ValueError(
-            "kernel census needs the classical/hopping split, available in 1D only"
-        )
+        raise ValueError("kernel census needs the classical/hopping split, available in 1D only")
     classical_count = len(spec.ground_states)
 
     eig = spec.eigenvalues

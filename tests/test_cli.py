@@ -590,9 +590,11 @@ def test_charges_interval_refuses_a_listing_too_big_for_memory(capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the charge listing needs ~")
-    # --check refuses a wide interval before enumerating it too
-    assert run(["charges", "--interval", "0", "8", "--check"]) == 2
-    assert "l - k <= 7" in capsys.readouterr().err
+    # --check adds the embedding chain's operators: 25 sites, ~9 GiB in all
+    assert run(["charges", "--interval", "0", "10", "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the charge check needs ~9.0 GiB")
 
 
 def test_model_too_big_to_allocate_is_a_configuration_error(capsys):
@@ -681,34 +683,84 @@ def test_verify_runs_every_check_above_4096_states(capsys):
 
 def test_groundstates_guard_fires_before_enumerating(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerated past the exhaustive limit")
+        raise AssertionError("enumerated past the memory guard")
 
     monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
-    assert run(["groundstates", "--ring", "--m", "12"]) == 2
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    # 36 sites: 3**18 + 1 codes of 8 bytes, eight times over
+    assert run(["groundstates", "--ring", "--m", "17"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: 26 sites exceeds the exhaustive limit (24); "
-        "use the transfer-matrix count instead\n"
+        "error: the ground-state listing needs ~23.1 GiB of word arrays; "
+        "this machine has 8.0 GiB\n"
     )
 
 
 @pytest.mark.parametrize(
-    "argv", [["--torus", "4x6"], ["--ring", "--m", "6"]], ids=["torus4x6", "ring6"]
+    "argv, need",
+    [(["--torus", "6x6"], "20480.0"), (["--ring", "--m", "12"], "16.0")],
+    ids=["torus6x6", "ring12"],
 )
-def test_verify_susy_guard_fires_before_enumerating(argv, capsys, monkeypatch):
+def test_verify_susy_guard_fires_before_enumerating(argv, need, capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerated past the --verify-susy limit")
+        raise AssertionError("enumerated past the memory guard")
 
     monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
+    _refuse_building(monkeypatch, AssertionError("built past the memory guard"))
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert run(["groundstates", *argv, "--verify-susy"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --verify-susy is limited to lattices of <= 12 sites\n"
-    # past both limits either message will do; the transfer count enumerates nothing
-    assert run(["groundstates", "--ring", "--m", "12", "--verify-susy"]) == 2
+    assert captured.err == (
+        f"error: the ground-state check needs ~{need} GiB of word arrays and "
+        "sparse matrices; this machine has 8.0 GiB\n"
+    )
+    # the transfer count enumerates and builds nothing
     argv = ["groundstates", "--ring", "--m", "39", "--transfer-matrix", "--verify-susy"]
     assert run(argv) == 0
+
+
+def test_verify_susy_lists_a_planted_non_ground_code(capsys, monkeypatch):
+    # two non-ground codes around the ground codes: the failures are spelled
+    # in code order, which here is not ascending
+    lat = nicolai.Lattice.ring(2)
+    low, high = np.flatnonzero(~nicolai.groundstates.ground_config_mask(lat))[[0, -1]].tolist()
+    ground_codes = nicolai.groundstates._ground_codes
+
+    def planted(lattice):
+        codes = ground_codes(lattice)
+        return np.concatenate([np.array([high], codes.dtype), codes, np.array([low], codes.dtype)])
+
+    monkeypatch.setattr(nicolai.groundstates, "_ground_codes", planted)
+    assert run(["groundstates", "--ring", "--m", "2", "--verify-susy"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    spelled = [f"{c:06b}"[::-1] for c in (high, low)]
+    assert payload["susy_failures"] == spelled
+    assert [payload["configs"][i] for i in (0, -1)] == spelled
+
+
+def test_groundstates_lists_ring_m12(capsys):
+    assert run(["groundstates", "--ring", "--m", "12"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == payload["transfer_matrix_count"] == 3**13 - 1
+    assert "configs" not in payload
+
+
+def test_groundstates_verifies_susy_on_the_4x4_torus(capsys):
+    assert run(["groundstates", "--torus", "4x4", "--verify-susy"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 51488 and payload["susy_failures"] == []
+
+
+def test_charges_interval_checks_past_l_minus_k_7(capsys):
+    assert run(["charges", "--interval", "0", "8", "--check"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["embedding_chain"] == [-2, 18]
+    assert payload["count"] == payload["transfer_matrix_count"] == 4374
+    assert payload["max_commutator_residual"] == 0
 
 
 @pytest.mark.parametrize(
@@ -882,13 +934,13 @@ def test_sweep_builds_no_object_per_charge(argv, capsys, monkeypatch):
         (["ergodicity", "--ring", "--m", "3"], 0),
         (["groundstates", "--ring", "--m", "3"], 0),
         (["groundstates", "--ring", "--m", "2", "--format", "text"], 0),
-        (["groundstates", "--ring", "--m", "2", "--verify-susy"], 26),
+        (["groundstates", "--ring", "--m", "2", "--verify-susy"], 0),
     ],
     ids=lambda v: "-".join(v).replace("--", "") if isinstance(v, list) else str(v),
 )
 def test_cli_builds_a_configuration_only_to_verify_susy(argv, built, capsys, monkeypatch):
-    # the ground states are read off the word rows; --verify-susy checks one
-    # object per configuration and builds no image of a ground configuration
+    # the ground states are read off the word codes, and --verify-susy
+    # decides annihilation on the CSR rows of Q*, Q and H
     calls = Counter()
     post_init = nicolai.Configuration.__post_init__
 

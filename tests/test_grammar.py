@@ -293,6 +293,12 @@ def test_permitted_codes_widen_to_64_bits(n):
     assert grammar.unpack(codes, n, (-1, 1)).tolist() == [[-1] * n, [1] * n]
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_no_code_unpacks_and_spells_as_no_word(dtype):
+    words = grammar.unpack(np.empty(0, dtype), 6, (0, 1))
+    assert words.shape == (0, 6) and grammar.spell(words, "01") == []
+
+
 def test_permitted_codes_refuse_words_past_64_positions_and_forward_ties():
     with pytest.raises(ValueError, match="64-bit"):
         grammar.permitted_codes(65, [])

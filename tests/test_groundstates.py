@@ -19,13 +19,15 @@ from nicolai import (
     verify_susy_ground,
 )
 from nicolai.groundstates import (
+    _annihilated,
+    _ground_codes,
     entropy_density,
     ground_config_mask,
     occupation_monomial,
 )
 from nicolai import grammar
 from nicolai.model import build_supercharge, build_hamiltonian_susy, charge_hoods, charge_triples
-from nicolai.fock import monomial_to_sparse
+from nicolai.fock import SparseOperator, monomial_to_sparse
 
 
 def brute_force_ground_count(lattice):
@@ -194,6 +196,52 @@ def test_verify_susy_flip_action(ring):
     rep_back = verify_susy_ground(image, ctx)
     back = [f for f in rep_back.flip_actions if f[0] == "adjoint" and f[1] == 0]
     assert len(back) == 1 and back[0][3].values == g.values
+
+
+def _oracle_annihilated(spec, states):
+    return np.array(
+        [verify_susy_ground(Configuration.from_state(g, spec.lattice), spec).annihilated for g in states]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec.ring(1), ModelSpec.ring(2), ModelSpec.chain_sites(7), ModelSpec.chain_sites(9)],
+    ids=["ring1", "ring2", "chain7", "chain9"],
+)
+def test_row_test_matches_the_configuration_oracle(spec):
+    # every Fock state, ground or not; the rows pass exactly on the ground states
+    states = np.arange(spec.basis.dim)
+    rows = _annihilated(spec, states)
+    assert np.array_equal(rows, _oracle_annihilated(spec, states))
+    assert np.array_equal(rows, ground_config_mask(spec.lattice, spec.basis))
+
+
+def test_row_test_matches_the_configuration_oracle_on_the_torus():
+    # the oracle slices three columns per state, ~0.6 ms each, so every 16th
+    # ground code and every 64th other state are compared
+    spec = ModelSpec.torus(4, 4)
+    codes = _ground_codes(spec.lattice)
+    assert _annihilated(spec, codes).all()
+    others = np.flatnonzero(~ground_config_mask(spec.lattice, spec.basis))
+    assert not _annihilated(spec, others).any()
+    sample = np.concatenate([codes[::16].astype(np.int64), others[::64]])
+    assert np.array_equal(_annihilated(spec, sample), _oracle_annihilated(spec, sample))
+
+
+def test_row_test_ignores_explicit_zeros():
+    # a stored zero in the empty state's row of H, as the oracle's max-abs ignores it
+    spec = ModelSpec.ring(1)
+    m = spec.h.matrix
+    assert m.indptr[1] == 0
+    stored = type(m)(
+        (np.append(0, m.data), np.append(0, m.indices), np.append(0, m.indptr[1:] + 1)),
+        shape=m.shape,
+    )
+    vars(spec)["h"] = SparseOperator(spec.basis, stored)
+    assert spec.h.matrix.nnz == m.nnz + 1
+    assert _annihilated(spec, np.array([0]))[0]
+    assert _oracle_annihilated(spec, [0])[0]
 
 
 def test_no_cancellation_between_triples(ring):
