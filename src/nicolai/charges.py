@@ -45,6 +45,7 @@ from .fock import (
     CREATE,
     FermionMonomial,
     FockBasis,
+    _row_entries,
     _signed_images,
     _states_off,
     commutator,
@@ -552,16 +553,6 @@ def _chunks(sizes: list, dim: int):
         total += size
     if sizes:
         yield start, len(sizes)
-
-
-def _row_entries(m, rows: np.ndarray):
-    """For the CSR rows ``rows`` of ``m``: the index into ``rows`` that owns
-    each stored entry, and that entry's position in ``m.indices``/``m.data``."""
-    first = m.indptr[rows]
-    count = m.indptr[rows + 1] - first
-    owner = np.repeat(np.arange(len(rows)), count)
-    skip = np.repeat(first - (np.cumsum(count) - count), count)
-    return owner, np.arange(len(owner)) + skip
 
 
 def _mask_residuals(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:

@@ -2,19 +2,17 @@
 
 H is a sum of Fock-basis hops, so its sparsity graph splits into small
 connected components, the fragments (each classical ground state is a 1 x 1
-fragment of its own, its own eigenpair).  :func:`diagonalize` finds them,
-diagonalizes all larger fragments of one size with one stacked dense solver,
-and merges the blocks into one ascending spectrum whose eigenvectors are
-written straight into the arrays of one sparse CSC matrix, one fragment per
-column.  :func:`fragment_eigenvalues` is the path for callers that read
-eigenvalues alone (``verify``, ``build --verify`` and the kernel census,
-through ``ModelSpec.eigenvalues``): it keeps no eigenvector, reads each 1 x 1
-fragment's eigenvalue off the diagonal, and solves one fragment per orbit of
-the shifts by two that the model certifies (x on rings; x and y on tori)
-with the same stacked ``eigh`` and residual check, counting its eigenvalues
-once per member of the orbit.  Degenerate eigenvalues are grouped into
-clusters (the spectrum is massively degenerate, across fragments too) and
-the cluster projectors define the dephasing map
+fragment of its own, its own eigenpair).  One pass, :func:`_solved_fragments`,
+finds them, reads each 1 x 1 fragment's eigenvalue off the diagonal, keeps one
+larger fragment per orbit of the shifts by two that the model certifies (x on
+rings; x and y on tori), and diagonalizes the kept fragments of one size with
+one stacked dense ``eigh``.  :func:`diagonalize` runs it with no shift and
+writes the eigenvectors straight into the arrays of one sparse CSC matrix, one
+fragment per column.  :func:`fragment_eigenvalues` keeps the eigenvalues alone,
+each counted once per member of its orbit, for ``verify``, ``build --verify``
+and the kernel census (``ModelSpec.eigenvalues``).  Degenerate eigenvalues
+are grouped into clusters (the spectrum is massively degenerate, across
+fragments too) and the cluster projectors define the dephasing map
 
     A  ->  sum_E  P_E A P_E,
 
@@ -63,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, SparseOperator
+from .fock import FockBasis, SparseOperator, _row_entries
 from .fock import enumerate_basis  # noqa: F401  alias read by bench/test_bench.py
 from .grammar import permitted
 from .groundstates import Configuration, config_to_vector
@@ -197,22 +195,15 @@ def _check_residual(residual: float, eigenvalues: np.ndarray) -> None:
 
 def _block_eigenpairs(m, slot, states, scale: float) -> tuple:
     """Eigenpairs ``(w, v, residual)`` of the fragments whose states, in slot
-    order, are the rows of ``states``, shape ``(n_blocks, k)``: their entries,
-    gathered from the CSR rows of ``m``, fill one ``(n_blocks, k, k)`` stack
-    for one stacked ``eigh``.  A 1 x 1 block is its own eigenpair, its entry
-    and the vector 1.0, as ``eigh`` returns them, with residual 0."""
+    order, are the rows of ``states``, shape ``(n_blocks, k)`` with ``k >=
+    2``: their entries, gathered from the CSR rows of ``m``
+    (:func:`~nicolai.fock._row_entries`), fill one ``(n_blocks, k, k)`` stack
+    for one stacked ``eigh``."""
     nb, k = states.shape
-    flat = states.ravel()
-    start = m.indptr[flat]
-    count = m.indptr[flat + 1] - start
-    first = np.cumsum(count) - count
-    entry = np.repeat(start - first, count) + np.arange(count.sum())
-    r = np.repeat(np.arange(flat.size), count)
-    c = slot[m.indices[entry]] - slot[flat[0]]
+    r, entry = _row_entries(m, states.ravel())
+    c = slot[m.indices[entry]] - slot[states[0, 0]]
     stack = np.zeros((nb, k, k))
     stack[r // k, r % k, c % k] = m.data[entry]
-    if k == 1:
-        return stack[:, 0, :], 1.0, 0.0
     if float(np.abs(stack - stack.transpose(0, 2, 1)).max()) > 1e-12 * scale:
         raise ValueError("diagonalize expects a symmetric operator")
     w, v = np.linalg.eigh(stack)
@@ -220,47 +211,98 @@ def _block_eigenpairs(m, slot, states, scale: float) -> tuple:
     return w, v, float(np.sqrt((res * res).sum(axis=1)).max())
 
 
+def _orbit_sizes(roots, size, labels, group) -> np.ndarray:
+    """Per fragment root in ``roots``: the number of fragments in its orbit
+    under ``group`` if it is its orbit's representative, else 0.
+
+    A group element g maps the fragment F onto the fragment that holds
+    ``g(root(F))``, so the roots of F's orbit are the labels of those
+    images, and the key ``min_g labels[g(root(F))]`` is the same for every
+    member: the member whose root equals it is the representative, and the
+    number of members with that key is the orbit size.  ``RuntimeError`` if
+    some g maps a fragment onto one of another size.
+    """
+    key = roots.copy()
+    own = size[roots]
+    for g in group[1:]:
+        image = _permute_bits(roots, g)
+        if not np.array_equal(size[image], own):
+            raise RuntimeError("a shift maps a fragment onto a fragment of another size")
+        np.minimum(key, labels[image], out=key)
+    rep = key == roots
+    orbit = np.zeros(len(roots), dtype=np.int64)
+    orbit[rep] = np.bincount(np.searchsorted(roots[rep], key), minlength=int(rep.sum()))
+    return orbit
+
+
+def _solved_fragments(h: SparseOperator, shifts=()) -> tuple:
+    """The one layout-and-solve pass of :func:`diagonalize` and
+    :func:`fragment_eigenvalues`: ``(single, diagonal, classes, residual)``.
+
+    ``single`` marks the 1 x 1 fragments, and ``diagonal`` holds their
+    entries, their eigenvalues, in state order.  One fragment per orbit of the
+    larger ones under the group the ``shifts`` generate (:func:`_orbit_sizes`;
+    with no shift, every fragment is its own orbit) is laid out in slots by
+    (size, label).  ``classes`` holds ``(states, orbit, w, v)`` per size k,
+    ascending: the ``(n_blocks, k)`` states of the representatives, each row
+    ascending, the number of fragments each stands for, and the eigenpairs of
+    one stacked ``eigh`` (:func:`_block_eigenpairs`).  ``residual`` is the
+    largest eigenpair residual.  ``ValueError`` if a block is not symmetric:
+    every entry lies in one block, so each is compared with its transpose.
+    """
+    m, scale = _canonical(h)
+    labels, size = _fragments(m)
+    single = size == 1
+    states = np.flatnonzero(~single)
+    roots = states[labels[states] == states]
+    group = _shift_group(shifts, h.basis.lattice.nsites)
+    orbit = np.zeros(h.dim, dtype=np.int64)  # orbit size at each representative's root
+    orbit[roots] = _orbit_sizes(roots, size, labels, group)
+    states = states[orbit[labels[states]] > 0]
+    order = states[np.lexsort((labels[states], size[states]))]
+    sizes = np.unique(size[order], return_index=True, return_counts=True)
+    del labels, size, states, roots
+    slot = np.empty(h.dim, dtype=np.int64)
+    slot[order] = np.arange(len(order))
+
+    classes, residual = [], 0.0
+    for k, off, count in zip(*(c.tolist() for c in sizes)):
+        blocks = order[off : off + count].reshape(-1, k)
+        w, v, res = _block_eigenpairs(m, slot, blocks, scale)
+        residual = max(residual, res)
+        classes.append((blocks, orbit[blocks[:, 0]], w, v))
+    del orbit, slot  # before a dim-sized diagonal is read
+    return single, m.diagonal()[single], classes, residual
+
+
 def diagonalize(h: SparseOperator) -> Spectrum:
     """Eigendecomposition of a symmetric operator, one fragment at a time.
 
-    The fragments are the connected components of H's sparsity graph.  The
-    fragments of one size k fill one run of slots (:func:`_fragments`)
-    and one ``(n_blocks, k, k)`` stack, which one stacked dense ``eigh``
-    diagonalizes (:func:`_block_eigenpairs`); a 1 x 1 fragment is its own
-    eigenpair.  The eigenvalues are merged into one ascending spectrum, and
-    each stack's eigenvectors are scattered straight into the preallocated
-    CSC arrays of V, one fragment per column.  Raises ``ValueError`` if the
-    input is not symmetric (every entry lies in one block, so the blocks
-    are compared with their transposes) and ``RuntimeError`` if an
-    eigenpair residual, checked block by block, exceeds ``1e-8 * ||H||``.
+    The fragments are the connected components of H's sparsity graph, solved
+    by :func:`_solved_fragments` with no shift.  The eigenvalues are merged
+    into one ascending spectrum, from the slot order of the 1 x 1 fragments
+    by state and then the larger ones by (size, label), and each stack's
+    eigenvectors are scattered straight into the preallocated CSC arrays of
+    V, one fragment per column; a 1 x 1 fragment's column is the unit vector
+    at its state.  Raises ``ValueError`` if the input is not symmetric and
+    ``RuntimeError`` if an eigenpair residual, checked block by block,
+    exceeds ``1e-8 * ||H||``.
     """
-    m, scale = _canonical(h)
-    dim = h.dim
-    # a fragment of size k at slots off + b*k .. off + b*k + k - 1 is block b
-    # of its stack, and its j-th eigenpair takes slot off + b*k + j
-    labels, size = _fragments(m)
-    order = np.lexsort((labels, size))
-    slot_size = size[order]
-    del labels, size
-    slot = np.empty(dim, dtype=np.int64)
-    slot[order] = np.arange(dim)
-    pops = h.basis.popcounts
-
-    all_w = np.empty(dim)
-    all_sector = np.empty(dim, dtype=np.int64)
-    blocks = []  # (off, end, k, eigenvectors) per size class
-    residual = 0.0
-    classes = np.unique(slot_size, return_index=True, return_counts=True)
-    for k, off, count in zip(*(c.tolist() for c in classes)):
-        end = off + count
-        states = order[off:end].reshape(-1, k)
-        w, v, res = _block_eigenpairs(m, slot, states, scale)
-        residual = max(residual, res)
-        all_w[off:end] = w.ravel()
+    single, diagonal, classes, residual = _solved_fragments(h)
+    dim, pops = h.dim, h.basis.popcounts
+    # the 1 x 1 fragments take the slots before ends[0], by state; then slot
+    # off + b*k + j holds the j-th eigenpair of block b of the class of size
+    # k that fills the slots off .. end - 1
+    ends = np.cumsum([len(diagonal), *(states.size for states, *_ in classes)]).tolist()
+    all_w, all_sector = np.empty(dim), np.empty(dim, dtype=np.int64)
+    slot_size = np.ones(dim, dtype=np.int64)
+    all_w[: ends[0]], all_sector[: ends[0]] = diagonal, pops[single]
+    del diagonal
+    for (states, _, w, _), off, end in zip(classes, ends, ends[1:]):
+        k = states.shape[1]
+        all_w[off:end], slot_size[off:end] = w.ravel(), k
         pop = pops[states]
-        mixed = (pop != pop[:, :1]).any(axis=1)
-        all_sector[off:end] = np.repeat(np.where(mixed, -1, pop[:, 0]), k)
-        blocks.append((off, end, k, v))
+        all_sector[off:end] = np.repeat(np.where((pop == pop[:, :1]).all(1), pop[:, 0], -1), k)
 
     perm = np.argsort(all_w, kind="stable")
     eigenvalues = all_w[perm]
@@ -272,14 +314,16 @@ def diagonalize(h: SparseOperator) -> Spectrum:
     index = np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(dim + 1, dtype=index)
     np.cumsum(slot_size[perm], out=indptr[1:])
-    column = slot  # reused: slot is not read again
+    column = np.empty(dim, dtype=np.int64)
     column[perm] = np.arange(dim)
-    del perm
+    del perm, slot_size
     indices = np.empty(nnz, dtype=index)
     data = np.empty(nnz)
-    while blocks:
-        off, end, k, v = blocks.pop()
-        states = order[off:end].reshape(-1, k)
+    at = indptr[column[: ends[0]]]
+    indices[at], data[at] = np.flatnonzero(single), 1.0
+    for off, end in zip(ends, ends[1:]):
+        states, _, _, v = classes.pop(0)  # each stack is freed once written
+        k = states.shape[1]
         # entry (b, i, j): state states[b, i] of the eigenpair at slot off + b*k + j
         at = indptr[column[off:end].reshape(-1, 1, k)] + np.arange(k, dtype=index).reshape(1, k, 1)
         indices[at] = states[:, :, None]
@@ -307,80 +351,27 @@ def diagonalize(h: SparseOperator) -> Spectrum:
     )
 
 
-def _orbit_sizes(roots, size, labels, group) -> np.ndarray:
-    """Per fragment root in ``roots``: the number of fragments in its orbit
-    under ``group`` if it is its orbit's representative, else 0.
-
-    A group element g maps the fragment F onto the fragment that holds
-    ``g(root(F))``, so the roots of F's orbit are the labels of those
-    images, and the key ``min_g labels[g(root(F))]`` is the same for every
-    member: the member whose root equals it is the representative, and the
-    number of members with that key is the orbit size.  ``RuntimeError`` if
-    some g maps a fragment onto one of another size.
-    """
-    key = roots.copy()
-    own = size[roots]
-    for g in group[1:]:
-        image = _permute_bits(roots, g)
-        if not np.array_equal(size[image], own):
-            raise RuntimeError("a shift maps a fragment onto a fragment of another size")
-        np.minimum(key, labels[image], out=key)
-    rep = key == roots
-    orbit = np.zeros(len(roots), dtype=np.int64)
-    orbit[rep] = np.bincount(np.searchsorted(roots[rep], key), minlength=int(rep.sum()))
-    return orbit
-
-
 def fragment_eigenvalues(h: SparseOperator, shifts=()) -> np.ndarray:
-    """The ascending eigenvalues of a symmetric operator, one stacked ``eigh``
-    per fragment size over one representative per orbit of fragments; no
-    eigenvector is kept.
+    """The ascending eigenvalues of a symmetric operator, with no eigenvector
+    kept: :func:`_solved_fragments` under ``shifts``, each representative's
+    eigenvalues counted once per member of its orbit and each 1 x 1
+    fragment's diagonal entry once.
 
     ``shifts`` are site-rank permutations (``g[r]`` is the rank that rank r
     moves to) whose unitaries fix H: the caller certifies that, as
     :attr:`~nicolai.model.ModelSpec.shifts` does, where the argument is
     stated.  Such a unitary maps each fragment F onto the fragment holding
-    ``g(root(F))`` by a signed permutation of states, and the two blocks
-    share their eigenvalues.  Only fragments of two or more states are
-    grouped into orbits under the group the shifts generate
-    (:func:`_orbit_sizes`, which also checks that every shift maps each
-    fragment onto one of its own size); each representative's eigenvalues
-    count once per member.  A 1 x 1 fragment's eigenvalue is its diagonal
-    entry.  With no shift every
-    fragment is its own orbit, and the eigenvalues are bit-identical to
-    those of :func:`diagonalize`.
-
-    The blocks are gathered and solved as in :func:`diagonalize`
-    (:func:`_block_eigenpairs`): ``ValueError`` if a solved block is not
-    symmetric, ``RuntimeError`` if an eigenpair residual, checked on every
-    solved block, exceeds ``1e-8 * ||H||``.
+    ``g(root(F))`` by a signed permutation of states, so the two blocks share
+    their eigenvalues.  With no shift the eigenvalues are bit-identical to
+    those of :func:`diagonalize`, which solves the same stacks.
+    ``ValueError`` if a solved block is not symmetric, ``RuntimeError`` if a
+    shift maps a fragment onto one of another size or an eigenpair residual
+    exceeds ``1e-8 * ||H||``.
     """
-    m, scale = _canonical(h)
-    labels, size = _fragments(m)
-    # a 1 x 1 fragment's eigenvalue is its diagonal entry, counted by value
-    diagonal, repeats = np.unique(m.diagonal()[size == 1], return_counts=True)
-    values, weights = [diagonal.astype(np.float64)], [repeats]
-    states = np.flatnonzero(size > 1)
-    roots = states[labels[states] == states]
-    group = _shift_group(shifts, h.basis.lattice.nsites)
-    orbit = np.zeros(h.dim, dtype=np.int64)  # orbit size at each representative's root
-    orbit[roots] = _orbit_sizes(roots, size, labels, group)
-    # only the representatives' states are laid out in slots
-    states = states[orbit[labels[states]] > 0]
-    order = states[np.lexsort((labels[states], size[states]))]
-    classes = np.unique(size[order], return_index=True, return_counts=True)
-    del labels, size, states, roots
-    slot = np.empty(h.dim, dtype=np.int64)
-    slot[order] = np.arange(len(order))
-
-    residual = 0.0
-    for k, off, count in zip(*(c.tolist() for c in classes)):
-        blocks = order[off : off + count].reshape(-1, k)
-        w, _, res = _block_eigenpairs(m, slot, blocks, scale)
-        residual = max(residual, res)
-        values.append(w.ravel())
-        weights.append(np.repeat(orbit[blocks[:, 0]], k))
-    values, weights = np.concatenate(values), np.concatenate(weights)
+    _, diagonal, classes, residual = _solved_fragments(h, shifts)
+    diagonal, repeats = np.unique(diagonal, return_counts=True)
+    values = np.concatenate([diagonal.astype(np.float64), *(w.ravel() for _, _, w, _ in classes)])
+    weights = np.concatenate([repeats, *(np.repeat(orbit, w.shape[1]) for _, orbit, w, _ in classes)])
     ascending = np.argsort(values, kind="stable")
     eigenvalues = np.repeat(values[ascending], weights[ascending])
     _check_residual(residual, eigenvalues)
@@ -576,7 +567,8 @@ def no_resonance_check(spec: ModelSpec) -> NoResonanceReport:
     if hit.size:
         state = int(hit[0])
         bits = _bitstring(state, lat.nsites)
-        assert not permitted(bits, charge_hoods(lat))
+        if permitted(bits, charge_hoods(lat)):
+            raise RuntimeError(f"H_hop moves the ground configuration {bits}")
         example = (bits, max_residual([state]))
 
     return NoResonanceReport(

@@ -504,6 +504,16 @@ def _signed_images(masks: np.ndarray, free: dict):
     return owner, alive, alive ^ support[owner], sign
 
 
+def _row_entries(m, rows: np.ndarray):
+    """For the CSR rows ``rows`` of ``m``: the index into ``rows`` that owns
+    each stored entry, and that entry's position in ``m.indices``/``m.data``."""
+    first = m.indptr[rows]
+    count = m.indptr[rows + 1] - first
+    owner = np.repeat(np.arange(len(rows)), count)
+    skip = np.repeat(first - (np.cumsum(count) - count), count)
+    return owner, np.arange(len(owner)) + skip
+
+
 def _check_sites(terms, lattice: Lattice) -> None:
     """``ValueError`` for a factor site of ``terms`` outside ``lattice``."""
     outside = [site for m in terms for site, _ in m.factors if not lattice.contains(site)]

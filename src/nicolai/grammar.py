@@ -109,8 +109,7 @@ def permitted_codes(n: int, hoods, ties=()) -> np.ndarray:
     raise ``ValueError``.  The words grow one position at a time: every code
     is followed by its copy with bit ``q`` set, which keeps lexicographic
     order, then the codes that a neighbourhood closing at that position
-    forbids are dropped, each neighbourhood by one masked compare per
-    pattern :func:`forbidden` rejects.  A tie ``(p, q)`` with ``p < q``
+    forbids are dropped (:func:`_permits`).  A tie ``(p, q)`` with ``p < q``
     forces ``w[q] == w[p]`` (the boundary-pair condition): bit ``q`` copies
     bit ``p`` instead of taking both letters, and a further tie onto the
     same ``q`` is checked as the two-position neighbourhood ``(q, p)``.
@@ -124,9 +123,9 @@ def permitted_codes(n: int, hoods, ties=()) -> np.ndarray:
         if not p < q:
             raise ValueError(f"tie {(p, q)} must point backwards")
         if copies.setdefault(q, p) != p:
-            closing[q].append(_masked_patterns((q, p)))
+            closing[q].append((q, p))
     for hood in hoods:
-        closing[max(hood)].append(_masked_patterns(hood))
+        closing[max(hood)].append(hood)
     codes = np.zeros(1, dtype=dtype)
     for q in range(n):
         if q in copies:
@@ -137,14 +136,21 @@ def permitted_codes(n: int, hoods, ties=()) -> np.ndarray:
             np.bitwise_or(codes, 1 << q, out=grown[1::2])
             codes = grown
         if closing[q]:
-            keep = np.ones(len(codes), dtype=bool)
-            masked = np.empty_like(codes)
-            for mask, patterns in closing[q]:
-                np.bitwise_and(codes, mask, out=masked)
-                for pattern in patterns:
-                    keep &= masked != pattern
-            codes = codes[keep]
+            codes = codes[_permits(codes, closing[q])]
     return codes
+
+
+def _permits(codes: np.ndarray, hoods) -> np.ndarray:
+    """Whether no neighbourhood of ``hoods`` is forbidden, per code: one
+    masked copy per neighbourhood and one compare per pattern
+    :func:`forbidden` rejects (:func:`_masked_patterns`)."""
+    keep = np.ones(len(codes), dtype=bool)
+    masked = np.empty_like(codes)
+    for mask, patterns in map(_masked_patterns, hoods):
+        np.bitwise_and(codes, mask, out=masked)
+        for pattern in patterns:
+            keep &= masked != pattern
+    return keep
 
 
 def _masked_patterns(hood) -> tuple:

@@ -26,6 +26,8 @@ every enumeration.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ from .fock import (
     FermionMonomial,
     FockBasis,
     Lattice,
+    _row_entries,
     apply_monomial,
     enumerate_basis,
 )
@@ -136,21 +139,14 @@ def is_ground_config(g: Configuration) -> bool:
 def ground_config_mask(lattice: Lattice, basis: FockBasis | None = None) -> np.ndarray:
     """Boolean mask over the full basis marking ground-state configurations.
 
-    Bit arithmetic over Fock states, independent of the word enumeration: a
-    neighbourhood with center bit C and arm bits A is forbidden exactly when
-    ``state & (C | A)`` is C alone (center 1, arms 0) or A alone (center 0,
-    arms 1), so each neighbourhood costs one masked copy and two compares.
+    Bit arithmetic over Fock states, independent of the word enumeration:
+    the pattern filter of :func:`~nicolai.grammar.permitted_codes`, applied
+    once to every state, so the forbidden patterns come from
+    :func:`~nicolai.grammar.forbidden` itself.
     """
     if basis is None:
         basis = enumerate_basis(lattice)
-    ok = np.ones(basis.dim, dtype=bool)
-    masked = np.empty_like(basis.states)
-    for center, *arms in charge_hoods(lattice):
-        c, a = 1 << center, sum(1 << r for r in set(arms))
-        np.bitwise_and(basis.states, c | a, out=masked)
-        ok &= masked != c
-        ok &= masked != a
-    return ok
+    return grammar._permits(basis.states, charge_hoods(lattice))
 
 
 def _ground_codes(lattice: Lattice) -> np.ndarray:
@@ -236,37 +232,42 @@ class GroundStateReport:
 
 
 def verify_susy_ground(g: Configuration, spec: ModelSpec) -> GroundStateReport:
-    """Check ``Q|g> = Q*|g> = H|g> = 0`` triple by triple.
+    """Check ``Q|g> = Q*|g> = H|g> = 0`` term by term, with no matrix.
 
     For ground configurations every elementary charge (and its adjoint) kills
     the vector.  For others, each violated "1,0,1" triple is flipped to
     "0,1,0" by the local charge (and back by its adjoint), with the fermionic
-    sign recorded.
+    sign recorded.  The same :func:`~nicolai.fock.apply_monomial` calls sum
+    into ``Q|g>`` and ``Q*|g>`` per image state, and ``H|g> = Q(Q*|g>) +
+    Q*(Q|g>)``; each residual is the largest magnitude in its vector.  No
+    transpose or symmetry argument enters, so this is the independent oracle
+    of :func:`_annihilated`.
     """
     lat = spec.lattice
     if g.lattice != lat:
         raise ValueError("configuration lives on a different lattice")
-    state = g.state
+    terms = spec.q_sum.terms
+    adjoints = [q.adjoint() for q in terms]
 
-    flips = []
-    for q in spec.q_sum.terms:
+    flips, vectors = [], {"charge": Counter(), "adjoint": Counter(), "h": Counter()}
+    for q, qd in zip(terms, adjoints):
         center = q.factors[len(q.factors) // 2][0]
-        for kind, op in (("charge", q), ("adjoint", q.adjoint())):
-            if (res := apply_monomial(op, state, lat)) is not None:
+        for kind, op in (("charge", q), ("adjoint", qd)):
+            if (res := apply_monomial(op, g.state, lat)) is not None:
                 flips.append((kind, center, res[0], Configuration.from_state(res[1], lat)))
-
-    col = spec.basis.index_of(state)
-
-    def col_max(op) -> int:
-        block = op.matrix[:, [col]]
-        return int(np.abs(block.data).max()) if block.nnz else 0
-
+                vectors[kind][res[1]] += res[0]
+    # H|g> = Q(Q*|g>) + Q*(Q|g>)
+    for ops, kind in ((terms, "adjoint"), (adjoints, "charge")):
+        for (state, amplitude), op in itertools.product(vectors[kind].items(), ops):
+            if (res := apply_monomial(op, state, lat)) is not None:
+                vectors["h"][res[1]] += amplitude * res[0]
+    q, qd, h = (max(map(abs, vectors[k].values()), default=0) for k in ("charge", "adjoint", "h"))
     return GroundStateReport(
         config=g,
         is_ground=is_ground_config(g),
-        q_residual=col_max(spec.q),
-        q_dagger_residual=col_max(spec.q_dagger),
-        h_residual=col_max(spec.h),
+        q_residual=q,
+        q_dagger_residual=qd,
+        h_residual=h,
         violated_triples=_violated_triples(g),
         flip_actions=flips,
     )
@@ -276,13 +277,13 @@ def _annihilated(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
     """Whether ``Q|g> = Q*|g> = H|g> = 0``, for every Fock state ``g`` of
     ``states`` at once.  A state is its own basis index, Q* is Q's transpose
     and H is symmetric, so the three vectors are the CSR rows ``g`` of Q*, Q
-    and H; explicit zeros count as zero, as in :func:`verify_susy_ground`."""
+    and H (:func:`~nicolai.fock._row_entries`); a stored zero counts as zero,
+    as in :func:`verify_susy_ground`."""
     ok = np.ones(len(states), dtype=bool)
     for op in (spec.q_dagger, spec.q, spec.h):
         m = op.matrix
-        zeros = np.flatnonzero(m.data == 0)
-        start, end = m.indptr[states], m.indptr[states + 1]
-        ok &= end - start == np.searchsorted(zeros, end) - np.searchsorted(zeros, start)
+        owner, entry = _row_entries(m, states)
+        ok[owner[m.data[entry] != 0]] = False
     return ok
 
 

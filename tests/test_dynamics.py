@@ -9,6 +9,7 @@ from nicolai import (
     Lattice,
     ModelSpec,
     SparseOperator,
+    cli,
     config_to_vector,
     dephase,
     diagonalize,
@@ -470,6 +471,23 @@ def test_no_resonance_reports_a_non_ground_column():
     assert rep.max_residual == int(abs(hop[:, [state]]).max()) > 0
     assert not rep.powers_vanish
     assert rep.ground_count == 27
+
+
+def test_a_hop_that_moves_a_ground_state_exits_3(capsys, monkeypatch):
+    # an entry planted in the row of the empty state, a ground state: the
+    # first state a hop moves is then permitted, which must not pass silently
+    build = ModelSpec.h_hop.func
+
+    def planted(spec):
+        hop = build(spec).matrix
+        entry = sp.csr_matrix(([1], ([0], [1])), shape=hop.shape, dtype=hop.dtype)
+        return SparseOperator(spec.basis, hop + entry)
+
+    monkeypatch.setattr(ModelSpec, "h_hop", property(planted))
+    with pytest.raises(RuntimeError, match="moves the ground configuration 000000"):
+        no_resonance_check(ModelSpec.ring(2))
+    assert cli.main(["verify", "--ring", "--m", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: H_hop moves the ground configuration")
 
 
 def test_spectrum_table(ring):

@@ -218,14 +218,15 @@ def test_row_test_matches_the_configuration_oracle(spec):
 
 
 def test_row_test_matches_the_configuration_oracle_on_the_torus():
-    # the oracle slices three columns per state, ~0.6 ms each, so every 16th
-    # ground code and every 64th other state are compared
+    # the oracle applies every term of Q, Q* and H to one state at a time in
+    # Python, ~80 us a state, so every 4th Fock state is compared (~1.3 s);
+    # the mask settles every state
     spec = ModelSpec.torus(4, 4)
     codes = _ground_codes(spec.lattice)
     assert _annihilated(spec, codes).all()
     others = np.flatnonzero(~ground_config_mask(spec.lattice, spec.basis))
     assert not _annihilated(spec, others).any()
-    sample = np.concatenate([codes[::16].astype(np.int64), others[::64]])
+    sample = np.arange(0, spec.basis.dim, 4)
     assert np.array_equal(_annihilated(spec, sample), _oracle_annihilated(spec, sample))
 
 

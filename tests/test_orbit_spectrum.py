@@ -136,6 +136,29 @@ def test_one_block_is_solved_per_orbit(lat, monkeypatch):
     assert sum(solved.values()) < _orbit_count(spec.h, ())
 
 
+@pytest.mark.parametrize(
+    "lat", [Lattice.ring(5), Lattice.chain(0, 12), Lattice.torus(4, 4)], ids=_ids
+)
+def test_diagonalize_and_the_eigenvalues_solve_the_same_stacks(lat, monkeypatch):
+    # one solver: with no shift both paths hand the same stacks to the block
+    # solver, and the 1 x 1 fragments never reach it
+    h = ModelSpec(lat).h
+    blocks = dynamics._block_eigenpairs
+    solved = []
+
+    def recorded(m, slot, states, scale):
+        solved.append(states.copy())
+        return blocks(m, slot, states, scale)
+
+    monkeypatch.setattr(dynamics, "_block_eigenpairs", recorded)
+    diagonalize(h)
+    stacks, solved[:] = list(solved), []
+    fragment_eigenvalues(h)
+    assert [s.shape for s in solved] == [s.shape for s in stacks]
+    assert all(np.array_equal(a, b) for a, b in zip(solved, stacks))
+    assert min(s.shape[1] for s in stacks) == 2
+
+
 def test_a_shift_that_changes_fragment_sizes_is_refused():
     # the shift by one site is no symmetry of the ring
     lat = Lattice.ring(3)
