@@ -29,7 +29,7 @@ from . import grammar
 from . import groundstates as gs
 from .fock import SparseOperator
 from .fock import monomial_to_sparse  # noqa: F401  alias read by bench/test_bench.py
-from .model import ModelSpec, build_hamiltonian_explicit, particle_hole
+from .model import ModelSpec, build_h_classical, build_h_hop, build_hamiltonian_explicit, particle_hole
 
 SCHEMA = 1
 
@@ -243,21 +243,18 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
         """``{A, A*}`` as a normal form."""
         return (a * a.adjoint() + a.adjoint() * a).normal_form(lat)
 
-    # H is built as {Q, Q*} from Q's matrix; its terms serve the two
-    # fallbacks only, so a passing run never builds them, and no run twice
+    # H is built as {Q, Q*} from Q's matrix; its terms are built at most
+    # once, for the 1D identities and the particle-hole fallback
     h_form = functools.cache(lambda: anticommutator_form(q))
 
     # Each operator built for a check is dropped once its check is appended.
     if lat.dimension == 1:
-        split_ok = h.equals(spec.h_classical + spec.h_hop)
+        # both sides are terms: no matrix beside H; once the split holds,
+        # H's diagonal is H_classical and the rest H_hop (ModelSpec)
         explicit = build_hamiltonian_explicit(spec).normal_form(lat)
-        if split_ok:
-            classical, hop = spec.h_split
-            explicit_ok = explicit == (classical + hop).normal_form(lat)
-        else:
-            explicit_ok = explicit == h_form()
-        checks.append(_check("h_susy_equals_explicit", explicit_ok))
-        checks.append(_check("h_equals_classical_plus_hop", split_ok))
+        checks.append(_check("h_susy_equals_explicit", explicit == h_form()))
+        split = (build_h_classical(spec) + build_h_hop(spec)).normal_form(lat)
+        checks.append(_check("h_equals_classical_plus_hop", split == h_form()))
 
     checks.append(_check("commutes_with_number", _conserves_number(h)))
     checks.append(_check("q_is_odd", _is_odd(qm)))
@@ -283,14 +280,13 @@ def _build_checks(spec: ModelSpec, seed: int) -> list:
 
 def _verify_bytes(lat) -> int:
     """Estimated peak bytes of ``verify`` and ``build --verify``: 320 per
-    Fock state, for the basis, Q, Q*, H, H_classical and H_hop (each int64
-    CSR), the one operator a check builds beside them before it is dropped
-    (H_classical + H_hop), and the eigenvalues, built last from the
-    fragment arrays of ``fragment_eigenvalues`` (no eigenvector is kept).
-    Measured peaks of ``verify --ring`` at m = 8, 9, 10 and 11 above
-    start-up are 196, 216, 227 and 239 bytes per state (3826 MiB at
-    m = 11, while Q Q was still built); ``--chain 19`` takes 192,
-    ``--torus 4x4`` 48 and ``--torus 4x6`` 71.  320 leaves over 30%
+    Fock state, for the basis, Q, Q* and H (each int64 CSR; the 1D split is
+    decided on terms and read off H, so no other operator matrix is built)
+    and the eigenvalues, built last from the fragment arrays of
+    ``fragment_eigenvalues`` (no eigenvector is kept).  Measured peaks of
+    ``verify --ring`` at m = 8, 9, 10 and 11 above start-up are 158, 168,
+    188 and 200 bytes per state (3197 MiB at m = 11); ``--chain 19`` takes
+    147, ``--torus 4x4`` 48 and ``--torus 4x6`` 71.  320 leaves 60%
     headroom on the largest; m = 11 comes to 5.0 GiB."""
     return 320 << lat.nsites
 
@@ -555,8 +551,8 @@ def cmd_verify(args) -> int:
     # Q* is Q's transpose: the zero columns of one are the empty CSR rows of the other
     col_zero = (np.diff(spec.q.matrix.indptr) == 0) & (np.diff(spec.q_dagger.matrix.indptr) == 0)
     equivalent = np.array_equal(mask, col_zero)
-    if one_d:
-        equivalent = equivalent and np.array_equal(mask, spec.h_classical.diagonal() == 0)
+    if one_d:  # H's diagonal is H_classical's (ModelSpec)
+        equivalent = equivalent and np.array_equal(mask, spec.h.diagonal() == 0)
     checks.append(
         _check("ground_state_equivalence", bool(equivalent), {"count": int(mask.sum())})
     )

@@ -403,8 +403,12 @@ def dephase(a, spectrum: Spectrum) -> np.ndarray:
 
 def _gibbs_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
     """Boltzmann weights ``exp(-beta E) / Z``, shifted by the largest exponent
-    so that neither sign of ``beta`` overflows."""
-    x = -beta * eigenvalues
+    so that neither sign of ``beta`` overflows.  Only where ``-beta E`` passes
+    the float64 range is E first shifted by its value at the largest exponent."""
+    with np.errstate(over="ignore"):  # an exponent of -inf is a weight of 0
+        x = -beta * eigenvalues
+        if np.isposinf(x.max()):
+            x = -beta * (eigenvalues - (eigenvalues.min() if beta > 0 else eigenvalues.max()))
     p = np.exp(x - x.max())
     return p / p.sum()
 
@@ -547,29 +551,30 @@ def no_resonance_check(spec: ModelSpec) -> NoResonanceReport:
     """Verify ``H_hop |g> = 0`` exactly for every ground configuration.
 
     All powers of the perturbation then annihilate the vector as well, so no
-    matrix element connects it to anything at any perturbative order.
+    matrix element connects it to anything at any perturbative order.  H_hop
+    is H's off-diagonal entries (:class:`~nicolai.model.ModelSpec` states
+    why), and it is symmetric (each hop term comes with its adjoint), so a
+    state's column is its row, and a state is its own basis index.
     """
     if spec.lattice.dimension != 1:
         raise ValueError("the hopping split is only available in 1D")
-    lat = spec.lattice
-    # H_hop is symmetric (each hop term comes with its adjoint), so a state's
-    # column is its row; a state is its own index in the full Fock basis
-    hop = spec.h_hop.matrix
+    lat, h = spec.lattice, spec.h.matrix
 
     def max_residual(states) -> int:
-        return int(np.abs(hop[states].data).max(initial=0))
+        owner, entry = _row_entries(h, states)
+        return int(np.abs(h.data[entry[h.indices[entry] != states[owner]]]).max(initial=0))
 
     worst = max_residual(spec.ground_states)
-
-    # any state with a nonzero hop column is necessarily non-ground
+    # a state whose row stores an off-diagonal entry is necessarily non-ground;
+    # H stores no zero, so its diagonal entry is stored exactly when nonzero
     example = None
-    hit = np.flatnonzero(np.diff(hop.indptr))
+    hit = np.flatnonzero(np.diff(h.indptr) - (h.diagonal() != 0))
     if hit.size:
         state = int(hit[0])
         bits = _bitstring(state, lat.nsites)
         if permitted(bits, charge_hoods(lat)):
             raise RuntimeError(f"H_hop moves the ground configuration {bits}")
-        example = (bits, max_residual([state]))
+        example = (bits, max_residual(hit[:1]))
 
     return NoResonanceReport(
         ground_count=len(spec.ground_states),

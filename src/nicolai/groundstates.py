@@ -310,7 +310,8 @@ class KernelCensus:
 def kernel_census(spec: ModelSpec) -> KernelCensus:
     """Count classical ground configurations against the operator kernels:
     H's kernel and least positive eigenvalue are read off
-    ``spec.eigenvalues``, which keeps no eigenvector."""
+    ``spec.eigenvalues``, which keeps no eigenvector; H_classical's off
+    ``spec.h.diagonal()`` (:class:`~nicolai.model.ModelSpec` states why)."""
     if spec.lattice.dimension != 1:
         raise ValueError("kernel census needs the classical/hopping split, available in 1D only")
     classical_count = len(spec.ground_states)
@@ -320,7 +321,7 @@ def kernel_census(spec: ModelSpec) -> KernelCensus:
     positive = eig[eig > _ZERO_TOL]
     min_pos_h = float(positive.min()) if positive.size else None
 
-    diag = spec.h_classical.diagonal()
+    diag = spec.h.diagonal()
     dim_ker_hcl = int(np.count_nonzero(diag == 0))
     pos = diag[diag > 0]
     min_pos_cl = float(pos.min()) if pos.size else None

@@ -35,10 +35,10 @@ of the conserved charges.
 
 A :class:`ModelSpec` is the model: the lattice is its only setting (the
 1D or 2D form follows from the lattice dimension), and it builds each of its
-objects (the full Fock basis, Q, Q*, H, the classical/hopping split, the
-classical ground states as one array of Fock states, the spectrum and the
-eigenvalues alone, the exact translation certificates) on first use and
-keeps it.
+objects (the full Fock basis, Q, Q*, H, the classical ground states as one
+array of Fock states, the spectrum and the eigenvalues alone, the exact
+translation certificates) on first use and keeps it; in 1D the classical and
+hopping parts of H are H's diagonal and off-diagonal entries.
 """
 
 from __future__ import annotations
@@ -130,7 +130,12 @@ class ModelSpec:
     """The model on one lattice: the lattice and the objects built from it,
     each on first use and then kept.
 
-    ``h_split``, ``h_classical`` and ``h_hop`` exist in 1D only;
+    ``h`` is the one Hamiltonian matrix.  The 1D split keeps no matrix of
+    its own: every term of :func:`build_h_classical` is an occupation
+    product, so it is diagonal, and every term of :func:`build_h_hop` moves
+    its two centers, so it has no diagonal entry; once ``verify`` has
+    decided ``H == H_classical + H_hop`` on terms, H_classical is
+    ``h.diagonal()`` and H_hop is H's off-diagonal entries.
     ``ground_states`` is an int64 array; ``spectrum`` diagonalizes ``h``
     fragment by fragment (the connected components of its sparsity graph),
     with sparse eigenvectors; ``eigenvalues`` solves one fragment per orbit
@@ -241,26 +246,12 @@ class ModelSpec:
 
     @cached_property
     def h(self) -> SparseOperator:
-        """``{Q, Q*}`` as canonical CSR (sorted indices, no duplicate), so
-        every reader takes it as it is stored."""
+        """``{Q, Q*}`` as canonical CSR (sorted indices, no duplicate, no
+        stored zero: the sparse product and sum drop the entries that
+        cancel), so every reader takes it as it is stored."""
         h = anticommutator(self.q, self.q_dagger)
         h.matrix.sum_duplicates()
         return h
-
-    @cached_property
-    def h_split(self) -> tuple:
-        """``(build_h_classical, build_h_hop)`` as operator sums, built once:
-        ``h_classical`` and ``h_hop`` are their matrices, and ``verify``
-        compares their sum with the explicit H term by term."""
-        return build_h_classical(self), build_h_hop(self)
-
-    @cached_property
-    def h_classical(self) -> SparseOperator:
-        return self.h_split[0].to_sparse(self.basis)
-
-    @cached_property
-    def h_hop(self) -> SparseOperator:
-        return self.h_split[1].to_sparse(self.basis)
 
     def _shift2_identity(self, axis: int) -> bool:
         """``T(Q) == Q`` term by term for the shift ``T`` by two along ``axis``."""

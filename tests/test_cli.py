@@ -313,10 +313,13 @@ def test_ergodicity_ring_m5(capsys):
     assert payload["all_gaps_positive"] and payload["report"]["non_ergodic"]
 
 
-def test_ergodicity_at_large_negative_beta(capsys):
+@pytest.mark.parametrize("beta", ["-1000", "-1e308", "1e308"])
+def test_ergodicity_at_large_negative_beta(beta, capsys):
+    # at |beta| = 1e308, -beta E passes the float64 range, and the weights
+    # must still come out finite and with no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run(["ergodicity", "--ring", "--m", "2", "--beta", "-1000"])
+        code = run(["ergodicity", "--ring", "--m", "2", f"--beta={beta}"])
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     payload = json.loads(capsys.readouterr().out)
     gaps = [g for gs_ in payload["report"]["gaps"].values() for g in gs_]
@@ -641,35 +644,25 @@ def test_golden_stdout(capsys):
     assert got == GOLDEN_STDOUT
 
 
-def test_verify_torus_pin(capsys):
-    # the torus payload now holds one eigensolver float, the lowest eigenvalue
-    # of H; without that check it is byte-identical to its pinned stdout
-    assert run(["verify", "--torus", "4x4"]) == 0
+@pytest.mark.parametrize(
+    "argv, sha",
+    [
+        ("verify --torus 4x4", "61837192fc019e03ae9dd6738cd93064476166cbb4fa3ddfd2ace45d1f9d1658"),
+        ("verify --chain 13", "1c7a0d4f1c2ee40445f7711b4f2a55d20a877dcfaa397182dd8c03cd7e47de00"),
+        ("verify --ring --m 5", "5a47d586a0307706212cd96b768e6c989a2274e5a59aa4b9c287e206a39ebe36"),
+    ],
+    ids=["torus4x4", "chain13", "ring-m5"],
+)
+def test_verify_pin(argv, sha, capsys):
+    # the lowest eigenvalue of H, an eigensolver float, is checked and
+    # dropped; the rest of the payload is hashed as rendered
+    assert run(argv.split()) == 0
     payload = json.loads(capsys.readouterr().out)
     (e0,) = [c for c in payload["checks"] if c["name"] == "h_min_eigenvalue_zero"]
     assert e0["passed"] and abs(e0["detail"]) <= 1e-10
     payload["checks"].remove(e0)
-    text = cli._render(payload, "json")
-    assert (
-        hashlib.sha256(text.encode()).hexdigest()
-        == "61837192fc019e03ae9dd6738cd93064476166cbb4fa3ddfd2ace45d1f9d1658"
-    )
-
-
-def test_verify_chain13_pin(capsys):
-    # as the torus pin: the one eigensolver float is dropped, the rest hashed
-    assert run(["verify", "--chain", "13"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    (e0,) = [c for c in payload["checks"] if c["name"] == "h_min_eigenvalue_zero"]
-    assert e0["passed"] and abs(e0["detail"]) <= 1e-10
-    payload["checks"].remove(e0)
-    (conserved,) = [c for c in payload["checks"] if c["name"] == "charges_conserved"]
-    assert conserved["detail"] == {"count": 1086}
-    text = cli._render(payload, "json")
-    assert (
-        hashlib.sha256(text.encode()).hexdigest()
-        == "1c7a0d4f1c2ee40445f7711b4f2a55d20a877dcfaa397182dd8c03cd7e47de00"
-    )
+    assert payload["failures"] == 0
+    assert hashlib.sha256(cli._render(payload, "json").encode()).hexdigest() == sha
 
 
 def test_verify_runs_every_check_above_4096_states(capsys):
@@ -864,9 +857,9 @@ def test_verify_builds_every_sum_in_one_pass(capsys, monkeypatch):
         monkeypatch, [(nicolai.fock, "monomial_to_sparse"), (nicolai.fock, "terms_to_sparse")]
     )
     assert run(["verify", "--ring", "--m", "3"]) == 0
-    # Q, H_classical and H_hop: one build each (the translation, particle-hole
-    # and explicit-H certificates compare terms and build no matrix)
-    assert dict(calls) == {"terms_to_sparse": 3}
+    # Q alone: the translation, particle-hole, explicit-H and split
+    # certificates compare terms and build no matrix
+    assert dict(calls) == {"terms_to_sparse": 1}
 
 
 @pytest.mark.parametrize(
@@ -983,23 +976,6 @@ def test_count_only_listings_unpack_no_rows(argv, counts, capsys, monkeypatch):
     assert run(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert {key: payload[key] for key in counts} == counts
-
-
-def test_verify_ring_m5_pin(capsys):
-    # as the torus pin: the one eigensolver float is dropped, the rest hashed
-    assert run(["verify", "--ring", "--m", "5"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    (e0,) = [c for c in payload["checks"] if c["name"] == "h_min_eigenvalue_zero"]
-    assert e0["passed"] and abs(e0["detail"]) <= 1e-10
-    payload["checks"].remove(e0)
-    (conserved,) = [c for c in payload["checks"] if c["name"] == "charges_conserved"]
-    assert conserved["detail"] == {"count": 2182}
-    assert payload["failures"] == 0
-    text = cli._render(payload, "json")
-    assert (
-        hashlib.sha256(text.encode()).hexdigest()
-        == "5a47d586a0307706212cd96b768e6c989a2274e5a59aa4b9c287e206a39ebe36"
-    )
 
 
 def test_ergodicity_ring_m4_pin(capsys):
@@ -1203,14 +1179,16 @@ def test_particle_hole_term_identity_agrees_with_the_matrix(spec):
 
 @pytest.mark.parametrize("spec", ONE_D_SPECS, ids=_spec_id)
 def test_explicit_h_term_identity_agrees_with_the_matrix(spec):
-    # verify decides explicit == H_classical + H_hop on normal forms once the
-    # matrices give H == H_classical + H_hop; H == explicit is the oracle
+    # verify decides explicit == {Q, Q*} and H_classical + H_hop == {Q, Q*}
+    # on normal forms; the matrices are the oracle
     lat, h = spec.lattice, spec.h
-    classical, hop = spec.h_split
+    classical, hop = nicolai.build_h_classical(spec), nicolai.build_h_hop(spec)
     explicit = nicolai.build_hamiltonian_explicit(spec)
+    q = spec.q_sum
+    h_form = (q * q.adjoint() + q.adjoint() * q).normal_form(lat)
     split = (classical + hop).normal_form(lat)
-    assert h.equals(spec.h_classical + spec.h_hop)
-    assert explicit.normal_form(lat) == split
+    assert h.equals(classical.to_sparse(spec.basis) + hop.to_sparse(spec.basis))
+    assert explicit.normal_form(lat) == split == h_form
     assert h.equals(explicit.to_sparse(spec.basis))
     if explicit.terms:
         flipped = _first_term_flipped(explicit)
@@ -1232,20 +1210,20 @@ def test_verify_fails_an_explicit_term_of_the_wrong_sign(capsys, monkeypatch):
     assert not passed["h_susy_equals_explicit"]
     assert passed["h_equals_classical_plus_hop"]
     # decided on the terms: no explicit-H matrix is built
-    assert calls["terms_to_sparse"] == 3
+    assert calls["terms_to_sparse"] == 1
 
 
 def test_explicit_h_falls_back_to_the_matrix_when_the_split_fails(capsys, monkeypatch):
-    # a wrong H_hop fails the split; H == explicit then stands on the matrices
-    flipped = _flipping_first_terms(nicolai.model.build_h_hop)
-    monkeypatch.setattr(nicolai.model, "build_h_hop", flipped)
+    # a wrong H_hop fails the split alone; H == explicit stands on {Q, Q*}
+    flipped = _flipping_first_terms(cli.build_h_hop)
+    monkeypatch.setattr(cli, "build_h_hop", flipped)
     calls = _count_calls(monkeypatch, [(nicolai.fock, "terms_to_sparse")])
     assert run(["verify", "--ring", "--m", "3"]) == 3
-    passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert passed["h_susy_equals_explicit"]
-    assert not passed["h_equals_classical_plus_hop"]
-    # Q, H_classical and H_hop: the explicit H is compared with {Q, Q*} as terms
-    assert calls["terms_to_sparse"] == 3
+    payload = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert failed == ["h_equals_classical_plus_hop"]
+    # Q alone: both sides of both identities are terms
+    assert calls["terms_to_sparse"] == 1
 
 
 def test_particle_hole_h_falls_back_to_the_products(capsys, monkeypatch):
@@ -1264,8 +1242,8 @@ def test_particle_hole_h_falls_back_to_the_products(capsys, monkeypatch):
     passed = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert not passed["particle_hole_q"]
     assert passed["particle_hole_h"] == want
-    # Q, H_classical and H_hop: no rho(Q) matrix
-    assert calls["terms_to_sparse"] == 3
+    # Q alone: no rho(Q) matrix
+    assert calls["terms_to_sparse"] == 1
 
 
 def test_verify_torus_checks_particle_hole_h_without_a_sparse_product(capsys, monkeypatch):
@@ -1346,17 +1324,16 @@ def test_particle_hole_h_fallback_agrees_with_the_products(spec, negate, monkeyp
     passed = {c["name"]: c["passed"] for c in cli._build_checks(spec, 0)}
     assert not passed["particle_hole_q"]
     assert passed["particle_hole_h"] == want
-    # Q Q, then {rho(Q), rho(Q)*} and {Q, Q*}: two products each
+    # Q Q, then {Q, Q*} (for the 1D identities first) and {rho(Q), rho(Q)*}:
+    # two products each
     assert products["mul"] == 5
 
 
 @pytest.mark.parametrize("explicit_flipped", [False, True], ids=["explicit-right", "explicit-wrong"])
 def test_explicit_h_fallback_agrees_with_the_matrix(explicit_flipped, monkeypatch):
-    # a wrong H_hop fails the split; the explicit H is then compared with
+    # a wrong H_hop fails the split alone; the explicit H is compared with
     # {Q, Q*} as terms, and H == explicit on the matrices is the oracle
-    monkeypatch.setattr(
-        nicolai.model, "build_h_hop", _flipping_first_terms(nicolai.model.build_h_hop)
-    )
+    monkeypatch.setattr(cli, "build_h_hop", _flipping_first_terms(cli.build_h_hop))
     if explicit_flipped:
         flipped = _flipping_first_terms(cli.build_hamiltonian_explicit)
         monkeypatch.setattr(cli, "build_hamiltonian_explicit", flipped)
@@ -1368,14 +1345,13 @@ def test_explicit_h_fallback_agrees_with_the_matrix(explicit_flipped, monkeypatc
     passed = {c["name"]: c["passed"] for c in cli._build_checks(spec, 0)}
     assert not passed["h_equals_classical_plus_hop"]
     assert passed["h_susy_equals_explicit"] == want
+    assert sum(not p for p in passed.values()) == 2 - want  # and no other check fails
     # Q Q, then {Q, Q*}
     assert products["mul"] == 3
 
 
 def test_both_fallbacks_build_the_terms_of_h_once(monkeypatch):
-    monkeypatch.setattr(
-        nicolai.model, "build_h_hop", _flipping_first_terms(nicolai.model.build_h_hop)
-    )
+    monkeypatch.setattr(cli, "build_h_hop", _flipping_first_terms(cli.build_h_hop))
     monkeypatch.setattr(cli, "particle_hole", lambda q: -nicolai.particle_hole(q))
     products = _count_products(monkeypatch)
     passed = {c["name"]: c["passed"] for c in cli._build_checks(nicolai.ModelSpec.ring(3), 0)}
@@ -1390,8 +1366,8 @@ def test_both_fallbacks_build_the_terms_of_h_once(monkeypatch):
 def test_a_passing_run_builds_no_terms_of_h(spec, monkeypatch):
     products = _count_products(monkeypatch)
     assert all(c["passed"] for c in cli._build_checks(spec, 0))
-    # Q Q alone
-    assert products["mul"] == 1
+    # Q Q, and in 1D {Q, Q*}, the one side of both H identities
+    assert products["mul"] == (3 if spec.lattice.dimension == 1 else 1)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ from nicolai import (
     Lattice,
     ModelSpec,
     SparseOperator,
+    build_h_classical,
+    build_h_hop,
     cli,
     config_to_vector,
     dephase,
@@ -463,7 +465,7 @@ def test_no_resonance(m):
 def test_no_resonance_reports_a_non_ground_column():
     # the vectorized column maximum against one column at a time
     spec = ModelSpec.ring(2)
-    hop = spec.h_hop.matrix.tocsc()
+    hop = build_h_hop(spec).to_sparse(spec.basis).matrix.tocsc()
     state = int(np.flatnonzero(np.diff(hop.indptr))[-1])  # a state the hops move
     g = Configuration.from_state(state, spec.lattice)
     spec.__dict__["ground_states"] = np.append(spec.ground_states, g.state)
@@ -473,17 +475,63 @@ def test_no_resonance_reports_a_non_ground_column():
     assert rep.ground_count == 27
 
 
+# the first state each hop moves, as the built H_hop matrix gave it
+_FIRST_MOVED = {"periodic4": "1000", "periodic6": "100100", "open9": "010010000"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec.ring(m) for m in range(1, 5)] + [ModelSpec.chain_sites(n) for n in (3, 7, 9, 11)],
+    ids=lambda spec: f"{spec.lattice.boundary}{spec.lattice.nsites}",
+)
+def test_h_holds_the_split_on_and_off_its_diagonal(spec, assert_same_csr):
+    # the census and the no-resonance check read H_classical off H's diagonal
+    # and H_hop off its other entries; the built split matrices are the oracle
+    h = spec.h.matrix
+    assert h.data.all()  # no stored zero, so a stored diagonal entry is nonzero
+    diagonal = sp.diags(h.diagonal(), format="csr", dtype=h.dtype)
+    off = (h - diagonal).tocsr()
+    for m in (diagonal, off):
+        m.eliminate_zeros()
+        m.sort_indices()
+    classical = build_h_classical(spec).to_sparse(spec.basis)
+    hop = build_h_hop(spec).to_sparse(spec.basis)
+    assert_same_csr(classical, SparseOperator(spec.basis, diagonal))
+    assert_same_csr(hop, SparseOperator(spec.basis, off))
+
+    rep = no_resonance_check(spec)
+    hm = hop.matrix
+    assert rep.max_residual == int(np.abs(hm[spec.ground_states].data).max(initial=0)) == 0
+    moved = np.flatnonzero(np.diff(hm.indptr))
+    if moved.size:
+        state = int(moved[0])
+        bits = Configuration.from_state(state, spec.lattice).bitstring()
+        want = (bits, int(np.abs(hm[[state]].data).max()))
+    else:
+        want = None
+    assert rep.nonground_example == want
+    key = f"{spec.lattice.boundary}{spec.lattice.nsites}"
+    if key in _FIRST_MOVED:
+        assert want[0] == _FIRST_MOVED[key]
+    # every state a hop moves, planted as ground: the residual is H_hop's
+    # largest entry, not a diagonal one
+    planted = ModelSpec(spec.lattice)
+    planted.__dict__.update(h=spec.h, ground_states=moved)
+    assert no_resonance_check(planted).max_residual == int(np.abs(hm.data).max(initial=0))
+
+
 def test_a_hop_that_moves_a_ground_state_exits_3(capsys, monkeypatch):
-    # an entry planted in the row of the empty state, a ground state: the
-    # first state a hop moves is then permitted, which must not pass silently
-    build = ModelSpec.h_hop.func
+    # a symmetric off-diagonal pair planted in H's row of the empty state, a
+    # ground state: the first state a hop moves is then permitted, which
+    # must not pass silently
+    build = ModelSpec.h.func
 
     def planted(spec):
-        hop = build(spec).matrix
-        entry = sp.csr_matrix(([1], ([0], [1])), shape=hop.shape, dtype=hop.dtype)
-        return SparseOperator(spec.basis, hop + entry)
+        h = build(spec).matrix
+        pair = sp.csr_matrix(([1, 1], ([0, 1], [1, 0])), shape=h.shape, dtype=h.dtype)
+        return SparseOperator(spec.basis, h + pair)
 
-    monkeypatch.setattr(ModelSpec, "h_hop", property(planted))
+    monkeypatch.setattr(ModelSpec, "h", property(planted))
     with pytest.raises(RuntimeError, match="moves the ground configuration 000000"):
         no_resonance_check(ModelSpec.ring(2))
     assert cli.main(["verify", "--ring", "--m", "2"]) == 3
