@@ -458,16 +458,17 @@ def _validate_blocks(lattice, blocks: list) -> None:
 
 
 def _row_masks(lattice, sites: tuple, rows: np.ndarray) -> np.ndarray:
-    """The masks ``(S, P, M, c)`` of ``Q(f)`` for each value row on the
-    ordered support ``sites``, as an int64 array of shape ``(rows, 4)``.
-    ``S``, ``M`` and ``c`` depend on the support alone, so one
-    :func:`~nicolai.fock.jordan_wigner_masks` call on its all-annihilation
-    monomial gives them; ``P`` collects the ranks that hold ``-1``."""
+    """The masks ``(S, P, M, c, T)`` of ``Q(f)`` for each value row on the
+    ordered support ``sites``, as an int64 array of shape ``(rows, 5)``.
+    The sites are distinct, so ``T = S``; ``S``, ``M`` and ``c`` depend on
+    the support alone, so one :func:`~nicolai.fock.jordan_wigner_masks`
+    call on its all-annihilation monomial gives them; ``P`` collects the
+    ranks that hold ``-1``."""
     mono = FermionMonomial(1, tuple((s, ANNIHILATE) for s in sites))
-    support, _, string, crossings = jordan_wigner_masks(mono, lattice)
+    support, _, string, crossings, _ = jordan_wigner_masks(mono, lattice)
     weights = 1 << np.array([lattice.rank(s) for s in sites], dtype=np.int64)
-    masks = np.empty((len(rows), 4), dtype=np.int64)
-    masks[:, 0], masks[:, 2], masks[:, 3] = support, string, crossings
+    masks = np.empty((len(rows), 5), dtype=np.int64)
+    masks[:, 0], masks[:, 2], masks[:, 3], masks[:, 4] = support, string, crossings, support
     masks[:, 1] = (rows < 0) @ weights
     return masks
 
@@ -476,7 +477,7 @@ def _member_masks(lattice, blocks: list) -> np.ndarray:
     """The masks of every member of a catalogue in block form, support by
     support and row by row (:func:`lattice_sequences` order on a ring)."""
     masks = [_row_masks(lattice, sites, words) for sup, words, _ in blocks for sites in sup]
-    return np.concatenate(masks) if masks else np.empty((0, 4), dtype=np.int64)
+    return np.concatenate(masks) if masks else np.empty((0, 5), dtype=np.int64)
 
 
 def _member_labels(lattice, blocks: list) -> list:
@@ -514,7 +515,7 @@ def _orbit_rows(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:
 
 def _catalogue_residual(spec: ModelSpec, masks: np.ndarray):
     """Largest max-abs entry of ``[H, Q(f)]`` over the charges with the
-    ``(S, P, M, c)`` rows ``masks``, from one row per orbit
+    ``(S, P, M, c, T)`` rows ``masks``, from one row per orbit
     (:func:`_orbit_rows`).  The residual of a charge depends on ``(S, P)``
     alone (its factor order sets only its sign), and a certified shift maps
     ``[H, Q(f)]`` onto ``+-[H, Q(g f)]`` (:attr:`ModelSpec.shifts`), so
@@ -557,12 +558,12 @@ def _chunks(sizes: list, dim: int):
 
 def _mask_residuals(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:
     """Max-abs entry of ``[H, Q(f)]`` for each ``Q(f)`` given by its masks
-    (``(S, P, M, c)`` rows, decoded by :func:`nicolai.fock._signed_images`),
+    (``(S, P, M, c, T)`` rows, decoded by :func:`nicolai.fock._signed_images`),
     exact in H's dtype, without building any ``Q(f)``: the one int64 kernel
     behind both sweeps.
 
     ``Q(f)`` is a signed partial permutation (:func:`jordan_wigner_masks`):
-    column ``j`` survives iff ``j & S == P``, lands on row ``j ^ S`` with
+    column ``j`` survives iff ``j & T == P``, lands on row ``j ^ S`` with
     sign ``s(j) = (-1)**(popcount(j & M) + c)``.  Hence
 
         [H, Q](i, j) = s(j) H[i, j^S] [j alive] - s(i^S) H[i^S, j] [i^S alive]
@@ -578,8 +579,8 @@ def _mask_residuals(spec: ModelSpec, masks: np.ndarray) -> np.ndarray:
     dim, n = h.shape[0], spec.lattice.nsites
     out = np.zeros(len(masks), dtype=h.dtype)
     widest = 2 * int(np.diff(h.indptr).max(initial=0))
-    free = {s: _states_off(s, n) for s in np.unique(masks[:, 0]).tolist()}
-    sizes = (widest << (n - np.bitwise_count(masks[:, 0]).astype(np.int64))).tolist()
+    free = {t: _states_off(t, n) for t in np.unique(masks[:, 4]).tolist()}
+    sizes = (widest << (n - np.bitwise_count(masks[:, 4]).astype(np.int64))).tolist()
     for start, stop in _chunks(sizes, dim):
         seq, alive, image, sign = _signed_images(masks[start:stop], free)
         # s(j) H[i, j^S]: row j^S of H holds column j^S of H

@@ -317,14 +317,54 @@ def cmd_build(args) -> int:
     return 3 if payload.get("failures") else 0
 
 
+def _read_text(path: str) -> str:
+    """The text of ``path``, or ``""`` where it cannot be read."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError:
+        return ""
+
+
+def _memory_bounds() -> list:
+    """The bytes that bound this process below physical memory, as far as
+    they can be read: ``MemAvailable`` in ``/proc/meminfo``, and the memory
+    limit of this process's cgroup and of each ancestor (v1
+    ``memory.limit_in_bytes``, v2 ``memory.max``).  A file that is missing
+    or unreadable and a v2 limit of ``max`` bound nothing; an unlimited v1
+    limit reads about 2**63, above any physical memory.  Nothing is written."""
+    bounds = [
+        int(line.split()[1]) * 1024
+        for line in _read_text("/proc/meminfo").splitlines()
+        if line.startswith("MemAvailable:")
+    ]
+    for line in _read_text("/proc/self/cgroup").splitlines():
+        _, controllers, path = line.split(":", 2)
+        if controllers == "":
+            root, name = "/sys/fs/cgroup", "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            limit = _read_text("/".join([root, *parts[:depth], name])).strip()
+            if limit.isdigit():
+                bounds.append(int(limit))
+    return bounds
+
+
 def _require_memory(need: int, what: str, held: str) -> None:
-    """Refuse (exit 2) a run whose estimate ``need`` exceeds physical memory:
-    the one way the command line refuses a run for its size."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Refuse (exit 2) a run whose estimate ``need`` exceeds the memory this
+    process can get, the least of physical memory and
+    :func:`_memory_bounds`: the one way the command line refuses a run for
+    its size."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = min([physical, *_memory_bounds()])
     if need > have:
+        where = "this machine has" if have == physical else "this process can get"
         raise ValueError(
-            f"{what} needs ~{need / 2**30:.1f} GiB of {held}; "
-            f"this machine has {have / 2**30:.1f} GiB"
+            f"{what} needs ~{need / 2**30:.1f} GiB of {held}; {where} {have / 2**30:.1f} GiB"
         )
 
 

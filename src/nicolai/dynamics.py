@@ -34,10 +34,11 @@ closed forms below.  :func:`ergodicity_report` never dephases a charge and
 holds no dim x dim dense array and no object per charge.  It certifies
 ``[H, Q(f)] = 0`` exactly on the ring's word rows, so ``dephase(A) = A``
 for ``A = Q(f) + Q(f)*``, and then works from the Jordan-Wigner masks
-``(S, P, M, c)`` of each ``Q(f)``, read off the same rows.  ``Q(f)**2 =
-0``, so ``A**2 = Pi_f``, the diagonal 0/1 projector onto the states j with
-``j & S`` in ``{P, S ^ P}``; and ``<A> = 0`` under every state that is a
-function of H, because ``Q(f)`` commutes with H and is nilpotent, hence
+``(S, P, M, c, T)`` of each ``Q(f)``, read off the same rows; the sites
+of a charge are distinct, so ``T = S``.  ``Q(f)**2 = 0``, so ``A**2 =
+Pi_f``, the diagonal 0/1 projector onto the states j with ``j & S`` in
+``{P, S ^ P}``; and ``<A> = 0`` under every state that is a function of
+H, because ``Q(f)`` commutes with H and is nilpotent, hence
 traceless, on each eigenspace.  Every gap is therefore ``<Pi_f> = w[P] +
 w[S ^ P]``, where ``w`` is the marginal of the diagonal ``rho_jj`` over
 ``j & S``: ``rho_jj = 1 / dim`` for the trace state, which makes the gap
@@ -168,7 +169,7 @@ def _fragments(m) -> tuple:
     local = _fragment_labels(rank[row], rank[col], len(states))
     labels = np.arange(dim, dtype=row.dtype)
     labels[states] = states[local]
-    size = np.ones(dim, dtype=np.int64)
+    size = np.ones(dim, dtype=row.dtype)
     size[states] = np.bincount(local)[local]
     return labels, size
 
@@ -256,13 +257,14 @@ def _solved_fragments(h: SparseOperator, shifts=()) -> tuple:
     states = np.flatnonzero(~single)
     roots = states[labels[states] == states]
     group = _shift_group(shifts, h.basis.lattice.nsites)
-    orbit = np.zeros(h.dim, dtype=np.int64)  # orbit size at each representative's root
-    orbit[roots] = _orbit_sizes(roots, size, labels, group)
-    states = states[orbit[labels[states]] > 0]
+    orbit = _orbit_sizes(roots, size, labels, group)
+    represented = np.zeros(h.dim, dtype=bool)
+    represented[roots[orbit > 0]] = True
+    states = states[represented[labels[states]]]
     order = states[np.lexsort((labels[states], size[states]))]
     sizes = np.unique(size[order], return_index=True, return_counts=True)
-    del labels, size, states, roots
-    slot = np.empty(h.dim, dtype=np.int64)
+    del labels, size, states, represented
+    slot = np.empty(h.dim, dtype=m.indices.dtype)
     slot[order] = np.arange(len(order))
 
     classes, residual = [], 0.0
@@ -270,8 +272,9 @@ def _solved_fragments(h: SparseOperator, shifts=()) -> tuple:
         blocks = order[off : off + count].reshape(-1, k)
         w, v, res = _block_eigenpairs(m, slot, blocks, scale)
         residual = max(residual, res)
-        classes.append((blocks, orbit[blocks[:, 0]], w, v))
-    del orbit, slot  # before a dim-sized diagonal is read
+        # a block's first state is its fragment's root
+        classes.append((blocks, orbit[np.searchsorted(roots, blocks[:, 0])], w, v))
+    del slot  # before a dim-sized diagonal is read
     return single, m.diagonal()[single], classes, residual
 
 
@@ -681,9 +684,9 @@ def _gibbs_gaps(generators: list, spectrum: Spectrum, betas) -> dict:
 
 def _marginal_gaps(masks: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """``<Pi_f> = w[P] + w[S ^ P]`` for each ``Q(f)`` given by its
-    :func:`~nicolai.fock.jordan_wigner_masks` row ``(S, P, M, c)``, where
-    ``w[k]`` is the sum of ``diag[j]`` over the states j with ``j & S ==
-    k``: one marginal per distinct support."""
+    :func:`~nicolai.fock.jordan_wigner_masks` row ``(S, P, M, c, T)``
+    (``T = S``), where ``w[k]`` is the sum of ``diag[j]`` over the states j
+    with ``j & S == k``: one marginal per distinct support."""
     states = np.arange(len(diag))
     support, pattern = masks[:, 0], masks[:, 1]
     order = np.argsort(support, kind="stable")
@@ -712,9 +715,9 @@ def ergodicity_report(
     ``dephase(A) = A``.
 
     Each ``Q(f)`` on distinct sites is the signed partial permutation of its
-    :func:`~nicolai.fock.jordan_wigner_masks` ``(S, P, M, c)``: it moves each
-    state j with ``j & S == P`` to ``j ^ S``, whose pattern on S is
-    ``S ^ P != P``.  So ``Q(f)**2 = 0`` and ``A**2 = Q(f)* Q(f) + Q(f)
+    :func:`~nicolai.fock.jordan_wigner_masks` ``(S, P, M, c, T)`` with ``T
+    = S``: it moves each state j with ``j & S == P`` to ``j ^ S``, whose
+    pattern on S is ``S ^ P != P``.  So ``Q(f)**2 = 0`` and ``A**2 = Q(f)* Q(f) + Q(f)
     Q(f)* = Pi_f``, the diagonal 0/1 projector onto the states j with ``j &
     S`` in ``{P, S ^ P}``.  Under a state ``rho = g(H)`` (the trace state or
     a Gibbs state) ``<A> = 0``: ``Q(f)`` commutes with H and squares to zero,

@@ -12,13 +12,15 @@ factor acts.
 Operators enter as :class:`FermionMonomial`, an ordered product of creation
 and annihilation factors scaled by a real coefficient, and are realized as
 sparse matrices over a :class:`FockBasis`, the full space of ``2**n`` states,
-where a state is its own row and column index.  Monomials with integer
-coefficients produce ``int64`` matrices, so anticommutation relations,
-nilpotency and commutant statements are certified exactly, with no
-floating-point tolerance.  This module holds the one decoder of the
-Jordan-Wigner masks (:func:`_signed_images`): :func:`terms_to_sparse` builds
-a sum of monomials as one CSR through it, and the charge kernel of
-:mod:`nicolai.charges` reuses it.
+where a state is its own row and column index.  Every monomial, whatever
+sites repeat, composes into one closed form :func:`jordan_wigner_masks`: a
+signed partial permutation of the basis given by four masks and a
+constant.  Monomials with integer coefficients produce ``int64`` matrices,
+so anticommutation relations, nilpotency and commutant statements are
+certified exactly, with no floating-point tolerance.  This module holds the
+one decoder of the closed form (:func:`_signed_images`):
+:func:`terms_to_sparse` builds a sum of monomials as one CSR through it,
+and the charge kernel of :mod:`nicolai.charges` reuses it.
 """
 
 from __future__ import annotations
@@ -308,76 +310,36 @@ def apply_monomial(m: FermionMonomial, state: int, lattice: Lattice):
 
 
 def jordan_wigner_masks(m: FermionMonomial, lattice: Lattice):
-    """Closed form ``(S, P, M, c)`` of a monomial on distinct sites, or
-    ``None`` when a site repeats.
+    """Closed form ``(S, P, M, c, T)`` of the factor string of ``m``, or
+    ``None`` exactly when the string is the zero operator.
 
-    When the factors sit on distinct sites, no factor sees a bit another one
-    flipped, so the action has a closed form in three masks over the ranks
-    ``r_i`` of the factors: the support ``S``, the annihilation mask ``P``
-    and the string mask ``M``, the XOR of the below-rank masks
-    ``2**r_i - 1``.  A state ``s`` survives iff ``s & S == P``, its image is
-    ``s ^ S``, and its sign is ``(-1)**(popcount(s & M) + c)``: the
-    Jordan-Wigner parities of the factors add up to ``popcount(s & M)`` on
-    the input state, and ``c`` (returned mod 2) counts the pairs in which the
-    factor that acts first has the lower rank, one flipped bit below the
-    later factor each.
+    The factors compose right to left into one signed partial permutation.
+    A state ``j`` survives iff ``j & T == P``, its image is ``j ^ S``, and
+    its sign is ``(-1)**(popcount(j & M) + c)``.  A factor at rank ``r``
+    reads bit ``r`` of the intermediate state, which is ``j`` with the bits
+    ``flips`` of the factors already applied toggled: it needs ``j``'s bit
+    ``r`` to be its own kind (1 to annihilate, 0 to create) XOR bit ``r`` of
+    ``flips``, and two such needs on one bit that disagree kill every
+    state.  Its Jordan-Wigner parity on the intermediate state is
+    ``popcount(j & (2**r - 1))`` plus ``popcount(flips & (2**r - 1))``, so
+    ``M`` is the XOR of the below-rank masks and ``c`` (returned mod 2) sums
+    the second counts.  ``S`` is the final ``flips``.  On distinct sites
+    ``T == S`` and ``P`` is the annihilation mask; a repeated occupation
+    factor such as ``n_i n_i`` gives the masks of ``n_i``.
     """
-    ranks = [lattice.rank(site) for site, _ in m.factors]
-    if len(set(ranks)) < len(ranks):
-        return None
-    support = annihilated = string = crossings = 0
-    for i, ((_, kind), r) in enumerate(zip(m.factors, ranks)):
-        support |= 1 << r
-        if kind == ANNIHILATE:
-            annihilated |= 1 << r
-        string ^= (1 << r) - 1
-        crossings += sum(map(r.__gt__, ranks[i + 1 :]))
-    return support, annihilated, string, crossings % 2
-
-
-def _occupation_masks(m: FermionMonomial, lattice: Lattice):
-    """Closed form ``(F, T)`` of a product of occupation factors, or ``None``.
-
-    A monomial whose factors pair up, in order, as ``(a_i*, a_i) = n_i`` or
-    ``(a_i, a_i*) = 1 - n_i`` on distinct sites is diagonal: each pair
-    restores the state it acts on, and its two Jordan-Wigner parities are
-    equal, so the sign is +1.  A state survives iff its bits on the touched
-    ranks ``T`` equal the filled mask ``F`` (the ranks of the ``n_i``).
-    """
-    factors = m.factors
-    if 2 * len({s for s, _ in factors}) != len(factors):
-        return None
-    filled = touched = 0
-    for (site, kind), (partner, other) in zip(factors[::2], factors[1::2]):
-        if partner != site or other == kind:
-            return None
-        bit = 1 << lattice.rank(site)
-        touched |= bit
-        if kind == CREATE:
-            filled |= bit
-    return filled, touched
-
-
-def _apply_factor_by_factor(m: FermionMonomial, basis: FockBasis):
-    """``(alive, out_states, signs)`` of ``m`` on every state of ``basis``,
-    one factor at a time, right to left, each factor taking its parity on the
-    intermediate states; valid for any monomial, repeated sites included, and
-    the oracle of both closed forms.  ``signs`` is meaningful where alive."""
-    lat = basis.lattice
-    states = basis.states.copy()
-    n = states.shape[0]
-    alive = np.ones(n, dtype=bool)
-    sign_par = np.zeros(n, dtype=np.int64)
+    flips = pattern = string = crossings = touched = 0
     for site, kind in reversed(m.factors):
-        r = lat.rank(site)
-        bit = (states >> r) & 1
-        ok = (bit == 1) if kind == ANNIHILATE else (bit == 0)
-        alive &= ok
-        below = (states & ((1 << r) - 1)).astype(np.uint64)
-        sign_par += np.bitwise_count(below).astype(np.int64)
-        states = np.where(ok, states ^ (1 << r), states)
-    signs = np.where(sign_par & 1, -1, 1)
-    return alive, states, signs
+        r = lattice.rank(site)
+        bit = 1 << r
+        need = ((kind == ANNIHILATE) ^ (flips >> r & 1)) << r
+        if touched & bit and (pattern ^ need) & bit:
+            return None
+        touched |= bit
+        pattern |= need
+        string ^= bit - 1
+        crossings += (flips & (bit - 1)).bit_count()
+        flips ^= bit
+    return flips, pattern, string, crossings % 2, touched
 
 
 class SparseOperator:
@@ -486,20 +448,20 @@ def _states_off(mask: int, n: int) -> np.ndarray:
 
 def _signed_images(masks: np.ndarray, free: dict):
     """Every surviving column of the monomials given by ``masks``, an int64
-    array of :func:`jordan_wigner_masks` rows ``(S, P, M, c)``, shape
-    ``(k, 4)``: the index into ``masks`` that owns it, the alive state
-    ``j``, its image ``j ^ S`` and the int64 sign
-    ``s(j) = (-1)**(popcount(j & M) + c)``.  ``free[S]`` holds the states
-    with no bit of ``S`` set (:func:`_states_off`); each run of rows that
-    share ``S`` takes its alive states in one broadcast."""
-    support, annihilated, string, crossings = masks.T
-    cut = np.flatnonzero(np.diff(support)) + 1
-    first, last = np.concatenate(([0], cut)), np.append(cut, len(support))
-    blocks = [free[s] for s in support[first].tolist()]
+    array of :func:`jordan_wigner_masks` rows ``(S, P, M, c, T)``, shape
+    ``(k, 5)``: the index into ``masks`` that owns it, the alive state
+    ``j`` (``j & T == P``), its image ``j ^ S`` and the int64 sign
+    ``s(j) = (-1)**(popcount(j & M) + c)``.  ``free[T]`` holds the states
+    with no bit of ``T`` set (:func:`_states_off`); each run of rows that
+    share ``T`` takes its alive states in one broadcast."""
+    support, pattern, string, crossings, touched = masks.T
+    cut = np.flatnonzero(np.diff(touched)) + 1
+    first, last = np.concatenate(([0], cut)), np.append(cut, len(touched))
+    blocks = [free[t] for t in touched[first].tolist()]
     alive = np.concatenate(
-        [(annihilated[a:b, None] | block).ravel() for a, b, block in zip(first, last, blocks)]
+        [(pattern[a:b, None] | block).ravel() for a, b, block in zip(first, last, blocks)]
     )
-    owner = np.repeat(np.arange(len(support)), np.repeat(list(map(len, blocks)), last - first))
+    owner = np.repeat(np.arange(len(touched)), np.repeat(list(map(len, blocks)), last - first))
     sign = 1 - 2 * ((np.bitwise_count(alive & string[owner]) + crossings[owner]) & 1)
     return owner, alive, alive ^ support[owner], sign
 
@@ -524,44 +486,26 @@ def _check_sites(terms, lattice: Lattice) -> None:
 def terms_to_sparse(terms, basis: FockBasis) -> SparseOperator:
     """Matrix of the sum of the monomials ``terms`` over ``basis`` as one
     CSR, ``int64`` when every coefficient is integral, else ``float64``.
-    Distinct-site monomials visit only their surviving states, all in one
-    :func:`_signed_images` call;
-    occupation products (:func:`_occupation_masks`) add into one diagonal;
-    other repeated sites take :func:`_apply_factor_by_factor`.  One COO to
-    CSR build sums the ``(row, column, value)`` entries, and the entries
-    that cancel are dropped."""
+    Every term is its closed form (:func:`jordan_wigner_masks`), repeated
+    sites included, and visits only its surviving states, all in one
+    :func:`_signed_images` call; one COO to CSR build sums the ``(row,
+    column, value)`` entries, and the entries that cancel are dropped."""
     lat = basis.lattice
     _check_sites(terms, lat)
     integral = all(_is_integral(m.coefficient) for m in terms)
     dtype = np.int64 if integral else np.float64
     masks, coeffs = [], []
-    entries = [(np.zeros(0, np.int64),) * 3]  # so the empty sum builds the zero matrix
-    diag = None
-    for m in (m for m in terms if not m.is_zero):
-        coeff = int(m.coefficient) if integral else float(m.coefficient)
-        jw = jordan_wigner_masks(m, lat)
-        if jw is not None:
+    for m in terms:
+        if not m.is_zero and (jw := jordan_wigner_masks(m, lat)) is not None:
             masks.append(jw)
-            coeffs.append(coeff)
-        elif (occupation := _occupation_masks(m, lat)) is not None:
-            filled, touched = occupation
-            if diag is None:
-                diag = np.zeros(basis.dim, dtype)
-            diag[_states_off(touched, lat.nsites) | filled] += coeff
-        else:
-            alive, out, signs = _apply_factor_by_factor(m, basis)
-            cols = np.flatnonzero(alive)
-            entries.append((out[cols], cols, signs[cols] * coeff))
-    if masks:
-        masks = np.array(masks, dtype=np.int64)
-        free = {s: _states_off(s, lat.nsites) for s in np.unique(masks[:, 0]).tolist()}
-        owner, alive, image, sign = _signed_images(masks, free)
-        entries.append((image, alive, sign * np.array(coeffs, dtype)[owner]))
-    if diag is not None:
-        on = np.flatnonzero(diag)
-        entries.append((on, on, diag[on]))
-    rows, cols, values = map(np.concatenate, zip(*entries))
-    mat = sp.csr_matrix((values, (rows, cols)), shape=(basis.dim, basis.dim), dtype=dtype)
+            coeffs.append(int(m.coefficient) if integral else float(m.coefficient))
+    if not masks:
+        return SparseOperator.zero(basis, dtype)
+    masks = np.array(masks, dtype=np.int64)
+    free = {t: _states_off(t, lat.nsites) for t in np.unique(masks[:, 4]).tolist()}
+    owner, alive, image, sign = _signed_images(masks, free)
+    values = sign * np.array(coeffs, dtype)[owner]
+    mat = sp.csr_matrix((values, (image, alive)), shape=(basis.dim, basis.dim), dtype=dtype)
     mat.eliminate_zeros()
     return SparseOperator(basis, mat)
 

@@ -209,9 +209,7 @@ def test_ergodicity_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
         raise AssertionError("the size guard must run before any diagonalization")
 
     monkeypatch.setattr(nicolai.dynamics, "diagonalize", fail)
-    # an 8 GiB machine, whatever this one has: 4 KiB pages, 2**21 of them
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     assert run(["ergodicity", "--ring", "--m", "11"]) == 2
     assert "GiB" in capsys.readouterr().err
 
@@ -222,8 +220,7 @@ def test_ergodicity_admits_ring_past_the_memory_guard(m, monkeypatch):
         pass
 
     _refuse_building(monkeypatch, Reached())
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     with pytest.raises(Reached):
         run(["ergodicity", "--ring", "--m", str(m)])
 
@@ -234,8 +231,7 @@ def test_charges_check_refuses_a_ring_too_big_for_memory(capsys, monkeypatch):
 
     monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
     _refuse_building(monkeypatch, AssertionError("the size guard must run before any operator"))
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     assert run(["charges", "--ring", "--m", "14", "--check"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -251,10 +247,56 @@ def test_charges_listing_at_ring_m14_passes_the_memory_guard(monkeypatch):
 
     _refuse_building(monkeypatch, AssertionError("a listing builds no operator"))
     monkeypatch.setattr(nicolai.grammar, "permitted_codes", reached)
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     with pytest.raises(Reached):
         run(["charges", "--ring", "--m", "14"])
+
+
+def _eight_gib(monkeypatch, files=None):
+    """An 8 GiB machine, whatever this one has: 4 KiB pages, 2**21 of them,
+    and no bound below that unless ``files`` (path -> text) holds one for
+    ``cli._memory_bounds`` to read."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(cli, "_read_text", lambda path: (files or {}).get(path, ""))
+
+
+def test_verify_refuses_a_ring_above_its_cgroup_limit(capsys, monkeypatch):
+    # verify --ring --m 9 needs ~320 MiB; the v1 cgroup of this process
+    # allows 192 MiB, its parent and the machine more
+    _refuse_building(monkeypatch, AssertionError("the size guard must run before any operator"))
+    _eight_gib(
+        monkeypatch,
+        {
+            "/proc/meminfo": "MemTotal: 8388608 kB\nMemAvailable: 6291456 kB\n",
+            "/proc/self/cgroup": "5:devices:/\n4:memory:/jobs/one\n0::/\n",
+            "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n",
+            "/sys/fs/cgroup/memory/jobs/memory.limit_in_bytes": "1073741824\n",
+            "/sys/fs/cgroup/memory/jobs/one/memory.limit_in_bytes": "201326592\n",
+            "/sys/fs/cgroup/memory.max": "max\n",
+        },
+    )
+    assert cli._memory_bounds() == [6 * 2**30, 9223372036854771712, 2**30, 192 * 2**20]
+    assert run(["verify", "--ring", "--m", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the verify run needs ~0.3 GiB of sparse matrices; "
+        "this process can get 0.2 GiB\n"
+    )
+
+
+def test_memory_bounds_read_the_v2_limit_and_skip_max(monkeypatch):
+    files = {
+        "/proc/self/cgroup": "0::/jobs/one\n",
+        "/sys/fs/cgroup/jobs/memory.max": "max\n",
+        "/sys/fs/cgroup/jobs/one/memory.max": "536870912\n",
+    }
+    _eight_gib(monkeypatch, files)
+    assert cli._memory_bounds() == [2**29]
+    # nothing readable: physical memory alone
+    _eight_gib(monkeypatch)
+    assert cli._memory_bounds() == []
 
 
 def _refuse_building(monkeypatch, error):
@@ -270,9 +312,7 @@ def _refuse_building(monkeypatch, error):
 )
 def test_verify_refuses_a_ring_too_big_for_memory(argv, capsys, monkeypatch):
     _refuse_building(monkeypatch, AssertionError("the size guard must run before any operator"))
-    # an 8 GiB machine, whatever this one has: 4 KiB pages, 2**21 of them
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -287,8 +327,7 @@ def test_verify_admits_ring_m10_past_the_memory_guard(argv, monkeypatch):
         pass
 
     _refuse_building(monkeypatch, Reached())
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     with pytest.raises(Reached):
         run(argv)
 
@@ -299,8 +338,7 @@ def test_verify_admits_ring_m11_on_8_gib(monkeypatch):
         pass
 
     _refuse_building(monkeypatch, Reached())
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     with pytest.raises(Reached):
         run(["verify", "--ring", "--m", "11"])
 
@@ -587,8 +625,7 @@ def test_charges_interval_refuses_a_listing_too_big_for_memory(capsys, monkeypat
         raise AssertionError("the size guard must run before any sequence is enumerated")
 
     monkeypatch.setattr(nicolai.charges, "enumerate_hat_xi", refuse)
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     assert run(["charges", "--interval", "0", "12"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -644,6 +681,59 @@ def test_golden_stdout(capsys):
     assert got == GOLDEN_STDOUT
 
 
+# one small run of every command form, and the library functions that no
+# command calls: they are the oracles and the API of the library alone
+TRAFFIC = [
+    "verify --ring --m 3",
+    "verify --chain 9",
+    "verify --torus 4x4",
+    "build --ring --m 2 --verify",
+    "ergodicity --ring --m 3 --spectrum-csv SPECTRUM",
+    "charges --ring --m 4 --check",
+    "charges --interval 0 3 --check",
+    "charges --tables",
+    "groundstates --ring --m 4 --verify-susy",
+    "groundstates --torus 4x4 --verify-susy",
+]
+UNCALLED = {
+    "fock": ("apply_monomial", "graded_commutator", "span_dimension"),
+    "dynamics": ("dephase", "mazur_gap", "time_averaged_autocorrelation", "evolve"),
+    "groundstates": ("verify_susy_ground", "enumerate_ground_configs"),
+    "charges": ("conservation_check", "independence_probe"),
+    "model": ("build_hamiltonian_susy", "number_operator"),
+}
+
+
+def test_commands_call_no_library_only_function(capsys, monkeypatch, tmp_path):
+    argvs = [c.replace("SPECTRUM", str(tmp_path / "spectrum.csv")).split() for c in TRAFFIC]
+    want = []
+    for argv in argvs:
+        assert run(argv) == 0
+        want.append(capsys.readouterr().out)
+
+    def raiser(name):
+        def uncalled(*args, **kwargs):
+            raise AssertionError(f"a command called {name}")
+
+        return uncalled
+
+    targets = {
+        getattr(getattr(nicolai, mod), name): f"{mod}.{name}"
+        for mod, names in UNCALLED.items()
+        for name in names
+    }
+    patched = 0
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "nicolai"]:
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in targets:
+                monkeypatch.setattr(module, attr, raiser(targets[value]))
+                patched += 1
+    assert patched > len(targets)  # the package re-exports every one of them
+    for argv, out in zip(argvs, want):
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
+
+
 @pytest.mark.parametrize(
     "argv, sha",
     [
@@ -679,8 +769,7 @@ def test_groundstates_guard_fires_before_enumerating(capsys, monkeypatch):
         raise AssertionError("enumerated past the memory guard")
 
     monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     # 36 sites: 3**18 + 1 codes of 8 bytes, eight times over
     assert run(["groundstates", "--ring", "--m", "17"]) == 2
     captured = capsys.readouterr()
@@ -702,8 +791,7 @@ def test_verify_susy_guard_fires_before_enumerating(argv, need, capsys, monkeypa
 
     monkeypatch.setattr(nicolai.grammar, "permitted_codes", refuse)
     _refuse_building(monkeypatch, AssertionError("built past the memory guard"))
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _eight_gib(monkeypatch)
     assert run(["groundstates", *argv, "--verify-susy"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

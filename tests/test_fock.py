@@ -20,7 +20,7 @@ from nicolai import (
     normal_order,
     parity_operator,
 )
-from nicolai.fock import _apply_factor_by_factor, _occupation_masks, terms_to_sparse
+from nicolai.fock import jordan_wigner_masks, terms_to_sparse
 
 a = FermionMonomial.annihilation
 adag = FermionMonomial.creation
@@ -299,6 +299,28 @@ def _distinct_site_monomials(draw):
     return lat, FermionMonomial(1, tuple(zip(sites, kinds)))
 
 
+def _apply_factor_by_factor(m: FermionMonomial, basis):
+    """``(alive, out_states, signs)`` of ``m`` on every state of ``basis``,
+    one factor at a time, right to left, each factor taking its parity on the
+    intermediate states; valid for any monomial, repeated sites included, and
+    the oracle of the closed form.  ``signs`` is meaningful where alive."""
+    lat = basis.lattice
+    states = basis.states.copy()
+    n = states.shape[0]
+    alive = np.ones(n, dtype=bool)
+    sign_par = np.zeros(n, dtype=np.int64)
+    for site, kind in reversed(m.factors):
+        r = lat.rank(site)
+        bit = (states >> r) & 1
+        ok = (bit == 1) if kind == ANNIHILATE else (bit == 0)
+        alive &= ok
+        below = (states & ((1 << r) - 1)).astype(np.uint64)
+        sign_par += np.bitwise_count(below).astype(np.int64)
+        states = np.where(ok, states ^ (1 << r), states)
+    signs = np.where(sign_par & 1, -1, 1)
+    return alive, states, signs
+
+
 def _factor_loop_matrix(m: FermionMonomial, basis) -> SparseOperator:
     """The matrix of ``m`` scattered from the per-factor loop alone."""
     alive, out, signs = _apply_factor_by_factor(m, basis)
@@ -308,11 +330,28 @@ def _factor_loop_matrix(m: FermionMonomial, basis) -> SparseOperator:
 
 
 @settings(derandomize=True, deadline=None)
-@given(_distinct_site_monomials())
+@given(_monomials())
+@example(case=(Lattice.ring(2), FermionMonomial(1, ())))
+@example(case=(Lattice.ring(2), a(0) * a(0)))
 def test_closed_form_masks_match_the_factor_loop(assert_same_csr, case):
     lat, m = case
     basis = enumerate_basis(lat)
+    alive, _, _ = _apply_factor_by_factor(m, basis)
+    assert (jordan_wigner_masks(m, lat) is None) == (not alive.any())
     assert_same_csr(terms_to_sparse((m,), basis), _factor_loop_matrix(m, basis))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_distinct_site_monomials())
+def test_distinct_site_masks_touch_their_support(case):
+    lat, m = case
+    support, pattern, _, crossings, touched = jordan_wigner_masks(m, lat)
+    ranks = [lat.rank(site) for site, _ in m.factors]
+    assert touched == support == sum(1 << r for r in ranks)
+    assert pattern == sum(1 << r for r, (_, k) in zip(ranks, m.factors) if k == ANNIHILATE)
+    # one crossing per pair whose factor that acts first has the lower rank
+    pairs = sum(ri > rj for i, ri in enumerate(ranks) for rj in ranks[i + 1 :])
+    assert crossings == pairs % 2
 
 
 @st.composite
@@ -332,7 +371,8 @@ def _occupation_monomials(draw):
 def test_occupation_closed_form_matches_the_factor_loop(assert_same_csr, case):
     lat, m = case
     basis = enumerate_basis(lat)
-    assert _occupation_masks(m, lat) is not None
+    support, _, _, _, touched = jordan_wigner_masks(m, lat)
+    assert support == 0 and touched == sum(1 << lat.rank(s) for s in m.support)
     got = terms_to_sparse((m,), basis)
     assert_same_csr(got, _factor_loop_matrix(m, basis))
     assert (got.matrix.data == 1).all()
@@ -340,22 +380,24 @@ def test_occupation_closed_form_matches_the_factor_loop(assert_same_csr, case):
     assert np.array_equal(entries.row, entries.col)
 
 
-def test_occupation_masks_reject_other_repeated_sites():
+def test_masks_are_none_exactly_on_vanishing_monomials():
     lat = Lattice.ring(2)
-    assert _occupation_masks(n_op(0) * n_op(0), lat) is None  # one site twice
-    assert _occupation_masks(a(0) * a(0), lat) is None
-    assert _occupation_masks(n_op(0) * adag(1) * n_op(0), lat) is None
-    assert _occupation_masks(n_op(0) * a(1) * adag(1), lat) == (
-        1 << lat.rank(0),
-        1 << lat.rank(0) | 1 << lat.rank(1),
-    )
+    zero, one = 1 << lat.rank(0), 1 << lat.rank(1)
+    assert jordan_wigner_masks(a(0) * a(0), lat) is None
+    assert jordan_wigner_masks(adag(1) * adag(1), lat) is None
+    assert jordan_wigner_masks(n_op(0) * a(0), lat) is None  # n_0 a_0 empties, then reads 1
+    assert jordan_wigner_masks(n_op(0) * n_op(0), lat) == jordan_wigner_masks(n_op(0), lat)
+    assert jordan_wigner_masks(n_op(0), lat) == (0, zero, 0, 0, zero)
+    # (1 - n_1) n_0: survives on site 0 filled and site 1 empty, moves nothing
+    assert jordan_wigner_masks(n_op(0) * a(1) * adag(1), lat) == (0, zero, 0, 0, zero | one)
 
 
-def test_repeated_sites_take_the_factor_loop(assert_same_csr):
+def test_repeated_sites_match_the_factor_loop(assert_same_csr):
     lat = Lattice.ring(2)
     basis = enumerate_basis(lat)
     # n_0 a_1* n_0: the second n_0 sees the bit the first one left, so site
-    # 0 ends occupied, where the distinct-site masks would flip it
+    # 0 ends occupied, where reading every factor on the input state would
+    # flip it
     m = n_op(0) * adag(1) * n_op(0)
     got = terms_to_sparse((m,), basis)
     assert_same_csr(got, _factor_loop_matrix(m, basis))
